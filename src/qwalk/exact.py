@@ -1,15 +1,18 @@
 """Exact arithmetic kernels: rational matrices, integer characteristic
 polynomials, square-free decomposition, and quadratic-field values.
 
-Everything here is exact; floats never enter. Rationals are
-fractions.Fraction (arbitrary-precision, always reduced).
+Everything here is exact; floats never enter. A rational matrix is a
+tuple of integer numerator rows over one common denominator; single
+rational values are fractions.Fraction (arbitrary-precision, always
+reduced).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import chain
+from math import gcd, isqrt, lcm
 from typing import Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -20,39 +23,79 @@ class DimensionError(ValueError):
 
 
 class RationalMatrix:
-    """Dense matrix of exact rationals; equality is exact entrywise."""
+    """Exact rational matrix stored as integer numerator rows over one
+    positive common denominator.
 
-    __slots__ = ("rows", "cols", "data")
+    The pair (num, den) is kept in normal form: gcd(den, every numerator)
+    is 1, so the zero matrix has den 1.  Equal matrices therefore have
+    equal (num, den), and equality and hashing compare those directly.
+    """
+
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, data: Sequence[Sequence[RationalLike]]):
-        self.data: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(Fraction(x) for x in row) for row in data
-        )
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.rows else 0
-        if any(len(row) != self.cols for row in self.data):
+        fracs = [[Fraction(x) for x in row] for row in data]
+        cols = len(fracs[0]) if fracs else 0
+        if any(len(row) != cols for row in fracs):
             raise DimensionError("ragged rows")
+        den = lcm(1, *(x.denominator for row in fracs for x in row))
+        self._set(
+            tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in fracs),
+            den,
+        )
+
+    def _set(self, num: tuple[tuple[int, ...], ...], den: int) -> None:
+        self.num, self.den = num, den
+        self.rows = len(num)
+        self.cols = len(num[0]) if num else 0
+
+    @classmethod
+    def _normal(cls, num: tuple[tuple[int, ...], ...], den: int) -> "RationalMatrix":
+        """Wrap a (num, den) pair that is already in normal form."""
+        m = object.__new__(cls)
+        m._set(num, den)
+        return m
+
+    @classmethod
+    def from_numerators(cls, num: Sequence[Sequence[int]], den: int) -> "RationalMatrix":
+        """The matrix num / den, reduced to normal form."""
+        if den < 1:
+            raise ValueError("denominator must be positive")
+        g = gcd(den, *chain.from_iterable(num))
+        if g != 1:
+            den //= g
+            num = [[x // g for x in row] for row in num]
+        m = cls._normal(tuple(map(tuple, num)), den)
+        if any(len(row) != m.cols for row in m.num):
+            raise DimensionError("ragged rows")
+        return m
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+        return RationalMatrix._normal(
+            tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1
         )
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RationalMatrix":
-        return RationalMatrix([[Fraction(0)] * cols for _ in range(rows)])
+        return RationalMatrix._normal(tuple((0,) * cols for _ in range(rows)), 1)
+
+    @property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fraction rows, derived on demand."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self.data[ij[0]][ij[1]]
+        return Fraction(self.num[ij[0]][ij[1]], self.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self.data == other.data
+        return (self.cols, self.den, self.num) == (other.cols, other.den, other.num)
 
     def __hash__(self) -> int:
-        return hash(self.data)
+        return hash((self.cols, self.den, self.num))
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
@@ -62,51 +105,54 @@ class RationalMatrix:
         return self.rows == self.cols
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.data)))
+        return RationalMatrix._normal(tuple(zip(*self.num)), self.den)
 
     def trace(self) -> Fraction:
         if not self.is_square:
             raise DimensionError("trace of non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
+        return Fraction(sum(row[i] for i, row in enumerate(self.num)), self.den)
 
     def add(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch")
-        return RationalMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ]
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return RationalMatrix.from_numerators(
+            [[s * x + t * y for x, y in zip(r1, r2)] for r1, r2 in zip(self.num, other.num)],
+            den,
         )
 
     def scale(self, c: RationalLike) -> "RationalMatrix":
         c = Fraction(c)
-        return RationalMatrix([[c * x for x in row] for row in self.data])
+        p = c.numerator
+        return RationalMatrix.from_numerators(
+            [[p * x for x in row] for row in self.num], self.den * c.denominator
+        )
 
     def is_identity(self) -> bool:
-        if not self.is_square:
-            return False
-        one, zero = Fraction(1), Fraction(0)
-        for i, row in enumerate(self.data):
-            for j, x in enumerate(row):
-                if x != (one if i == j else zero):
-                    return False
-        return True
+        return self.is_square and self == RationalMatrix.identity(self.rows)
 
     def to_floats(self) -> list[list[float]]:
-        return [[float(x) for x in row] for row in self.data]
+        den = self.den
+        return [[x / den for x in row] for row in self.num]
 
 
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """Row-sparse integer product: each nonzero a[i][k] adds its multiple
+    of the nonzeros of row k of b; one reduction over den(a)*den(b)."""
     if a.cols != b.rows:
         raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bt = b.transpose().data
-    return RationalMatrix(
-        [
-            [sum(x * y for x, y in zip(row, col) if x) for col in bt]
-            for row in a.data
-        ]
-    )
+    n = b.cols
+    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b.num]
+    out = []
+    for row in a.num:
+        acc = [0] * n
+        for k, x in enumerate(row):
+            if x:
+                for j, y in sparse_b[k]:
+                    acc[j] += x * y
+        out.append(acc)
+    return RationalMatrix.from_numerators(out, a.den * b.den)
 
 
 def mat_pow(a: RationalMatrix, k: int) -> RationalMatrix:
@@ -126,24 +172,25 @@ def mat_pow(a: RationalMatrix, k: int) -> RationalMatrix:
 
 
 def rational_rank(a: RationalMatrix) -> int:
-    """Rank over the rationals by exact Gaussian elimination."""
-    m = [list(row) for row in a.data]
+    """Rank over the rationals by fraction-free elimination on the
+    numerators, each new row divided by the gcd of its entries."""
+    m = [list(row) for row in a.num]
     rank = 0
-    col = 0
-    rows, cols = a.rows, a.cols
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if m[r][col] != 0), None)
+    for col in range(a.cols):
+        pivot = next((r for r in range(rank, a.rows) if m[r][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        top = m[rank]
+        p = top[col]
+        for r in range(rank + 1, a.rows):
+            f = m[r][col]
+            if f:
+                row = [p * x - f * y for x, y in zip(m[r], top)]
+                g = gcd(*row)
+                m[r] = [x // g for x in row] if g > 1 else row
         rank += 1
-        if rank == rows:
+        if rank == a.rows:
             break
     return rank
 
@@ -399,6 +446,27 @@ def _integer_roots(p: IntPolynomial) -> list[int]:
     return sorted(cands, key=abs)
 
 
+def _iroot_ceil(a: int, k: int) -> int:
+    """Smallest integer r >= 0 with r**k >= a, for a >= 0 (exact)."""
+    if a < 2 or k == 1:
+        return a
+    r = 1 << -(-a.bit_length() // k)  # r**k >= a
+    while True:
+        # Newton step toward floor(a^(1/k)); decreasing while above it
+        s = ((k - 1) * r + a // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r if r ** k >= a else r + 1
+
+
+def _fujiwara_bound(p: IntPolynomial) -> int:
+    """Integer bound on every complex root of a monic p of degree n:
+    |z| <= 2 max_k |a_(n-k)|^(1/k) (Fujiwara), k-th roots rounded up."""
+    n = p.degree
+    return 2 * max(_iroot_ceil(abs(p.coeffs[n - k]), k) for k in range(1, n + 1))
+
+
 def roots_degree_le2(p: IntPolynomial) -> list[tuple[QuadraticValue, int]]:
     """Factor a monic integer polynomial into roots of algebraic degree <= 2.
 
@@ -433,8 +501,9 @@ def roots_degree_le2(p: IntPolynomial) -> list[tuple[QuadraticValue, int]]:
     # peel irreducible monic integer quadratics x^2 + beta*x + gamma
     while rem.degree >= 2:
         found = False
-        # Cauchy bound on root magnitude bounds |beta| <= 2B, |gamma| <= B^2
-        bound = 1 + max(abs(c) for c in rem.coeffs[:-1])
+        # every root has |z| <= B (Cauchy and Fujiwara bounds, the smaller
+        # one), so a factor's coefficients have |beta| <= 2B, |gamma| <= B^2
+        bound = min(1 + max(abs(c) for c in rem.coeffs[:-1]), _fujiwara_bound(rem))
         c0 = rem.coeffs[0]  # nonzero: all rational roots were stripped
         divisors = set()
         d = 1

@@ -35,6 +35,7 @@ from .graphs import (
     Bipartition,
     Graph,
     GraphError,
+    adjacency_matrix,
     biadjacency,
     bipartition,
     degree_profile,
@@ -271,7 +272,7 @@ def grover_regular_test(g: Graph) -> SpectralVerdict:
         raise GraphError("graph is disconnected")
     d = degs.pop()
     try:
-        roots = roots_degree_le2(char_poly(_plain_adjacency(g)))
+        roots = roots_degree_le2(char_poly(adjacency_matrix(g)))
     except HigherDegreeFactor as exc:
         return SpectralVerdict("inconclusive", 2, d, reason=str(exc))
     allowed_rational = {
@@ -297,14 +298,6 @@ def grover_regular_test(g: Graph) -> SpectralVerdict:
         classifications.append(EigenvalueClassification(value, mult, allowed, None))
     status = "periodic" if all_allowed else "non-periodic"
     return SpectralVerdict(status, 2, d, tuple(classifications))
-
-
-def _plain_adjacency(g: Graph) -> list[list[int]]:
-    a = [[0] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        a[u][v] = 1
-        a[v][u] = 1
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +447,6 @@ def decide_periodicity(
         else:
             v.periodic, v.period = True, v.phase_period
     elif v.oracle_ran:
-        v.periodic = False
+        # no period up to the cap certifies nothing about larger periods
         v.notes.append(f"no period within cap {cap}")
     return v

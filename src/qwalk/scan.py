@@ -40,10 +40,11 @@ def _biadjacency_fills(n0: int, d0: int, n1: int, d1: int) -> Iterator[tuple[tup
                 yield tuple(rows)
             return
         for support in combinations(range(n1), d0):
-            row = tuple(1 if j in set(support) else 0 for j in range(n1))
-            if rows and row > rows[-1]:
-                continue
             if any(col_left[j] == 0 for j in support):
+                continue
+            chosen = set(support)
+            row = tuple(1 if j in chosen else 0 for j in range(n1))
+            if rows and row > rows[-1]:
                 continue
             for j in support:
                 col_left[j] -= 1

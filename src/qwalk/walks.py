@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from math import lcm
+from typing import Iterable, Optional, Sequence
 
 from .exact import RationalMatrix, mat_mul, mat_pow
 from .graphs import (
@@ -60,15 +61,19 @@ def build_partitions(g: Graph, b: Bipartition) -> tuple[EdgePartition, EdgeParti
     )
 
 
-def _cell_projection(m: int, part: EdgePartition) -> RationalMatrix:
-    """Projection onto functions constant on the cells: block of 1/|cell|."""
-    data = [[Fraction(0)] * m for _ in range(m)]
-    for cell in part.cells.values():
-        w = Fraction(1, len(cell))
+def _cell_projection(m: int, cells: Iterable[Sequence[int]]) -> RationalMatrix:
+    """Projection onto functions constant on the cells: block of 1/|cell|,
+    as integer numerators over the lcm of the cell sizes."""
+    cells = list(cells)
+    den = lcm(1, *(len(cell) for cell in cells))
+    num = [[0] * m for _ in range(m)]
+    for cell in cells:
+        w = den // len(cell)
         for e in cell:
+            row = num[e]
             for f in cell:
-                data[e][f] = w
-    return RationalMatrix(data)
+                row[f] = w
+    return RationalMatrix.from_numerators(num, den)
 
 
 def projections(
@@ -80,7 +85,7 @@ def projections(
     that reproduces the reference example matrices frozen in the test suite.
     """
     m = g.num_edges
-    return _cell_projection(m, pi1), _cell_projection(m, pi0)
+    return _cell_projection(m, pi1.cells.values()), _cell_projection(m, pi0.cells.values())
 
 
 @dataclass(frozen=True)
@@ -151,24 +156,19 @@ class ArcWalkOperator:
 
 
 def _grover_parts(
-    g: Graph, arcs: list[tuple[int, int]]
+    arcs: list[tuple[int, int]],
 ) -> tuple[RationalMatrix, RationalMatrix, RationalMatrix]:
-    deg = g.degrees()
     n_arcs = len(arcs)
     index = {a: i for i, a in enumerate(arcs)}
-    r = [[Fraction(0)] * n_arcs for _ in range(n_arcs)]
+    r = [[0] * n_arcs for _ in range(n_arcs)]
     for i, (o, t) in enumerate(arcs):
-        r[i][index[(t, o)]] = Fraction(1)
-    k = [[Fraction(0)] * n_arcs for _ in range(n_arcs)]
+        r[i][index[(t, o)]] = 1
     by_tail: dict[int, list[int]] = {}
     for i, (_, t) in enumerate(arcs):
         by_tail.setdefault(t, []).append(i)
-    for t, cell in by_tail.items():
-        w = Fraction(1, deg[t])
-        for i in cell:
-            for j in cell:
-                k[i][j] = w
-    rm, km = RationalMatrix(r), RationalMatrix(k)
+    rm = RationalMatrix.from_numerators(r, 1)
+    # deg(t) arcs share tail t, so K's block of 1/deg(t) is a cell projection
+    km = _cell_projection(n_arcs, by_tail.values())
     u = mat_mul(rm, _reflection(km))
     return rm, km, u
 
@@ -179,7 +179,7 @@ def build_grover_walk(g: Graph) -> ArcWalkOperator:
     if not g.is_connected():
         raise GraphError("graph is disconnected")
     arcs = [(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges]
-    r, k, u = _grover_parts(g, arcs)
+    r, k, u = _grover_parts(arcs)
     if mat_mul(r, r) != RationalMatrix.identity(len(arcs)):
         raise ConstructionError("R is not an involution")
     _check_projection(k, "K")
@@ -203,11 +203,11 @@ def grover_equals_bipartite_on_subdivision(g: Graph) -> tuple[bool, list[int]]:
     for o, t in gw.arcs:
         j = g.edge_index(o, t)
         sigma.append(sg.edge_index(o, n + j))
-    dim = gw.dim
-    ok = all(
-        w.U[sigma[i], sigma[j]] == gw.U[i, j]
-        for i in range(dim)
-        for j in range(dim)
+    # both sides are in normal form, so a permutation of entries is equal
+    # exactly when denominators and permuted numerators are
+    bw, arc = w.U.num, gw.U.num
+    ok = w.U.den == gw.U.den and all(
+        tuple(bw[s][t] for t in sigma) == row for s, row in zip(sigma, arc)
     )
     return ok, sigma
 
@@ -227,21 +227,18 @@ def block_identity_check(g: Graph, k: int, b: Optional[Bipartition] = None) -> b
     w = build_bipartite_walk(g, b)
     arcs_into_c1 = [((u, v) if v in b.c1 else (v, u)) for u, v in g.edges]
     arcs_into_c0 = [(t, o) for o, t in arcs_into_c1]
-    _, _, u_gw = _grover_parts(g, arcs_into_c1 + arcs_into_c0)
+    _, _, u_gw = _grover_parts(arcs_into_c1 + arcs_into_c0)
     m = g.num_edges
     even = mat_pow(u_gw, 2 * k)
     ubk = mat_pow(w.U, k)
-    ubk_t = ubk.transpose()
-    zero = Fraction(0)
-    for i in range(m):
-        for j in range(m):
-            if even[i, j] != ubk_t[i, j]:
-                return False
-            if even[m + i, m + j] != ubk[i, j]:
-                return False
-            if even[i, m + j] != zero or even[m + i, j] != zero:
-                return False
-    return True
+    # the zero blocks leave the normal form's gcd alone, so the identity
+    # holds exactly when the denominators and the numerator blocks agree
+    if even.den != ubk.den:
+        return False
+    top, bottom = even.num[:m], even.num[m:]
+    return all(
+        row[:m] == col and not any(row[m:]) for row, col in zip(top, zip(*ubk.num))
+    ) and all(not any(row[:m]) and row[m:] == u for row, u in zip(bottom, ubk.num))
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,20 @@ class TestPeriod:
         assert code == 4  # trace alone cannot certify periodicity
         assert json.loads(out)["verdict"]["periodic"] == "inconclusive"
 
+    def test_cap_exhausted_is_inconclusive(self, capsys, schema):
+        # C_8 has period 4: no period up to 3 says nothing about larger ones
+        code, out, _ = run(capsys, "period", "c8", "--cap", "3", "--methods", "oracle")
+        assert code == 4
+        doc = json.loads(out)
+        jsonschema.validate(doc, schema)
+        assert doc["verdict"]["periodic"] == "inconclusive"
+        assert "no period within cap 3" in doc["verdict"]["notes"]
+
+    def test_cap_reached_certifies_period(self, capsys):
+        code, out, _ = run(capsys, "period", "c8", "--cap", "4", "--methods", "oracle")
+        assert code == 0
+        assert json.loads(out)["verdict"]["period"] == 4
+
     def test_unknown_method(self, capsys):
         code, _, err = run(capsys, "period", "c6", "--methods", "astrology")
         assert code == 1

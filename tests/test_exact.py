@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,94 @@ class TestRationalMatrix:
         assert rational_rank(RationalMatrix.identity(4)) == 4
         assert rational_rank(RationalMatrix([[1, 2], [2, 4]])) == 1
         assert rational_rank(RationalMatrix.zeros(2, 5)) == 0
+
+
+entries = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@st.composite
+def fraction_rows(draw, rows: int, cols: int):
+    """Nested Fraction lists with mixed denominators, negative entries and
+    some rows (possibly all of them) zeroed."""
+    m = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    zeroed = draw(st.sets(st.integers(0, rows - 1)))
+    return [[Fraction(0)] * cols if i in zeroed else row for i, row in enumerate(m)]
+
+
+shapes = st.tuples(*(st.integers(1, 4),) * 3)
+
+
+def ref_mul(a, b):
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def as_tuples(rows):
+    return tuple(tuple(row) for row in rows)
+
+
+def assert_normal(m: RationalMatrix) -> None:
+    assert m.den >= 1
+    assert gcd(m.den, *(x for row in m.num for x in row)) == 1
+
+
+class TestKernelAgainstFractions:
+    """The integer kernel against a plain nested-list Fraction reference."""
+
+    @given(shapes.flatmap(lambda s: st.tuples(fraction_rows(s[0], s[1]), fraction_rows(s[1], s[2]))))
+    @settings(max_examples=150, deadline=None)
+    def test_mat_mul(self, ab):
+        a, b = ab
+        got = mat_mul(RationalMatrix(a), RationalMatrix(b))
+        assert got.data == as_tuples(ref_mul(a, b))
+        assert_normal(got)
+
+    @given(shapes.flatmap(lambda s: st.tuples(fraction_rows(s[0], s[1]), fraction_rows(s[0], s[1]))))
+    @settings(max_examples=100, deadline=None)
+    def test_add(self, ab):
+        a, b = ab
+        got = RationalMatrix(a).add(RationalMatrix(b))
+        assert got.data == as_tuples([[x + y for x, y in zip(r, s)] for r, s in zip(a, b)])
+        assert_normal(got)
+
+    @given(shapes.flatmap(lambda s: fraction_rows(s[0], s[1])), entries)
+    @settings(max_examples=100, deadline=None)
+    def test_scale(self, a, c):
+        got = RationalMatrix(a).scale(c)
+        assert got.data == as_tuples([[c * x for x in row] for row in a])
+        assert_normal(got)
+
+    @given(shapes.flatmap(lambda s: fraction_rows(s[0], s[1])))
+    @settings(max_examples=100, deadline=None)
+    def test_transpose_and_entries(self, a):
+        m = RationalMatrix(a)
+        assert_normal(m)
+        assert m.data == as_tuples(a)
+        assert all(m[i, j] == a[i][j] for i in range(len(a)) for j in range(len(a[0])))
+        assert m.transpose().data == as_tuples(zip(*a))
+        assert m.to_floats() == [[float(x) for x in row] for row in a]
+
+    @given(st.integers(1, 4).flatmap(lambda n: fraction_rows(n, n)))
+    @settings(max_examples=100, deadline=None)
+    def test_trace(self, a):
+        assert RationalMatrix(a).trace() == sum((a[i][i] for i in range(len(a))), Fraction(0))
+
+    @given(shapes.flatmap(lambda s: fraction_rows(s[0], s[1])))
+    @settings(max_examples=60, deadline=None)
+    def test_normal_form(self, a):
+        m = RationalMatrix(a)
+        back = m.scale(Fraction(2, 3)).scale(Fraction(3, 2))
+        assert back == m and hash(back) == hash(m)
+        assert (back.num, back.den) == (m.num, m.den)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_zero_matrix_normal_form(self, n):
+        z = RationalMatrix.zeros(n, n)
+        assert z == RationalMatrix([[0] * n] * n) and hash(z) == hash(RationalMatrix([[0] * n] * n))
+        assert z.den == 1
+        assert RationalMatrix.identity(n).scale(Fraction(5, 7)).scale(0) == z
 
 
 class TestPolynomials:
@@ -184,3 +274,60 @@ class TestRootFinding:
         for v, mult in roots_degree_le2(p):
             assert eval_at_quadratic(p, v) == QuadraticValue.rational(0)
         assert sum(m for _, m in roots_degree_le2(p)) == len(int_roots)
+
+
+def _random_factor(rng: random.Random, kind: str) -> list[int]:
+    """Monic integer factor, coefficients in ascending degree order."""
+    if kind == "linear":
+        return [-rng.randint(-4, 4), 1]
+    if kind == "real quadratic":
+        while True:
+            b, c = rng.randint(-5, 5), rng.randint(-6, 6)
+            disc = b * b - 4 * c
+            if disc > 0 and square_free_part(disc)[0] != 1:
+                return [c, b, 1]
+    if kind == "complex quadratic":
+        while True:
+            b, c = rng.randint(-4, 4), rng.randint(1, 8)
+            if b * b - 4 * c < 0:
+                return [c, b, 1]
+    return [rng.choice([-3, -2, 2, 3, 5]), rng.randint(-3, 3), 0, 1]  # x^3 + a x + b
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_roots_agree_with_sympy_factorization(seed):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(seed)
+    kinds = ["linear", "real quadratic", "complex quadratic", "irreducible cubic"]
+    weights = [4, 3, 1, 1]
+    p = IntPolynomial.from_coeffs([1])
+    for _ in range(rng.randint(1, 4)):
+        factor = _random_factor(rng, rng.choices(kinds, weights)[0])
+        prod = [0] * (p.degree + len(factor))
+        for i, a in enumerate(p.coeffs):
+            for j, b in enumerate(factor):
+                prod[i + j] += a * b
+        p = IntPolynomial.from_coeffs(prod)
+
+    _, factors = sympy.factor_list(sympy.Poly(list(reversed(p.coeffs)), x))
+    expected: dict[QuadraticValue, int] = {}
+    in_scope = True
+    for f, mult in factors:
+        c = [int(v) for v in reversed(f.all_coeffs())]
+        assert c[-1] == 1
+        if len(c) == 2:
+            expected[QuadraticValue.rational(-c[0])] = expected.get(QuadraticValue.rational(-c[0]), 0) + mult
+        elif len(c) == 3 and c[1] ** 2 - 4 * c[0] > 0:
+            disc = c[1] ** 2 - 4 * c[0]
+            for sign in (1, -1):
+                v = QuadraticValue.of(Fraction(-c[1], 2), Fraction(sign, 2), disc)
+                expected[v] = expected.get(v, 0) + mult
+        else:
+            in_scope = False
+
+    if in_scope:
+        assert dict(roots_degree_le2(p)) == expected
+    else:
+        with pytest.raises(HigherDegreeFactor):
+            roots_degree_le2(p)
