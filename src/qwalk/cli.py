@@ -262,6 +262,12 @@ def _exit_for(verdict: PeriodicityVerdict) -> int:
     return EXIT_INCONCLUSIVE
 
 
+def _report_disagreement(input_desc: str, exc: MethodDisagreement) -> int:
+    print(f"method disagreement: {exc}", file=sys.stderr)
+    print(json.dumps({"input": input_desc, "error": "method_disagreement", "detail": str(exc)}))
+    return EXIT_DISAGREEMENT
+
+
 def cmd_period(args: argparse.Namespace) -> int:
     g = _resolve_input(args.input)
     g, _, transform = _apply_transform(g, args.transform)
@@ -274,9 +280,7 @@ def cmd_period(args: argparse.Namespace) -> int:
     try:
         verdict = decide_periodicity(g, kind=kind, cap=args.cap, methods=methods)
     except MethodDisagreement as exc:
-        print(f"method disagreement: {exc}", file=sys.stderr)
-        print(json.dumps({"input": args.input, "error": "method_disagreement", "detail": str(exc)}))
-        return EXIT_DISAGREEMENT
+        return _report_disagreement(args.input, exc)
     doc = analysis_report(args.input, g, kind, transform, verdict, time.perf_counter() - start)
     _print_report(doc, args.pretty)
     return _exit_for(verdict)
@@ -285,17 +289,20 @@ def cmd_period(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     if not (1 <= args.max_edges <= MAX_SCAN_EDGES):
         raise GraphError(f"--max-edges must be between 1 and {MAX_SCAN_EDGES}")
-    for g, b, verdict in scan_periodicity(args.max_edges, cap=args.cap):
-        n0, n1 = len(b.c0), len(b.c1)
-        desc = f"biregular n0={n0} n1={n1} edges={g.num_edges}"
-        doc = analysis_report(desc, g, "bipartite", "none", verdict, 0.0)
-        doc["edge_list"] = [list(e) for e in g.edges]
-        del doc["timing_seconds"]
-        if args.pretty:
-            tau = verdict.period if verdict.periodic is True else "-"
-            print(f"{desc:40s} periodic={verdict.periodic} tau={tau}")
-        else:
-            print(json.dumps(doc))
+    try:
+        for g, b, verdict in scan_periodicity(args.max_edges, cap=args.cap):
+            n0, n1 = len(b.c0), len(b.c1)
+            desc = f"biregular n0={n0} n1={n1} edges={g.num_edges}"
+            doc = analysis_report(desc, g, "bipartite", "none", verdict, 0.0)
+            doc["edge_list"] = [list(e) for e in g.edges]
+            del doc["timing_seconds"]
+            if args.pretty:
+                tau = verdict.period if verdict.periodic is True else "-"
+                print(f"{desc:40s} periodic={verdict.periodic} tau={tau}")
+            else:
+                print(json.dumps(doc))
+    except MethodDisagreement as exc:
+        return _report_disagreement(f"scan --max-edges {args.max_edges}", exc)
     return 0
 
 

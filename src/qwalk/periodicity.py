@@ -241,10 +241,16 @@ def period_from_phases(g: Graph, b: Optional[Bipartition] = None) -> int:
     verdict = spectral_test_biregular(g, b)
     if verdict.status != "periodic":
         raise ValueError(f"graph is not spectrally periodic: {verdict.status}")
+    return _phase_period(verdict, build_bipartite_walk(g, b))
+
+
+def _phase_period(verdict: SpectralVerdict, w: WalkOperator) -> int:
+    """Period from an accepting biregular verdict and its walk w: the lcm
+    of the verdict's orders, of 1, and of 2 when w has a -1 eigenvector."""
     orders = {1}  # the +1 eigenspace of a connected graph is never empty
     for c in verdict.classifications:
         orders.add(c.order)
-    _, dim_minus = pm1_eigenspace_dims(build_bipartite_walk(g, b))
+    _, dim_minus = pm1_eigenspace_dims(w)
     if dim_minus > 0:
         orders.add(2)
     tau = 1
@@ -383,7 +389,8 @@ def decide_periodicity(
     v = PeriodicityVerdict(periodic="inconclusive")
 
     if kind == "bipartite":
-        u = build_bipartite_walk(g).U
+        w = build_bipartite_walk(g)
+        u = w.U
     else:
         u = build_grover_walk(g).U
 
@@ -407,7 +414,7 @@ def decide_periodicity(
 
     if "phases" in methods and v.spectral is not None and v.spectral.status == "periodic":
         if kind == "bipartite":
-            v.phase_period = period_from_phases(g)
+            v.phase_period = _phase_period(v.spectral, w)
         else:
             sg, sb = subdivision(g)
             v.phase_period = period_from_phases(sg, sb)

@@ -2,8 +2,11 @@
 
 Graphs are produced one representative per isomorphism class, vertices
 numbered with the c0 side first so bipartition() recovers the intended
-classes.  Edge counts beyond MAX_SCAN_EDGES are rejected: the candidate
-space and the exact-arithmetic deciders both grow quickly past that.
+classes.  A degree profile with a degree-1 side is connected only as a
+star, which is emitted directly; every other profile is searched by
+filling biadjacency matrices, with at most e/2 vertices on either side.
+Edge counts beyond MAX_SCAN_EDGES are rejected: the candidate space and
+the exact-arithmetic deciders both grow quickly past that.
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ def _biadjacency_fills(n0: int, d0: int, n1: int, d1: int) -> Iterator[tuple[tup
 def _canonical_form(rows: tuple[tuple[int, ...], ...]) -> tuple:
     """Minimum of the matrix over all row and column permutations.
 
-    Only called on connected candidates, where both sides have at most
-    max(1, e/2) vertices, so the brute force stays tiny.
+    Only called on profiles whose degrees are both at least 2, so each
+    side has at most e/2 vertices and the brute force stays tiny.
     """
     n1 = len(rows[0])
     best = None
@@ -87,14 +90,18 @@ def enumerate_biregular(max_edges: int) -> Iterator[tuple[Graph, Bipartition]]:
         raise ValueError(f"max_edges must be between 1 and {MAX_SCAN_EDGES}")
     for e in range(1, max_edges + 1):
         for n0, d0, n1, d1 in _profiles(e):
+            if min(d0, d1) == 1:
+                # a degree-1 side makes a disjoint union of stars, which is
+                # connected only as the single star K_{n0,n1}
+                if min(n0, n1) == 1:
+                    yield _to_graph(((1,) * n1,) * n0)
+                continue
             seen: set[tuple] = set()
             for rows in _biadjacency_fills(n0, d0, n1, d1):
                 g, b = _to_graph(rows)
                 if not g.is_connected():
                     continue
-                # a connected graph with a degree-1 side is a star: unique
-                # in its profile, and its other side is too wide to permute
-                key = (n0, d0, n1, d1) if min(n0, n1) == 1 else _canonical_form(rows)
+                key = _canonical_form(rows)
                 if key in seen:
                     continue
                 seen.add(key)

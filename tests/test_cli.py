@@ -5,9 +5,10 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from qwalk.cli import main
+from qwalk.cli import EXIT_DISAGREEMENT, main
 from qwalk.exact import quadratic_from_string
 from qwalk.graphs import circulant, figure1_graph, format_graph, parse_graph
+from qwalk.periodicity import MethodDisagreement, decide_periodicity
 from qwalk.walks import walk_from_json
 
 
@@ -143,6 +144,16 @@ class TestPeriod:
         assert code == 0
         assert json.loads(out)["verdict"]["period"] == 4
 
+    def test_method_disagreement(self, capsys, monkeypatch):
+        def disagree(*args, **kwargs):
+            raise MethodDisagreement("forced")
+
+        monkeypatch.setattr("qwalk.cli.decide_periodicity", disagree)
+        code, out, err = run(capsys, "period", "c6")
+        assert code == EXIT_DISAGREEMENT
+        assert json.loads(out) == {"input": "c6", "error": "method_disagreement", "detail": "forced"}
+        assert "method disagreement: forced" in err
+
     def test_unknown_method(self, capsys):
         code, _, err = run(capsys, "period", "c6", "--methods", "astrology")
         assert code == 1
@@ -160,6 +171,22 @@ class TestScanCommand:
         assert len(lines) == 9  # 6 stars + K22 + C6 + K23
         for line in lines:
             jsonschema.validate(json.loads(line), schema)
+
+    def test_method_disagreement(self, capsys, monkeypatch):
+        def disagree(g, **kwargs):
+            if g.num_edges == 3:
+                raise MethodDisagreement("forced")
+            return decide_periodicity(g, **kwargs)
+
+        monkeypatch.setattr("qwalk.scan.decide_periodicity", disagree)
+        code, out, err = run(capsys, "scan", "--max-edges", "4")
+        assert code == EXIT_DISAGREEMENT
+        lines = [json.loads(line) for line in out.strip().splitlines()]
+        assert [doc["edges"] for doc in lines[:-1]] == [1, 2]  # classes before the failure
+        assert lines[-1] == {
+            "input": "scan --max-edges 4", "error": "method_disagreement", "detail": "forced",
+        }
+        assert "method disagreement: forced" in err
 
     def test_bound(self, capsys):
         code, _, err = run(capsys, "scan", "--max-edges", "99")

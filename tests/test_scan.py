@@ -1,9 +1,17 @@
+from collections import Counter
 from itertools import permutations
 
+import networkx as nx
 import pytest
+from networkx.algorithms import bipartite
 
 from qwalk.graphs import bipartition, degree_profile
-from qwalk.scan import enumerate_biregular, scan_periodicity
+from qwalk.scan import _biadjacency_fills, _profiles, _to_graph, enumerate_biregular, scan_periodicity
+
+# per-edge-count class counts: one star per edge count plus the classes
+# with both degrees at least 2
+COUNTS_10 = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 3, 7: 1, 8: 3, 9: 2, 10: 3}
+COUNTS_12 = {**COUNTS_10, 11: 1, 12: 8}
 
 
 def biadjacency_rows(g, b):
@@ -19,6 +27,18 @@ def biadjacency_rows(g, b):
                 row[pos1[x]] = 1
         rows.append(tuple(row))
     return rows
+
+
+def to_networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+@pytest.fixture(scope="module")
+def classes_12():
+    return [to_networkx(g) for g, _ in enumerate_biregular(12)]
 
 
 def bipartite_isomorphic(rows_a, rows_b):
@@ -58,6 +78,50 @@ class TestEnumeration:
             for i in range(len(rows_list)):
                 for j in range(i + 1, len(rows_list)):
                     assert not bipartite_isomorphic(rows_list[i], rows_list[j]), key
+
+    def test_counts_up_to_ten_edges(self):
+        graphs = list(enumerate_biregular(10))
+        assert len(graphs) == 18
+        assert Counter(g.num_edges for g, _ in graphs) == COUNTS_10
+
+    def test_counts_up_to_twelve_edges(self, classes_12):
+        assert len(classes_12) == 27
+        assert Counter(h.number_of_edges() for h in classes_12) == COUNTS_12
+
+    def test_twelve_edge_classes_pairwise_non_isomorphic(self, classes_12):
+        for i, a in enumerate(classes_12):
+            for b in classes_12[i + 1:]:
+                assert not nx.is_isomorphic(a, b)
+
+    def test_complete_against_graph_atlas(self, classes_12):
+        # the atlas holds every graph on at most 7 vertices; each connected
+        # biregular bipartite one with 1 to 12 edges must be enumerated
+        found = 0
+        for h in nx.graph_atlas_g():
+            if not 1 <= h.number_of_edges() <= 12 or not nx.is_connected(h):
+                continue
+            if not nx.is_bipartite(h):
+                continue
+            if any(len({h.degree(v) for v in side}) != 1 for side in bipartite.sets(h)):
+                continue
+            found += 1
+            assert any(nx.is_isomorphic(h, c) for c in classes_12), sorted(h.edges)
+        assert found == 13
+
+    @pytest.mark.parametrize("e", range(1, 11))
+    def test_leaf_side_profiles_hold_only_the_star(self, e):
+        # the exhaustive fill search, run on exactly the profiles that the
+        # enumerator answers without searching
+        for n0, d0, n1, d1 in _profiles(e):
+            if min(d0, d1) != 1:
+                continue
+            connected = [rows for rows in _biadjacency_fills(n0, d0, n1, d1)
+                         if _to_graph(rows)[0].is_connected()]
+            if min(n0, n1) > 1:
+                assert connected == [], (n0, d0, n1, d1)
+            else:
+                # the all-ones matrix, the star K_{n0,n1}, is the only fill
+                assert connected == [((1,) * n1,) * n0], (n0, d0, n1, d1)
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
