@@ -93,6 +93,10 @@ def _resolve_input(spec: str) -> Graph:
             f"input {spec!r} is neither a file, '-', nor one of: "
             + ", ".join(sorted(FIXTURES))
         ) from None
+    except OSError as exc:
+        raise GraphError(f"cannot read input {spec!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise GraphError(f"input {spec!r} is not a text edge list") from None
 
 
 def _apply_transform(g: Graph, transform: str) -> tuple[Graph, Optional[Bipartition], str]:
@@ -375,6 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "cap", 1) < 1:  # the oracle tries the powers 1..cap
+        parser.error("--cap must be at least 1")
     try:
         return args.func(args)
     except GraphError as exc:

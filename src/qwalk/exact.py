@@ -195,6 +195,46 @@ def rational_rank(a: RationalMatrix) -> int:
     return rank
 
 
+def local_minimal_polynomial(u: RationalMatrix, j: int) -> tuple[Fraction, ...]:
+    """Monic minimal polynomial of the basis vector e_j under u: the monic
+    mu of least degree with mu(u) e_j = 0, coefficients in ascending order.
+
+    Krylov on the numerators N = den * u: v_0 = e_j, v_(i+1) = N v_i.  Each
+    v_k, extended by the unit vector of its index k, is reduced against the
+    earlier rows by fraction-free elimination on its first n entries (each
+    row divided by the gcd of its entries, as in rational_rank); the tail
+    carries the combination of v_0..v_k the row stands for.  The first v_k
+    to vanish leaves sum c_i v_i = 0 with c_k != 0, the minimal polynomial
+    of e_j under N; under u = N / den its coefficient i is
+    (c_i / c_k) den^(i - k).
+    """
+    if not u.is_square:
+        raise DimensionError("local minimal polynomial of non-square matrix")
+    n = u.rows
+    if not 0 <= j < n:
+        raise ValueError(f"basis index {j} out of range")
+    sparse = [[(c, x) for c, x in enumerate(row) if x] for row in u.num]
+    basis: list[tuple[int, list[int]]] = []  # (pivot, row)
+    v = [int(i == j) for i in range(n)]
+    while True:
+        k = len(basis)
+        r = v + [int(i == k) for i in range(n + 1)]
+        for p, b in basis:
+            f = r[p]
+            if f:
+                s = b[p]
+                r = [s * x - f * y for x, y in zip(r, b)]
+                g = gcd(*r)
+                if g > 1:
+                    r = [x // g for x in r]
+        pivot = next((i for i in range(n) if r[i]), None)
+        if pivot is None:
+            c, den = r[n : n + k + 1], u.den
+            return tuple(Fraction(ci * den**i, c[k] * den**k) for i, ci in enumerate(c))
+        basis.append((pivot, r))
+        v = [sum(x * v[c] for c, x in row) for row in sparse]
+
+
 # ---------------------------------------------------------------------------
 # Integer polynomials
 # ---------------------------------------------------------------------------
@@ -230,22 +270,6 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def shift_argument(self, s: Fraction) -> "IntPolynomial":
-        """Return p(x + s) when the result has integer coefficients."""
-        # Horner on (x + s) with rational intermediates.
-        acc: list[Fraction] = [Fraction(0)]
-        for c in reversed(self.coeffs):
-            # acc := acc*(x+s) + c
-            new = [Fraction(0)] * (len(acc) + 1)
-            for i, a in enumerate(acc):
-                new[i + 1] += a
-                new[i] += a * s
-            new[0] += c
-            acc = new
-        if any(f.denominator != 1 for f in acc):
-            raise ValueError("shifted polynomial is not integral")
-        return IntPolynomial.from_coeffs([int(f) for f in acc])
 
     def mul_linear_shift(self, root: int) -> "IntPolynomial":
         """Multiply by (x - root)."""

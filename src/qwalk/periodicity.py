@@ -11,6 +11,9 @@ Three mutually cross-checking routes:
 The allowed values and their orders come from the classification of the
 angles whose doubled cosine is an algebraic integer of degree at most two
 (orders 1,2,3,4,6 for degree one; 5,8,10,12 for degree two).
+
+Per-state periodicity is exact too: an integrality test on the local
+minimal polynomial of the state (see state_periodicity).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .exact import (
     QuadraticValue,
     RationalMatrix,
     char_poly,
+    local_minimal_polynomial,
     mat_mul,
     roots_degree_le2,
 )
@@ -41,12 +45,7 @@ from .graphs import (
     degree_profile,
     subdivision,
 )
-from .spectral import (
-    GROUP_TOL,
-    NotBiregularError,
-    eigenvalue_support,
-    pm1_eigenspace_dims,
-)
+from .spectral import NotBiregularError, pm1_eigenspace_dims
 from .walks import WalkOperator, build_bipartite_walk, build_grover_walk
 
 DEFAULT_CAP = 10000
@@ -127,6 +126,8 @@ def exact_period_oracle(u: RationalMatrix, cap: int = DEFAULT_CAP) -> Optional[i
     """
     if not u.is_square:
         raise ValueError("U must be square")
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
     candidate = _phase_lcm_candidate(u, cap)
     if candidate is None:
         return None
@@ -310,30 +311,21 @@ def grover_regular_test(g: Graph) -> SpectralVerdict:
 # Per-state periodicity
 # ---------------------------------------------------------------------------
 
-_NIVEN_COSINES = (
-    0.0, 1.0, -1.0, 0.5, -0.5,
-    math.sqrt(2) / 2, -math.sqrt(2) / 2,
-    math.sqrt(3) / 2, -math.sqrt(3) / 2,
-    (math.sqrt(5) - 1) / 4, -(math.sqrt(5) - 1) / 4,
-    (math.sqrt(5) + 1) / 4, -(math.sqrt(5) + 1) / 4,
-)
-
-STATE_DENOMINATOR_BOUND = 48
-
-
-def _phase_is_rational_pi(theta: float) -> bool:
-    c = math.cos(theta)
-    if any(abs(c - x) <= GROUP_TOL for x in _NIVEN_COSINES):
-        return True
-    approx = Fraction(abs(theta) / math.pi).limit_denominator(STATE_DENOMINATOR_BOUND)
-    return abs(abs(theta) - float(approx) * math.pi) <= GROUP_TOL
-
 
 def state_periodicity(w: WalkOperator, edge: int) -> bool:
-    """Per-state test: the edge state is periodic iff every phase in its
-    eigenvalue support is a rational multiple of pi."""
-    support = eigenvalue_support(w, edge)
-    return all(_phase_is_rational_pi(t) for t in support.phases())
+    """Exact per-state test: is U^tau e_a = e_a for some tau >= 1, with a
+    the edge index?  An index out of range raises ValueError.
+
+    The state is periodic iff its local minimal polynomial mu under U has
+    integer coefficients.  U is orthogonal (every build checks U U^T = I),
+    so the roots of mu are simple eigenvalues of modulus 1; if mu is monic
+    integral they are roots of unity (Kronecker), and U^tau e_a = e_a for
+    tau the lcm of their orders.  Conversely U^tau e_a = e_a makes mu a
+    monic rational divisor of x^tau - 1, hence integral (Gauss's lemma).
+    So this is the test "mu is a product of distinct cyclotomic
+    polynomials" (Godsil, "Periodic graphs", EJC 18, 2011).
+    """
+    return all(c.denominator == 1 for c in local_minimal_polynomial(w.U, edge))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ the exact-arithmetic deciders both grow quickly past that.
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .graphs import Bipartition, Graph
 from .periodicity import PeriodicityVerdict, decide_periodicity
@@ -109,13 +109,9 @@ def enumerate_biregular(max_edges: int) -> Iterator[tuple[Graph, Bipartition]]:
 
 
 def scan_periodicity(
-    max_edges: int,
-    kind: str = "bipartite",
-    cap: int = 10000,
-    methods: Optional[tuple[str, ...]] = None,
+    max_edges: int, cap: int = 10000
 ) -> Iterator[tuple[Graph, Bipartition, PeriodicityVerdict]]:
-    """Run the periodicity deciders over every enumerated graph."""
-    if methods is None:
-        methods = ("oracle", "spectral", "phases", "trace")
+    """Decide the bipartite walk of every enumerated graph with all four
+    methods."""
     for g, b in enumerate_biregular(max_edges):
-        yield g, b, decide_periodicity(g, kind=kind, cap=cap, methods=methods)
+        yield g, b, decide_periodicity(g, cap=cap)

@@ -47,9 +47,6 @@ class SpectralDecomposition:
     vectors: np.ndarray  # columns ordered to match the flattened groups
     values_raw: np.ndarray
 
-    def distinct(self) -> list[float]:
-        return [v for v, _ in self.eigenvalues]
-
 
 def _group_values(values: list[float], tol: float = GROUP_TOL) -> list[tuple[float, int]]:
     groups: list[tuple[float, int]] = []
@@ -291,12 +288,6 @@ def line_graph_spectrum(g: Graph) -> list[tuple[float, int]]:
         values.extend([lam + d - 2] * mult)
     values.extend([-2.0] * (g.num_edges - g.n))
     return _group_values(values)
-
-
-def numeric_walk_spectrum(w: WalkOperator) -> list[complex]:
-    """Eigenvalues of U as complex numbers (numpy eig order-normalized)."""
-    vals = np.linalg.eigvals(np.asarray(w.U.to_floats()))
-    return sorted(vals, key=lambda z: (round(z.real, 10), round(z.imag, 10)))
 
 
 def line_graph_spectrum_direct(g: Graph) -> list[tuple[float, int]]:

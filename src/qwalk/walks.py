@@ -254,62 +254,50 @@ def _entries_from_strings(rows: list[list[str]]) -> RationalMatrix:
     return RationalMatrix([[Fraction(s) for s in row] for row in rows])
 
 
-def walk_to_json(w: WalkOperator) -> str:
+def _to_json(
+    kind: str, w: WalkOperator | ArcWalkOperator, fields: dict, matrices: Sequence[str]
+) -> str:
     doc = {
-        "kind": "bipartite",
+        "kind": kind,
         "dim": w.dim,
         "n": w.graph.n,
         "edges": [list(e) for e in w.graph.edges],
+        **fields,
+    }
+    for name in matrices:
+        doc[name] = _entries_to_strings(getattr(w, name))
+    return json.dumps(doc)
+
+
+def _from_json(
+    text: str, kind: str, matrices: Sequence[str]
+) -> tuple[dict, Graph, list[RationalMatrix]]:
+    doc = json.loads(text)
+    if doc["kind"] != kind:
+        raise ValueError(f"not a {kind} walk document: {doc['kind']}")
+    g = Graph.from_edges(doc["n"], [tuple(e) for e in doc["edges"]])
+    return doc, g, [_entries_from_strings(doc[name]) for name in matrices]
+
+
+def walk_to_json(w: WalkOperator) -> str:
+    fields = {
         "c0": sorted(w.bipart.c0),
         "c1": sorted(w.bipart.c1),
         "degree_profile": [w.profile.d0, w.profile.d1],
-        "P": _entries_to_strings(w.P),
-        "Q": _entries_to_strings(w.Q),
-        "U": _entries_to_strings(w.U),
     }
-    return json.dumps(doc)
+    return _to_json("bipartite", w, fields, ("P", "Q", "U"))
 
 
 def walk_from_json(text: str) -> WalkOperator:
-    doc = json.loads(text)
-    if doc["kind"] != "bipartite":
-        raise ValueError(f"not a bipartite walk document: {doc['kind']}")
-    g = Graph.from_edges(doc["n"], [tuple(e) for e in doc["edges"]])
+    doc, g, (p, q, u) = _from_json(text, "bipartite", ("P", "Q", "U"))
     b = Bipartition(frozenset(doc["c0"]), frozenset(doc["c1"]))
-    d0, d1 = doc["degree_profile"]
-    return WalkOperator(
-        g,
-        b,
-        DegreeProfile(d0, d1),
-        _entries_from_strings(doc["P"]),
-        _entries_from_strings(doc["Q"]),
-        _entries_from_strings(doc["U"]),
-    )
+    return WalkOperator(g, b, DegreeProfile(*doc["degree_profile"]), p, q, u)
 
 
 def grover_to_json(w: ArcWalkOperator) -> str:
-    doc = {
-        "kind": "grover",
-        "dim": w.dim,
-        "n": w.graph.n,
-        "edges": [list(e) for e in w.graph.edges],
-        "arcs": [list(a) for a in w.arcs],
-        "R": _entries_to_strings(w.R),
-        "K": _entries_to_strings(w.K),
-        "U": _entries_to_strings(w.U),
-    }
-    return json.dumps(doc)
+    return _to_json("grover", w, {"arcs": [list(a) for a in w.arcs]}, ("R", "K", "U"))
 
 
 def grover_from_json(text: str) -> ArcWalkOperator:
-    doc = json.loads(text)
-    if doc["kind"] != "grover":
-        raise ValueError(f"not a grover walk document: {doc['kind']}")
-    g = Graph.from_edges(doc["n"], [tuple(e) for e in doc["edges"]])
-    return ArcWalkOperator(
-        g,
-        tuple(tuple(a) for a in doc["arcs"]),
-        _entries_from_strings(doc["R"]),
-        _entries_from_strings(doc["K"]),
-        _entries_from_strings(doc["U"]),
-    )
+    doc, g, (r, k, u) = _from_json(text, "grover", ("R", "K", "U"))
+    return ArcWalkOperator(g, tuple(tuple(a) for a in doc["arcs"]), r, k, u)

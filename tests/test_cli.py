@@ -162,6 +162,18 @@ class TestPeriod:
         code, _, err = run(capsys, "period", "no_such_file.edges")
         assert code == 1 and "neither a file" in err
 
+    def test_unreadable_input(self, capsys, tmp_path):
+        code, out, err = run(capsys, "period", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith("qwalk: error: cannot read input")
+
+    def test_binary_input(self, capsys, tmp_path):
+        path = tmp_path / "graph.bin"
+        path.write_bytes(b"\xa3\xff\x00\x81")
+        code, out, err = run(capsys, "period", str(path))
+        assert code == 1 and out == ""
+        assert "is not a text edge list" in err
+
 
 class TestScanCommand:
     def test_stream_validates_against_schema(self, capsys, schema):
@@ -216,6 +228,22 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("period", "c6", "--cap", "0"),
+            ("period", "c6", "--cap", "-5"),
+            ("scan", "--max-edges", "4", "--cap", "0"),
+        ],
+        ids=["period-cap-0", "period-cap-negative", "scan-cap-0"],
+    )
+    def test_cap_below_one(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr()
+        assert exc.value.code == 1 and out.out == ""
+        assert "qwalk: error: --cap must be at least 1" in out.err
 
     def test_bad_kind(self, capsys):
         code, _, err = run(capsys, "walk", "c6", "--kind", "q")

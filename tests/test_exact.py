@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwalk.exact import (
+    DimensionError,
     HigherDegreeFactor,
     IntPolynomial,
     QuadraticValue,
@@ -14,6 +15,7 @@ from qwalk.exact import (
     char_poly,
     eval_at_quadratic,
     is_quadratic_algebraic_integer,
+    local_minimal_polynomial,
     mat_mul,
     mat_pow,
     poly_divmod_monic,
@@ -331,3 +333,80 @@ def test_roots_agree_with_sympy_factorization(seed):
     else:
         with pytest.raises(HigherDegreeFactor):
             roots_degree_le2(p)
+
+
+# ---------------------------------------------------------------------------
+# Local minimal polynomials, against sympy
+# ---------------------------------------------------------------------------
+
+
+def _check_local_minimal_polynomial(sympy, u: RationalMatrix, j: int) -> int:
+    """mu is monic, mu(u) e_j = 0 exactly, and e_j .. u^(k-1) e_j are
+    independent (sympy rank k), which makes mu the least such polynomial.
+    Returns the degree k."""
+    mu = local_minimal_polynomial(u, j)
+    k = len(mu) - 1
+    assert mu[-1] == 1
+    m = sympy.Matrix(u.rows, u.cols, lambda r, c: sympy.Rational(u.num[r][c], u.den))
+    krylov = [sympy.Matrix(u.rows, 1, lambda r, _: int(r == j))]
+    for _ in range(k):
+        krylov.append(m * krylov[-1])
+    residual = sympy.zeros(u.rows, 1)
+    for c, v in zip(mu, krylov):
+        residual += sympy.Rational(c.numerator, c.denominator) * v
+    assert residual == sympy.zeros(u.rows, 1)
+    assert sympy.Matrix.hstack(*krylov[:k]).rank() == k
+    return k
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_local_minimal_polynomial_agrees_with_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    density = rng.choice([0.2, 0.5, 1.0])
+    u = RationalMatrix(
+        [
+            [
+                Fraction(rng.randint(-4, 4), rng.randint(1, 4)) if rng.random() < density else 0
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+    )
+    for j in range(n):
+        _check_local_minimal_polynomial(sympy, u, j)
+
+
+def test_local_minimal_polynomial_of_walks_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    from qwalk.graphs import complete_bipartite, cycle, figure1_graph, petersen_graph
+    from qwalk.walks import build_bipartite_walk, build_grover_walk
+
+    for u in (
+        build_bipartite_walk(figure1_graph()).U,
+        build_bipartite_walk(cycle(8)).U,
+        build_bipartite_walk(complete_bipartite(2, 3)).U,
+        build_grover_walk(petersen_graph()).U,
+    ):
+        for j in range(0, u.rows, 3):
+            _check_local_minimal_polynomial(sympy, u, j)
+
+
+def test_local_minimal_polynomial_small_cases():
+    assert local_minimal_polynomial(RationalMatrix.zeros(3, 3), 1) == (0, 1)
+    assert local_minimal_polynomial(RationalMatrix.identity(3), 2) == (-1, 1)
+    # e_0 -> e_1/2 -> e_0/4 under the swap scaled by 1/2: x^2 - 1/4
+    half_swap = RationalMatrix([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
+    assert local_minimal_polynomial(half_swap, 0) == (Fraction(-1, 4), 0, 1)
+
+
+@pytest.mark.parametrize("j", [-1, 3, 99])
+def test_local_minimal_polynomial_index_out_of_range(j):
+    with pytest.raises(ValueError):
+        local_minimal_polynomial(RationalMatrix.identity(3), j)
+
+
+def test_local_minimal_polynomial_non_square_rejected():
+    with pytest.raises(DimensionError):
+        local_minimal_polynomial(RationalMatrix([[1, 0]]), 0)

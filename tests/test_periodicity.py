@@ -1,16 +1,21 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from qwalk.exact import QuadraticValue, RationalMatrix
 from qwalk.graphs import (
+    Graph,
     bipartite_double_cover,
     circulant,
     complete_bipartite,
     cycle,
     figure1_graph,
+    figure4a_graph,
     figure7_graph,
     heawood_graph,
+    is_bipartite,
     petersen_graph,
     star,
     subdivision,
@@ -28,7 +33,9 @@ from qwalk.periodicity import (
     trace_test,
 )
 from qwalk.scan import scan_periodicity
+from qwalk.spectral import GROUP_TOL, eigenvalue_support
 from qwalk.walks import build_bipartite_walk, build_grover_walk
+from test_walks import random_connected_graph
 
 F = Fraction
 
@@ -85,6 +92,11 @@ class TestExactOracle:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             exact_period_oracle(RationalMatrix([[1, 0]]))
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_rejected(self, cap):
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            exact_period_oracle(build_bipartite_walk(cycle(6)).U, cap)
 
 
 class TestTraceTest:
@@ -169,14 +181,98 @@ class TestPeriodDoubling:
         assert tau_gw == 2 * tau_bw
 
 
+# The numeric per-state route that state_periodicity replaced, kept as its
+# test oracle: a state is periodic when every phase in its eigenvalue
+# support is a rational multiple of pi, judged by a table of the cosines of
+# such angles of degree <= 2 or by a best approximation of denominator <= 48.
+_NIVEN_COSINES = (
+    0.0, 1.0, -1.0, 0.5, -0.5,
+    math.sqrt(2) / 2, -math.sqrt(2) / 2,
+    math.sqrt(3) / 2, -math.sqrt(3) / 2,
+    (math.sqrt(5) - 1) / 4, -(math.sqrt(5) - 1) / 4,
+    (math.sqrt(5) + 1) / 4, -(math.sqrt(5) + 1) / 4,
+)
+
+
+def _phase_is_rational_pi(theta: float) -> bool:
+    if any(abs(math.cos(theta) - x) <= GROUP_TOL for x in _NIVEN_COSINES):
+        return True
+    approx = Fraction(abs(theta) / math.pi).limit_denominator(48)
+    return abs(abs(theta) - float(approx) * math.pi) <= GROUP_TOL
+
+
+def numeric_state_periodicity(w, edge: int) -> bool:
+    return all(_phase_is_rational_pi(t) for t in eigenvalue_support(w, edge).phases())
+
+
+def _complete_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+NAMED_WALKS = {
+    "c6": build_bipartite_walk(cycle(6)),
+    "c8": build_bipartite_walk(cycle(8)),
+    "k33": build_bipartite_walk(complete_bipartite(3, 3)),
+    "k44": build_bipartite_walk(complete_bipartite(4, 4)),
+    "heawood": build_bipartite_walk(heawood_graph()),
+    "figure1": build_bipartite_walk(figure1_graph()),
+    "figure4a": build_bipartite_walk(figure4a_graph()),
+    "s-circulant10-14": build_bipartite_walk(*subdivision(circulant(10, [1, 4, -1, -4]))),
+    "grover-petersen": build_grover_walk(petersen_graph()),
+    "grover-k4": build_grover_walk(_complete_graph(4)),
+}
+
+
 class TestStatePeriodicity:
     def test_all_edges_of_periodic_walk(self):
         w = build_bipartite_walk(cycle(6))
         assert all(state_periodicity(w, e) for e in range(w.dim))
 
     def test_aperiodic_walk_has_aperiodic_state(self):
-        w = build_bipartite_walk(heawood_graph())
-        assert not all(state_periodicity(w, e) for e in range(w.dim))
+        for g in (heawood_graph(), figure1_graph()):
+            w = build_bipartite_walk(g)
+            assert not all(state_periodicity(w, e) for e in range(w.dim))
+
+    @pytest.mark.parametrize("name", sorted(NAMED_WALKS))
+    def test_matches_numeric_support_on_named_walks(self, name):
+        w = NAMED_WALKS[name]
+        for e in range(w.dim):
+            assert state_periodicity(w, e) == numeric_state_periodicity(w, e), e
+
+    def test_matches_numeric_support_on_seeded_random_graphs(self):
+        rng = random.Random(7)
+        seen, verdicts = set(), []
+        while len(seen) < 80:
+            g = random_connected_graph(rng, max_n=7)
+            if g.edges in seen:
+                continue
+            seen.add(g.edges)
+            walks = [build_grover_walk(g)]
+            if is_bipartite(g):
+                walks.append(build_bipartite_walk(g))
+            for w in walks:
+                for e in range(w.dim):
+                    exact = state_periodicity(w, e)
+                    assert exact == numeric_state_periodicity(w, e), (g, e)
+                    verdicts.append(exact)
+        assert True in verdicts and False in verdicts
+
+    def test_every_state_periodic_iff_walk_periodic_on_scan(self):
+        """A walk is periodic exactly when every basis state is: U^tau is the
+        identity when it fixes every basis vector."""
+        classes = 0
+        for g, b, v in scan_periodicity(9):
+            classes += 1
+            w = build_bipartite_walk(g, b)
+            every_state = all(state_periodicity(w, e) for e in range(w.dim))
+            assert every_state == (v.oracle_period is not None), g
+        assert classes == 15
+
+    @pytest.mark.parametrize("edge", [99, 6, -1])
+    def test_out_of_range_edge(self, edge):
+        w = build_bipartite_walk(cycle(6))
+        with pytest.raises(ValueError):
+            state_periodicity(w, edge)
 
 
 class TestDecidePeriodicity:
