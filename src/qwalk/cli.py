@@ -80,14 +80,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_input(spec: str) -> Graph:
-    """'-' reads stdin; a known fixture name is built in; else a file path."""
-    if spec == "-":
-        return parse_graph(sys.stdin.read())
+    """'-' reads stdin; a known fixture name is built in; else a file path.
+
+    Every command needs a connected graph: one declaring more than |E| + 1
+    vertices is rejected before any work linear in that count.
+    """
     if spec in FIXTURES:
         return FIXTURES[spec]()
     try:
-        with open(spec) as fh:
-            return parse_graph(fh.read())
+        if spec == "-":
+            text = sys.stdin.read()
+        else:
+            with open(spec) as fh:
+                text = fh.read()
     except FileNotFoundError:
         raise GraphError(
             f"input {spec!r} is neither a file, '-', nor one of: "
@@ -97,6 +102,10 @@ def _resolve_input(spec: str) -> Graph:
         raise GraphError(f"cannot read input {spec!r}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise GraphError(f"input {spec!r} is not a text edge list") from None
+    g = parse_graph(text)
+    if g.n > g.num_edges + 1:
+        raise GraphError("graph is disconnected")
+    return g
 
 
 def _apply_transform(g: Graph, transform: str) -> tuple[Graph, Optional[Bipartition], str]:
@@ -130,7 +139,7 @@ def verdict_to_dict(v: PeriodicityVerdict) -> dict:
     doc: dict = {
         "periodic": v.periodic,
         "period": v.period,
-        "oracle": {"ran": v.oracle_ran, "period": v.oracle_period},
+        "oracle": {"ran": True, "period": v.oracle_period},
         "phase_period": v.phase_period,
         "trace_witness": (
             {"k": v.trace_witness[0], "value": v.trace_witness[1]}
@@ -189,8 +198,7 @@ def _print_report(doc: dict, pretty: bool) -> None:
     print(f"input:     {doc['input']}  (n={doc['vertices']}, |E|={doc['edges']})")
     print(f"walk:      {doc['kind']} (dim {doc['dim']}), transform {doc['transform']}")
     print(f"periodic:  {v['periodic']}" + (f"  (period {v['period']})" if v["period"] else ""))
-    if v["oracle"]["ran"]:
-        print(f"oracle:    period {v['oracle']['period']}")
+    print(f"oracle:    period {v['oracle']['period']}")
     if v["phase_period"] is not None:
         print(f"phases:    period {v['phase_period']}")
     if v["trace_witness"]:
@@ -276,13 +284,9 @@ def cmd_period(args: argparse.Namespace) -> int:
     g = _resolve_input(args.input)
     g, _, transform = _apply_transform(g, args.transform)
     kind = _kind_name(args.kind)
-    methods = tuple(args.methods.split(","))
-    bad = set(methods) - {"oracle", "spectral", "phases", "trace"}
-    if bad:
-        raise GraphError(f"unknown methods: {', '.join(sorted(bad))}")
     start = time.perf_counter()
     try:
-        verdict = decide_periodicity(g, kind=kind, cap=args.cap, methods=methods)
+        verdict = decide_periodicity(g, kind=kind, cap=args.cap)
     except MethodDisagreement as exc:
         return _report_disagreement(args.input, exc)
     doc = analysis_report(args.input, g, kind, transform, verdict, time.perf_counter() - start)
@@ -360,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     period = sub.add_parser("period", help="decide periodicity")
     add_common(period)
     period.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    period.add_argument("--methods", default="oracle,spectral,phases,trace")
     period.set_defaults(func=cmd_period)
 
     scan = sub.add_parser("scan", help="scan small biregular bipartite graphs")

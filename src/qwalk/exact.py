@@ -130,7 +130,10 @@ class RationalMatrix:
         )
 
     def is_identity(self) -> bool:
-        return self.is_square and self == RationalMatrix.identity(self.rows)
+        """In normal form the identity has den 1 and unit numerator rows."""
+        return self.den == 1 and self.is_square and all(
+            row[i] == 1 and row.count(0) == self.cols - 1 for i, row in enumerate(self.num)
+        )
 
     def to_floats(self) -> list[list[float]]:
         den = self.den

@@ -79,6 +79,8 @@ class Graph:
     def is_connected(self) -> bool:
         if self.n == 1:
             return True
+        if self.n > self.num_edges + 1:  # a spanning tree needs n - 1 edges
+            return False
         adj = self.neighbors()
         seen = {0}
         queue = deque([0])

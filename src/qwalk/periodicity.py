@@ -1,11 +1,13 @@
 """Periodicity deciders for bipartite and Grover walks.
 
-Three mutually cross-checking routes:
+Four mutually cross-checking routes, each run once per decision:
 
-1. exact oracle     -- iterated exact rational powers of U (ground truth);
-2. spectral test    -- exact membership of every squared adjacency
+1. trace test       -- integrality of tr(U^k) for k <= TRACE_DEPTH;
+2. exact oracle     -- U^tau = I exactly (ground truth), on the same
+                       pass over the powers of U;
+3. spectral test    -- exact membership of every squared adjacency
                        eigenvalue in the closed allowed-value table;
-3. eigenphase orders -- cyclotomic order bookkeeping, giving the period as
+4. eigenphase orders -- cyclotomic order bookkeeping, giving the period as
                        an lcm when the spectral test accepts.
 
 The allowed values and their orders come from the classification of the
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Optional
 
 import numpy as np
@@ -33,6 +35,7 @@ from .exact import (
     char_poly,
     local_minimal_polynomial,
     mat_mul,
+    mat_pow,
     roots_degree_le2,
 )
 from .graphs import (
@@ -43,13 +46,13 @@ from .graphs import (
     biadjacency,
     bipartition,
     degree_profile,
-    subdivision,
 )
-from .spectral import NotBiregularError, pm1_eigenspace_dims
+from .spectral import NotBiregularError
 from .walks import WalkOperator, build_bipartite_walk, build_grover_walk
 
 DEFAULT_CAP = 10000
 PHASE_ABORT_TOL = 1e-6
+TRACE_DEPTH = 12  # tr(U^k) is checked for k <= TRACE_DEPTH
 
 
 class MethodDisagreement(RuntimeError):
@@ -106,50 +109,94 @@ def _phase_lcm_candidate(u: RationalMatrix, cap: int) -> Optional[int]:
     that no period <= cap exists.
     """
     vals = np.linalg.eigvals(np.asarray(u.to_floats()))
-    lcm = 1
+    candidate = 1
     for z in vals:
         frac = (math.atan2(z.imag, z.real) / (2 * math.pi)) % 1.0
         approx = Fraction(frac).limit_denominator(cap)
         if abs(frac - float(approx)) * 2 * math.pi > PHASE_ABORT_TOL:
             return None
-        lcm = lcm * approx.denominator // gcd(lcm, approx.denominator)
-        if lcm > cap:
+        candidate = lcm(candidate, approx.denominator)
+        if candidate > cap:
             return None
-    return lcm
+    return candidate
+
+
+def _power_pass(
+    u: RationalMatrix, trace_depth: int, identity_depth: int
+) -> tuple[Optional[tuple[int, Fraction]], Optional[int]]:
+    """One walk over U, U^2, ...: the first (k, tr U^k) with a non-integral
+    trace for k <= trace_depth, and the least k <= identity_depth with
+    U^k = I.  It stops at the identity (every later power repeats one
+    already checked) or when neither check has a power left to look at.
+    """
+    witness = None
+    power, k = u, 1
+    while True:
+        if witness is None and k <= trace_depth:
+            t = power.trace()
+            if t.denominator != 1:
+                witness = (k, t)
+        if k <= identity_depth and power.is_identity():
+            return witness, k
+        if k >= identity_depth and (witness is not None or k >= trace_depth):
+            return witness, None
+        power = mat_mul(power, u)
+        k += 1
+
+
+def _certified_order(u: RationalMatrix, c: int) -> Optional[int]:
+    """Least tau with U^tau = I if U^c = I, else None: the order divides c,
+    so a descent from c over its primes finds it, O(log c) products a test."""
+    if not mat_pow(u, c).is_identity():
+        return None
+    tau, rest, p = c, c, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            while tau % p == 0 and mat_pow(u, tau // p).is_identity():
+                tau //= p
+        p += 1
+    return tau
+
+
+def _trace_and_period(
+    u: RationalMatrix, cap: int, trace_depth: int
+) -> tuple[Optional[tuple[int, Fraction]], Optional[int]]:
+    """The trace witness for k <= trace_depth and the exact period <= cap.
+
+    The identity is looked for among the powers of the trace pass up to
+    min(c, TRACE_DEPTH), c the candidate of the eigenphase screen; a
+    larger c is certified by O(log c) products instead of c.
+    """
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    candidate = _phase_lcm_candidate(u, cap)
+    window = min(candidate or 0, TRACE_DEPTH)
+    witness, period = _power_pass(u, trace_depth, window)
+    if period is None and candidate is not None and candidate > TRACE_DEPTH:
+        period = _certified_order(u, candidate)
+    return witness, period
 
 
 def exact_period_oracle(u: RationalMatrix, cap: int = DEFAULT_CAP) -> Optional[int]:
     """Minimal tau <= cap with U^tau = I exactly, else None.
 
     A numeric eigenphase screen first rules out caps that cannot be met;
-    the period itself is then certified by iterated exact multiplication.
+    the period itself is then certified by exact products.
     """
     if not u.is_square:
         raise ValueError("U must be square")
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    candidate = _phase_lcm_candidate(u, cap)
-    if candidate is None:
-        return None
-    power = u
-    for k in range(1, min(candidate, cap) + 1):
-        if power.is_identity():
-            return k
-        power = mat_mul(power, u)
-    return None
+    return _trace_and_period(u, cap, trace_depth=0)[1]
 
 
-def trace_test(u: RationalMatrix, k_max: int = 12) -> Optional[tuple[int, Fraction]]:
+def trace_test(u: RationalMatrix, k_max: int = TRACE_DEPTH) -> Optional[tuple[int, Fraction]]:
     """Integrality of tr(U^k) for k = 1..k_max: a necessary condition for
     periodicity.  Returns None on pass, else the first (k, trace) witness.
     """
-    power = u
-    for k in range(1, k_max + 1):
-        t = power.trace()
-        if t.denominator != 1:
-            return k, t
-        power = mat_mul(power, u)
-    return None
+    return _power_pass(u, k_max, k_max)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -174,24 +221,27 @@ class SpectralVerdict:
     reason: Optional[str] = None
 
 
-def _squared_spectrum_roots(
-    g: Graph, b: Bipartition
-) -> list[tuple[QuadraticValue, int]]:
-    """Exact squared adjacency eigenvalues from the smaller Gram block of
-    the bipartition-ordered adjacency matrix."""
-    c = biadjacency(g, b)
-    rows, cols = len(c), len(c[0])
-    if rows <= cols:
-        gram = [
-            [sum(c[i][k] * c[j][k] for k in range(cols)) for j in range(rows)]
-            for i in range(rows)
-        ]
-    else:
-        gram = [
-            [sum(c[k][i] * c[k][j] for k in range(rows)) for j in range(cols)]
-            for i in range(cols)
-        ]
-    return roots_degree_le2(char_poly(gram))
+def _classify(
+    roots: list[tuple[QuadraticValue, int]], d0: int, d1: int, shift: int = 0
+) -> SpectralVerdict:
+    """Verdict on a (d0, d1)-biregular graph whose squared adjacency
+    eigenvalues are value + shift for the (value, multiplicity) roots."""
+    table = dict(allowed_value_table(d0, d1))
+    offset = QuadraticValue.rational(shift)
+    classifications = []
+    for value, mult in roots:
+        order = table.get(value + offset)
+        classifications.append(EigenvalueClassification(value, mult, order is not None, order))
+    # conjugate roots are produced pairwise by the factorizer; verify anyway
+    by_value = {c.value: c.multiplicity for c in classifications}
+    for c in classifications:
+        if not c.value.is_rational and by_value.get(c.value.conjugate()) != c.multiplicity:
+            return SpectralVerdict(
+                "non-periodic", d0, d1, tuple(classifications),
+                reason="conjugate pair multiplicities differ",
+            )
+    status = "periodic" if all(c.allowed for c in classifications) else "non-periodic"
+    return SpectralVerdict(status, d0, d1, tuple(classifications))
 
 
 def spectral_test_biregular(g: Graph, b: Optional[Bipartition] = None) -> SpectralVerdict:
@@ -208,28 +258,15 @@ def spectral_test_biregular(g: Graph, b: Optional[Bipartition] = None) -> Spectr
     if not prof.is_biregular:
         raise NotBiregularError("spectral test requires a biregular graph")
     d0, d1 = prof.d0, prof.d1
+    c = biadjacency(g, b)
+    if len(c) > len(c[0]):
+        c = list(zip(*c))  # the squared eigenvalues from the smaller Gram block
+    gram = [[sum(x * y for x, y in zip(r, t)) for t in c] for r in c]
     try:
-        roots = _squared_spectrum_roots(g, b)
+        roots = roots_degree_le2(char_poly(gram))
     except HigherDegreeFactor as exc:
         return SpectralVerdict("inconclusive", d0, d1, reason=str(exc))
-    table = dict(allowed_value_table(d0, d1))
-    classifications = []
-    all_allowed = True
-    for value, mult in roots:
-        order = table.get(value)
-        allowed = order is not None
-        all_allowed = all_allowed and allowed
-        classifications.append(EigenvalueClassification(value, mult, allowed, order))
-    # conjugate roots are produced pairwise by the factorizer; verify anyway
-    by_value = {c.value: c.multiplicity for c in classifications}
-    for c in classifications:
-        if not c.value.is_rational and by_value.get(c.value.conjugate()) != c.multiplicity:
-            return SpectralVerdict(
-                "non-periodic", d0, d1, tuple(classifications),
-                reason="conjugate pair multiplicities differ",
-            )
-    status = "periodic" if all_allowed else "non-periodic"
-    return SpectralVerdict(status, d0, d1, tuple(classifications))
+    return _classify(roots, d0, d1)
 
 
 def period_from_phases(g: Graph, b: Optional[Bipartition] = None) -> int:
@@ -239,25 +276,28 @@ def period_from_phases(g: Graph, b: Optional[Bipartition] = None) -> int:
     """
     if b is None:
         b = bipartition(g)
+    elif not g.is_connected():
+        raise GraphError("graph is disconnected")
     verdict = spectral_test_biregular(g, b)
     if verdict.status != "periodic":
         raise ValueError(f"graph is not spectrally periodic: {verdict.status}")
-    return _phase_period(verdict, build_bipartite_walk(g, b))
+    return _phase_period(verdict, len(b.c0), len(b.c1))
 
 
-def _phase_period(verdict: SpectralVerdict, w: WalkOperator) -> int:
-    """Period from an accepting biregular verdict and its walk w: the lcm
-    of the verdict's orders, of 1, and of 2 when w has a -1 eigenvector."""
-    orders = {1}  # the +1 eigenspace of a connected graph is never empty
-    for c in verdict.classifications:
-        orders.add(c.order)
-    _, dim_minus = pm1_eigenspace_dims(w)
-    if dim_minus > 0:
+def _phase_period(verdict: SpectralVerdict, n0: int, n1: int) -> int:
+    """Period from an accepting verdict on a connected biregular graph with
+    colour classes of n0 and n1 vertices: the lcm of 1 (the constants),
+    the verdict's orders, and 2 when the walk has a -1 eigenvector.
+
+    The -1 eigenspace has dimension n0 + n1 - 2 rank C for the biadjacency
+    block C.  Since rank C <= min(n0, n1), it is positive iff n0 != n1 or
+    C is square and singular; then lambda^2 = 0 is in the verdict and
+    already brings its order 2.
+    """
+    orders = {1, *(c.order for c in verdict.classifications)}
+    if n0 != n1:
         orders.add(2)
-    tau = 1
-    for o in orders:
-        tau = tau * o // gcd(tau, o)
-    return tau
+    return lcm(*orders)
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +307,12 @@ def _phase_period(verdict: SpectralVerdict, w: WalkOperator) -> int:
 
 def grover_regular_test(g: Graph) -> SpectralVerdict:
     """Periodicity of the Grover walk on a connected d-regular graph,
-    equivalently of the bipartite walk on its subdivision.
+    through the bipartite walk on its (2, d)-biregular subdivision S(g).
 
-    Allowed adjacency eigenvalues: rational ones in {0, +-d, +-d/2};
-    quadratic ones in {+-sqrt2/2 d, +-sqrt3/2 d, (+-1 +- sqrt5)/4 d}.
+    The Gram block of S(g) on the original vertices is A + dI, so each
+    adjacency eigenvalue lambda is classified, with its order, by looking
+    up lambda + d in allowed_value_table(2, d).  The allowed lambda are
+    0, +-d, +-d/2, +-sqrt2/2 d, +-sqrt3/2 d and (+-1 +- sqrt5)/4 d.
     """
     degs = set(g.degrees())
     if len(degs) != 1:
@@ -282,29 +324,7 @@ def grover_regular_test(g: Graph) -> SpectralVerdict:
         roots = roots_degree_le2(char_poly(adjacency_matrix(g)))
     except HigherDegreeFactor as exc:
         return SpectralVerdict("inconclusive", 2, d, reason=str(exc))
-    allowed_rational = {
-        QuadraticValue.rational(0),
-        QuadraticValue.rational(d),
-        QuadraticValue.rational(-d),
-        QuadraticValue.rational(Fraction(d, 2)),
-        QuadraticValue.rational(Fraction(-d, 2)),
-    }
-    allowed_quadratic = set()
-    for sign in (1, -1):
-        allowed_quadratic.add(QuadraticValue.of(0, sign * Fraction(d, 2), 2))
-        allowed_quadratic.add(QuadraticValue.of(0, sign * Fraction(d, 2), 3))
-        for a_sign in (1, -1):
-            allowed_quadratic.add(
-                QuadraticValue.of(a_sign * Fraction(d, 4), sign * Fraction(d, 4), 5)
-            )
-    classifications = []
-    all_allowed = True
-    for value, mult in roots:
-        allowed = value in allowed_rational or value in allowed_quadratic
-        all_allowed = all_allowed and allowed
-        classifications.append(EigenvalueClassification(value, mult, allowed, None))
-    status = "periodic" if all_allowed else "non-periodic"
-    return SpectralVerdict(status, 2, d, tuple(classifications))
+    return _classify(roots, 2, d, shift=d)
 
 
 # ---------------------------------------------------------------------------
@@ -345,19 +365,16 @@ def grover_period_doubling(g: Graph, cap: int = DEFAULT_CAP) -> tuple[int, int]:
         raise MethodDisagreement(
             f"period doubling violated: bipartite {tau_bw}, grover {tau_gw}"
         )
-    if tau_gw % 2 != 0:
-        raise MethodDisagreement("grover walk produced an odd period")
     return tau_bw, tau_gw
 
 
 @dataclass
 class PeriodicityVerdict:
-    """Aggregated evidence from the selected methods."""
+    """Aggregated evidence from every route."""
 
     periodic: object  # True | False | "inconclusive"
     period: Optional[int] = None
     oracle_period: Optional[int] = None
-    oracle_ran: bool = False
     spectral: Optional[SpectralVerdict] = None
     phase_period: Optional[int] = None
     trace_witness: Optional[tuple[int, str]] = None
@@ -365,12 +382,10 @@ class PeriodicityVerdict:
 
 
 def decide_periodicity(
-    g: Graph,
-    kind: str = "bipartite",
-    cap: int = DEFAULT_CAP,
-    methods: tuple[str, ...] = ("oracle", "spectral", "phases", "trace"),
+    g: Graph, kind: str = "bipartite", cap: int = DEFAULT_CAP
 ) -> PeriodicityVerdict:
-    """Run the selected methods on a walk over g and cross-check them.
+    """Decide the walk of the given kind on g by every route, each run
+    once, and cross-check them.
 
     kind "bipartite" requires g connected bipartite; kind "grover" accepts
     any connected graph (its spectral route goes through the subdivision).
@@ -382,70 +397,46 @@ def decide_periodicity(
 
     if kind == "bipartite":
         w = build_bipartite_walk(g)
-        u = w.U
-    else:
-        u = build_grover_walk(g).U
-
-    if "trace" in methods:
-        witness = trace_test(u)
-        if witness is not None:
-            v.trace_witness = (witness[0], str(witness[1]))
-
-    if "spectral" in methods:
+        u, sizes = w.U, (len(w.bipart.c0), len(w.bipart.c1))
         try:
-            if kind == "bipartite":
-                v.spectral = spectral_test_biregular(g)
-            else:
-                degs = set(g.degrees())
-                if len(degs) == 1:
-                    v.spectral = grover_regular_test(g)
-                else:
-                    v.notes.append("spectral test skipped: graph not regular")
+            v.spectral = spectral_test_biregular(g, w.bipart)
         except NotBiregularError:
             v.notes.append("spectral test skipped: graph not biregular")
-
-    if "phases" in methods and v.spectral is not None and v.spectral.status == "periodic":
-        if kind == "bipartite":
-            v.phase_period = _phase_period(v.spectral, w)
+    else:
+        u, sizes = build_grover_walk(g).U, (g.n, g.num_edges)  # the classes of S(g)
+        if len(set(g.degrees())) == 1:
+            v.spectral = grover_regular_test(g)
         else:
-            sg, sb = subdivision(g)
-            v.phase_period = period_from_phases(sg, sb)
+            v.notes.append("spectral test skipped: graph not regular")
 
-    if "oracle" in methods:
-        v.oracle_period = exact_period_oracle(u, cap)
-        v.oracle_ran = True
+    if v.spectral is not None and v.spectral.status == "periodic":
+        v.phase_period = _phase_period(v.spectral, *sizes)
 
-    # cross-checks
-    if v.oracle_period is not None and v.phase_period is not None:
-        if v.oracle_period != v.phase_period:
+    witness, v.oracle_period = _trace_and_period(u, cap, TRACE_DEPTH)
+    if witness is not None:
+        v.trace_witness = (witness[0], str(witness[1]))
+
+    status = v.spectral.status if v.spectral is not None else None
+    if v.oracle_period is not None:  # cross-checks, then the verdict
+        if v.phase_period is not None and v.oracle_period != v.phase_period:
             raise MethodDisagreement(
                 f"oracle period {v.oracle_period} != phase period {v.phase_period}"
             )
-    if v.oracle_period is not None and v.spectral is not None:
-        if v.spectral.status == "non-periodic":
+        if status == "non-periodic":
             raise MethodDisagreement(
                 f"spectral says non-periodic but oracle found period {v.oracle_period}"
             )
-    if v.oracle_period is not None and v.trace_witness is not None:
-        raise MethodDisagreement(
-            f"trace test failed at k={v.trace_witness[0]} but oracle found a period"
-        )
-
-    # verdict
-    if v.oracle_period is not None:
+        if v.trace_witness is not None:
+            raise MethodDisagreement(
+                f"trace test failed at k={v.trace_witness[0]} but oracle found a period"
+            )
         v.periodic, v.period = True, v.oracle_period
-    elif v.trace_witness is not None:
+    elif v.trace_witness is not None or status == "non-periodic":
         v.periodic = False
-    elif v.spectral is not None and v.spectral.status == "non-periodic":
-        v.periodic = False
-    elif v.spectral is not None and v.spectral.status == "periodic":
-        if v.oracle_ran:
-            # oracle exhausted its cap despite a periodic certificate
-            v.notes.append(f"spectral certificate periodic but no period within cap {cap}")
-            v.periodic = "inconclusive"
-        else:
-            v.periodic, v.period = True, v.phase_period
-    elif v.oracle_ran:
+    elif status == "periodic":
+        # the oracle exhausted its cap despite a periodic certificate
+        v.notes.append(f"spectral certificate periodic but no period within cap {cap}")
+    else:
         # no period up to the cap certifies nothing about larger periods
         v.notes.append(f"no period within cap {cap}")
     return v

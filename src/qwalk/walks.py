@@ -180,7 +180,7 @@ def build_grover_walk(g: Graph) -> ArcWalkOperator:
         raise GraphError("graph is disconnected")
     arcs = [(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges]
     r, k, u = _grover_parts(arcs)
-    if mat_mul(r, r) != RationalMatrix.identity(len(arcs)):
+    if not mat_mul(r, r).is_identity():
         raise ConstructionError("R is not an involution")
     _check_projection(k, "K")
     if not mat_mul(u, u.transpose()).is_identity():

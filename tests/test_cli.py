@@ -1,15 +1,20 @@
+import argparse
 import io
 import json
+import re
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from qwalk.cli import EXIT_DISAGREEMENT, main
+from qwalk.cli import EXIT_DISAGREEMENT, build_parser, main
 from qwalk.exact import quadratic_from_string
-from qwalk.graphs import circulant, figure1_graph, format_graph, parse_graph
+from qwalk.graphs import circulant, figure1_graph, format_graph, parse_graph, path
 from qwalk.periodicity import MethodDisagreement, decide_periodicity
 from qwalk.walks import walk_from_json
+
+P5 = format_graph(path(5))
 
 
 @pytest.fixture(scope="module")
@@ -125,22 +130,22 @@ class TestPeriod:
         irrational = [v for v in values if not v.is_rational]
         assert irrational and all(v.m == 5 for v in irrational)
 
-    def test_method_selection(self, capsys):
-        code, out, _ = run(capsys, "period", "c6", "--methods", "trace")
-        assert code == 4  # trace alone cannot certify periodicity
-        assert json.loads(out)["verdict"]["periodic"] == "inconclusive"
-
-    def test_cap_exhausted_is_inconclusive(self, capsys, schema):
-        # C_8 has period 4: no period up to 3 says nothing about larger ones
-        code, out, _ = run(capsys, "period", "c8", "--cap", "3", "--methods", "oracle")
+    def test_cap_exhausted_is_inconclusive(self, capsys, schema, monkeypatch):
+        # P_5 (not biregular, so no spectral route) has period 4: no period
+        # up to 3 says nothing about larger ones
+        code, out, _ = run(
+            capsys, "period", "-", "--cap", "3", stdin=P5, monkeypatch=monkeypatch
+        )
         assert code == 4
         doc = json.loads(out)
         jsonschema.validate(doc, schema)
         assert doc["verdict"]["periodic"] == "inconclusive"
         assert "no period within cap 3" in doc["verdict"]["notes"]
 
-    def test_cap_reached_certifies_period(self, capsys):
-        code, out, _ = run(capsys, "period", "c8", "--cap", "4", "--methods", "oracle")
+    def test_cap_reached_certifies_period(self, capsys, monkeypatch):
+        code, out, _ = run(
+            capsys, "period", "-", "--cap", "4", stdin=P5, monkeypatch=monkeypatch
+        )
         assert code == 0
         assert json.loads(out)["verdict"]["period"] == 4
 
@@ -155,8 +160,11 @@ class TestPeriod:
         assert "method disagreement: forced" in err
 
     def test_unknown_method(self, capsys):
-        code, _, err = run(capsys, "period", "c6", "--methods", "astrology")
-        assert code == 1
+        # every route always runs: there is no method switch to select one
+        with pytest.raises(SystemExit) as exc:
+            main(["period", "c6", "--methods", "oracle"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --methods" in capsys.readouterr().err
 
     def test_unknown_input(self, capsys):
         code, _, err = run(capsys, "period", "no_such_file.edges")
@@ -173,6 +181,40 @@ class TestPeriod:
         code, out, err = run(capsys, "period", str(path))
         assert code == 1 and out == ""
         assert "is not a text edge list" in err
+
+
+class TestDeclaredVertexCount:
+    """A graph declaring more than |E| + 1 vertices is rejected at input,
+    in time that does not grow with the declared count."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("period", "-"),
+            ("period", "-", "--transform", "s"),
+            ("period", "-", "--transform", "d"),
+            ("period", "-", "--kind", "g"),
+            ("walk", "-"),
+            ("walk", "-", "--kind", "g", "--transform", "s"),
+            ("verify", "-"),
+        ],
+        ids=["period", "period-s", "period-d", "period-g", "walk", "walk-g-s", "verify"],
+    )
+    def test_rejected_before_any_per_vertex_work(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("per-vertex work on a huge declared vertex count")
+
+        # every route to a per-vertex allocation raises instead, so a
+        # missing input check fails fast rather than filling the memory
+        monkeypatch.setattr("qwalk.graphs.Graph.neighbors", refuse)
+        monkeypatch.setattr("qwalk.graphs.Graph.degrees", refuse)
+        monkeypatch.setattr("qwalk.cli.subdivision", refuse)
+        monkeypatch.setattr("qwalk.walks.subdivision", refuse)
+        code, out, err = run(
+            capsys, *argv, stdin="1000000000\n0 1\n", monkeypatch=monkeypatch
+        )
+        assert code == 1 and out == ""
+        assert err == "qwalk: error: graph is disconnected\n"
 
 
 class TestScanCommand:
@@ -248,3 +290,35 @@ class TestUsageErrors:
     def test_bad_kind(self, capsys):
         code, _, err = run(capsys, "walk", "c6", "--kind", "q")
         assert code == 1
+
+
+def _parser_flags() -> dict[str, set[str]]:
+    """Long option strings of the top-level parser ("") and each subcommand."""
+    top = build_parser()
+    flags = {"": set()}
+    for action in top._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                flags[name] = {o for a in sub._actions for o in a.option_strings}
+        else:
+            flags[""].update(action.option_strings)
+    return {name: {o for o in opts if o.startswith("--")} - {"--help"} for name, opts in flags.items()}
+
+
+def _readme_flags() -> set[str]:
+    """Every --flag README names, except on the lines of pip commands."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = [ln for ln in text.splitlines() if not ln.lstrip().startswith("pip ")]
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", "\n".join(lines)))
+
+
+class TestReadmeFlags:
+    def test_every_readme_flag_is_accepted(self):
+        accepted = set().union(*_parser_flags().values())
+        assert _readme_flags() <= accepted, _readme_flags() - accepted
+
+    def test_every_option_is_documented(self):
+        flags = _parser_flags()
+        documented = _readme_flags()
+        for command in ("period", "scan", "walk"):
+            assert flags[command] <= documented, (command, flags[command] - documented)

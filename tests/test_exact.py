@@ -41,6 +41,38 @@ class TestRationalMatrix:
         assert RationalMatrix.identity(3).is_identity()
         assert not RationalMatrix.zeros(3, 3).is_identity()
 
+    def test_is_identity_cases(self):
+        assert RationalMatrix.identity(0).is_identity()
+        assert not RationalMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]).is_identity()
+        assert not RationalMatrix([[1, 0], [0, Fraction(1, 2)]]).is_identity()
+        assert not RationalMatrix([[1, Fraction(1, 2)], [0, 1]]).is_identity()
+        assert not RationalMatrix([[1, 0, 0], [0, 1, 0]]).is_identity()
+        assert not RationalMatrix([[1, 0], [0, 1], [0, 0]]).is_identity()
+
+    @given(
+        st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+            lambda s: st.tuples(
+                st.just(s),
+                st.lists(
+                    st.tuples(
+                        st.integers(0, s[0] - 1),
+                        st.integers(0, s[1] - 1),
+                        st.sampled_from([0, 1, -1, 2, Fraction(1, 2)]),
+                    ),
+                    max_size=2,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_is_identity_matches_equality(self, case):
+        (rows, cols), edits = case
+        data = [[int(i == j) for j in range(cols)] for i in range(rows)]
+        for i, j, x in edits:
+            data[i][j] = x
+        m = RationalMatrix(data)
+        assert m.is_identity() == (rows == cols and m == RationalMatrix.identity(rows))
+
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             RationalMatrix([[1, 2], [3]])

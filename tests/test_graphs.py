@@ -52,6 +52,15 @@ class TestGraphConstruction:
         assert cycle(5).is_connected()
         assert not Graph.from_edges(4, [(0, 1), (2, 3)]).is_connected()
 
+    def test_too_few_edges_is_disconnected_without_a_search(self, monkeypatch):
+        g = Graph.from_edges(10**9, [(0, 1)])
+
+        def refuse(self):
+            raise AssertionError("per-vertex adjacency built")
+
+        monkeypatch.setattr(Graph, "neighbors", refuse)
+        assert not g.is_connected()
+
 
 class TestParsing:
     def test_round_trip(self):

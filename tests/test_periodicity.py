@@ -2,9 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
-from qwalk.exact import QuadraticValue, RationalMatrix
+from qwalk.exact import QuadraticValue, RationalMatrix, mat_mul, mat_pow
 from qwalk.graphs import (
     Graph,
     bipartite_double_cover,
@@ -21,7 +22,11 @@ from qwalk.graphs import (
     subdivision,
 )
 from qwalk.periodicity import (
+    DEFAULT_CAP,
+    TRACE_DEPTH,
     MethodDisagreement,
+    _certified_order,
+    _phase_lcm_candidate,
     allowed_value_table,
     decide_periodicity,
     exact_period_oracle,
@@ -33,7 +38,7 @@ from qwalk.periodicity import (
     trace_test,
 )
 from qwalk.scan import scan_periodicity
-from qwalk.spectral import GROUP_TOL, eigenvalue_support
+from qwalk.spectral import GROUP_TOL, eigenvalue_support, pm1_eigenspace_dims
 from qwalk.walks import build_bipartite_walk, build_grover_walk
 from test_walks import random_connected_graph
 
@@ -295,11 +300,6 @@ class TestDecidePeriodicity:
         with pytest.raises(ValueError):
             decide_periodicity(cycle(6), kind="mystery")
 
-    def test_spectral_only_still_concludes(self):
-        v = decide_periodicity(cycle(6), methods=("spectral", "phases"))
-        assert v.periodic is True and v.period == 3
-        assert not v.oracle_ran
-
 
 class TestScanAgreement:
     def test_spectral_matches_oracle_up_to_nine_edges(self):
@@ -319,3 +319,153 @@ class TestScanAgreement:
         # scan above completing without one is the real assertion, so just
         # confirm the exception type is what callers must catch
         assert issubclass(MethodDisagreement, RuntimeError)
+
+
+# The two allowed-value sets grover_regular_test used before it classified
+# lambda + d in the subdivision's table, kept as its test oracle.
+def _direct_grover_allowed(d: int) -> set:
+    allowed = {QuadraticValue.rational(x) for x in (0, d, -d, F(d, 2), F(-d, 2))}
+    for sign in (1, -1):
+        allowed.add(QuadraticValue.of(0, sign * F(d, 2), 2))
+        allowed.add(QuadraticValue.of(0, sign * F(d, 2), 3))
+        for a_sign in (1, -1):
+            allowed.add(QuadraticValue.of(a_sign * F(d, 4), sign * F(d, 4), 5))
+    return allowed
+
+
+def _rank_phase_period(verdict, w) -> int:
+    """The phase period with the -1 eigenspace taken from the exact rank
+    formula on the built walk (pm1_eigenspace_dims)."""
+    orders = {1, *(c.order for c in verdict.classifications)}
+    if pm1_eigenspace_dims(w)[1] > 0:
+        orders.add(2)
+    return math.lcm(*orders)
+
+
+def _regular_graphs() -> dict:
+    graphs = {f"C{k}": cycle(k) for k in range(3, 16)}
+    graphs.update({f"K{a},{a}": complete_bipartite(a, a) for a in range(1, 6)})
+    graphs.update(
+        octahedron=circulant(6, [1, 2, -1, -2]),
+        circulant10=circulant(10, [1, 4, -1, -4]),
+        figure7=figure7_graph(),
+        petersen=petersen_graph(),
+        heawood=heawood_graph(),
+        K4=_complete_graph(4),
+        K5=_complete_graph(5),
+    )
+    for d, n in ((3, 8), (3, 10), (4, 9)):
+        for seed in range(6):
+            h = nx.random_regular_graph(d, n, seed=seed)
+            if nx.is_connected(h):
+                graphs[f"random-{d}-{n}-{seed}"] = Graph.from_edges(n, h.edges())
+    return graphs
+
+
+REGULAR_GRAPHS = _regular_graphs()
+
+
+class TestGroverThroughSubdivision:
+    @pytest.mark.parametrize("name", sorted(REGULAR_GRAPHS))
+    def test_matches_direct_sets_and_subdivision(self, name):
+        g = REGULAR_GRAPHS[name]
+        d = g.degrees()[0]
+        v = grover_regular_test(g)
+        sg, sb = subdivision(g)
+        s = spectral_test_biregular(sg, sb)
+        assert v.status == s.status
+        if v.status == "inconclusive":
+            return
+        direct = _direct_grover_allowed(d)
+        assert [c.allowed for c in v.classifications] == [
+            c.value in direct for c in v.classifications
+        ]
+        assert v.status == ("periodic" if all(c.allowed for c in v.classifications) else "non-periodic")
+        # the Gram block of S(g) on the original vertices is A + dI; the
+        # subdivision's verdict lists the smaller block, which is this one
+        # unless d = 1 (K2: one edge vertex, two original ones)
+        shifted = {
+            (c.value + QuadraticValue.rational(d), c.multiplicity, c.allowed, c.order)
+            for c in v.classifications
+        }
+        listed = {(c.value, c.multiplicity, c.allowed, c.order) for c in s.classifications}
+        assert shifted == listed if d > 1 else shifted >= listed
+        decided = decide_periodicity(g, "grover")
+        if v.status == "periodic":
+            tau = period_from_phases(sg, sb)
+            assert decided.phase_period == tau == decided.oracle_period
+            assert tau == _rank_phase_period(s, build_bipartite_walk(sg, sb))
+        else:
+            assert decided.phase_period is None and decided.periodic is False
+
+    def test_both_outcomes_occur(self):
+        statuses = [grover_regular_test(g).status for g in REGULAR_GRAPHS.values()]
+        assert statuses.count("periodic") >= 10 and statuses.count("non-periodic") >= 10
+
+    def test_bipartite_phase_period_matches_rank_formula_on_scan(self):
+        periodic = 0
+        for g, b, v in scan_periodicity(10):
+            if v.phase_period is not None:
+                periodic += 1
+                assert v.phase_period == _rank_phase_period(v.spectral, build_bipartite_walk(g, b))
+        assert periodic > 0
+
+
+def _count_products(monkeypatch, *modules) -> list:
+    calls = []
+
+    def counting(a, b):
+        calls.append((a.rows, b.cols))
+        return mat_mul(a, b)
+
+    for module in modules:
+        monkeypatch.setattr(f"{module}.mat_mul", counting)
+    return calls
+
+
+PAW = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+
+
+class TestOnePowerPass:
+    def test_cycle24_takes_eleven_products(self, monkeypatch):
+        # tau = 12: U^2 .. U^12 serve the trace test and the oracle at once
+        calls = _count_products(monkeypatch, "qwalk.periodicity")
+        v = decide_periodicity(cycle(24))
+        assert v.periodic is True and v.period == 12
+        assert len(calls) == 11
+
+    def test_paw_spurious_candidate_is_certified_not_walked(self, monkeypatch):
+        u = build_grover_walk(PAW).U
+        assert _phase_lcm_candidate(u, DEFAULT_CAP) > TRACE_DEPTH
+        # qwalk.exact.mat_mul counts the products of mat_pow as well
+        calls = _count_products(monkeypatch, "qwalk.periodicity", "qwalk.exact")
+        v = decide_periodicity(PAW, "grover")
+        assert v.periodic is False
+        assert v.trace_witness == (2, "-2/3")
+        assert v.oracle_period is None
+        assert len(calls) < 64
+
+    @pytest.mark.parametrize("c,tau", [(4, 4), (12, 4), (180, 4), (6, None), (3, None)])
+    def test_certified_order_descends_to_minimal(self, c, tau):
+        assert _certified_order(build_bipartite_walk(cycle(8)).U, c) == tau
+
+    def test_period_beyond_window(self):
+        u = build_bipartite_walk(*subdivision(circulant(10, [1, 4, -1, -4]))).U
+        assert exact_period_oracle(u) == 20
+        assert exact_period_oracle(u, cap=19) is None
+        assert not mat_pow(u, 10).is_identity() and not mat_pow(u, 4).is_identity()
+
+    @pytest.mark.parametrize("name", sorted(NAMED_WALKS))
+    def test_trace_test_matches_separate_loop(self, name):
+        u = NAMED_WALKS[name].U
+
+        def reference(k_max):
+            power = u
+            for k in range(1, k_max + 1):
+                if power.trace().denominator != 1:
+                    return k, power.trace()
+                power = mat_mul(power, u)
+            return None
+
+        for k_max in (0, 1, 2, 5, TRACE_DEPTH, 20):
+            assert trace_test(u, k_max) == reference(k_max), k_max
