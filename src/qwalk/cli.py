@@ -3,8 +3,12 @@
 Subcommands: gen, walk, period, scan, verify.  Structured output is JSON
 Lines (one object per line); --pretty switches to human-readable text.
 
-Exit codes: 0 periodic / success, 3 non-periodic, 4 inconclusive,
-5 internal method disagreement, 1 usage or input error.
+`period` decides by the integrality of q(y) = det(yI - (4M - 2I)) and
+cross-checks by the trace test, U^tau = I and the spectral table; every
+connected input gets a definite verdict.
+
+Exit codes: 0 periodic / success, 3 non-periodic, 5 internal method
+disagreement, 1 usage or input error.
 """
 
 from __future__ import annotations
@@ -35,12 +39,7 @@ from .graphs import (
     star,
     subdivision,
 )
-from .periodicity import (
-    DEFAULT_CAP,
-    MethodDisagreement,
-    PeriodicityVerdict,
-    decide_periodicity,
-)
+from .periodicity import MethodDisagreement, PeriodicityVerdict, decide_periodicity
 from .scan import MAX_SCAN_EDGES, scan_periodicity
 from .walks import (
     block_identity_check,
@@ -53,7 +52,6 @@ from .walks import (
 
 EXIT_PERIODIC = 0
 EXIT_NONPERIODIC = 3
-EXIT_INCONCLUSIVE = 4
 EXIT_DISAGREEMENT = 5
 EXIT_USAGE = 1
 
@@ -207,10 +205,11 @@ def _print_report(doc: dict, pretty: bool) -> None:
     if v.get("spectral"):
         s = v["spectral"]
         print(f"spectral:  {s['status']} (d0={s['d0']}, d1={s['d1']})")
+        name = "lambda" if doc["kind"] == "grover" else "lambda^2"
         for ev in s["eigenvalues"]:
             mark = "ok " if ev["allowed"] else "BAD"
             order = f" order {ev['order']}" if ev["order"] else ""
-            print(f"  {mark} lambda^2 = {ev['value']} (x{ev['multiplicity']}){order}")
+            print(f"  {mark} {name} = {ev['value']} (x{ev['multiplicity']}){order}")
     for note in v["notes"]:
         print(f"note:      {note}")
     print(f"time:      {doc['timing_seconds']}s")
@@ -266,14 +265,6 @@ def cmd_walk(args: argparse.Namespace) -> int:
     return 0
 
 
-def _exit_for(verdict: PeriodicityVerdict) -> int:
-    if verdict.periodic is True:
-        return EXIT_PERIODIC
-    if verdict.periodic is False:
-        return EXIT_NONPERIODIC
-    return EXIT_INCONCLUSIVE
-
-
 def _report_disagreement(input_desc: str, exc: MethodDisagreement) -> int:
     print(f"method disagreement: {exc}", file=sys.stderr)
     print(json.dumps({"input": input_desc, "error": "method_disagreement", "detail": str(exc)}))
@@ -286,26 +277,26 @@ def cmd_period(args: argparse.Namespace) -> int:
     kind = _kind_name(args.kind)
     start = time.perf_counter()
     try:
-        verdict = decide_periodicity(g, kind=kind, cap=args.cap)
+        verdict = decide_periodicity(g, kind=kind)
     except MethodDisagreement as exc:
         return _report_disagreement(args.input, exc)
     doc = analysis_report(args.input, g, kind, transform, verdict, time.perf_counter() - start)
     _print_report(doc, args.pretty)
-    return _exit_for(verdict)
+    return EXIT_PERIODIC if verdict.periodic else EXIT_NONPERIODIC
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     if not (1 <= args.max_edges <= MAX_SCAN_EDGES):
         raise GraphError(f"--max-edges must be between 1 and {MAX_SCAN_EDGES}")
     try:
-        for g, b, verdict in scan_periodicity(args.max_edges, cap=args.cap):
+        for g, b, verdict in scan_periodicity(args.max_edges):
             n0, n1 = len(b.c0), len(b.c1)
             desc = f"biregular n0={n0} n1={n1} edges={g.num_edges}"
             doc = analysis_report(desc, g, "bipartite", "none", verdict, 0.0)
             doc["edge_list"] = [list(e) for e in g.edges]
             del doc["timing_seconds"]
             if args.pretty:
-                tau = verdict.period if verdict.periodic is True else "-"
+                tau = verdict.period if verdict.periodic else "-"
                 print(f"{desc:40s} periodic={verdict.periodic} tau={tau}")
             else:
                 print(json.dumps(doc))
@@ -363,12 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     period = sub.add_parser("period", help="decide periodicity")
     add_common(period)
-    period.add_argument("--cap", type=int, default=DEFAULT_CAP)
     period.set_defaults(func=cmd_period)
 
     scan = sub.add_parser("scan", help="scan small biregular bipartite graphs")
     scan.add_argument("--max-edges", type=int, required=True)
-    scan.add_argument("--cap", type=int, default=DEFAULT_CAP)
     scan.add_argument("--pretty", action="store_true")
     scan.set_defaults(func=cmd_scan)
 
@@ -380,10 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "cap", 1) < 1:  # the oracle tries the powers 1..cap
-        parser.error("--cap must be at least 1")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except GraphError as exc:

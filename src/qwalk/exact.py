@@ -1,5 +1,6 @@
 """Exact arithmetic kernels: rational matrices, integer characteristic
-polynomials, square-free decomposition, and quadratic-field values.
+polynomials, Kronecker integrality and cyclotomic factors, square-free
+decomposition, and quadratic-field values.
 
 Everything here is exact; floats never enter. A rational matrix is a
 tuple of integer numerator rows over one common denominator; single
@@ -11,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import gcd, isqrt, lcm
+from functools import lru_cache
+from itertools import chain, combinations
+from math import gcd, isqrt, lcm, prod
 from typing import Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -324,6 +326,112 @@ def char_poly(m: Sequence[Sequence[int]]) -> IntPolynomial:
             mk = mk.add(RationalMatrix.identity(n).scale(ck))
     assert all(c.denominator == 1 for c in coeffs), "char poly must be integral"
     return IntPolynomial.from_coeffs([int(c) for c in coeffs])
+
+
+# ---------------------------------------------------------------------------
+# Kronecker integrality and cyclotomic factors
+# ---------------------------------------------------------------------------
+
+
+class NonIntegralPolynomial(ValueError):
+    """A rescaled characteristic polynomial has a non-integral coefficient."""
+
+
+def rescaled_integral(p: IntPolynomial, a: RationalLike, b: RationalLike = 0) -> IntPolynomial:
+    """The monic polynomial with roots a*x + b for the roots x of the monic
+    p, if it is integral; else NonIntegralPolynomial names its highest
+    non-integral coefficient.
+
+    Coefficient i scales by a^(n-i), then a Taylor shift gives p(y - b).
+    With a = 1/L and b = 0 this is charpoly(N / L) from charpoly(N): it is
+    integral iff L^i divides the coefficient of x^(n-i).
+    """
+    if not p.is_monic:
+        raise ValueError("polynomial must be monic")
+    a, b, n = Fraction(a), Fraction(b), p.degree
+    c = [ci * a ** (n - i) for i, ci in enumerate(p.coeffs)]
+    for i in range(n) if b else ():
+        for j in range(n - 1, i - 1, -1):
+            c[j] -= b * c[j + 1]
+    for i in range(n - 1, -1, -1):
+        if c[i].denominator != 1:
+            raise NonIntegralPolynomial(f"coefficient {c[i]} of y^{i} is not an integer")
+    return IntPolynomial(tuple(map(int, c)))
+
+
+def _prime_factors(k: int) -> list[int]:
+    primes, p = [], 2
+    while p * p <= k:
+        if k % p == 0:
+            primes.append(p)
+            while k % p == 0:
+                k //= p
+        p += 1
+    return primes + [k] if k > 1 else primes
+
+
+def _totient(k: int) -> int:
+    primes = _prime_factors(k)
+    return k // prod(primes) * prod(p - 1 for p in primes)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(k: int, real: bool = False) -> IntPolynomial:
+    """Phi_k, the minimal polynomial of e^(2 pi i / k); with real=True,
+    Psi_k, that of 2cos(2 pi / k) (Watkins-Zeitlin, Amer. Math. Monthly
+    100, 1993).
+
+    For k > 1, Phi_k(x) is the product of (1 - x^d)^mu(k/d) over d | k, of
+    degree phi(k), so that power series cut past degree phi(k) is Phi_k.
+    For k > 2, Phi_k(x) = x^r Psi_k(x + 1/x) with r = phi(k)/2, and
+    x^j + x^-j = D_j(x + 1/x) for D_0 = 2, D_1 = y, D_(j+1) = y D_j -
+    D_(j-1), so Psi_k is the sum of Phi_k's coefficient of x^(r+j) times D_j.
+    """
+    if k < 1:
+        raise ValueError("order must be positive")
+    if k <= 2:  # x - 1 and x + 1; y - 2 and y + 2
+        return IntPolynomial(((-1) ** k * (1 + real), 1))
+    n, primes = _totient(k), _prime_factors(k)
+    s = [1] + [0] * n
+    for r in range(len(primes) + 1):  # mu(k/d) = (-1)^r: k/d is r primes
+        for d in (k // prod(c) for c in combinations(primes, r)):
+            if r % 2:  # divide by 1 - x^d
+                for i in range(d, n + 1):
+                    s[i] += s[i - d]
+            else:  # multiply by 1 - x^d
+                for i in range(n, d - 1, -1):
+                    s[i] -= s[i - d]
+    if not real:
+        return IntPolynomial(tuple(s))
+    psi, prev, cur = [s[n // 2]] + [0] * (n // 2), [2], [0, 1]
+    for j in range(1, n // 2 + 1):
+        for i, x in enumerate(cur):
+            psi[i] += s[n // 2 + j] * x
+        prev, cur = cur, [x - y for x, y in zip([0] + cur, prev + [0, 0])]
+    return IntPolynomial(tuple(psi))
+
+
+def cyclotomic_factors(
+    p: IntPolynomial, real: bool = False
+) -> tuple[dict[int, int], IntPolynomial]:
+    """Strip the cyclotomic factors of the monic p: ({k: m_k}, rest) with
+    p = rest * prod Phi_k^(m_k) and no Phi_k dividing rest (Psi_k with
+    real=True).
+
+    Phi_k has degree phi(k), Psi_k degree phi(k)/2 (1 for k <= 2), and
+    phi(k) >= sqrt(k) for k > 6, so only k <= max(6, N^2) can divide the
+    rest, N its degree (twice it with real=True).
+    """
+    orders: dict[int, int] = {}
+    rest, k = p, 1
+    while rest.degree > 0 and k <= max(6, (rest.degree * (1 + real)) ** 2):
+        if _totient(k) <= rest.degree * (1 + real):
+            quo, rem = poly_divmod_monic(rest, cyclotomic(k, real))
+            while rem.is_zero:
+                rest, orders[k] = quo, orders.get(k, 0) + 1
+                quo, rem = poly_divmod_monic(rest, cyclotomic(k, real))
+        k += 1
+    return orders, rest
 
 
 # ---------------------------------------------------------------------------

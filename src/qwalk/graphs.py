@@ -191,8 +191,12 @@ def subdivision(g: Graph) -> tuple[Graph, Bipartition]:
 
     Original vertices keep indices 0..n-1; the new vertex for canonical
     edge j is n+j. The returned bipartition has c0 = subdivision vertices.
+    A graph with more than |E| + 1 vertices is disconnected and rejected
+    before any per-vertex allocation.
     """
     n, m = g.n, g.num_edges
+    if n > m + 1:
+        raise GraphError("graph is disconnected")
     edges = []
     for j, (u, v) in enumerate(g.edges):
         mid = n + j

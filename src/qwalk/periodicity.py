@@ -1,18 +1,21 @@
 """Periodicity deciders for bipartite and Grover walks.
 
-Four mutually cross-checking routes, each run once per decision:
+The walk eigenvalues other than +-1 are e^(+-i theta) with 2cos(theta) a
+root of q(y) = det(yI - (4M - 2I)), M = D0^-1 C D1^-1 C^T for the
+biadjacency block C.  q is monic with every root in [-2, 2], so the walk
+is periodic iff q has integer coefficients (Kronecker, 1857), and then q
+is a product of the minimal polynomials Psi_k of 2cos(2 pi / k): the
+period is the lcm of those k, with 2 when the walk has a -1 eigenvector.
+That decides; three exact routes cross-check it, each run once:
 
-1. trace test       -- integrality of tr(U^k) for k <= TRACE_DEPTH;
-2. exact oracle     -- U^tau = I exactly (ground truth), on the same
-                       pass over the powers of U;
-3. spectral test    -- exact membership of every squared adjacency
-                       eigenvalue in the closed allowed-value table;
-4. eigenphase orders -- cyclotomic order bookkeeping, giving the period as
-                       an lcm when the spectral test accepts.
-
-The allowed values and their orders come from the classification of the
-angles whose doubled cosine is an algebraic integer of degree at most two
-(orders 1,2,3,4,6 for degree one; 5,8,10,12 for degree two).
+1. trace test      -- integrality of tr(U^k) for k <= TRACE_DEPTH;
+2. exact oracle    -- U^tau = I, with minimality, on the same pass over the
+                      powers of U;
+3. spectral table  -- the paper's characterization for biregular graphs:
+                      every squared adjacency eigenvalue lies in the closed
+                      allowed-value table, whose orders 1,2,3,4,6 (degree
+                      one) and 5,8,10,12 (degree two) are the k of the
+                      Psi_k of degree at most two.
 
 Per-state periodicity is exact too: an integrality test on the local
 minimal polynomial of the state (see state_periodicity).
@@ -20,22 +23,23 @@ minimal polynomial of the state (see state_periodicity).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-import numpy as np
-
 from .exact import (
     HigherDegreeFactor,
+    IntPolynomial,
+    NonIntegralPolynomial,
     QuadraticValue,
     RationalMatrix,
     char_poly,
+    cyclotomic_factors,
     local_minimal_polynomial,
     mat_mul,
     mat_pow,
+    rescaled_integral,
     roots_degree_le2,
 )
 from .graphs import (
@@ -50,17 +54,11 @@ from .graphs import (
 from .spectral import NotBiregularError
 from .walks import WalkOperator, build_bipartite_walk, build_grover_walk
 
-DEFAULT_CAP = 10000
-PHASE_ABORT_TOL = 1e-6
 TRACE_DEPTH = 12  # tr(U^k) is checked for k <= TRACE_DEPTH
 
 
 class MethodDisagreement(RuntimeError):
     """Two periodicity methods produced contradictory definite answers."""
-
-
-class PeriodCapExceeded(RuntimeError):
-    """The exact oracle hit its cap before certifying a period."""
 
 
 # ---------------------------------------------------------------------------
@@ -95,30 +93,71 @@ def allowed_value_table(d0: int, d1: int) -> list[tuple[QuadraticValue, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Exact oracle and trace test
+# q and its period
 # ---------------------------------------------------------------------------
 
 
-def _phase_lcm_candidate(u: RationalMatrix, cap: int) -> Optional[int]:
-    """Candidate period from numeric eigenphases, or None when some phase
-    is provably not a rational multiple of 2*pi with denominator <= cap.
+def _smaller_side(g: Graph, b: Bipartition) -> list:
+    """The biadjacency block with its rows on the smaller colour class."""
+    c = biadjacency(g, b)
+    return list(zip(*c)) if len(c) > len(c[0]) else c
 
-    If U^t = I for t <= cap then every eigenphase is exactly 2*pi*m/t, so
-    a best rational approximation with denominator <= cap recovers m/t to
-    within numerical noise; a residual above PHASE_ABORT_TOL certifies
-    that no period <= cap exists.
+
+def _numerator_q(m: RationalMatrix) -> IntPolynomial:
+    """charpoly(m) from the char-poly of its integer numerators, if
+    integral; NonIntegralPolynomial otherwise."""
+    return rescaled_integral(char_poly(m.num), Fraction(1, m.den))
+
+
+def _gram_operator(g: Graph, b: Bipartition) -> RationalMatrix:
+    """4M - 2I for M = D0^-1 C D1^-1 C^T on the smaller colour class."""
+    c = _smaller_side(g, b)
+    col_deg = [sum(col) for col in zip(*c)]
+    return RationalMatrix([
+        [4 * sum(Fraction(x * y, d) for x, y, d in zip(r, t, col_deg)) / sum(r) - 2 * (i == j)
+         for j, t in enumerate(c)]
+        for i, r in enumerate(c)
+    ])
+
+
+def _grover_operator(g: Graph) -> RationalMatrix:
+    """2 D^-1 A: 4M - 2I of the subdivision S(g) on the original vertices,
+    where M = D^-1 (D + A) / 2."""
+    deg = g.degrees()
+    return RationalMatrix(
+        [[Fraction(2 * x, deg[i]) for x in row] for i, row in enumerate(adjacency_matrix(g))]
+    )
+
+
+def _q_period(q: IntPolynomial, n0: int, n1: int) -> tuple[set[int], int]:
+    """The k of the Psi_k dividing an integral q, and the period: their
+    lcm, with 2 when n0 != n1.
+
+    The -1 eigenspace has dimension n0 + n1 - 2 rank C, positive iff
+    n0 != n1 or C is square and singular, and then y + 2 = Psi_2 divides
+    q.  As every root of q lies in [-2, 2], Kronecker's theorem leaves no
+    factor of an integral q outside the Psi_k.
     """
-    vals = np.linalg.eigvals(np.asarray(u.to_floats()))
-    candidate = 1
-    for z in vals:
-        frac = (math.atan2(z.imag, z.real) / (2 * math.pi)) % 1.0
-        approx = Fraction(frac).limit_denominator(cap)
-        if abs(frac - float(approx)) * 2 * math.pi > PHASE_ABORT_TOL:
-            return None
-        candidate = lcm(candidate, approx.denominator)
-        if candidate > cap:
-            return None
-    return candidate
+    orders, rest = cyclotomic_factors(q, real=True)
+    if rest.degree > 0:
+        raise MethodDisagreement(f"integral q has the factor {rest.coeffs}, no Psi_k")
+    return set(orders), lcm(*orders, 2 if n0 != n1 else 1)
+
+
+def period_from_phases(g: Graph, b: Optional[Bipartition] = None) -> int:
+    """Period of the bipartite walk on a connected bipartite graph, from q.
+    Raises NonIntegralPolynomial, a ValueError, when the walk is not
+    periodic."""
+    if b is None:
+        b = bipartition(g)
+    elif not g.is_connected():
+        raise GraphError("graph is disconnected")
+    return _q_period(_numerator_q(_gram_operator(g, b)), len(b.c0), len(b.c1))[1]
+
+
+# ---------------------------------------------------------------------------
+# Exact oracle and trace test
+# ---------------------------------------------------------------------------
 
 
 def _power_pass(
@@ -162,34 +201,20 @@ def _certified_order(u: RationalMatrix, c: int) -> Optional[int]:
     return tau
 
 
-def _trace_and_period(
-    u: RationalMatrix, cap: int, trace_depth: int
-) -> tuple[Optional[tuple[int, Fraction]], Optional[int]]:
-    """The trace witness for k <= trace_depth and the exact period <= cap.
+def exact_period_oracle(u: RationalMatrix) -> Optional[int]:
+    """Minimal tau with U^tau = I exactly, else None.
 
-    The identity is looked for among the powers of the trace pass up to
-    min(c, TRACE_DEPTH), c the candidate of the eigenphase screen; a
-    larger c is certified by O(log c) products instead of c.
-    """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    candidate = _phase_lcm_candidate(u, cap)
-    window = min(candidate or 0, TRACE_DEPTH)
-    witness, period = _power_pass(u, trace_depth, window)
-    if period is None and candidate is not None and candidate > TRACE_DEPTH:
-        period = _certified_order(u, candidate)
-    return witness, period
-
-
-def exact_period_oracle(u: RationalMatrix, cap: int = DEFAULT_CAP) -> Optional[int]:
-    """Minimal tau <= cap with U^tau = I exactly, else None.
-
-    A numeric eigenphase screen first rules out caps that cannot be met;
-    the period itself is then certified by exact products.
+    U has finite order only if charpoly(U) is an integral product of
+    cyclotomic polynomials Phi_k; the order then divides their lcm, which
+    _certified_order confirms and descends from in O(log tau) products.
     """
     if not u.is_square:
         raise ValueError("U must be square")
-    return _trace_and_period(u, cap, trace_depth=0)[1]
+    try:
+        orders, rest = cyclotomic_factors(_numerator_q(u))
+    except NonIntegralPolynomial:
+        return None
+    return _certified_order(u, lcm(*orders)) if rest.degree == 0 else None
 
 
 def trace_test(u: RationalMatrix, k_max: int = TRACE_DEPTH) -> Optional[tuple[int, Fraction]]:
@@ -200,7 +225,7 @@ def trace_test(u: RationalMatrix, k_max: int = TRACE_DEPTH) -> Optional[tuple[in
 
 
 # ---------------------------------------------------------------------------
-# Spectral characterization (biregular bipartite)
+# Spectral table (biregular bipartite, and Grover on regular graphs)
 # ---------------------------------------------------------------------------
 
 
@@ -219,13 +244,16 @@ class SpectralVerdict:
     d1: Optional[int] = None
     classifications: tuple[EigenvalueClassification, ...] = ()
     reason: Optional[str] = None
+    chi: Optional[IntPolynomial] = None  # the char-poly the values are roots of
 
 
-def _classify(
-    roots: list[tuple[QuadraticValue, int]], d0: int, d1: int, shift: int = 0
-) -> SpectralVerdict:
+def _classify(chi: IntPolynomial, d0: int, d1: int, shift: int = 0) -> SpectralVerdict:
     """Verdict on a (d0, d1)-biregular graph whose squared adjacency
-    eigenvalues are value + shift for the (value, multiplicity) roots."""
+    eigenvalues are value + shift for the roots of chi."""
+    try:
+        roots = roots_degree_le2(chi)
+    except HigherDegreeFactor as exc:
+        return SpectralVerdict("inconclusive", d0, d1, reason=str(exc), chi=chi)
     table = dict(allowed_value_table(d0, d1))
     offset = QuadraticValue.rational(shift)
     classifications = []
@@ -238,10 +266,10 @@ def _classify(
         if not c.value.is_rational and by_value.get(c.value.conjugate()) != c.multiplicity:
             return SpectralVerdict(
                 "non-periodic", d0, d1, tuple(classifications),
-                reason="conjugate pair multiplicities differ",
+                reason="conjugate pair multiplicities differ", chi=chi,
             )
     status = "periodic" if all(c.allowed for c in classifications) else "non-periodic"
-    return SpectralVerdict(status, d0, d1, tuple(classifications))
+    return SpectralVerdict(status, d0, d1, tuple(classifications), chi=chi)
 
 
 def spectral_test_biregular(g: Graph, b: Optional[Bipartition] = None) -> SpectralVerdict:
@@ -257,52 +285,9 @@ def spectral_test_biregular(g: Graph, b: Optional[Bipartition] = None) -> Spectr
     prof = degree_profile(g, b)
     if not prof.is_biregular:
         raise NotBiregularError("spectral test requires a biregular graph")
-    d0, d1 = prof.d0, prof.d1
-    c = biadjacency(g, b)
-    if len(c) > len(c[0]):
-        c = list(zip(*c))  # the squared eigenvalues from the smaller Gram block
+    c = _smaller_side(g, b)  # the squared eigenvalues from the smaller Gram block
     gram = [[sum(x * y for x, y in zip(r, t)) for t in c] for r in c]
-    try:
-        roots = roots_degree_le2(char_poly(gram))
-    except HigherDegreeFactor as exc:
-        return SpectralVerdict("inconclusive", d0, d1, reason=str(exc))
-    return _classify(roots, d0, d1)
-
-
-def period_from_phases(g: Graph, b: Optional[Bipartition] = None) -> int:
-    """Period as the lcm of the cyclotomic orders of all walk eigenvalues.
-
-    Precondition: spectral_test_biregular accepted the graph.
-    """
-    if b is None:
-        b = bipartition(g)
-    elif not g.is_connected():
-        raise GraphError("graph is disconnected")
-    verdict = spectral_test_biregular(g, b)
-    if verdict.status != "periodic":
-        raise ValueError(f"graph is not spectrally periodic: {verdict.status}")
-    return _phase_period(verdict, len(b.c0), len(b.c1))
-
-
-def _phase_period(verdict: SpectralVerdict, n0: int, n1: int) -> int:
-    """Period from an accepting verdict on a connected biregular graph with
-    colour classes of n0 and n1 vertices: the lcm of 1 (the constants),
-    the verdict's orders, and 2 when the walk has a -1 eigenvector.
-
-    The -1 eigenspace has dimension n0 + n1 - 2 rank C for the biadjacency
-    block C.  Since rank C <= min(n0, n1), it is positive iff n0 != n1 or
-    C is square and singular; then lambda^2 = 0 is in the verdict and
-    already brings its order 2.
-    """
-    orders = {1, *(c.order for c in verdict.classifications)}
-    if n0 != n1:
-        orders.add(2)
-    return lcm(*orders)
-
-
-# ---------------------------------------------------------------------------
-# Grover walk on regular graphs
-# ---------------------------------------------------------------------------
+    return _classify(char_poly(gram), prof.d0, prof.d1)
 
 
 def grover_regular_test(g: Graph) -> SpectralVerdict:
@@ -320,11 +305,7 @@ def grover_regular_test(g: Graph) -> SpectralVerdict:
     if not g.is_connected():
         raise GraphError("graph is disconnected")
     d = degs.pop()
-    try:
-        roots = roots_degree_le2(char_poly(adjacency_matrix(g)))
-    except HigherDegreeFactor as exc:
-        return SpectralVerdict("inconclusive", 2, d, reason=str(exc))
-    return _classify(roots, 2, d, shift=d)
+    return _classify(char_poly(adjacency_matrix(g)), 2, d, shift=d)
 
 
 # ---------------------------------------------------------------------------
@@ -353,26 +334,27 @@ def state_periodicity(w: WalkOperator, edge: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def grover_period_doubling(g: Graph, cap: int = DEFAULT_CAP) -> tuple[int, int]:
+def grover_period_doubling(g: Graph) -> tuple[int, int]:
     """Exact periods (tau_bipartite, tau_grover) for a connected bipartite
     graph, asserting the doubling relation tau_grover = 2 * tau_bipartite.
+    A graph whose walks are not periodic raises ValueError.
     """
-    tau_bw = exact_period_oracle(build_bipartite_walk(g).U, cap)
-    tau_gw = exact_period_oracle(build_grover_walk(g).U, cap)
-    if tau_bw is None or tau_gw is None:
-        raise PeriodCapExceeded(f"no period within cap {cap}")
-    if tau_gw != 2 * tau_bw:
+    tau_bw = exact_period_oracle(build_bipartite_walk(g).U)
+    tau_gw = exact_period_oracle(build_grover_walk(g).U)
+    if tau_gw != (None if tau_bw is None else 2 * tau_bw):
         raise MethodDisagreement(
             f"period doubling violated: bipartite {tau_bw}, grover {tau_gw}"
         )
+    if tau_bw is None:
+        raise ValueError("the walks are not periodic")
     return tau_bw, tau_gw
 
 
 @dataclass
 class PeriodicityVerdict:
-    """Aggregated evidence from every route."""
+    """The verdict of q with the evidence of every cross-check."""
 
-    periodic: object  # True | False | "inconclusive"
+    periodic: bool
     period: Optional[int] = None
     oracle_period: Optional[int] = None
     spectral: Optional[SpectralVerdict] = None
@@ -381,20 +363,21 @@ class PeriodicityVerdict:
     notes: list[str] = field(default_factory=list)
 
 
-def decide_periodicity(
-    g: Graph, kind: str = "bipartite", cap: int = DEFAULT_CAP
-) -> PeriodicityVerdict:
-    """Decide the walk of the given kind on g by every route, each run
-    once, and cross-check them.
+def decide_periodicity(g: Graph, kind: str = "bipartite") -> PeriodicityVerdict:
+    """Decide the walk of the given kind on g by the integrality of q, and
+    cross-check by the spectral table, the trace test and U^tau = I.
 
     kind "bipartite" requires g connected bipartite; kind "grover" accepts
-    any connected graph (its spectral route goes through the subdivision).
-    Contradictory definite answers raise MethodDisagreement.
+    any connected graph, as the bipartite walk on its subdivision S(g),
+    whose classes have n and |E| vertices.  q comes from the one char-poly
+    of the decision: the table's when there is one, else that of the
+    numerators of 4M - 2I.  U^tau = I is checked with minimality on the
+    powers of the trace pass up to TRACE_DEPTH and by _certified_order
+    beyond.  Contradictory answers raise MethodDisagreement.
     """
     if kind not in ("bipartite", "grover"):
         raise ValueError(f"unknown walk kind: {kind}")
-    v = PeriodicityVerdict(periodic="inconclusive")
-
+    v = PeriodicityVerdict(periodic=False)
     if kind == "bipartite":
         w = build_bipartite_walk(g)
         u, sizes = w.U, (len(w.bipart.c0), len(w.bipart.c1))
@@ -402,41 +385,42 @@ def decide_periodicity(
             v.spectral = spectral_test_biregular(g, w.bipart)
         except NotBiregularError:
             v.notes.append("spectral test skipped: graph not biregular")
+            m = _gram_operator(g, w.bipart)
     else:
         u, sizes = build_grover_walk(g).U, (g.n, g.num_edges)  # the classes of S(g)
         if len(set(g.degrees())) == 1:
             v.spectral = grover_regular_test(g)
         else:
             v.notes.append("spectral test skipped: graph not regular")
+            m = _grover_operator(g)
 
-    if v.spectral is not None and v.spectral.status == "periodic":
-        v.phase_period = _phase_period(v.spectral, *sizes)
+    s = v.spectral
+    try:
+        if s is None:
+            q = _numerator_q(m)
+        else:  # a root x of chi is at y = 4x/(d0 d1) - 2 for x = lambda^2,
+            # and at y = 2x/d for a Grover walk's x = lambda
+            q = rescaled_integral(s.chi, Fraction(4, s.d0 * s.d1), 0 if kind == "grover" else -2)
+        orders, tau = _q_period(q, *sizes)
+    except NonIntegralPolynomial as exc:
+        orders, tau = None, 0
+        v.notes.append(f"q = det(yI - (4M - 2I)) is not integral: {exc}")
+    if s is not None and s.status != "inconclusive":
+        table_orders = {c.order for c in s.classifications} if s.status == "periodic" else None
+        if table_orders != orders:
+            raise MethodDisagreement(f"spectral table: orders {table_orders}; q: orders {orders}")
 
-    witness, v.oracle_period = _trace_and_period(u, cap, TRACE_DEPTH)
+    witness, v.oracle_period = _power_pass(u, TRACE_DEPTH, min(tau, TRACE_DEPTH))
     if witness is not None:
         v.trace_witness = (witness[0], str(witness[1]))
-
-    status = v.spectral.status if v.spectral is not None else None
-    if v.oracle_period is not None:  # cross-checks, then the verdict
-        if v.phase_period is not None and v.oracle_period != v.phase_period:
-            raise MethodDisagreement(
-                f"oracle period {v.oracle_period} != phase period {v.phase_period}"
-            )
-        if status == "non-periodic":
-            raise MethodDisagreement(
-                f"spectral says non-periodic but oracle found period {v.oracle_period}"
-            )
-        if v.trace_witness is not None:
-            raise MethodDisagreement(
-                f"trace test failed at k={v.trace_witness[0]} but oracle found a period"
-            )
-        v.periodic, v.period = True, v.oracle_period
-    elif v.trace_witness is not None or status == "non-periodic":
-        v.periodic = False
-    elif status == "periodic":
-        # the oracle exhausted its cap despite a periodic certificate
-        v.notes.append(f"spectral certificate periodic but no period within cap {cap}")
-    else:
-        # no period up to the cap certifies nothing about larger periods
-        v.notes.append(f"no period within cap {cap}")
+    if orders is None:
+        return v
+    if tau > TRACE_DEPTH:
+        v.oracle_period = _certified_order(u, tau)
+    if v.trace_witness is not None or v.oracle_period != tau:
+        raise MethodDisagreement(
+            f"q gives period {tau}, but the trace witness is {v.trace_witness}"
+            f" and the least k <= {tau} with U^k = I is {v.oracle_period}"
+        )
+    v.periodic, v.period, v.phase_period = True, tau, tau
     return v

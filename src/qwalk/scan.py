@@ -108,10 +108,7 @@ def enumerate_biregular(max_edges: int) -> Iterator[tuple[Graph, Bipartition]]:
                 yield g, b
 
 
-def scan_periodicity(
-    max_edges: int, cap: int = 10000
-) -> Iterator[tuple[Graph, Bipartition, PeriodicityVerdict]]:
-    """Decide the bipartite walk of every enumerated graph with all four
-    methods."""
+def scan_periodicity(max_edges: int) -> Iterator[tuple[Graph, Bipartition, PeriodicityVerdict]]:
+    """Decide the bipartite walk of every enumerated graph."""
     for g, b in enumerate_biregular(max_edges):
-        yield g, b, decide_periodicity(g, cap=cap)
+        yield g, b, decide_periodicity(g)

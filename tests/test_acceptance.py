@@ -103,7 +103,7 @@ def test_criterion_1_printed_operator_reproduction(capsys):
 def test_criterion_2_trace_witness(capsys):
     w = build_bipartite_walk(figure1_graph())
     witness = trace_test(w.U)
-    verdict = exact_period_oracle(w.U, 10000)
+    verdict = exact_period_oracle(w.U)
     ok = witness == (1, Fraction(-1, 3)) and verdict is None
     with capsys.disabled():
         report(2, "figure1 trace witness -1/3 at k=1, non-periodic", ok)
@@ -132,9 +132,9 @@ def test_criterion_4_block_identity_and_doubling(capsys):
     details = []
     for name, g in BIPARTITE_CATALOG.items():
         ok = ok and all(block_identity_check(g, k) for k in range(1, 5))
-        tau_bw = exact_period_oracle(build_bipartite_walk(g).U, 200)
+        tau_bw = exact_period_oracle(build_bipartite_walk(g).U)
         if tau_bw is not None:
-            tau_bw2, tau_gw = grover_period_doubling(g, 400)
+            tau_bw2, tau_gw = grover_period_doubling(g)
             ok = ok and tau_bw2 == tau_bw and tau_gw == 2 * tau_bw
             details.append(f"{name}:{tau_bw}->{tau_gw}")
     elapsed = time.perf_counter() - start
@@ -150,7 +150,7 @@ def test_criterion_4_block_identity_and_doubling(capsys):
 def test_criterion_5_cayley_graph_period_20(capsys):
     start = time.perf_counter()
     g, b = subdivision(circulant(10, [1, 4, -1, -4]))
-    tau_oracle = exact_period_oracle(build_bipartite_walk(g, b).U, 10000)
+    tau_oracle = exact_period_oracle(build_bipartite_walk(g, b).U)
     tau_phases = period_from_phases(g, b)
     ok = tau_oracle == 20 and tau_phases == 20
     elapsed = time.perf_counter() - start
@@ -164,7 +164,7 @@ def test_criterion_6_double_cover_report(capsys):
     verdict = spectral_test_biregular(g, b)
     values = {str(c.value) for c in verdict.classifications}
     expected_roots = {"16", "4", "0", "6-2*sqrt(5)", "6+2*sqrt(5)"}
-    tau_oracle = exact_period_oracle(build_bipartite_walk(g, b).U, 10000)
+    tau_oracle = exact_period_oracle(build_bipartite_walk(g, b).U)
     tau_phases = period_from_phases(g, b)
     ok = (
         verdict.status == "periodic"
@@ -190,7 +190,7 @@ def test_criterion_7_characterization_equivalence(capsys):
     start = time.perf_counter()
     ok = True
     checked = 0
-    for g, b, v in scan_periodicity(9, cap=10000):
+    for g, b, v in scan_periodicity(9):
         if v.spectral is None or v.spectral.status == "inconclusive":
             continue
         checked += 1
@@ -212,7 +212,7 @@ def test_criterion_8_negative_fixtures(capsys):
     hw_trace = trace_test(build_bipartite_walk(heawood_graph()).U)
     pt = grover_regular_test(petersen_graph())
     pt_bad = {str(c.value) for c in pt.classifications if not c.allowed}
-    pt_oracle = exact_period_oracle(build_grover_walk(petersen_graph()).U, 10000)
+    pt_oracle = exact_period_oracle(build_grover_walk(petersen_graph()).U)
     ok = (
         hw.status == "non-periodic"
         and hw_bad == {"2"}

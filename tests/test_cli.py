@@ -130,24 +130,22 @@ class TestPeriod:
         irrational = [v for v in values if not v.is_rational]
         assert irrational and all(v.m == 5 for v in irrational)
 
-    def test_cap_exhausted_is_inconclusive(self, capsys, schema, monkeypatch):
-        # P_5 (not biregular, so no spectral route) has period 4: no period
-        # up to 3 says nothing about larger ones
-        code, out, _ = run(
-            capsys, "period", "-", "--cap", "3", stdin=P5, monkeypatch=monkeypatch
-        )
-        assert code == 4
+    def test_path_decided_without_a_cap(self, capsys, schema, monkeypatch):
+        # P_5 is not biregular, so no spectral table: q alone gives period 4
+        code, out, _ = run(capsys, "period", "-", stdin=P5, monkeypatch=monkeypatch)
+        assert code == 0
         doc = json.loads(out)
         jsonschema.validate(doc, schema)
-        assert doc["verdict"]["periodic"] == "inconclusive"
-        assert "no period within cap 3" in doc["verdict"]["notes"]
+        assert doc["verdict"]["periodic"] is True
+        assert doc["verdict"]["period"] == doc["verdict"]["phase_period"] == 4
 
-    def test_cap_reached_certifies_period(self, capsys, monkeypatch):
-        code, out, _ = run(
-            capsys, "period", "-", "--cap", "4", stdin=P5, monkeypatch=monkeypatch
-        )
+    def test_pretty_labels_grover_eigenvalues(self, capsys):
+        # a Grover table lists adjacency eigenvalues lambda, not squares
+        code, out, _ = run(capsys, "period", "k33", "--kind", "g", "--pretty")
         assert code == 0
-        assert json.loads(out)["verdict"]["period"] == 4
+        assert "lambda = -3 (x1) order 2" in out and "lambda^2" not in out
+        code, out, _ = run(capsys, "period", "c6", "--pretty")
+        assert code == 0 and "lambda^2 = 1 (x2) order 3" in out
 
     def test_method_disagreement(self, capsys, monkeypatch):
         def disagree(*args, **kwargs):
@@ -273,19 +271,15 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ("period", "c6", "--cap", "0"),
-            ("period", "c6", "--cap", "-5"),
-            ("scan", "--max-edges", "4", "--cap", "0"),
-        ],
-        ids=["period-cap-0", "period-cap-negative", "scan-cap-0"],
+        [("period", "c6", "--cap", "4"), ("scan", "--max-edges", "4", "--cap", "4")],
+        ids=["period", "scan"],
     )
-    def test_cap_below_one(self, capsys, argv):
+    def test_cap_flag_is_gone(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         out = capsys.readouterr()
         assert exc.value.code == 1 and out.out == ""
-        assert "qwalk: error: --cap must be at least 1" in out.err
+        assert "unrecognized arguments: --cap 4" in out.err
 
     def test_bad_kind(self, capsys):
         code, _, err = run(capsys, "walk", "c6", "--kind", "q")

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, prod
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,13 @@ from qwalk.exact import (
     DimensionError,
     HigherDegreeFactor,
     IntPolynomial,
+    NonIntegralPolynomial,
     QuadraticValue,
     RationalMatrix,
+    _totient,
     char_poly,
+    cyclotomic,
+    cyclotomic_factors,
     eval_at_quadratic,
     is_quadratic_algebraic_integer,
     local_minimal_polynomial,
@@ -21,6 +27,7 @@ from qwalk.exact import (
     poly_divmod_monic,
     quadratic_from_string,
     rational_rank,
+    rescaled_integral,
     roots_degree_le2,
     square_free_part,
 )
@@ -442,3 +449,136 @@ def test_local_minimal_polynomial_index_out_of_range(j):
 def test_local_minimal_polynomial_non_square_rejected():
     with pytest.raises(DimensionError):
         local_minimal_polynomial(RationalMatrix([[1, 0]]), 0)
+
+
+# ---------------------------------------------------------------------------
+# Kronecker integrality and cyclotomic factors, against sympy
+# ---------------------------------------------------------------------------
+
+
+def sympy_cyclotomic_order(sympy, f, real: bool) -> Optional[int]:
+    """The k with the monic integer polynomial f (a sympy Poly) equal to
+    sympy's cyclotomic_poly(k), or with real=True to Psi_k: z^r f(z + 1/z)
+    equal to cyclotomic_poly(k), r = deg f.  None when there is no such k."""
+    z = sympy.Symbol("z")
+    c = [int(v) for v in f.all_coeffs()]  # descending
+    if real and c in ([1, -2], [1, 2]):
+        return 1 if c[1] == -2 else 2
+    if real:
+        r = len(c) - 1
+        h = sympy.Poly(sympy.expand(z**r * f.as_expr().subs(f.gen, z + 1 / z)), z)
+    else:
+        h = sympy.Poly(c, z)
+    if not h.is_cyclotomic:
+        return None
+    for k in _orders_of_degree(h.degree()):
+        if (k > 2 or not real) and h == sympy.Poly(sympy.cyclotomic_poly(k, z), z):
+            return k
+    raise AssertionError(f"sympy calls {h} cyclotomic, but it is no cyclotomic_poly(k)")
+
+
+@lru_cache(maxsize=None)
+def _orders_of_degree(n: int) -> tuple[int, ...]:
+    """The k with phi(k) = n, phi from sympy's factorint; phi(k) >= sqrt(k / 2)."""
+    from sympy import factorint
+
+    def phi(k: int) -> int:
+        return prod(p ** (e - 1) * (p - 1) for p, e in factorint(k).items())
+
+    return tuple(k for k in range(1, 2 * n * n + 1) if phi(k) == n)
+
+
+def _times(a: list[int], b: tuple[int, ...]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _sympy_cyclotomic_split(sympy, p: IntPolynomial, real: bool):
+    """cyclotomic_factors computed from sympy's factor_list."""
+    x = sympy.Symbol("x")
+    _, factors = sympy.factor_list(sympy.Poly(list(reversed(p.coeffs)), x))
+    orders, rest = {}, [1]
+    for f, mult in factors:
+        k = sympy_cyclotomic_order(sympy, f, real)
+        if k is None:
+            for _ in range(mult):
+                rest = _times(rest, tuple(int(v) for v in reversed(f.all_coeffs())))
+        else:
+            orders[k] = orders.get(k, 0) + mult
+    return orders, IntPolynomial.from_coeffs(rest)
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for k in range(1, 61):
+        assert cyclotomic(k).coeffs == tuple(
+            int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(k, x), x).all_coeffs())
+        ), k
+        psi = sympy.Poly(list(reversed(cyclotomic(k, real=True).coeffs)), x)
+        assert sympy_cyclotomic_order(sympy, psi, real=True) == k
+        assert _totient(k) == sympy.totient(k)
+
+
+def test_totient_bound_behind_the_search():
+    # cyclotomic_factors tries k <= max(6, N^2): phi(k) >= sqrt(k) past 6
+    assert all(_totient(k) ** 2 >= k for k in range(7, 20000))
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["phi", "psi"])
+@pytest.mark.parametrize("seed", range(10))
+def test_cyclotomic_factors_agree_with_sympy(seed, real):
+    """Seeded products of Phi_k (Psi_k) with k <= 60 and random
+    multiplicities, then the same product with one coefficient perturbed."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    mults: dict[int, int] = {}
+    p = [1]
+    for _ in range(4):
+        k, m = rng.randint(1, 60), rng.randint(1, 3)
+        if len(p) - 1 + m * cyclotomic(k, real).degree <= 36:
+            mults[k] = mults.get(k, 0) + m
+            for _ in range(m):
+                p = _times(p, cyclotomic(k, real).coeffs)
+    product = IntPolynomial.from_coeffs(p)
+    assert cyclotomic_factors(product, real) == (mults, IntPolynomial((1,)))
+    assert _sympy_cyclotomic_split(sympy, product, real) == (mults, IntPolynomial((1,)))
+
+    p[rng.randrange(len(p) - 1)] += rng.choice([-2, -1, 1, 2])
+    perturbed = IntPolynomial.from_coeffs(p)
+    assert cyclotomic_factors(perturbed, real) == _sympy_cyclotomic_split(sympy, perturbed, real)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rescaled_integral_agrees_with_sympy(seed):
+    """charpoly(a N + b I) from charpoly(N), against sympy's charpoly."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    num = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+    a = Fraction(rng.choice([1, 2, 4]), rng.choice([1, 2, 3, 6]))
+    b = rng.choice([0, 0, -2, Fraction(1, 2)])
+    y = sympy.Symbol("y")
+    m = sympy.Matrix(num) * sympy.Rational(a.numerator, a.denominator)
+    m += sympy.Rational(b.numerator, b.denominator) * sympy.eye(n)
+    expected = [Fraction(int(c.p), int(c.q)) for c in reversed(m.charpoly(y).all_coeffs())]
+    bad = [i for i, c in enumerate(expected) if c.denominator != 1]
+    if bad:
+        i = bad[-1]
+        with pytest.raises(NonIntegralPolynomial, match=f"^coefficient {expected[i]} of y\\^{i} "):
+            rescaled_integral(char_poly(num), a, b)
+    else:
+        assert rescaled_integral(char_poly(num), a, b).coeffs == tuple(expected)
+
+
+def test_rescaled_integral_of_numerators():
+    # U = N / den: charpoly(U) is integral iff den^i divides the coefficient
+    # of x^(n-i) in charpoly(N); [[0, 1], [1, 0]] / 2 has -1/4 at x^0
+    with pytest.raises(NonIntegralPolynomial, match="coefficient -1/4 of y\\^0"):
+        rescaled_integral(char_poly([[0, 1], [1, 0]]), Fraction(1, 2))
+    assert rescaled_integral(char_poly([[0, 2], [2, 0]]), Fraction(1, 2)).coeffs == (-1, 0, 1)
+    with pytest.raises(ValueError):
+        rescaled_integral(IntPolynomial.from_coeffs([1, 2]), 1)

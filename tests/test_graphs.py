@@ -134,6 +134,18 @@ class TestTransforms:
         with pytest.raises(GraphError):
             bipartite_double_cover(cycle(4))
 
+    @pytest.mark.parametrize("transform", [subdivision, bipartite_double_cover])
+    def test_too_few_edges_rejected_before_per_vertex_work(self, monkeypatch, transform):
+        # 10**6 declared vertices and one edge are disconnected on the edge
+        # count alone; the transform must say so before allocating per vertex
+        def refuse(self):
+            raise AssertionError("per-vertex adjacency built")
+
+        monkeypatch.setattr(Graph, "neighbors", refuse)
+        monkeypatch.setattr(Graph, "degrees", refuse)
+        with pytest.raises(GraphError, match="disconnected"):
+            transform(Graph.from_edges(10**6, [(0, 1)]))
+
     def test_line_graph_of_cycle_is_cycle(self):
         assert sorted(line_graph(cycle(5)).degrees()) == [2] * 5
 

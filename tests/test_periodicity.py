@@ -5,9 +5,10 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from qwalk.exact import QuadraticValue, RationalMatrix, mat_mul, mat_pow
+from qwalk.exact import QuadraticValue, RationalMatrix, char_poly, mat_mul, mat_pow
 from qwalk.graphs import (
     Graph,
+    adjacency_matrix,
     bipartite_double_cover,
     circulant,
     complete_bipartite,
@@ -17,16 +18,15 @@ from qwalk.graphs import (
     figure7_graph,
     heawood_graph,
     is_bipartite,
+    path,
     petersen_graph,
     star,
     subdivision,
 )
 from qwalk.periodicity import (
-    DEFAULT_CAP,
     TRACE_DEPTH,
     MethodDisagreement,
     _certified_order,
-    _phase_lcm_candidate,
     allowed_value_table,
     decide_periodicity,
     exact_period_oracle,
@@ -40,6 +40,7 @@ from qwalk.periodicity import (
 from qwalk.scan import scan_periodicity
 from qwalk.spectral import GROUP_TOL, eigenvalue_support, pm1_eigenspace_dims
 from qwalk.walks import build_bipartite_walk, build_grover_walk
+from test_exact import sympy_cyclotomic_order
 from test_walks import random_connected_graph
 
 F = Fraction
@@ -87,21 +88,11 @@ class TestExactOracle:
 
     def test_aperiodic_aborts_early(self):
         u = build_bipartite_walk(figure1_graph()).U
-        assert exact_period_oracle(u, cap=10000) is None
-
-    def test_small_cap(self):
-        u = build_bipartite_walk(cycle(8)).U
-        assert exact_period_oracle(u, cap=3) is None
-        assert exact_period_oracle(u, cap=4) == 4
+        assert exact_period_oracle(u) is None
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             exact_period_oracle(RationalMatrix([[1, 0]]))
-
-    @pytest.mark.parametrize("cap", [0, -1])
-    def test_cap_below_one_rejected(self, cap):
-        with pytest.raises(ValueError, match="cap must be at least 1"):
-            exact_period_oracle(build_bipartite_walk(cycle(6)).U, cap)
 
 
 class TestTraceTest:
@@ -300,6 +291,30 @@ class TestDecidePeriodicity:
         with pytest.raises(ValueError):
             decide_periodicity(cycle(6), kind="mystery")
 
+    @pytest.mark.parametrize(
+        "g,kind,certificate",
+        [
+            (figure1_graph(), "bipartite", "coefficient -2/3 of y^3 is not an integer"),
+            (petersen_graph(), "grover", "coefficient -20/3 of y^8 is not an integer"),
+        ],
+        ids=["figure1", "petersen-grover"],
+    )
+    def test_non_periodic_verdict_names_a_coefficient_of_q(self, g, kind, certificate):
+        v = decide_periodicity(g, kind)
+        assert v.periodic is False and v.period is None and v.phase_period is None
+        assert v.notes[-1] == f"q = det(yI - (4M - 2I)) is not integral: {certificate}"
+
+    @pytest.mark.parametrize(
+        "g,wrong",
+        [(cycle(6), ({1, 3}, 6)), (path(5), ({1, 4}, 8)), (cycle(6), ({1, 2, 3}, 6))],
+        ids=["c6-power-pass", "p5-power-pass", "c6-table"],
+    )
+    def test_wrong_q_period_is_a_disagreement(self, monkeypatch, g, wrong):
+        # U^6 = I holds for C6, but 3 is its least period; P5 has period 4
+        monkeypatch.setattr("qwalk.periodicity._q_period", lambda q, n0, n1: wrong)
+        with pytest.raises(MethodDisagreement):
+            decide_periodicity(g)
+
 
 class TestScanAgreement:
     def test_spectral_matches_oracle_up_to_nine_edges(self):
@@ -435,8 +450,6 @@ class TestOnePowerPass:
         assert len(calls) == 11
 
     def test_paw_spurious_candidate_is_certified_not_walked(self, monkeypatch):
-        u = build_grover_walk(PAW).U
-        assert _phase_lcm_candidate(u, DEFAULT_CAP) > TRACE_DEPTH
         # qwalk.exact.mat_mul counts the products of mat_pow as well
         calls = _count_products(monkeypatch, "qwalk.periodicity", "qwalk.exact")
         v = decide_periodicity(PAW, "grover")
@@ -445,6 +458,30 @@ class TestOnePowerPass:
         assert v.oracle_period is None
         assert len(calls) < 64
 
+    @pytest.mark.parametrize(
+        "g,kind",
+        [
+            (complete_bipartite(2, 3), "bipartite"),
+            (path(5), "bipartite"),
+            (cycle(10), "grover"),
+            (PAW, "grover"),
+        ],
+        ids=["k23", "p5", "c10-grover", "paw-grover"],
+    )
+    def test_one_char_poly_per_decision(self, monkeypatch, g, kind):
+        # q comes from the char-poly of the spectral table when there is one
+        # (K23, C10), else from that of the numerators of 4M - 2I (P5, paw)
+        calls = []
+
+        def counting(m):
+            calls.append(len(m))
+            return char_poly(m)
+
+        for module in ("qwalk.periodicity", "qwalk.exact"):
+            monkeypatch.setattr(f"{module}.char_poly", counting)
+        decide_periodicity(g, kind)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("c,tau", [(4, 4), (12, 4), (180, 4), (6, None), (3, None)])
     def test_certified_order_descends_to_minimal(self, c, tau):
         assert _certified_order(build_bipartite_walk(cycle(8)).U, c) == tau
@@ -452,7 +489,6 @@ class TestOnePowerPass:
     def test_period_beyond_window(self):
         u = build_bipartite_walk(*subdivision(circulant(10, [1, 4, -1, -4]))).U
         assert exact_period_oracle(u) == 20
-        assert exact_period_oracle(u, cap=19) is None
         assert not mat_pow(u, 10).is_identity() and not mat_pow(u, 4).is_identity()
 
     @pytest.mark.parametrize("name", sorted(NAMED_WALKS))
@@ -469,3 +505,101 @@ class TestOnePowerPass:
 
         for k_max in (0, 1, 2, 5, TRACE_DEPTH, 20):
             assert trace_test(u, k_max) == reference(k_max), k_max
+
+
+# ---------------------------------------------------------------------------
+# The q decider against the Watkins-Zeitlin route in sympy
+# ---------------------------------------------------------------------------
+
+
+def _sympy_wz_period(sympy, b, minus_one: bool):
+    """(periodic, tau) from sympy for a walk whose 2cos(theta) are the
+    roots of charpoly(B): periodic iff every factor of it over Q is a
+    monic Psi_k (identified through sympy's cyclotomic_poly); tau is the
+    lcm of those k, of 1, and of 2 when -1 is an eigenvalue.  The method of
+    perfbench/known_answers.walk_period, for graphs that are not biregular."""
+    y = sympy.Symbol("y")
+    orders = {1}
+    for f, _mult in sympy.factor_list(b.charpoly(y).as_expr(), y)[1]:
+        f = sympy.Poly(f, y)
+        k = sympy_cyclotomic_order(sympy, f, real=True) if f.LC() == 1 else None
+        if k is None:
+            return False, None
+        orders.add(k)
+    if minus_one:
+        orders.add(2)
+    return True, math.lcm(*orders)
+
+
+def _random_bipartite(rng: random.Random, max_n: int = 9) -> Graph:
+    """Random spanning tree plus a few edges across its 2-colouring."""
+    n = rng.randint(3, max_n)
+    color, edges = [0], set()
+    for v in range(1, n):
+        parent = rng.randrange(v)
+        color.append(1 - color[parent])
+        edges.add((parent, v))
+    for _ in range(rng.randint(0, n)):
+        u, v = rng.sample(range(n), 2)
+        if color[u] != color[v]:
+            edges.add((min(u, v), max(u, v)))
+    return Graph.from_edges(n, edges)
+
+
+def _distinct(rng, draw, keep, count: int) -> list[Graph]:
+    seen: dict = {}
+    while len(seen) < count:
+        g = draw(rng)
+        if keep(g):
+            seen.setdefault(g.edges, g)
+    return list(seen.values())
+
+
+def _not_biregular(g: Graph) -> bool:
+    h = nx.Graph(list(g.edges))
+    top, bottom = nx.bipartite.sets(h)
+    return len({h.degree(v) for v in top}) > 1 or len({h.degree(v) for v in bottom}) > 1
+
+
+NOT_BIREGULAR = _distinct(random.Random(61), _random_bipartite, _not_biregular, 100)
+NOT_REGULAR = _distinct(
+    random.Random(62), lambda rng: random_connected_graph(rng, max_n=7),
+    lambda g: len(set(g.degrees())) > 1, 100,
+)
+
+
+class TestKroneckerAgainstSympy:
+    """decide_periodicity against sympy on the inputs with no spectral
+    table, where the verdict used to rest on a numeric screen and a cap."""
+
+    def test_bipartite_not_biregular(self):
+        sympy = pytest.importorskip("sympy")
+        outcomes = []
+        for g in NOT_BIREGULAR:
+            h = nx.Graph(list(g.edges))
+            top, bottom = (sorted(side) for side in nx.bipartite.sets(h))
+            c = sympy.Matrix(len(top), len(bottom), lambda i, j: int(h.has_edge(top[i], bottom[j])))
+            d0 = sympy.diag(*[sympy.Rational(1, h.degree(v)) for v in top])
+            d1 = sympy.diag(*[sympy.Rational(1, h.degree(v)) for v in bottom])
+            b = 4 * d0 * c * d1 * c.T - 2 * sympy.eye(len(top))
+            expected = _sympy_wz_period(sympy, b, len(top) + len(bottom) > 2 * c.rank())
+            v = decide_periodicity(g)
+            assert (v.periodic, v.period) == expected, g
+            outcomes.append(v.periodic)
+        assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
+
+    def test_grover_not_regular(self):
+        sympy = pytest.importorskip("sympy")
+        outcomes = []
+        for g in NOT_REGULAR:
+            deg = g.degrees()
+            # U_GW(g) is the bipartite walk of S(g): 4M - 2I = 2 D^-1 A on
+            # the original vertices, C the vertex-edge incidence matrix
+            a = sympy.Matrix(adjacency_matrix(g))
+            b = 2 * sympy.diag(*[sympy.Rational(1, d) for d in deg]) * a
+            inc = sympy.Matrix(g.n, g.num_edges, lambda i, j: int(i in g.edges[j]))
+            expected = _sympy_wz_period(sympy, b, g.n + g.num_edges > 2 * inc.rank())
+            v = decide_periodicity(g, "grover")
+            assert (v.periodic, v.period) == expected, g
+            outcomes.append(v.periodic)
+        assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
