@@ -270,8 +270,9 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return self.coeffs[-1] == 1
 
-    def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
+    def __call__(self, x: RationalLike) -> RationalLike:
+        """Horner's rule: an int at an integer, a Fraction at a Fraction."""
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -411,6 +412,33 @@ def cyclotomic(k: int, real: bool = False) -> IntPolynomial:
     return IntPolynomial(tuple(psi))
 
 
+@lru_cache(maxsize=None)
+def _orders_of_totient_at_most(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (k, phi(k)) with phi(k) <= n, k ascending.
+
+    phi is multiplicative with phi(p^e) = p^(e-1) (p - 1), so every such k
+    is a product of powers of primes p <= n + 1; they are built one prime
+    at a time, ascending, while the product of the phi(p^e) stays <= n.
+    """
+    primes = [p for p in range(2, n + 2) if all(p % d for d in range(2, isqrt(p) + 1))]
+    found: list[tuple[int, int]] = []
+
+    def extend(k: int, phi: int, i: int) -> None:
+        found.append((k, phi))
+        for j in range(i, len(primes)):
+            p = primes[j]
+            q, f = p, phi * (p - 1)
+            if f > n:
+                break
+            while f <= n:
+                extend(k * q, f, j + 1)
+                q, f = q * p, f * p
+
+    if n >= 1:
+        extend(1, 1, 0)
+    return tuple(sorted(found))
+
+
 def cyclotomic_factors(
     p: IntPolynomial, real: bool = False
 ) -> tuple[dict[int, int], IntPolynomial]:
@@ -418,19 +446,20 @@ def cyclotomic_factors(
     p = rest * prod Phi_k^(m_k) and no Phi_k dividing rest (Psi_k with
     real=True).
 
-    Phi_k has degree phi(k), Psi_k degree phi(k)/2 (1 for k <= 2), and
-    phi(k) >= sqrt(k) for k > 6, so only k <= max(6, N^2) can divide the
-    rest, N its degree (twice it with real=True).
+    Phi_k has degree phi(k), Psi_k degree phi(k)/2 (1 for k <= 2), so only
+    the k with phi(k) <= N can divide the rest, N its degree (twice it with
+    real=True); they are tried in ascending order.
     """
     orders: dict[int, int] = {}
-    rest, k = p, 1
-    while rest.degree > 0 and k <= max(6, (rest.degree * (1 + real)) ** 2):
-        if _totient(k) <= rest.degree * (1 + real):
+    rest = p
+    for k, phi in _orders_of_totient_at_most(p.degree * (1 + real)):
+        if rest.degree == 0:
+            break
+        if phi <= rest.degree * (1 + real):
             quo, rem = poly_divmod_monic(rest, cyclotomic(k, real))
             while rem.is_zero:
                 rest, orders[k] = quo, orders.get(k, 0) + 1
                 quo, rem = poly_divmod_monic(rest, cyclotomic(k, real))
-        k += 1
     return orders, rest
 
 
@@ -566,19 +595,19 @@ class HigherDegreeFactor(Exception):
     non-real quadratic factor, which is equally outside scope)."""
 
 
-def _integer_roots(p: IntPolynomial) -> list[int]:
-    """Candidate integer roots of a monic integer polynomial (divisors of
-    the constant term, after stripping powers of x)."""
-    c0 = p.coeffs[0]
-    if c0 == 0:
-        return [0]
-    cands = set()
+def _signed_divisors(n: int) -> list[int]:
+    """The divisors of n != 0 of both signs, by absolute value, d before
+    -d, by trial division."""
+    n = abs(n)
+    small, large = [], []
     d = 1
-    while d * d <= abs(c0):
-        if c0 % d == 0:
-            cands.update({d, -d, c0 // d, -(c0 // d)})
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
         d += 1
-    return sorted(cands, key=abs)
+    return [x for d in small + large[::-1] for x in (d, -d)]
 
 
 def _iroot_ceil(a: int, k: int) -> int:
@@ -627,8 +656,10 @@ def roots_degree_le2(p: IntPolynomial) -> list[tuple[QuadraticValue, int]]:
     progress = True
     while rem.degree > 0 and progress:
         progress = False
-        for r in _integer_roots(rem):
-            while rem.degree > 0 and rem(Fraction(r)) == 0:
+        # rational roots of a monic integer polynomial divide its constant
+        # term, which stays nonzero once the powers of x are stripped
+        for r in _signed_divisors(rem.coeffs[0]):
+            while rem.degree > 0 and rem(r) == 0:
                 rem = poly_divmod_monic(rem, IntPolynomial.from_coeffs([-r, 1]))[0]
                 record(QuadraticValue.rational(r))
                 progress = True
@@ -639,16 +670,18 @@ def roots_degree_le2(p: IntPolynomial) -> list[tuple[QuadraticValue, int]]:
         # every root has |z| <= B (Cauchy and Fujiwara bounds, the smaller
         # one), so a factor's coefficients have |beta| <= 2B, |gamma| <= B^2
         bound = min(1 + max(abs(c) for c in rem.coeffs[:-1]), _fujiwara_bound(rem))
-        c0 = rem.coeffs[0]  # nonzero: all rational roots were stripped
-        divisors = set()
-        d = 1
-        while d * d <= abs(c0):
-            if c0 % d == 0:
-                divisors.update({d, -d, abs(c0) // d, -(abs(c0) // d)})
-            d += 1
-        gammas = sorted((g for g in divisors if abs(g) <= bound * bound), key=abs)
+        gammas = [g for g in _signed_divisors(rem.coeffs[0]) if abs(g) <= bound * bound]
+        # Kronecker's evaluation test: f | rem in Z[x] makes f(t) divide
+        # rem(t) for every integer t, and rem(t) != 0 as no integer root is
+        # left, so f(t) != 0 too; four remainders reject almost every
+        # candidate f before the division that decides it
+        r1, r_1, r2, r_2 = rem(1), rem(-1), rem(2), rem(-2)
         for gamma in gammas:
+            g1, g2 = 1 + gamma, 4 + gamma  # f(+-1) = g1 +- beta, f(+-2) = g2 +- 2 beta
             for beta in range(-2 * bound, 2 * bound + 1):
+                f1, f_1, f2, f_2 = g1 + beta, g1 - beta, g2 + 2 * beta, g2 - 2 * beta
+                if not (f1 and f_1 and f2 and f_2) or r1 % f1 or r_1 % f_1 or r2 % f2 or r_2 % f_2:
+                    continue
                 q = IntPolynomial.from_coeffs([gamma, beta, 1])
                 quo, r = poly_divmod_monic(rem, q)
                 if r.is_zero:

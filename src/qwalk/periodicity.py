@@ -299,11 +299,11 @@ def grover_regular_test(g: Graph) -> SpectralVerdict:
     up lambda + d in allowed_value_table(2, d).  The allowed lambda are
     0, +-d, +-d/2, +-sqrt2/2 d, +-sqrt3/2 d and (+-1 +- sqrt5)/4 d.
     """
+    if not g.is_connected():
+        raise GraphError("graph is disconnected")
     degs = set(g.degrees())
     if len(degs) != 1:
         raise GraphError("grover test requires a regular graph")
-    if not g.is_connected():
-        raise GraphError("graph is disconnected")
     d = degs.pop()
     return _classify(char_poly(adjacency_matrix(g)), 2, d, shift=d)
 

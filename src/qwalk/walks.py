@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .exact import RationalMatrix, mat_mul, mat_pow
@@ -247,7 +247,13 @@ def block_identity_check(g: Graph, k: int, b: Optional[Bipartition] = None) -> b
 
 
 def _entries_to_strings(m: RationalMatrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.data]
+    """str(Fraction(x, den)) for each numerator x, formatted from the
+    integers with one gcd per entry."""
+    den = m.den
+    return [
+        [str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for x in row]
+        for row in m.num
+    ]
 
 
 def _entries_from_strings(rows: list[list[str]]) -> RationalMatrix:

@@ -1,13 +1,16 @@
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
+from pathlib import Path
 from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qwalk.exact
 from qwalk.exact import (
     DimensionError,
     HigherDegreeFactor,
@@ -15,6 +18,8 @@ from qwalk.exact import (
     NonIntegralPolynomial,
     QuadraticValue,
     RationalMatrix,
+    _fujiwara_bound,
+    _orders_of_totient_at_most,
     _totient,
     char_poly,
     cyclotomic,
@@ -31,6 +36,8 @@ from qwalk.exact import (
     roots_degree_le2,
     square_free_part,
 )
+from qwalk.graphs import Graph, bipartite_double_cover, heawood_graph, petersen_graph
+from qwalk.periodicity import grover_regular_test, spectral_test_biregular
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -375,6 +382,185 @@ def test_roots_agree_with_sympy_factorization(seed):
 
 
 # ---------------------------------------------------------------------------
+# The residue-filtered quadratic search, against the exhaustive one
+# ---------------------------------------------------------------------------
+
+
+def _exhaustive_roots_degree_le2(p: IntPolynomial) -> list[tuple[QuadraticValue, int]]:
+    """roots_degree_le2 before its residue filter: one polynomial division
+    for every gamma | c0 and every beta in the window, kept as an oracle
+    for the search order, the roots and the messages."""
+    rem = p
+    roots: dict[QuadraticValue, int] = {}
+
+    def record(v: QuadraticValue) -> None:
+        roots[v] = roots.get(v, 0) + 1
+
+    def divisors(c0: int) -> list[int]:
+        found = set()
+        d = 1
+        while d * d <= abs(c0):
+            if c0 % d == 0:
+                found.update({d, -d, abs(c0) // d, -(abs(c0) // d)})
+            d += 1
+        return sorted(found, key=abs)
+
+    while rem.degree > 0 and rem.coeffs[0] == 0:
+        rem = poly_divmod_monic(rem, IntPolynomial.from_coeffs([0, 1]))[0]
+        record(QuadraticValue.rational(0))
+    progress = True
+    while rem.degree > 0 and progress:
+        progress = False
+        for r in divisors(rem.coeffs[0]):
+            while rem.degree > 0 and rem(Fraction(r)) == 0:
+                rem = poly_divmod_monic(rem, IntPolynomial.from_coeffs([-r, 1]))[0]
+                record(QuadraticValue.rational(r))
+                progress = True
+    while rem.degree >= 2:
+        found = False
+        bound = min(1 + max(abs(c) for c in rem.coeffs[:-1]), _fujiwara_bound(rem))
+        for gamma in (g for g in divisors(rem.coeffs[0]) if abs(g) <= bound * bound):
+            for beta in range(-2 * bound, 2 * bound + 1):
+                quo, r = poly_divmod_monic(rem, IntPolynomial.from_coeffs([gamma, beta, 1]))
+                if r.is_zero:
+                    disc = beta * beta - 4 * gamma
+                    if disc <= 0:
+                        raise HigherDegreeFactor(f"non-real quadratic factor x^2+{beta}x+{gamma}")
+                    s, f = square_free_part(disc)
+                    if s == 1:
+                        continue
+                    record(QuadraticValue.of(Fraction(-beta, 2), Fraction(f, 2), s))
+                    record(QuadraticValue.of(Fraction(-beta, 2), -Fraction(f, 2), s))
+                    rem, found = quo, True
+                    break
+            if found:
+                break
+        if not found:
+            raise HigherDegreeFactor(f"no degree<=2 factor of residual {rem.coeffs}")
+    if rem.degree == 1:
+        record(QuadraticValue.rational(-rem.coeffs[0]))
+    return sorted(roots.items(), key=lambda kv: (kv[0].m, kv[0].a, kv[0].b))
+
+
+def _outcome(search, p: IntPolynomial):
+    try:
+        return search(p)
+    except HigherDegreeFactor as exc:
+        return f"HigherDegreeFactor: {exc}"
+
+
+def _product(factors: list[list[int]]) -> IntPolynomial:
+    p = [1]
+    for f in factors:
+        p = _times(p, tuple(f))
+    return IntPolynomial.from_coeffs(p)
+
+
+def _irrational_quadratic(rng: random.Random, lo: int, hi: int) -> list[int]:
+    """(x - m)^2 - k with m in +-[lo, hi] and k > 0 no square: roots m +- sqrt k."""
+    while True:
+        m, k = rng.choice([-1, 1]) * rng.randint(lo, hi), rng.randint(2, 12)
+        if square_free_part(k)[0] != 1:
+            return [m * m - k, -2 * m, 1]
+
+
+def _seeded_factors(seed: int) -> list[list[int]]:
+    """Monic factors, ascending coefficients: integer roots (the residue
+    points +-1, +-2 among them), irrational and complex quadratics, wide
+    quadratics with |beta| up to the root bound B (half the window
+    |beta| <= 2B), repeated and reducible quadratics, and irreducible
+    cubics."""
+    rng = random.Random(seed)
+    kinds = ["linear", "irrational", "wide", "repeated", "reducible", "complex", "cubic"]
+    factors: list[list[int]] = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choices(kinds, [3, 3, 2, 1, 1, 1, 1])[0]
+        if kind == "linear":
+            factors.append([-rng.randint(-5, 5), 1])
+        elif kind == "irrational":
+            factors.append(_irrational_quadratic(rng, 0, 4))
+        elif kind == "wide":
+            # with its mirror f(-x) the roots sum to 0, which lowers the
+            # Fujiwara bound toward the largest root
+            f = _irrational_quadratic(rng, 6, 12)
+            factors += [f, [f[0], -f[1], 1]] if rng.random() < 0.5 else [f]
+        elif kind == "repeated":
+            factors += [_irrational_quadratic(rng, 0, 5)] * rng.randint(2, 3)
+        elif kind == "reducible":
+            a, b = rng.randint(-6, 6), rng.randint(-6, 6)
+            factors.append([a * b, -a - b, 1])
+        elif kind == "complex":
+            b = rng.randint(-4, 4)
+            factors.append([rng.randint(b * b // 4 + 1, b * b // 4 + 9), b, 1])
+        else:
+            factors.append([rng.choice([-3, -2, 2, 3, 5]), rng.randint(-3, 3), 0, 1])
+    return factors
+
+
+@pytest.mark.parametrize("block", range(8))
+def test_filtered_search_agrees_with_exhaustive_search(block):
+    """Same roots, multiplicities and messages on 240 seeded polynomials."""
+    widest = 0.0
+    for seed in range(30 * block, 30 * block + 30):
+        p = _product(_seeded_factors(seed))
+        assert _outcome(roots_degree_le2, p) == _outcome(_exhaustive_roots_degree_le2, p), seed
+        for f in _seeded_factors(seed):
+            if len(f) == 3:
+                widest = max(widest, abs(f[1]) / (2 * _fujiwara_bound(p)))
+    # every block has a factor with |beta| past 0.3 of the window 2B
+    assert widest > 0.3
+
+
+def _cover_char_polys() -> list[IntPolynomial]:
+    """The char-polys the spectral table factors on the double covers of
+    the 17 non-bipartite cubic graphs on 10 vertices, on Heawood, and on
+    Petersen's Grover walk."""
+    data = json.loads((Path(__file__).parent.parent / "perfbench" / "cubic10.json").read_text())
+    chis = [spectral_test_biregular(*bipartite_double_cover(Graph.from_edges(10, e))).chi for e in data]
+    return chis + [spectral_test_biregular(heawood_graph()).chi, grover_regular_test(petersen_graph()).chi]
+
+
+def _cover90_char_poly() -> IntPolynomial:
+    """The Gram char-poly of the 90-edge double cover of networkx's
+    random_regular_graph(3, 30, seed=0); it has no factor of degree <= 2
+    past its integer roots."""
+    nx = pytest.importorskip("networkx")
+    h = nx.random_regular_graph(3, 30, seed=0)
+    return spectral_test_biregular(*bipartite_double_cover(Graph.from_edges(30, h.edges()))).chi
+
+
+def test_filtered_search_agrees_on_cover_char_polys():
+    chis = _cover_char_polys()
+    assert len(chis) == 19
+    for chi in chis + [_cover90_char_poly()]:
+        assert _outcome(roots_degree_le2, chi) == _outcome(_exhaustive_roots_degree_le2, chi)
+
+
+def test_filtered_search_divides_rarely(monkeypatch):
+    """The residue filter leaves few candidates to divide by: 11 divisions
+    on the 90-edge cover, against 32,451 for the exhaustive search."""
+    chi = _cover90_char_poly()
+    calls = 0
+    divide = qwalk.exact.poly_divmod_monic
+
+    def counted(p, d):
+        nonlocal calls
+        calls += 1
+        return divide(p, d)
+
+    monkeypatch.setattr(qwalk.exact, "poly_divmod_monic", counted)
+    with pytest.raises(HigherDegreeFactor, match="^no degree<=2 factor of residual"):
+        roots_degree_le2(chi)
+    assert 0 < calls <= 50
+
+
+def test_integer_horner():
+    p = IntPolynomial.from_coeffs([-6, 11, -6, 1])
+    assert p(4) == 6 and type(p(4)) is int
+    assert p(Fraction(1, 2)) == Fraction(-15, 8)
+
+
+# ---------------------------------------------------------------------------
 # Local minimal polynomials, against sympy
 # ---------------------------------------------------------------------------
 
@@ -524,7 +710,8 @@ def test_cyclotomic_polynomials_match_sympy():
 
 
 def test_totient_bound_behind_the_search():
-    # cyclotomic_factors tries k <= max(6, N^2): phi(k) >= sqrt(k) past 6
+    # every k with phi(k) <= N has k <= max(6, N^2), the range
+    # test_orders_of_totient_at_most searches: phi(k) >= sqrt(k) past 6
     assert all(_totient(k) ** 2 >= k for k in range(7, 20000))
 
 
@@ -550,6 +737,25 @@ def test_cyclotomic_factors_agree_with_sympy(seed, real):
     p[rng.randrange(len(p) - 1)] += rng.choice([-2, -1, 1, 2])
     perturbed = IntPolynomial.from_coeffs(p)
     assert cyclotomic_factors(perturbed, real) == _sympy_cyclotomic_split(sympy, perturbed, real)
+
+
+def test_cyclotomic_factors_of_degree_60_agree_with_sympy():
+    """A random monic degree-60 polynomial, alone and times Psi_7 Psi_9^2
+    Psi_1: with real=True every k with phi(k) <= 120 is a candidate."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(60)
+    p = [rng.randint(-5, 5) for _ in range(60)] + [1]
+    for q in (
+        IntPolynomial.from_coeffs(p),
+        _product([p, *(list(cyclotomic(k, real=True).coeffs) for k in (7, 9, 9, 1))]),
+    ):
+        assert cyclotomic_factors(q, real=True) == _sympy_cyclotomic_split(sympy, q, real=True)
+
+
+def test_orders_of_totient_at_most():
+    for n in (0, 1, 2, 3, 12, 48, 120):
+        expected = [(k, _totient(k)) for k in range(1, max(6, n * n) + 1) if _totient(k) <= n]
+        assert list(_orders_of_totient_at_most(n)) == expected
 
 
 @pytest.mark.parametrize("seed", range(20))

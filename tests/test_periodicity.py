@@ -8,6 +8,7 @@ import pytest
 from qwalk.exact import QuadraticValue, RationalMatrix, char_poly, mat_mul, mat_pow
 from qwalk.graphs import (
     Graph,
+    GraphError,
     adjacency_matrix,
     bipartite_double_cover,
     circulant,
@@ -165,6 +166,17 @@ class TestGroverRegular:
 
     def test_cycle_periodic(self):
         assert grover_regular_test(cycle(6)).status == "periodic"
+
+    def test_disconnected_rejected_before_degrees(self, monkeypatch):
+        """A million declared vertices and one edge: rejected on the edge
+        count, with no per-vertex degree list."""
+
+        def no_degrees(self):
+            raise AssertionError("degrees built before the connectivity check")
+
+        monkeypatch.setattr(Graph, "degrees", no_degrees)
+        with pytest.raises(GraphError, match="^graph is disconnected$"):
+            grover_regular_test(Graph.from_edges(10**6, [(0, 1)]))
 
 
 class TestPeriodDoubling:

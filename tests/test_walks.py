@@ -1,21 +1,27 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwalk.exact import RationalMatrix, mat_mul, mat_pow
 from qwalk.graphs import (
     Graph,
     GraphError,
     bipartition,
+    circulant,
     complete_bipartite,
     cycle,
     figure1_graph,
     figure4a_graph,
+    heawood_graph,
     is_bipartite,
     petersen_graph,
 )
 from qwalk.walks import (
+    _entries_to_strings,
     block_identity_check,
     build_bipartite_walk,
     build_grover_walk,
@@ -178,3 +184,34 @@ class TestStructuralIdentities:
         u_gw = build_grover_walk(g).U
         assert mat_pow(u_gw, 6).is_identity()
         assert not mat_pow(u_gw, 3).is_identity()
+
+
+class TestSerialization:
+    @given(
+        st.lists(
+            st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=30), min_size=3, max_size=3),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_entries_match_fraction_strings(self, rows):
+        m = RationalMatrix(rows)
+        assert _entries_to_strings(m) == [[str(Fraction(x, m.den)) for x in row] for row in m.num]
+
+    def test_walk_json_is_frozen(self):
+        """The walk documents of seven graphs, byte for byte."""
+        digest = hashlib.sha256()
+        for g, bipartite in (
+            (figure4a_graph(), True),
+            (cycle(8), True),
+            (complete_bipartite(3, 3), True),
+            (complete_bipartite(4, 4), True),
+            (heawood_graph(), True),
+            (petersen_graph(), False),
+            (circulant(10, [1, 4, -1, -4]), False),
+        ):
+            if bipartite:
+                digest.update(walk_to_json(build_bipartite_walk(g)).encode())
+            digest.update(grover_to_json(build_grover_walk(g)).encode())
+        assert digest.hexdigest() == "611f485a76fe5c859e30cbefd6015b5f71f8ad138f247cea8a2fc5996bb50e78"
