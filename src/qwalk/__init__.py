@@ -1,5 +1,9 @@
 """qwalk: bipartite and Grover quantum walk operators with exact
-periodicity certification."""
+periodicity certification.
+
+The numeric eigenanalysis in qwalk.spectral needs numpy and is not
+imported here; import it by name.  Nothing else in the package uses numpy.
+"""
 
 __version__ = "0.1.0"
 
@@ -23,6 +27,7 @@ from .graphs import (
     Graph,
     GraphError,
     NotBipartiteError,
+    NotBiregularError,
     biadjacency,
     bipartite_double_cover,
     bipartition,
@@ -58,18 +63,6 @@ from .periodicity import (
     trace_test,
 )
 from .scan import enumerate_biregular, scan_periodicity
-from .spectral import (
-    EigenphaseSet,
-    NotBiregularError,
-    complex_eigenprojection,
-    eigenvalue_support,
-    line_graph_spectrum,
-    pm1_eigenspace_dims,
-    subdivision_spectrum,
-    sym_eig,
-    unitary_idempotents,
-    walk_phases_from_graph,
-)
 from .walks import (
     ArcWalkOperator,
     ConstructionError,

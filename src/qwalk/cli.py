@@ -3,9 +3,11 @@
 Subcommands: gen, walk, period, scan, verify.  Structured output is JSON
 Lines (one object per line); --pretty switches to human-readable text.
 
-`period` decides by the integrality of q(y) = det(yI - (4M - 2I)) and
-cross-checks by the trace test, U^tau = I and the spectral table; every
-connected input gets a definite verdict.
+`period` decides by the integrality of q(y) = det(yI - (4M - 2I)); a
+periodic verdict is certified by U^tau = I with minimality, a non-periodic
+one carries the first non-integral tr(U^k), k <= 12, if there is one, and
+the spectral table's orders must agree with q.  Every connected input gets
+a definite verdict.
 
 Exit codes: 0 periodic / success, 3 non-periodic, 5 internal method
 disagreement, 1 usage or input error.

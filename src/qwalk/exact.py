@@ -143,36 +143,45 @@ class RationalMatrix:
 
 
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    """Row-sparse integer product: each nonzero a[i][k] adds its multiple
-    of the nonzeros of row k of b; one reduction over den(a)*den(b)."""
+    """Exact product: the integer product of the numerators, reduced once
+    over den(a)*den(b)."""
     if a.cols != b.rows:
         raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    n = b.cols
-    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b.num]
+    return RationalMatrix.from_numerators(_int_product(a.num, b.num, b.cols), a.den * b.den)
+
+
+def _int_product(
+    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], cols: int
+) -> list[list[int]]:
+    """Row-sparse product of integer matrices, b with `cols` columns: each
+    nonzero a[i][k] adds its multiple of the nonzeros of row k of b."""
+    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
-    for row in a.num:
-        acc = [0] * n
+    for row in a:
+        acc = [0] * cols
         for k, x in enumerate(row):
             if x:
                 for j, y in sparse_b[k]:
                     acc[j] += x * y
         out.append(acc)
-    return RationalMatrix.from_numerators(out, a.den * b.den)
+    return out
 
 
 def mat_pow(a: RationalMatrix, k: int) -> RationalMatrix:
-    """Exact k-th power by binary exponentiation."""
+    """Exact k-th power by binary exponentiation from the leading bit of k:
+    it starts from a itself, squares once per further bit, and multiplies
+    by a, on the right, where the bit is set."""
     if not a.is_square:
         raise DimensionError("power of non-square matrix")
     if k < 0:
         raise ValueError("negative exponent")
-    result = RationalMatrix.identity(a.rows)
-    base = a
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if k > 1 else base
-        k >>= 1
+    if k == 0:
+        return RationalMatrix.identity(a.rows)
+    result = a
+    for bit in bin(k)[3:]:
+        result = mat_mul(result, result)
+        if bit == "1":
+            result = mat_mul(result, a)
     return result
 
 
@@ -308,25 +317,23 @@ def poly_divmod_monic(p: IntPolynomial, d: IntPolynomial) -> tuple[IntPolynomial
 def char_poly(m: Sequence[Sequence[int]]) -> IntPolynomial:
     """Monic characteristic polynomial det(xI - M) of an integer matrix.
 
-    Faddeev-LeVerrier over exact rationals; the divisions are by integers
-    and the result is asserted integral.
+    Faddeev-LeVerrier on the integer rows: M_1 = M, c_(n-k) = -tr(M_k)/k,
+    M_(k+1) = M (M_k + c_(n-k) I).  Every M_k is an integer matrix and
+    every division by k is exact; the remainder is asserted to be 0.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise DimensionError("matrix is not square")
-    a = RationalMatrix(m)
-    # c[n] = 1; M_1 = A; c_{n-k} = -tr(A M_k)/k; M_{k+1} = A M_k + c_{n-k} I
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = RationalMatrix.identity(n)
+    coeffs = [0] * n + [1]
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        mk = mat_mul(a, mk)
-        ck = -mk.trace() / k
+        mk = _int_product(m, mk, n)
+        ck, r = divmod(-sum(row[i] for i, row in enumerate(mk)), k)
+        assert r == 0, "char poly must be integral"
         coeffs[n - k] = ck
-        if k < n:
-            mk = mk.add(RationalMatrix.identity(n).scale(ck))
-    assert all(c.denominator == 1 for c in coeffs), "char poly must be integral"
-    return IntPolynomial.from_coeffs([int(c) for c in coeffs])
+        for i, row in enumerate(mk):
+            row[i] += ck
+    return IntPolynomial.from_coeffs(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -595,16 +602,17 @@ class HigherDegreeFactor(Exception):
     non-real quadratic factor, which is equally outside scope)."""
 
 
-def _signed_divisors(n: int) -> list[int]:
-    """The divisors of n != 0 of both signs, by absolute value, d before
-    -d, by trial division."""
+def _signed_divisors(n: int, cap: int) -> list[int]:
+    """The divisors d of n != 0 with |d| <= cap, of both signs, by absolute
+    value, d before -d.  Trial division runs to min(cap, sqrt|n|): past
+    sqrt|n| only the cofactors n/d of smaller divisors are left."""
     n = abs(n)
     small, large = [], []
     d = 1
-    while d * d <= n:
+    while d <= cap and d * d <= n:
         if n % d == 0:
             small.append(d)
-            if d * d != n:
+            if d * d != n and n // d <= cap:
                 large.append(n // d)
         d += 1
     return [x for d in small + large[::-1] for x in (d, -d)]
@@ -629,6 +637,11 @@ def _fujiwara_bound(p: IntPolynomial) -> int:
     |z| <= 2 max_k |a_(n-k)|^(1/k) (Fujiwara), k-th roots rounded up."""
     n = p.degree
     return 2 * max(_iroot_ceil(abs(p.coeffs[n - k]), k) for k in range(1, n + 1))
+
+
+def _root_bound(p: IntPolynomial) -> int:
+    """The smaller of the Cauchy and Fujiwara bounds on the roots of p."""
+    return min(1 + max(abs(c) for c in p.coeffs[:-1]), _fujiwara_bound(p))
 
 
 def roots_degree_le2(p: IntPolynomial) -> list[tuple[QuadraticValue, int]]:
@@ -657,8 +670,9 @@ def roots_degree_le2(p: IntPolynomial) -> list[tuple[QuadraticValue, int]]:
     while rem.degree > 0 and progress:
         progress = False
         # rational roots of a monic integer polynomial divide its constant
-        # term, which stays nonzero once the powers of x are stripped
-        for r in _signed_divisors(rem.coeffs[0]):
+        # term, which stays nonzero once the powers of x are stripped, and
+        # lie within the root bound
+        for r in _signed_divisors(rem.coeffs[0], _root_bound(rem)):
             while rem.degree > 0 and rem(r) == 0:
                 rem = poly_divmod_monic(rem, IntPolynomial.from_coeffs([-r, 1]))[0]
                 record(QuadraticValue.rational(r))
@@ -667,10 +681,10 @@ def roots_degree_le2(p: IntPolynomial) -> list[tuple[QuadraticValue, int]]:
     # peel irreducible monic integer quadratics x^2 + beta*x + gamma
     while rem.degree >= 2:
         found = False
-        # every root has |z| <= B (Cauchy and Fujiwara bounds, the smaller
-        # one), so a factor's coefficients have |beta| <= 2B, |gamma| <= B^2
-        bound = min(1 + max(abs(c) for c in rem.coeffs[:-1]), _fujiwara_bound(rem))
-        gammas = [g for g in _signed_divisors(rem.coeffs[0]) if abs(g) <= bound * bound]
+        # every root has |z| <= B, so a factor's coefficients have
+        # |beta| <= 2B, |gamma| <= B^2
+        bound = _root_bound(rem)
+        gammas = _signed_divisors(rem.coeffs[0], bound * bound)
         # Kronecker's evaluation test: f | rem in Z[x] makes f(t) divide
         # rem(t) for every integer t, and rem(t) != 0 as no integer root is
         # left, so f(t) != 0 too; four remainders reject almost every

@@ -21,6 +21,10 @@ class NotBipartiteError(GraphError):
     """Raised when a 2-coloring is requested for a non-bipartite graph."""
 
 
+class NotBiregularError(GraphError):
+    """Operation requires a biregular bipartite graph."""
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with a canonical edge list."""

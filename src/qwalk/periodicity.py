@@ -6,16 +6,19 @@ biadjacency block C.  q is monic with every root in [-2, 2], so the walk
 is periodic iff q has integer coefficients (Kronecker, 1857), and then q
 is a product of the minimal polynomials Psi_k of 2cos(2 pi / k): the
 period is the lcm of those k, with 2 when the walk has a -1 eigenvector.
-That decides; three exact routes cross-check it, each run once:
 
-1. trace test      -- integrality of tr(U^k) for k <= TRACE_DEPTH;
-2. exact oracle    -- U^tau = I, with minimality, on the same pass over the
-                      powers of U;
-3. spectral table  -- the paper's characterization for biregular graphs:
-                      every squared adjacency eigenvalue lies in the closed
-                      allowed-value table, whose orders 1,2,3,4,6 (degree
-                      one) and 5,8,10,12 (degree two) are the k of the
-                      Psi_k of degree at most two.
+That decides, and each verdict carries one certificate computed from U:
+
+- periodic: U^tau = I by square-and-multiply, and U^(tau/p) != I for each
+  prime p | tau (_certified_order).  Every eigenvalue is then a root of
+  unity, so every tr(U^k) is a rational algebraic integer, an integer: the
+  trace test could not fail and is not run;
+- non-periodic: the first non-integral tr(U^k), k <= TRACE_DEPTH, if any.
+
+The spectral table is the paper's characterization for biregular graphs:
+every squared adjacency eigenvalue lies in the allowed-value table, the
+image of the roots of the Psi_k of degree <= 2 (k = 1, 2, 3, 4, 5, 6, 8,
+10, 12).  Its orders must be those of q.
 
 Per-state periodicity is exact too: an integrality test on the local
 minimal polynomial of the state (see state_periodicity).
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Optional
 
@@ -34,7 +38,10 @@ from .exact import (
     NonIntegralPolynomial,
     QuadraticValue,
     RationalMatrix,
+    _orders_of_totient_at_most,
+    _prime_factors,
     char_poly,
+    cyclotomic,
     cyclotomic_factors,
     local_minimal_polynomial,
     mat_mul,
@@ -46,12 +53,12 @@ from .graphs import (
     Bipartition,
     Graph,
     GraphError,
+    NotBiregularError,
     adjacency_matrix,
     biadjacency,
     bipartition,
     degree_profile,
 )
-from .spectral import NotBiregularError
 from .walks import WalkOperator, build_bipartite_walk, build_grover_walk
 
 TRACE_DEPTH = 12  # tr(U^k) is checked for k <= TRACE_DEPTH
@@ -66,30 +73,28 @@ class MethodDisagreement(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _psi_roots() -> tuple[tuple[QuadraticValue, int], ...]:
+    """(y, k) for every root y = 2cos(2 pi j / k) of a Psi_k of degree at
+    most two: the k with phi(k) <= 4, k ascending."""
+    return tuple(
+        (y, k)
+        for k, _ in _orders_of_totient_at_most(4)
+        for y, _ in roots_degree_le2(cyclotomic(k, real=True))
+    )
+
+
 def allowed_value_table(d0: int, d1: int) -> list[tuple[QuadraticValue, int]]:
     """Squared-eigenvalue values admitting a periodic walk, with the
     cyclotomic order of the corresponding walk eigenvalue.
 
-    Degree-one entries: {0, 1/4, 1/2, 3/4, 1} * d0*d1.
-    Degree-two entries: {1/2 +- sqrt2/4, 1/2 +- sqrt3/4, (5 +- sqrt5)/8,
-    (3 +- sqrt5)/8} * d0*d1.
+    A walk eigenvalue of order k sits at x = d0*d1 (y + 2)/4 for a root y
+    of Psi_k; the 13 roots of degree at most two give {0, 1/4, 1/2, 3/4,
+    1} * d0*d1 and {1/2 +- sqrt2/4, 1/2 +- sqrt3/4, (5 +- sqrt5)/8,
+    (3 +- sqrt5)/8} * d0*d1, of orders 1, 2, 3, 4, 6 and 8, 12, 10, 5.
     """
-    dd = d0 * d1
-    table: list[tuple[QuadraticValue, int]] = [
-        (QuadraticValue.rational(dd), 1),            # cos = 1
-        (QuadraticValue.rational(0), 2),             # cos = -1
-        (QuadraticValue.rational(Fraction(dd, 2)), 4),       # cos = 0
-        (QuadraticValue.rational(Fraction(3 * dd, 4)), 6),   # cos = 1/2
-        (QuadraticValue.rational(Fraction(dd, 4)), 3),       # cos = -1/2
-    ]
-    for sign in (1, -1):
-        table.append((QuadraticValue.of(Fraction(dd, 2), sign * Fraction(dd, 4), 2), 8))
-        table.append((QuadraticValue.of(Fraction(dd, 2), sign * Fraction(dd, 4), 3), 12))
-        # (5 +- sqrt5)/8 * dd  ->  cos = +-(sqrt5+1)/4 - ... order 10
-        table.append((QuadraticValue.of(Fraction(5 * dd, 8), sign * Fraction(dd, 8), 5), 10))
-        # (3 +- sqrt5)/8 * dd  ->  cos = +-(sqrt5-1)/4, order 5
-        table.append((QuadraticValue.of(Fraction(3 * dd, 8), sign * Fraction(dd, 8), 5), 5))
-    return table
+    s = Fraction(d0 * d1, 4)
+    return [(QuadraticValue.of((y.a + 2) * s, y.b * s, y.m), k) for y, k in _psi_roots()]
 
 
 # ---------------------------------------------------------------------------
@@ -156,31 +161,8 @@ def period_from_phases(g: Graph, b: Optional[Bipartition] = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact oracle and trace test
+# Certificates from U: the order of U, and the trace test
 # ---------------------------------------------------------------------------
-
-
-def _power_pass(
-    u: RationalMatrix, trace_depth: int, identity_depth: int
-) -> tuple[Optional[tuple[int, Fraction]], Optional[int]]:
-    """One walk over U, U^2, ...: the first (k, tr U^k) with a non-integral
-    trace for k <= trace_depth, and the least k <= identity_depth with
-    U^k = I.  It stops at the identity (every later power repeats one
-    already checked) or when neither check has a power left to look at.
-    """
-    witness = None
-    power, k = u, 1
-    while True:
-        if witness is None and k <= trace_depth:
-            t = power.trace()
-            if t.denominator != 1:
-                witness = (k, t)
-        if k <= identity_depth and power.is_identity():
-            return witness, k
-        if k >= identity_depth and (witness is not None or k >= trace_depth):
-            return witness, None
-        power = mat_mul(power, u)
-        k += 1
 
 
 def _certified_order(u: RationalMatrix, c: int) -> Optional[int]:
@@ -188,16 +170,10 @@ def _certified_order(u: RationalMatrix, c: int) -> Optional[int]:
     so a descent from c over its primes finds it, O(log c) products a test."""
     if not mat_pow(u, c).is_identity():
         return None
-    tau, rest, p = c, c, 2
-    while rest > 1:
-        if p * p > rest:
-            p = rest
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            while tau % p == 0 and mat_pow(u, tau // p).is_identity():
-                tau //= p
-        p += 1
+    tau = c
+    for p in _prime_factors(c):
+        while tau % p == 0 and mat_pow(u, tau // p).is_identity():
+            tau //= p
     return tau
 
 
@@ -221,7 +197,14 @@ def trace_test(u: RationalMatrix, k_max: int = TRACE_DEPTH) -> Optional[tuple[in
     """Integrality of tr(U^k) for k = 1..k_max: a necessary condition for
     periodicity.  Returns None on pass, else the first (k, trace) witness.
     """
-    return _power_pass(u, k_max, k_max)[0]
+    power = u
+    for k in range(1, k_max + 1):
+        t = power.trace()
+        if t.denominator != 1:
+            return k, t
+        if k < k_max:
+            power = mat_mul(power, u)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +265,8 @@ def spectral_test_biregular(g: Graph, b: Optional[Bipartition] = None) -> Spectr
     """
     if b is None:
         b = bipartition(g)
+    elif not g.is_connected():
+        raise GraphError("graph is disconnected")
     prof = degree_profile(g, b)
     if not prof.is_biregular:
         raise NotBiregularError("spectral test requires a biregular graph")
@@ -365,15 +350,15 @@ class PeriodicityVerdict:
 
 def decide_periodicity(g: Graph, kind: str = "bipartite") -> PeriodicityVerdict:
     """Decide the walk of the given kind on g by the integrality of q, and
-    cross-check by the spectral table, the trace test and U^tau = I.
+    certify the verdict from U: a periodic one by U^tau = I with
+    minimality, a non-periodic one with the trace witness, if any.
 
     kind "bipartite" requires g connected bipartite; kind "grover" accepts
     any connected graph, as the bipartite walk on its subdivision S(g),
     whose classes have n and |E| vertices.  q comes from the one char-poly
     of the decision: the table's when there is one, else that of the
-    numerators of 4M - 2I.  U^tau = I is checked with minimality on the
-    powers of the trace pass up to TRACE_DEPTH and by _certified_order
-    beyond.  Contradictory answers raise MethodDisagreement.
+    numerators of 4M - 2I.  The table's orders must be those of q.
+    Contradictory answers raise MethodDisagreement.
     """
     if kind not in ("bipartite", "grover"):
         raise ValueError(f"unknown walk kind: {kind}")
@@ -410,17 +395,15 @@ def decide_periodicity(g: Graph, kind: str = "bipartite") -> PeriodicityVerdict:
         if table_orders != orders:
             raise MethodDisagreement(f"spectral table: orders {table_orders}; q: orders {orders}")
 
-    witness, v.oracle_period = _power_pass(u, TRACE_DEPTH, min(tau, TRACE_DEPTH))
-    if witness is not None:
-        v.trace_witness = (witness[0], str(witness[1]))
     if orders is None:
+        witness = trace_test(u)
+        if witness is not None:
+            v.trace_witness = (witness[0], str(witness[1]))
         return v
-    if tau > TRACE_DEPTH:
-        v.oracle_period = _certified_order(u, tau)
-    if v.trace_witness is not None or v.oracle_period != tau:
+    v.oracle_period = _certified_order(u, tau)
+    if v.oracle_period != tau:
         raise MethodDisagreement(
-            f"q gives period {tau}, but the trace witness is {v.trace_witness}"
-            f" and the least k <= {tau} with U^k = I is {v.oracle_period}"
+            f"q gives period {tau}, but the order of U certified from U^{tau} is {v.oracle_period}"
         )
     v.periodic, v.period, v.phase_period = True, tau, tau
     return v

@@ -21,6 +21,7 @@ from .graphs import (
     Bipartition,
     Graph,
     GraphError,
+    NotBiregularError,
     adjacency_matrix,
     biadjacency,
     bipartition,
@@ -33,10 +34,6 @@ from .walks import WalkOperator
 GROUP_TOL = 1e-8
 SUPPORT_TOL = 1e-8
 RECON_TOL = 1e-9
-
-
-class NotBiregularError(GraphError):
-    """Operation requires a biregular bipartite graph."""
 
 
 @dataclass(frozen=True)

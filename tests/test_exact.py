@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
@@ -20,6 +21,7 @@ from qwalk.exact import (
     RationalMatrix,
     _fujiwara_bound,
     _orders_of_totient_at_most,
+    _signed_divisors,
     _totient,
     char_poly,
     cyclotomic,
@@ -95,6 +97,23 @@ class TestRationalMatrix:
     @settings(max_examples=50, deadline=None)
     def test_mat_pow_additivity(self, a, i, j):
         assert mat_pow(a, i + j) == mat_mul(mat_pow(a, i), mat_pow(a, j))
+
+    @pytest.mark.parametrize("k,products", [(1, 0), (2, 1), (3, 2), (8, 3), (12, 4), (13, 5)])
+    def test_mat_pow_starts_from_first_factor(self, monkeypatch, k, products):
+        # floor(log2 k) squarings and one product per further set bit of k
+        a = RationalMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        expected = RationalMatrix.identity(3)
+        for _ in range(k):
+            expected = mat_mul(expected, a)
+        calls = []
+
+        def counting(x, y):
+            calls.append(1)
+            return mat_mul(x, y)
+
+        monkeypatch.setattr(qwalk.exact, "mat_mul", counting)
+        assert mat_pow(a, k) == expected
+        assert len(calls) == products
 
     @given(square_matrices(3))
     @settings(max_examples=30, deadline=None)
@@ -220,6 +239,9 @@ class TestPolynomials:
             power = mat_mul(power, a)
         assert acc == RationalMatrix.zeros(3, 3)
 
+    def test_char_poly_of_empty_matrix(self):
+        assert char_poly([]).coeffs == (1,)
+
     def test_divmod(self):
         p = IntPolynomial.from_coeffs([-6, 11, -6, 1])
         q, r = poly_divmod_monic(p, IntPolynomial.from_coeffs([-1, 1]))
@@ -340,6 +362,45 @@ def _random_factor(rng: random.Random, kind: str) -> list[int]:
             if b * b - 4 * c < 0:
                 return [c, b, 1]
     return [rng.choice([-3, -2, 2, 3, 5]), rng.randint(-3, 3), 0, 1]  # x^3 + a x + b
+
+
+@pytest.mark.parametrize("n", list(range(1, 31)))
+def test_char_poly_agrees_with_sympy(n):
+    """Faddeev-LeVerrier on integer rows against sympy's charpoly, on a
+    seeded integer matrix of each size up to 30x30: sparse for even n,
+    dense for odd n."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7000 + n)
+    density = 0.3 if n % 2 == 0 else 1.0
+    m = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+    expected = sympy.Matrix(m).charpoly(sympy.Symbol("x")).all_coeffs()
+    assert char_poly(m).coeffs == tuple(int(c) for c in reversed(expected))
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 36, 97, 360, 1024])
+def test_signed_divisors_under_a_cap(n):
+    every = [x for d in range(1, n + 1) if n % d == 0 for x in (d, -d)]
+    for cap in (1, 2, 3, 11, 12, 35, 36, 100, n, 10 * n):
+        assert _signed_divisors(n, cap) == [d for d in every if abs(d) <= cap], cap
+        assert _signed_divisors(-n, cap) == _signed_divisors(n, cap)
+
+
+def test_signed_divisors_of_a_semiprime():
+    n = 9967 * 9973
+    assert _signed_divisors(n, 9000) == [1, -1]
+    assert _signed_divisors(n, 9970) == [1, -1, 9967, -9967]
+    assert _signed_divisors(n, n) == [1, -1, 9967, -9967, 9973, -9973, n, -n]
+
+
+def test_root_search_cost_does_not_grow_with_the_constant_term():
+    # the constant term of (x - 2)^50 is 2^50; divisors are tried only up
+    # to the root bound, not up to sqrt(2^50) = 2^25
+    p = IntPolynomial.from_coeffs([1])
+    for _ in range(50):
+        p = p.mul_linear_shift(2)
+    start = time.process_time()
+    assert roots_degree_le2(p) == [(QuadraticValue.rational(2), 50)]
+    assert time.process_time() - start < 1.0
 
 
 @pytest.mark.parametrize("seed", range(40))

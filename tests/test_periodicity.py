@@ -7,6 +7,7 @@ import pytest
 
 from qwalk.exact import QuadraticValue, RationalMatrix, char_poly, mat_mul, mat_pow
 from qwalk.graphs import (
+    Bipartition,
     Graph,
     GraphError,
     adjacency_matrix,
@@ -58,6 +59,22 @@ class TestAllowedValueTable:
         assert table[QuadraticValue.rational(9)] == 1
         assert table[QuadraticValue.rational(0)] == 2
         assert table[QuadraticValue.rational(F(9, 2))] == 4
+
+    @pytest.mark.parametrize("d0,d1", [(1, 1), (2, 3), (3, 3), (4, 2), (2, 5), (7, 11)])
+    def test_matches_closed_forms(self, d0, d1):
+        # x = d0 d1 (y + 2) / 4 for y = 2cos(2 pi j / k), in closed form
+        dd = d0 * d1
+        rational = [(dd, 1), (0, 2), (F(dd, 4), 3), (F(dd, 2), 4), (F(3 * dd, 4), 6)]
+        closed = {(QuadraticValue.rational(x), k) for x, k in rational}
+        for sign in (1, -1):
+            closed |= {
+                (QuadraticValue.of(F(dd, 2), sign * F(dd, 4), 2), 8),
+                (QuadraticValue.of(F(dd, 2), sign * F(dd, 4), 3), 12),
+                (QuadraticValue.of(F(5 * dd, 8), sign * F(dd, 8), 5), 10),
+                (QuadraticValue.of(F(3 * dd, 8), sign * F(dd, 8), 5), 5),
+            }
+        table = allowed_value_table(d0, d1)
+        assert len(table) == 13 and set(table) == closed
 
     def test_golden_entries(self):
         # (3 + sqrt5)/8 * 8 = 3 + sqrt5 for the subdivided 4-regular case
@@ -131,6 +148,11 @@ class TestSpectralTest:
         assert v.status == "periodic"
         values = {str(c.value) for c in v.classifications}
         assert values == {"16", "4", "0", "6-2*sqrt(5)", "6+2*sqrt(5)"}
+
+    def test_given_bipartition_of_disconnected_graph_raises(self):
+        g = Graph.from_edges(3, [(0, 1)])
+        with pytest.raises(GraphError, match="graph is disconnected"):
+            spectral_test_biregular(g, Bipartition(frozenset({0}), frozenset({1})))
 
 
 class TestPeriodFromPhases:
@@ -454,12 +476,18 @@ PAW = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
 
 
 class TestOnePowerPass:
-    def test_cycle24_takes_eleven_products(self, monkeypatch):
-        # tau = 12: U^2 .. U^12 serve the trace test and the oracle at once
-        calls = _count_products(monkeypatch, "qwalk.periodicity")
+    def test_cycle24_certification_takes_nine_products_and_no_trace(self, monkeypatch):
+        # tau = 12: U^12 = I by square-and-multiply (4 products), then
+        # U^6 != I (3) and U^4 != I (2) for minimality; a periodic verdict
+        # rests on U^tau = I alone, so no trace is taken
+        calls = _count_products(monkeypatch, "qwalk.periodicity", "qwalk.exact")
+        traces = []
+        trace = RationalMatrix.trace
+        monkeypatch.setattr(RationalMatrix, "trace", lambda m: traces.append(m) or trace(m))
         v = decide_periodicity(cycle(24))
-        assert v.periodic is True and v.period == 12
-        assert len(calls) == 11
+        assert v.periodic is True and v.period == v.oracle_period == 12
+        assert v.trace_witness is None
+        assert len(calls) == 9 and traces == []
 
     def test_paw_spurious_candidate_is_certified_not_walked(self, monkeypatch):
         # qwalk.exact.mat_mul counts the products of mat_pow as well
