@@ -68,6 +68,7 @@ from .walks import (
     ConstructionError,
     WalkOperator,
     block_identity_check,
+    block_identity_checks,
     build_bipartite_walk,
     build_grover_walk,
     grover_equals_bipartite_on_subdivision,

@@ -44,7 +44,7 @@ from .graphs import (
 from .periodicity import MethodDisagreement, PeriodicityVerdict, decide_periodicity
 from .scan import MAX_SCAN_EDGES, scan_periodicity
 from .walks import (
-    block_identity_check,
+    block_identity_checks,
     build_bipartite_walk,
     build_grover_walk,
     grover_equals_bipartite_on_subdivision,
@@ -313,8 +313,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ok, _ = grover_equals_bipartite_on_subdivision(g)
     checks["grover_equals_bipartite_on_subdivision"] = ok
     if is_bipartite(g):
-        for k in range(1, 5):
-            checks[f"block_identity_k{k}"] = block_identity_check(g, k)
+        for k, ok in enumerate(block_identity_checks(g, 4), 1):
+            checks[f"block_identity_k{k}"] = ok
     all_ok = all(checks.values())
     if args.pretty:
         for name, passed in checks.items():

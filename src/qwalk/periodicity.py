@@ -93,8 +93,13 @@ def allowed_value_table(d0: int, d1: int) -> list[tuple[QuadraticValue, int]]:
     1} * d0*d1 and {1/2 +- sqrt2/4, 1/2 +- sqrt3/4, (5 +- sqrt5)/8,
     (3 +- sqrt5)/8} * d0*d1, of orders 1, 2, 3, 4, 6 and 8, 12, 10, 5.
     """
-    s = Fraction(d0 * d1, 4)
-    return [(QuadraticValue.of((y.a + 2) * s, y.b * s, y.m), k) for y, k in _psi_roots()]
+    return list(_allowed_values(d0 * d1).items())
+
+
+@lru_cache(maxsize=None)  # one dict per d0*d1; distinct roots y give distinct values
+def _allowed_values(d0d1: int) -> dict[QuadraticValue, int]:
+    s = Fraction(d0d1, 4)
+    return {QuadraticValue.of((y.a + 2) * s, y.b * s, y.m): k for y, k in _psi_roots()}
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +242,7 @@ def _classify(chi: IntPolynomial, d0: int, d1: int, shift: int = 0) -> SpectralV
         roots = roots_degree_le2(chi)
     except HigherDegreeFactor as exc:
         return SpectralVerdict("inconclusive", d0, d1, reason=str(exc), chi=chi)
-    table = dict(allowed_value_table(d0, d1))
+    table = _allowed_values(d0 * d1)
     offset = QuadraticValue.rational(shift)
     classifications = []
     for value, mult in roots:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .exact import RationalMatrix, mat_mul, mat_pow
+from .exact import RationalMatrix, _int_product, mat_mul
 from .graphs import (
     Bipartition,
     DegreeProfile,
@@ -61,31 +61,49 @@ def build_partitions(g: Graph, b: Bipartition) -> tuple[EdgePartition, EdgeParti
     )
 
 
-def _cell_projection(m: int, cells: Iterable[Sequence[int]]) -> RationalMatrix:
-    """Projection onto functions constant on the cells: block of 1/|cell|,
-    as integer numerators over the lcm of the cell sizes."""
+def _cell_rows(
+    m: int, cells: Iterable[Sequence[int]]
+) -> tuple[list[list[int]], list[list[int]], int]:
+    """Numerator rows of the projection onto functions constant on the
+    cells (a block of 1/|cell| per cell) and of its reflection 2P - I, over
+    one denominator, the lcm of the cell sizes."""
     cells = list(cells)
     den = lcm(1, *(len(cell) for cell in cells))
-    num = [[0] * m for _ in range(m)]
+    p = [[0] * m for _ in range(m)]
+    r = [[0] * m for _ in range(m)]
     for cell in cells:
         w = den // len(cell)
         for e in cell:
-            row = num[e]
+            prow, rrow = p[e], r[e]
             for f in cell:
-                row[f] = w
-    return RationalMatrix.from_numerators(num, den)
+                prow[f], rrow[f] = w, 2 * w
+    for i, row in enumerate(r):
+        row[i] -= den
+    return p, r, den
 
 
-def projections(
-    pi0: EdgePartition, pi1: EdgePartition, g: Graph
-) -> tuple[RationalMatrix, RationalMatrix]:
-    """Return (P, Q): P from the c1-keyed cells, Q from the c0-keyed cells.
+def _is_scaled_identity(rows: Sequence[Sequence[int]], c: int) -> bool:
+    return all(row[i] == c and row.count(0) == len(row) - 1 for i, row in enumerate(rows))
 
-    This assignment (first reflection averages over c1 endpoints) is the one
-    that reproduces the reference example matrices frozen in the test suite.
-    """
-    m = g.num_edges
-    return _cell_projection(m, pi1.cells.values()), _cell_projection(m, pi0.cells.values())
+
+def _projection(
+    m: int, cells: Iterable[Sequence[int]], name: str
+) -> tuple[RationalMatrix, list[list[int]], int]:
+    """The cell projection P, checked symmetric and idempotent (num num =
+    den num), with the numerator rows of 2P - I and their denominator."""
+    rows, refl, den = _cell_rows(m, cells)
+    p = RationalMatrix.from_numerators(rows, den)
+    if p.num != tuple(zip(*p.num)):
+        raise ConstructionError(f"{name} is not symmetric")
+    if _int_product(p.num, p.num, m) != [[p.den * x for x in row] for row in p.num]:
+        raise ConstructionError(f"{name} is not idempotent")
+    return p, refl, den
+
+
+def _assert_orthogonal(u: RationalMatrix, name: str) -> None:
+    """U U^T = I, i.e. num num^T = den^2 I."""
+    if not _is_scaled_identity(_int_product(u.num, tuple(zip(*u.num)), u.rows), u.den**2):
+        raise ConstructionError(f"{name} is not orthogonal")
 
 
 @dataclass(frozen=True)
@@ -104,17 +122,6 @@ class WalkOperator:
         return self.U.rows
 
 
-def _reflection(p: RationalMatrix) -> RationalMatrix:
-    return p.scale(2).add(RationalMatrix.identity(p.rows).scale(-1))
-
-
-def _check_projection(p: RationalMatrix, name: str) -> None:
-    if p != p.transpose():
-        raise ConstructionError(f"{name} is not symmetric")
-    if mat_mul(p, p) != p:
-        raise ConstructionError(f"{name} is not idempotent")
-
-
 def build_bipartite_walk(g: Graph, b: Optional[Bipartition] = None) -> WalkOperator:
     """Assemble U = (2P-I)(2Q-I); all invariants verified at construction."""
     if b is None:
@@ -122,12 +129,13 @@ def build_bipartite_walk(g: Graph, b: Optional[Bipartition] = None) -> WalkOpera
     elif not g.is_connected():
         raise GraphError("graph is disconnected")
     pi0, pi1 = build_partitions(g, b)
-    p, q = projections(pi0, pi1, g)
-    _check_projection(p, "P")
-    _check_projection(q, "Q")
-    u = mat_mul(_reflection(p), _reflection(q))
-    if not mat_mul(u, u.transpose()).is_identity():
-        raise ConstructionError("U is not orthogonal")
+    m = g.num_edges
+    # P from the c1-keyed cells, Q from the c0-keyed cells: the assignment
+    # that reproduces the reference example matrices frozen in the tests
+    p, rp, dp = _projection(m, pi1.cells.values(), "P")
+    q, rq, dq = _projection(m, pi0.cells.values(), "Q")
+    u = RationalMatrix.from_numerators(_int_product(rp, rq, m), dp * dq)
+    _assert_orthogonal(u, "U")
     return WalkOperator(g, b, degree_profile(g, b), p, q, u)
 
 
@@ -155,22 +163,16 @@ class ArcWalkOperator:
         return self.U.rows
 
 
-def _grover_parts(
-    arcs: list[tuple[int, int]],
-) -> tuple[RationalMatrix, RationalMatrix, RationalMatrix]:
-    n_arcs = len(arcs)
+def _arc_maps(arcs: Sequence[tuple[int, int]]) -> tuple[list[int], list[list[int]]]:
+    """The index of each arc's reversal, and the arcs grouped by tail:
+    deg(t) arcs share tail t, so K's block of 1/deg(t) is a cell
+    projection.  R maps arc i to its reversal, so row i of U_GW = R(2K - I)
+    is the reversal's row of 2K - I."""
     index = {a: i for i, a in enumerate(arcs)}
-    r = [[0] * n_arcs for _ in range(n_arcs)]
-    for i, (o, t) in enumerate(arcs):
-        r[i][index[(t, o)]] = 1
     by_tail: dict[int, list[int]] = {}
     for i, (_, t) in enumerate(arcs):
         by_tail.setdefault(t, []).append(i)
-    rm = RationalMatrix.from_numerators(r, 1)
-    # deg(t) arcs share tail t, so K's block of 1/deg(t) is a cell projection
-    km = _cell_projection(n_arcs, by_tail.values())
-    u = mat_mul(rm, _reflection(km))
-    return rm, km, u
+    return [index[(t, o)] for o, t in arcs], list(by_tail.values())
 
 
 def build_grover_walk(g: Graph) -> ArcWalkOperator:
@@ -179,12 +181,14 @@ def build_grover_walk(g: Graph) -> ArcWalkOperator:
     if not g.is_connected():
         raise GraphError("graph is disconnected")
     arcs = [(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges]
-    r, k, u = _grover_parts(arcs)
-    if not mat_mul(r, r).is_identity():
+    n_arcs = len(arcs)
+    rev, cells = _arc_maps(arcs)
+    r = RationalMatrix.from_numerators([[0] * i + [1] + [0] * (n_arcs - 1 - i) for i in rev], 1)
+    if not _is_scaled_identity(_int_product(r.num, r.num, n_arcs), r.den**2):
         raise ConstructionError("R is not an involution")
-    _check_projection(k, "K")
-    if not mat_mul(u, u.transpose()).is_identity():
-        raise ConstructionError("U_GW is not orthogonal")
+    k, refl, den = _projection(n_arcs, cells, "K")
+    u = RationalMatrix.from_numerators([refl[j] for j in rev], den)
+    _assert_orthogonal(u, "U_GW")
     return ArcWalkOperator(g, tuple(arcs), r, k, u)
 
 
@@ -212,33 +216,48 @@ def grover_equals_bipartite_on_subdivision(g: Graph) -> tuple[bool, list[int]]:
     return ok, sigma
 
 
-def block_identity_check(g: Graph, k: int, b: Optional[Bipartition] = None) -> bool:
-    """Verify that even powers of the arc walk split into bipartite-walk powers.
+def block_identity_checks(
+    g: Graph, k_max: int, b: Optional[Bipartition] = None
+) -> list[bool]:
+    """Verify that even powers of the arc walk split into bipartite-walk
+    powers, for k = 1..k_max: entry k - 1 of the result is the check at k.
 
     Arcs are reordered so the first |E| indices are the arcs pointing into
     c1 (one per canonical edge), the rest point into c0.  In that basis
     U_GW^(2k) must equal the block diagonal of (U_BW^k)^T and U_BW^k
-    exactly.
+    exactly.  Both operators are built once, and both powers step up by
+    one product per k, by U_GW^2 and by U_BW.
     """
-    if k < 1:
+    if k_max < 1:
         raise ValueError("k must be positive")
     if b is None:
         b = bipartition(g)
-    w = build_bipartite_walk(g, b)
+    u_bw = build_bipartite_walk(g, b).U
     arcs_into_c1 = [((u, v) if v in b.c1 else (v, u)) for u, v in g.edges]
-    arcs_into_c0 = [(t, o) for o, t in arcs_into_c1]
-    _, _, u_gw = _grover_parts(arcs_into_c1 + arcs_into_c0)
     m = g.num_edges
-    even = mat_pow(u_gw, 2 * k)
-    ubk = mat_pow(w.U, k)
-    # the zero blocks leave the normal form's gcd alone, so the identity
-    # holds exactly when the denominators and the numerator blocks agree
-    if even.den != ubk.den:
-        return False
-    top, bottom = even.num[:m], even.num[m:]
-    return all(
-        row[:m] == col and not any(row[m:]) for row, col in zip(top, zip(*ubk.num))
-    ) and all(not any(row[:m]) and row[m:] == u for row, u in zip(bottom, ubk.num))
+    rev, cells = _arc_maps(arcs_into_c1 + [(t, o) for o, t in arcs_into_c1])
+    _, refl, den = _cell_rows(2 * m, cells)
+    u_gw = RationalMatrix.from_numerators([refl[j] for j in rev], den)
+    step = mat_mul(u_gw, u_gw)
+    even, ubk = step, u_bw
+    results = []
+    for k in range(1, k_max + 1):
+        if k > 1:
+            even, ubk = mat_mul(even, step), mat_mul(ubk, u_bw)
+        # the zero blocks leave the normal form's gcd alone, so the identity
+        # holds exactly when the denominators and the numerator blocks agree
+        top, bottom = even.num[:m], even.num[m:]
+        results.append(
+            even.den == ubk.den
+            and all(row[:m] == col and not any(row[m:]) for row, col in zip(top, zip(*ubk.num)))
+            and all(not any(row[:m]) and row[m:] == u for row, u in zip(bottom, ubk.num))
+        )
+    return results
+
+
+def block_identity_check(g: Graph, k: int, b: Optional[Bipartition] = None) -> bool:
+    """The block identity of block_identity_checks at k alone."""
+    return block_identity_checks(g, k, b)[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,16 @@ class TestAllowedValueTable:
         assert table[QuadraticValue.of(3, 1, 5)] == 5
         assert table[QuadraticValue.of(5, 1, 5)] == 10
 
+    def test_fresh_list_from_one_table_per_product(self, monkeypatch):
+        table = allowed_value_table(2, 3)
+        table.clear()
+        # (1, 6) has the product of (2, 3): its table is already built
+        calls = []
+        of = QuadraticValue.of
+        monkeypatch.setattr(QuadraticValue, "of", lambda *a: calls.append(a) or of(*a))
+        assert allowed_value_table(1, 6) == allowed_value_table(2, 3) != table
+        assert len(allowed_value_table(2, 3)) == 13 and calls == []
+
 
 class TestExactOracle:
     @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import random
 from fractions import Fraction
 
@@ -6,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qwalk.walks
+from qwalk.cli import FIXTURES, main
 from qwalk.exact import RationalMatrix, mat_mul, mat_pow
 from qwalk.graphs import (
     Graph,
@@ -16,13 +20,17 @@ from qwalk.graphs import (
     cycle,
     figure1_graph,
     figure4a_graph,
+    format_graph,
     heawood_graph,
     is_bipartite,
     petersen_graph,
 )
 from qwalk.walks import (
+    ConstructionError,
+    EdgePartition,
     _entries_to_strings,
     block_identity_check,
+    block_identity_checks,
     build_bipartite_walk,
     build_grover_walk,
     grover_equals_bipartite_on_subdivision,
@@ -77,6 +85,94 @@ def random_connected_graph(rng: random.Random, max_n: int = 8) -> Graph:
         u, v = rng.sample(range(n), 2)
         edges.add((min(u, v), max(u, v)))
     return Graph.from_edges(n, edges)
+
+
+def random_connected_bipartite(rng: random.Random, max_n: int = 14) -> Graph:
+    """Random spanning tree, each vertex coloured opposite to its parent,
+    plus a few extra edges between the colour classes."""
+    n = rng.randint(2, max_n)
+    colour = [0] * n
+    edges = set()
+    for v in range(1, n):
+        u = rng.randrange(v)
+        colour[v] = 1 - colour[u]
+        edges.add((u, v))
+    for _ in range(rng.randint(0, n)):
+        u, v = rng.sample(range(n), 2)
+        if colour[u] != colour[v]:
+            edges.add((min(u, v), max(u, v)))
+    return Graph.from_edges(n, edges)
+
+
+# Definitional operators, built entry by entry with the RationalMatrix
+# operations, independently of the integer-row assembly in qwalk.walks.
+
+
+def _averaging(keys: list) -> RationalMatrix:
+    """The projection with entry 1/|cell| where keys[e] == keys[f]."""
+    size = {key: keys.count(key) for key in keys}
+    return RationalMatrix(
+        [[F(1, size[a]) if a == b else 0 for b in keys] for a in keys]
+    )
+
+
+def _reflection(p: RationalMatrix) -> RationalMatrix:
+    return p.scale(2).add(RationalMatrix.identity(p.rows).scale(-1))
+
+
+def _definitional_bipartite(g: Graph, b) -> tuple[RationalMatrix, RationalMatrix, RationalMatrix]:
+    """(P, Q, U): P averages over edges sharing their c1 endpoint, Q over
+    edges sharing their c0 endpoint, U = (2P - I)(2Q - I)."""
+    c1_end = [u if u in b.c1 else v for u, v in g.edges]
+    c0_end = [u if u in b.c0 else v for u, v in g.edges]
+    p, q = _averaging(c1_end), _averaging(c0_end)
+    return p, q, mat_mul(_reflection(p), _reflection(q))
+
+
+def _definitional_grover(arcs: list) -> tuple[RationalMatrix, RationalMatrix, RationalMatrix]:
+    """(R, K, U) on arcs (head, tail): R reverses arcs, K averages over
+    arcs sharing their tail, U = R(2K - I)."""
+    r = RationalMatrix([[int(a == (t, o)) for a in arcs] for o, t in arcs])
+    k = _averaging([t for _, t in arcs])
+    return r, k, mat_mul(r, _reflection(k))
+
+
+def _definitional_block_identity(g: Graph, j: int) -> bool:
+    """U_GW^(2j) == diag((U_BW^j)^T, U_BW^j) with the arcs into c1 first,
+    each power taken afresh by mat_pow."""
+    b = bipartition(g)
+    into_c1 = [((u, v) if v in b.c1 else (v, u)) for u, v in g.edges]
+    _, _, u_gw = _definitional_grover(into_c1 + [(t, o) for o, t in into_c1])
+    ubk = mat_pow(_definitional_bipartite(g, b)[2], j).data
+    m = g.num_edges
+    zero = [F(0)] * m
+    block = [list(col) + zero for col in zip(*ubk)] + [zero + list(row) for row in ubk]
+    return mat_pow(u_gw, 2 * j) == RationalMatrix(block)
+
+
+def _corrupt_built_matrix(monkeypatch, pick, i: int, j: int) -> None:
+    """Make RationalMatrix.from_numerators add 1 to entry (i, j) of the
+    first matrix for which pick(call index, numerator rows) holds."""
+    original = RationalMatrix.from_numerators.__func__
+    calls = []
+
+    def corrupted(cls, num, den):
+        hit = not any(calls) and pick(len(calls), num)
+        calls.append(hit)
+        if hit:
+            num = [list(row) for row in num]
+            num[i][j] += den
+        return original(cls, num, den)
+
+    monkeypatch.setattr(RationalMatrix, "from_numerators", classmethod(corrupted))
+
+
+def _call(index: int):
+    return lambda n, num: n == index
+
+
+def _has_negative(n: int, num) -> bool:
+    return any(x < 0 for row in num for x in row)
 
 
 class TestBipartiteWalk:
@@ -176,6 +272,36 @@ class TestStructuralIdentities:
             found += 1
             assert block_identity_check(g, 2)
 
+    def test_block_identity_checks_rejects_k_below_one(self):
+        for check in (block_identity_checks, block_identity_check):
+            with pytest.raises(ValueError, match="k must be positive"):
+                check(cycle(4), 0)
+
+    def test_verify_builds_once_and_steps_one_product_per_power(self, monkeypatch, tmp_path):
+        # the walk of g is built once; U_GW^2 is one product, then each of
+        # k = 2..4 takes one product for U_GW^(2k) and one for U_BW^k
+        g = complete_bipartite(4, 4)
+        builds, products = [], []
+        build = qwalk.walks.build_bipartite_walk
+
+        def counting_build(h, b=None):
+            builds.append(h)
+            return build(h, b)
+
+        def counting_mul(a, b):
+            products.append((a.rows, b.cols))
+            return mat_mul(a, b)
+
+        monkeypatch.setattr("qwalk.walks.build_bipartite_walk", counting_build)
+        for module in ("qwalk.walks", "qwalk.exact"):
+            monkeypatch.setattr(f"{module}.mat_mul", counting_mul)
+        path = tmp_path / "k44.txt"
+        path.write_text(format_graph(g))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", str(path)]) == 0
+        assert builds.count(g) == 1 and len(builds) == 2  # g and S(g)
+        assert len(products) == 7
+
     def test_even_power_consistency(self):
         """U_GW^2 restricted blocks commute with direct bipartite powers."""
         g = cycle(6)
@@ -184,6 +310,93 @@ class TestStructuralIdentities:
         u_gw = build_grover_walk(g).U
         assert mat_pow(u_gw, 6).is_identity()
         assert not mat_pow(u_gw, 3).is_identity()
+
+
+class TestConstructionChecks:
+    """Every construction check fires, with its message, on a corrupted
+    input: overlapping cells, or one entry of a matrix shifted as
+    RationalMatrix.from_numerators builds it (P, Q, R and K are the first
+    matrices their walk builds; a reflection or walk operator is the first
+    with a negative entry)."""
+
+    def test_overlapping_cells(self):
+        with pytest.raises(ConstructionError) as exc:
+            EdgePartition({0: (0, 1), 1: (1, 2)})
+        assert str(exc.value) == "edge partition cells overlap"
+
+    @pytest.mark.parametrize(
+        "name,pick,entry,message",
+        [
+            ("P", _call(0), (0, 1), "P is not symmetric"),
+            ("Q", _call(1), (0, 1), "Q is not symmetric"),
+            ("P", _call(0), (0, 0), "P is not idempotent"),
+            ("Q", _call(1), (0, 0), "Q is not idempotent"),
+            ("U", _has_negative, (0, 1), "U is not orthogonal"),
+        ],
+        ids=["P-symmetric", "Q-symmetric", "P-idempotent", "Q-idempotent", "U-orthogonal"],
+    )
+    def test_bipartite_checks(self, monkeypatch, name, pick, entry, message):
+        g = complete_bipartite(3, 3)
+        _corrupt_built_matrix(monkeypatch, pick, *entry)
+        with pytest.raises(ConstructionError) as exc:
+            build_bipartite_walk(g)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "pick,entry,message",
+        [
+            (_call(0), (0, 1), "R is not an involution"),
+            (_call(1), (0, 1), "K is not symmetric"),
+            (_call(1), (0, 0), "K is not idempotent"),
+            (_has_negative, (0, 1), "U_GW is not orthogonal"),
+        ],
+        ids=["R-involution", "K-symmetric", "K-idempotent", "U_GW-orthogonal"],
+    )
+    def test_grover_checks(self, monkeypatch, pick, entry, message):
+        _corrupt_built_matrix(monkeypatch, pick, *entry)
+        with pytest.raises(ConstructionError) as exc:
+            build_grover_walk(petersen_graph())
+        assert str(exc.value) == message
+
+    def test_repeated_edge_reverses_into_the_wrong_arc(self):
+        # bypasses Graph.from_edges, which rejects the duplicate: both
+        # copies of (0, 1) reverse into the same arc (1, 0)
+        g = Graph(2, ((0, 1), (0, 1)))
+        with pytest.raises(ConstructionError) as exc:
+            build_grover_walk(g)
+        assert str(exc.value) == "R is not an involution"
+
+    def test_uncorrupted_builds_pass(self, monkeypatch):
+        _corrupt_built_matrix(monkeypatch, lambda n, num: False, 0, 0)
+        build_bipartite_walk(complete_bipartite(3, 3))
+        build_grover_walk(petersen_graph())
+
+
+class TestAgainstDefinitions:
+    """The integer-row assembly against the operators built from their
+    definitions with scale, add and mat_mul."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_bipartite_walk(self, seed):
+        g = random_connected_bipartite(random.Random(seed))
+        w = build_bipartite_walk(g)
+        assert (w.P, w.Q, w.U) == _definitional_bipartite(g, w.bipart)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_grover_walk(self, seed):
+        w = build_grover_walk(random_connected_graph(random.Random(seed), max_n=14))
+        assert (w.R, w.K, w.U) == _definitional_grover(list(w.arcs))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    @settings(max_examples=20, deadline=None)
+    def test_block_identity_chain(self, seed, k):
+        g = random_connected_bipartite(random.Random(seed), max_n=10)
+        checks = block_identity_checks(g, k)
+        assert len(checks) == k
+        assert checks == [_definitional_block_identity(g, j) for j in range(1, k + 1)]
+        assert checks[-1] == block_identity_check(g, k)
 
 
 class TestSerialization:
@@ -215,3 +428,13 @@ class TestSerialization:
                 digest.update(walk_to_json(build_bipartite_walk(g)).encode())
             digest.update(grover_to_json(build_grover_walk(g)).encode())
         assert digest.hexdigest() == "611f485a76fe5c859e30cbefd6015b5f71f8ad138f247cea8a2fc5996bb50e78"
+
+    def test_verify_json_is_frozen(self):
+        """The `qwalk verify` documents and exit codes of every fixture."""
+        digest = hashlib.sha256()
+        for name in sorted(FIXTURES):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["verify", name])
+            digest.update(f"{code}\n{out.getvalue()}".encode())
+        assert digest.hexdigest() == "d8a7fea0071d20b5a5f4909fabe2c9df94955feac1d37a24a149ea186e3387e2"
