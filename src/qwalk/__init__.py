@@ -71,6 +71,7 @@ from .walks import (
     block_identity_checks,
     build_bipartite_walk,
     build_grover_walk,
+    cell_operator,
     grover_equals_bipartite_on_subdivision,
     grover_from_json,
     grover_to_json,

@@ -6,8 +6,9 @@ Lines (one object per line); --pretty switches to human-readable text.
 `period` decides by the integrality of q(y) = det(yI - (4M - 2I)); a
 periodic verdict is certified by U^tau = I with minimality, a non-periodic
 one carries the first non-integral tr(U^k), k <= 12, if there is one, and
-the spectral table's orders must agree with q.  Every connected input gets
-a definite verdict.
+the spectral table's orders must agree with q.  Both certificates are
+checked on U, or on its quotient T of size n0 + n1 when n0 + n1 < |E|
+(average degree above 2).  Every connected input gets a definite verdict.
 
 Exit codes: 0 periodic / success, 3 non-periodic, 5 internal method
 disagreement, 1 usage or input error.
@@ -19,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 from typing import Optional
 
 from . import __version__
@@ -370,8 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of main rather than at import;
+    parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GraphError as exc:

@@ -7,13 +7,21 @@ is periodic iff q has integer coefficients (Kronecker, 1857), and then q
 is a product of the minimal polynomials Psi_k of 2cos(2 pi / k): the
 period is the lcm of those k, with 2 when the walk has a -1 eigenvector.
 
-That decides, and each verdict carries one certificate computed from U:
+That decides, and each verdict carries one certificate:
 
-- periodic: U^tau = I by square-and-multiply, and U^(tau/p) != I for each
-  prime p | tau (_certified_order).  Every eigenvalue is then a root of
-  unity, so every tr(U^k) is a rational algebraic integer, an integer: the
-  trace test could not fail and is not run;
+- periodic: U^tau = I, and U^(tau/p) != I for each prime p | tau, the
+  powers taken on one addition chain (_certified_order).  Every eigenvalue
+  is then a root of unity, so every tr(U^k) is a rational algebraic
+  integer, an integer: the trace test could not fail and is not run;
 - non-periodic: the first non-integral tr(U^k), k <= TRACE_DEPTH, if any.
+
+Both are checked on U, or on its quotient T on the (n0 + n1)-dimensional
+cell space (walks.cell_operator) when n0 + n1 < |E|, that is when the
+average degree is above 2: U^k = I exactly when every column of T^k - I is
+a multiple of z, and tr(U^k) = tr(T^k) + |E| - n0 - n1.  On a tree or a
+cycle U is a sparse near-permutation and T's powers fill in, so U is kept
+there.  A Grover walk is certified as the bipartite walk of S(g), on its T
+when n < |E|, else on U_GW.
 
 The spectral table is the paper's characterization for biregular graphs:
 every squared adjacency eigenvalue lies in the allowed-value table, the
@@ -30,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Optional
+from typing import Callable, Optional
 
 from .exact import (
     HigherDegreeFactor,
@@ -45,7 +53,6 @@ from .exact import (
     cyclotomic_factors,
     local_minimal_polynomial,
     mat_mul,
-    mat_pow,
     rescaled_integral,
     roots_degree_le2,
 )
@@ -58,8 +65,9 @@ from .graphs import (
     biadjacency,
     bipartition,
     degree_profile,
+    subdivision,
 )
-from .walks import WalkOperator, build_bipartite_walk, build_grover_walk
+from .walks import WalkOperator, build_bipartite_walk, build_grover_walk, cell_operator
 
 TRACE_DEPTH = 12  # tr(U^k) is checked for k <= TRACE_DEPTH
 
@@ -166,20 +174,45 @@ def period_from_phases(g: Graph, b: Optional[Bipartition] = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Certificates from U: the order of U, and the trace test
+# Certificates: the order of U, and the trace test, on U or on T
 # ---------------------------------------------------------------------------
 
 
-def _certified_order(u: RationalMatrix, c: int) -> Optional[int]:
-    """Least tau with U^tau = I if U^c = I, else None: the order divides c,
-    so a descent from c over its primes finds it, O(log c) products a test."""
-    if not mat_pow(u, c).is_identity():
-        return None
-    tau = c
-    for p in _prime_factors(c):
-        while tau % p == 0 and mat_pow(u, tau // p).is_identity():
-            tau //= p
-    return tau
+def _chain_power(known: dict[int, RationalMatrix], t: int) -> RationalMatrix:
+    """M^t from the powers in known, which holds M^1, adding M^t and every
+    power on the way: one product of two known powers whose exponents sum
+    to t, else M^(t/2) squared for even t, or M^(t-1) M for odd t."""
+    if t not in known:
+        a = next((a for a in sorted(known, reverse=True) if t - a in known), None)
+        if a is None:
+            a = t - 1 if t % 2 else t // 2
+            _chain_power(known, a)
+        known[t] = mat_mul(known[a], known[t - a])
+    return known[t]
+
+
+def _certified_order(
+    m: RationalMatrix,
+    c: int,
+    is_identity: Callable[[RationalMatrix], bool] = RationalMatrix.is_identity,
+) -> Optional[int]:
+    """Least tau with is_identity(M^tau) if is_identity(M^c), else None.
+
+    The order divides c, so it is c unless is_identity(M^(c/p)) for a prime
+    p | c, and then it divides c/p.  M^c and every M^(c/p) come from one
+    addition chain (_chain_power), shared with the descent.
+    """
+    known = {1: m}
+    while True:
+        primes = _prime_factors(c)
+        for t in sorted({c, *(c // p for p in primes)}):
+            _chain_power(known, t)
+        if not is_identity(known[c]):
+            return None
+        smaller = next((c // p for p in primes if is_identity(known[c // p])), None)
+        if smaller is None:
+            return c
+        c = smaller
 
 
 def exact_period_oracle(u: RationalMatrix) -> Optional[int]:
@@ -210,6 +243,84 @@ def trace_test(u: RationalMatrix, k_max: int = TRACE_DEPTH) -> Optional[tuple[in
         if k < k_max:
             power = mat_mul(power, u)
     return None
+
+
+def _fixes_cell_space(z: tuple[int, ...]) -> Callable[[RationalMatrix], bool]:
+    """Whether T^k stands for U^k = I: every column of T^k - I is a multiple
+    of z, i.e. row i of T^k - I is z_i z_0 times row 0."""
+
+    def test(m: RationalMatrix) -> bool:
+        den, z0 = m.den, z[0]
+        top = list(m.num[0])
+        top[0] -= den
+        for i, (row, zi) in enumerate(zip(m.num, z)):
+            row = list(row)
+            row[i] -= den
+            if row != (top if zi == z0 else [-x for x in top]):
+                return False
+        return True
+
+    return test
+
+
+@dataclass(frozen=True)
+class _Certificate:
+    """The matrix a verdict on U is certified on: U itself, or its quotient
+    T on the cell space, where is_identity(T^k) says U^k = I and
+    tr(U^k) = tr(T^k) + trace_shift."""
+
+    matrix: RationalMatrix
+    is_identity: Callable[[RationalMatrix], bool] = RationalMatrix.is_identity
+    trace_shift: int = 0
+
+    def order(self, tau: int) -> int:
+        """tau, certified as the least k with U^k = I; MethodDisagreement
+        when it is not."""
+        order = _certified_order(self.matrix, tau, self.is_identity)
+        if order != tau:
+            raise MethodDisagreement(
+                f"q gives period {tau}, but the order of U certified from U^{tau} is {order}"
+            )
+        return order
+
+    def trace_witness(self) -> Optional[tuple[int, Fraction]]:
+        witness = trace_test(self.matrix)
+        return None if witness is None else (witness[0], witness[1] + self.trace_shift)
+
+
+def _cell_certificate(g: Graph, b: Bipartition) -> _Certificate:
+    num, den, z = cell_operator(g, b)
+    return _Certificate(
+        RationalMatrix.from_numerators(num, den), _fixes_cell_space(z), g.num_edges - g.n
+    )
+
+
+def _bipartite_certificate(g: Graph, b: Bipartition) -> _Certificate:
+    """On T when n0 + n1 < |E| (average degree above 2), else on U: on a
+    cycle or a tree U is a sparse near-permutation, and T's powers fill in."""
+    if g.n < g.num_edges:
+        return _cell_certificate(g, b)
+    return _Certificate(build_bipartite_walk(g, b).U)
+
+
+def _grover_certificate(g: Graph) -> _Certificate:
+    """U_GW is permutation-similar to U_BW(S(g)), whose classes have n and
+    |E| vertices: on the T of S(g) when n < |E|, else on U_GW."""
+    if not g.is_connected():
+        raise GraphError("graph is disconnected")
+    if g.n < g.num_edges:
+        return _cell_certificate(*subdivision(g))
+    return _Certificate(build_grover_walk(g).U)
+
+
+def _period(m: RationalMatrix, sizes: tuple[int, int], cert: _Certificate) -> Optional[int]:
+    """The period from q = charpoly of the numerators of m, certified on
+    cert, or None when q is not integral."""
+    try:
+        _, tau = _q_period(_numerator_q(m), *sizes)
+    except NonIntegralPolynomial:
+        return None
+    return cert.order(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +438,13 @@ def state_periodicity(w: WalkOperator, edge: int) -> bool:
 def grover_period_doubling(g: Graph) -> tuple[int, int]:
     """Exact periods (tau_bipartite, tau_grover) for a connected bipartite
     graph, asserting the doubling relation tau_grover = 2 * tau_bipartite.
-    A graph whose walks are not periodic raises ValueError.
+    Each is the tau of its q, certified on g and on S(g) as in
+    decide_periodicity.  A graph whose walks are not periodic raises
+    ValueError.
     """
-    tau_bw = exact_period_oracle(build_bipartite_walk(g).U)
-    tau_gw = exact_period_oracle(build_grover_walk(g).U)
+    b = bipartition(g)
+    tau_bw = _period(_gram_operator(g, b), (len(b.c0), len(b.c1)), _bipartite_certificate(g, b))
+    tau_gw = _period(_grover_operator(g), (g.n, g.num_edges), _grover_certificate(g))
     if tau_gw != (None if tau_bw is None else 2 * tau_bw):
         raise MethodDisagreement(
             f"period doubling violated: bipartite {tau_bw}, grover {tau_gw}"
@@ -355,8 +469,10 @@ class PeriodicityVerdict:
 
 def decide_periodicity(g: Graph, kind: str = "bipartite") -> PeriodicityVerdict:
     """Decide the walk of the given kind on g by the integrality of q, and
-    certify the verdict from U: a periodic one by U^tau = I with
-    minimality, a non-periodic one with the trace witness, if any.
+    certify the verdict: a periodic one by U^tau = I with minimality, a
+    non-periodic one with the trace witness, if any.  Both are checked on
+    T, U's quotient on the cell space, when n0 + n1 < |E| (average degree
+    above 2), else on U itself.
 
     kind "bipartite" requires g connected bipartite; kind "grover" accepts
     any connected graph, as the bipartite walk on its subdivision S(g),
@@ -369,15 +485,15 @@ def decide_periodicity(g: Graph, kind: str = "bipartite") -> PeriodicityVerdict:
         raise ValueError(f"unknown walk kind: {kind}")
     v = PeriodicityVerdict(periodic=False)
     if kind == "bipartite":
-        w = build_bipartite_walk(g)
-        u, sizes = w.U, (len(w.bipart.c0), len(w.bipart.c1))
+        b = bipartition(g)  # raises for non-bipartite or disconnected input
+        cert, sizes = _bipartite_certificate(g, b), (len(b.c0), len(b.c1))
         try:
-            v.spectral = spectral_test_biregular(g, w.bipart)
+            v.spectral = spectral_test_biregular(g, b)
         except NotBiregularError:
             v.notes.append("spectral test skipped: graph not biregular")
-            m = _gram_operator(g, w.bipart)
+            m = _gram_operator(g, b)
     else:
-        u, sizes = build_grover_walk(g).U, (g.n, g.num_edges)  # the classes of S(g)
+        cert, sizes = _grover_certificate(g), (g.n, g.num_edges)  # the classes of S(g)
         if len(set(g.degrees())) == 1:
             v.spectral = grover_regular_test(g)
         else:
@@ -401,14 +517,10 @@ def decide_periodicity(g: Graph, kind: str = "bipartite") -> PeriodicityVerdict:
             raise MethodDisagreement(f"spectral table: orders {table_orders}; q: orders {orders}")
 
     if orders is None:
-        witness = trace_test(u)
+        witness = cert.trace_witness()
         if witness is not None:
             v.trace_witness = (witness[0], str(witness[1]))
         return v
-    v.oracle_period = _certified_order(u, tau)
-    if v.oracle_period != tau:
-        raise MethodDisagreement(
-            f"q gives period {tau}, but the order of U certified from U^{tau} is {v.oracle_period}"
-        )
+    v.oracle_period = cert.order(tau)
     v.periodic, v.period, v.phase_period = True, tau, tau
     return v

@@ -140,6 +140,116 @@ def build_bipartite_walk(g: Graph, b: Optional[Bipartition] = None) -> WalkOpera
 
 
 # ---------------------------------------------------------------------------
+# The bipartite walk on the cell space
+# ---------------------------------------------------------------------------
+
+
+def _quotient(
+    g: Graph, last: Sequence[int], first: Sequence[int]
+) -> tuple[list[list[int]], int, tuple[int, ...]]:
+    """Numerator rows of T over one denominator, and z, from the adjacency
+    of g, with the basis the vertices of `last` and then those of `first`.
+
+    For U' = (2P_l - I)(2P_f - I), P_l and P_f the cell projections of the
+    two classes, and D, C the degrees and the biadjacency blocks,
+    T = [[4 Dl^-1 Clf Df^-1 Cfl - I, 2 Dl^-1 Clf], [-2 Df^-1 Cfl, -I]].
+    """
+    deg, adj = g.degrees(), g.neighbors()
+    order = [*last, *first]
+    pos = {v: i for i, v in enumerate(order)}
+    d_last = lcm(*(deg[v] for v in last))
+    d_first = lcm(*(deg[x] for x in first))
+    den = d_last * d_first
+    rows = [[0] * len(order) for _ in order]
+    for i, v in enumerate(last):
+        row, w = rows[i], d_last // deg[v]
+        for x in adj[v]:
+            row[pos[x]] = 2 * w * d_first
+            wx = 4 * w * (d_first // deg[x])
+            for y in adj[x]:
+                row[pos[y]] += wx
+        row[i] -= den
+    for i, x in enumerate(first, len(last)):
+        row, w = rows[i], -2 * (d_first // deg[x]) * d_last
+        for v in adj[x]:
+            row[pos[v]] = w
+        row[i] = -den
+    return rows, den, (1,) * len(last) + (-1,) * len(first)
+
+
+def _reflect(
+    vec: dict[int, int], cells: dict[int, tuple[int, ...]], cell_of: dict[int, int], den: int
+) -> dict[int, int]:
+    """(2P - I) vec for the cell projection P, as numerators over den times
+    those of vec: only the cells that vec's support meets are touched."""
+    out = {}
+    for key in {cell_of[e] for e in vec}:
+        cell = cells[key]
+        s = 2 * (den // len(cell)) * sum(vec.get(e, 0) for e in cell)
+        for e in cell:
+            out[e] = s - den * vec.get(e, 0)
+    return out
+
+
+def cell_operator(
+    g: Graph, b: Optional[Bipartition] = None
+) -> tuple[list[list[int]], int, tuple[int, ...]]:
+    """The bipartite walk on the (n0 + n1)-dimensional cell space: T's
+    integer numerator rows over one denominator, and z = (1, ..., 1, -1,
+    ..., -1), which spans ker X for the connected g.
+
+    X is the edge-by-vertex incidence, one column per vertex, the edges of
+    its cell.  U X = X T, and U is I on X^perp, where both reflections are
+    -I; so U^k = I exactly when every column of T^k - I is a multiple of z,
+    and, as T z = z, tr(U^k) = tr(T^k) + |E| - n0 - n1.  T's basis is the
+    smaller colour class, which holds the squared block, then the other.
+    When that is c0, T is the quotient of U^T = (2Q - I)(2P - I), which has
+    U's order and traces.
+
+    Checked exactly, without forming U: X z = 0, and U X = X T, applying
+    the two reflections cell by cell to each column of X.  A failure raises
+    ConstructionError.
+    """
+    if b is None:
+        b = bipartition(g)
+    elif not g.is_connected():
+        raise GraphError("graph is disconnected")
+    pi0, pi1 = build_partitions(g, b)
+    # U = (2P - I)(2Q - I) applies the c0 cells (Q) first
+    if len(b.c0) < len(b.c1):
+        (first, c_first), (last, c_last) = (pi1, b.c1), (pi0, b.c0)
+    else:
+        (first, c_first), (last, c_last) = (pi0, b.c0), (pi1, b.c1)
+    c_first, c_last = sorted(c_first), sorted(c_last)
+    rows, den, z = _quotient(g, c_last, c_first)
+    columns = [last.cells[v] for v in c_last] + [first.cells[x] for x in c_first]
+
+    def x_times(t: Sequence[int]) -> list[int]:
+        out = [0] * g.num_edges
+        for c, cell in zip(t, columns):
+            if c:
+                for e in cell:
+                    out[e] += c
+        return out
+
+    if any(x_times(z)):
+        raise ConstructionError("z is not in the kernel of X")
+    cell_of_first = {e: v for v, cell in first.cells.items() for e in cell}
+    cell_of_last = {e: v for v, cell in last.cells.items() for e in cell}
+    d_first = lcm(1, *map(len, first.cells.values()))
+    d_last = lcm(1, *map(len, last.cells.values()))
+    for cell, t in zip(columns, zip(*rows)):
+        y = _reflect(dict.fromkeys(cell, 1), first.cells, cell_of_first, d_first)
+        w = _reflect(y, last.cells, cell_of_last, d_last)
+        ux = [0] * g.num_edges
+        for e, x in w.items():
+            ux[e] = x * den
+        if ux != [x * d_first * d_last for x in x_times(t)]:
+            raise ConstructionError("T does not satisfy U X = X T")
+    return rows, den, z
+
+
+# ---------------------------------------------------------------------------
 # Grover walk on arcs
 # ---------------------------------------------------------------------------
 

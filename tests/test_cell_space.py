@@ -1,0 +1,320 @@
+"""The certificate on the cell space: T of size n0 + n1 against U of size
+|E|, the U X = X T construction check, and the rule that picks the side."""
+
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qwalk.exact
+import qwalk.periodicity
+import qwalk.walks
+from qwalk.cli import main
+from qwalk.exact import RationalMatrix, mat_mul
+from qwalk.graphs import (
+    Graph,
+    GraphError,
+    bipartite_double_cover,
+    bipartition,
+    circulant,
+    complete_bipartite,
+    cycle,
+    figure1_graph,
+    figure7_graph,
+    format_graph,
+    heawood_graph,
+    petersen_graph,
+    subdivision,
+)
+from qwalk.periodicity import (
+    TRACE_DEPTH,
+    _cell_certificate,
+    _certified_order,
+    decide_periodicity,
+    exact_period_oracle,
+    grover_period_doubling,
+    trace_test,
+)
+from qwalk.walks import (
+    ConstructionError,
+    EdgePartition,
+    build_bipartite_walk,
+    build_grover_walk,
+    cell_operator,
+)
+from test_walks import random_connected_graph
+
+OCTAHEDRON = circulant(6, [1, 2, -1, -2])
+
+
+def seeded_bipartite(seed: int, dense: bool) -> Graph:
+    """A random spanning tree, each vertex coloured opposite to its parent;
+    dense adds edges between the classes until |E| > n where the classes
+    allow it, else at most one edge is added, so |E| <= n."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+    colour, edges = [0] * n, set()
+    for v in range(1, n):
+        u = rng.randrange(v)
+        colour[v] = 1 - colour[u]
+        edges.add((u, v))
+    cross = [(u, v) for u in range(n) for v in range(u + 1, n) if colour[u] != colour[v]]
+    rng.shuffle(cross)
+    for e in cross:
+        if len(edges) > (n if dense else n - 1):
+            break
+        edges.add(e)
+    return Graph.from_edges(n, edges)
+
+
+def _on_t(g: Graph) -> bool:
+    return g.n < g.num_edges
+
+
+def _traces(m: RationalMatrix, k_max: int) -> list:
+    power, out = m, []
+    for k in range(1, k_max + 1):
+        out.append(power.trace())
+        power = mat_mul(power, m)
+    return out
+
+
+def _assert_matches_u(t_cert, u: RationalMatrix, n_edges: int, n_vertices: int) -> None:
+    """T's certificate gives U's order, identity tests and traces."""
+    tau = exact_period_oracle(u)
+    cands = (1, 2, 3, 4, 6) if tau is None else (tau, 2 * tau, 6 * tau)
+    for c in cands:
+        expected = None if tau is None or c % tau else tau
+        assert _certified_order(t_cert.matrix, c, t_cert.is_identity) == expected, c
+    t_k, u_k = t_cert.matrix, u
+    for k in range(1, 2 * (tau or 3) + 1):
+        assert t_cert.is_identity(t_k) == u_k.is_identity(), k
+        t_k, u_k = mat_mul(t_k, t_cert.matrix), mat_mul(u_k, u)
+    shift = n_edges - n_vertices
+    assert t_cert.trace_shift == shift
+    assert [x + shift for x in _traces(t_cert.matrix, TRACE_DEPTH)] == _traces(u, TRACE_DEPTH)
+    witness = trace_test(u)
+    assert t_cert.trace_witness() == witness
+
+
+PERIODIC_DENSE = {
+    "k23": complete_bipartite(2, 3),
+    "k33": complete_bipartite(3, 3),
+    "k45": complete_bipartite(4, 5),
+    "octahedron-s": subdivision(OCTAHEDRON)[0],
+    "octahedron-d": bipartite_double_cover(OCTAHEDRON)[0],
+    "figure7-d": bipartite_double_cover(figure7_graph())[0],
+}
+
+
+class TestAgainstU:
+    @pytest.mark.parametrize("name", sorted(PERIODIC_DENSE))
+    def test_periodic_fixtures(self, name):
+        g = PERIODIC_DENSE[name]
+        assert _on_t(g)
+        b = bipartition(g)
+        _assert_matches_u(_cell_certificate(g, b), build_bipartite_walk(g, b).U, g.num_edges, g.n)
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_seeded_bipartite(self, seed, dense):
+        g = seeded_bipartite(seed, dense)
+        b = bipartition(g)
+        _assert_matches_u(_cell_certificate(g, b), build_bipartite_walk(g, b).U, g.num_edges, g.n)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_seeded_grover(self, seed):
+        g = random_connected_graph(random.Random(seed), max_n=8)
+        sg, sb = subdivision(g)
+        _assert_matches_u(_cell_certificate(sg, sb), build_grover_walk(g).U, sg.num_edges, sg.n)
+
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(["bipartite", "grover"]))
+    @settings(max_examples=40, deadline=None)
+    def test_decisions_on_both_sides_of_the_rule(self, seed, dense, kind):
+        g = seeded_bipartite(seed, dense)
+        u = (build_bipartite_walk if kind == "bipartite" else build_grover_walk)(g).U
+        v = decide_periodicity(g, kind)
+        assert v.oracle_period == exact_period_oracle(u)
+        witness = None if v.periodic else trace_test(u)
+        assert v.trace_witness == (None if witness is None else (witness[0], str(witness[1])))
+
+    def test_t_is_the_quotient_on_the_smaller_class(self):
+        # K_{2,5}: T is 7 x 7, the first two basis vectors the c0 vertices
+        num, den, z = cell_operator(complete_bipartite(2, 5))
+        assert len(num) == 7 and z == (1, 1, -1, -1, -1, -1, -1)
+        t = RationalMatrix.from_numerators(num, den)
+        # T z = z; the squared block 4 D0^-1 C D1^-1 C^T - I has 4/5 * 5/2
+        # off the diagonal, and the block of the other class is -I
+        assert [sum(x * y for x, y in zip(row, z)) for row in t.data] == list(z)
+        assert t.data[0][:2] == (1, 2) and t.data[6][2:] == (0, 0, 0, 0, -1)
+
+
+def _wrap_quotient(monkeypatch, change):
+    original = qwalk.walks._quotient
+
+    def corrupted(*args):
+        rows, den, z = original(*args)
+        return change([list(r) for r in rows], den, list(z))
+
+    monkeypatch.setattr(qwalk.walks, "_quotient", corrupted)
+
+
+def _shift_entry(rows, den, z):
+    rows[1][2] += 1
+    return rows, den, tuple(z)
+
+
+def _flip_z(rows, den, z):
+    z[-1] = -z[-1]
+    return rows, den, tuple(z)
+
+
+class TestCellOperatorChecks:
+    @pytest.mark.parametrize("g", [complete_bipartite(3, 4), heawood_graph()], ids=["k34", "heawood"])
+    def test_corrupted_t(self, monkeypatch, g):
+        _wrap_quotient(monkeypatch, _shift_entry)
+        with pytest.raises(ConstructionError) as exc:
+            cell_operator(g)
+        assert str(exc.value) == "T does not satisfy U X = X T"
+
+    def test_corrupted_z(self, monkeypatch):
+        _wrap_quotient(monkeypatch, _flip_z)
+        with pytest.raises(ConstructionError) as exc:
+            cell_operator(complete_bipartite(3, 4))
+        assert str(exc.value) == "z is not in the kernel of X"
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_one_edge_in_the_wrong_cell(self, monkeypatch, side):
+        original = qwalk.walks.build_partitions
+
+        def moved(g, b):
+            parts = list(original(g, b))
+            cells = dict(parts[side].cells)
+            u, v = sorted(cells)[:2]
+            cells[u], cells[v] = cells[u][:-1], cells[v] + cells[u][-1:]
+            parts[side] = EdgePartition(cells)
+            return tuple(parts)
+
+        monkeypatch.setattr(qwalk.walks, "build_partitions", moved)
+        with pytest.raises(ConstructionError) as exc:
+            cell_operator(complete_bipartite(3, 4))
+        assert str(exc.value) == "T does not satisfy U X = X T"
+
+    def test_unchanged_quotient_passes(self, monkeypatch):
+        expected = cell_operator(complete_bipartite(3, 4))
+        _wrap_quotient(monkeypatch, lambda rows, den, z: (rows, den, tuple(z)))
+        assert cell_operator(complete_bipartite(3, 4)) == expected
+
+    def test_rejects_disconnected_and_non_bipartite(self):
+        with pytest.raises(GraphError, match="^graph is disconnected$"):
+            cell_operator(Graph.from_edges(4, [(0, 1), (2, 3)]), bipartition(complete_bipartite(2, 2)))
+        with pytest.raises(GraphError):
+            cell_operator(petersen_graph())
+
+
+def _recording(monkeypatch, name, sizes):
+    """Record the operand shapes of every product made through name."""
+    for module in (qwalk.exact, qwalk.periodicity, qwalk.walks):
+        original = getattr(module, name, None)
+        if original is None:
+            continue
+
+        def wrapped(*args, _original=original):
+            a, b = args[0], args[1]
+            dims = (a.rows, a.cols, b.cols) if name == "mat_mul" else (len(a), len(b), args[2])
+            sizes.append(dims)
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+
+def _forbid_builds(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("a walk operator on edge space was built")
+
+    for name in ("build_bipartite_walk", "build_grover_walk"):
+        monkeypatch.setattr(f"qwalk.periodicity.{name}", refuse)
+
+
+class TestSizeRule:
+    def test_k20_20_multiplies_nothing_larger_than_the_cell_space(self, monkeypatch):
+        sizes = []
+        _recording(monkeypatch, "mat_mul", sizes)
+        _recording(monkeypatch, "_int_product", sizes)
+        v = decide_periodicity(complete_bipartite(20, 20))
+        assert v.periodic and v.period == v.oracle_period == 2
+        assert sizes and max(max(s) for s in sizes) <= 40
+
+    @pytest.mark.parametrize(
+        "g,kind,code", [(complete_bipartite(4, 4), "b", 0), (petersen_graph(), "g", 3)],
+        ids=["k44", "petersen-g"],
+    )
+    def test_period_builds_no_walk_operator_above_average_degree_two(
+        self, monkeypatch, capsys, tmp_path, g, kind, code
+    ):
+        _forbid_builds(monkeypatch)
+        path = tmp_path / "g.txt"
+        path.write_text(format_graph(g))
+        assert main(["period", str(path), "--kind", kind]) == code
+        assert json.loads(capsys.readouterr().out)["verdict"]["oracle"]["ran"]
+
+    def test_c24_is_certified_on_u(self, monkeypatch, capsys, tmp_path):
+        calls = []
+        build = qwalk.periodicity.build_bipartite_walk
+        monkeypatch.setattr(
+            "qwalk.periodicity.build_bipartite_walk", lambda *a: calls.append(a) or build(*a)
+        )
+        path = tmp_path / "c24.txt"
+        path.write_text(format_graph(cycle(24)))
+        assert main(["period", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"]["period"] == 12
+        assert len(calls) == 1
+
+
+class TestPeriodDoublingOnCells:
+    @pytest.mark.parametrize(
+        "g", [complete_bipartite(2, 3), complete_bipartite(3, 3), complete_bipartite(4, 4)],
+        ids=["k23", "k33", "k44"],
+    )
+    def test_dense_graphs_build_no_walk_operator(self, monkeypatch, g):
+        expected = (
+            exact_period_oracle(build_bipartite_walk(g).U),
+            exact_period_oracle(build_grover_walk(g).U),
+        )
+        _forbid_builds(monkeypatch)
+        assert grover_period_doubling(g) == expected == (2, 4)
+
+    def test_subdivided_octahedron(self):
+        assert grover_period_doubling(subdivision(OCTAHEDRON)[0]) == (12, 24)
+
+    @pytest.mark.parametrize("g", [heawood_graph(), figure1_graph()], ids=["heawood", "figure1"])
+    def test_non_periodic_raises(self, g):
+        with pytest.raises(ValueError, match="^the walks are not periodic$"):
+            grover_period_doubling(g)
+
+    def test_non_bipartite_raises(self):
+        with pytest.raises(GraphError):
+            grover_period_doubling(petersen_graph())
+
+
+class TestOneAdditionChain:
+    @pytest.mark.parametrize("c,products", [(1, 0), (2, 1), (12, 4), (30, 7), (128, 7)])
+    def test_product_counts(self, monkeypatch, c, products):
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return mat_mul(a, b)
+
+        monkeypatch.setattr("qwalk.periodicity.mat_mul", counting)
+        # never the identity: every power of {c} and the c/p is made once
+        assert _certified_order(RationalMatrix.identity(3), c, lambda m: False) is None
+        assert len(calls) == products
+
+    @pytest.mark.parametrize("c", range(1, 65))
+    def test_descent_matches_the_powers(self, c):
+        u = build_bipartite_walk(cycle(8)).U  # order 4
+        assert _certified_order(u, c) == (4 if c % 4 == 0 else None)

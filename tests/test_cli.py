@@ -286,6 +286,75 @@ class TestUsageErrors:
         assert code == 1
 
 
+def _outcome(capsys, argv: list[str]) -> tuple:
+    """Exit code, stdout and stderr of one in-process call, without the
+    wall-clock fields of period reports."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    lines = []
+    for line in out.out.splitlines():
+        if line.startswith("{"):
+            doc = json.loads(line)
+            doc.pop("timing_seconds", None)
+            line = json.dumps(doc)
+        elif line.startswith("time:"):
+            continue
+        lines.append(line)
+    return code, lines, out.err
+
+
+class TestOneParser:
+    SEQUENCE = [
+        ["period", "k33", "--pretty"],
+        ["period", "k33"],
+        ["scan", "--max-edges", "4"],
+        ["period", "figure1", "--kind", "g", "--transform", "s"],
+        ["period", "c6", "--cap", "4"],
+        ["walk", "c4", "--kind", "g"],
+        ["--version"],
+        ["scan", "--max-edges", "4", "--pretty"],
+        ["period", "k33"],
+    ]
+
+    def test_built_once_per_process(self, monkeypatch, capsys):
+        import qwalk.cli
+
+        builds = []
+        build = qwalk.cli.build_parser
+        monkeypatch.setattr(qwalk.cli, "build_parser", lambda: builds.append(1) or build())
+        qwalk.cli._parser.cache_clear()
+        try:
+            for argv in self.SEQUENCE:
+                _outcome(capsys, argv)
+        finally:
+            qwalk.cli._parser.cache_clear()
+        assert builds == [1]
+
+    def test_consecutive_calls_leak_no_state(self, capsys):
+        """Each call through the shared parser prints what a freshly built
+        parser prints, whatever ran before it."""
+        import qwalk.cli
+
+        fresh = []
+        for argv in self.SEQUENCE:
+            qwalk.cli._parser.cache_clear()
+            fresh.append(_outcome(capsys, argv))
+        shared = [_outcome(capsys, argv) for argv in self.SEQUENCE]
+        assert shared == fresh
+        assert json.loads(shared[1][1][0])["verdict"]["period"] == 2
+        assert shared[4][0] == 1 and "unrecognized arguments: --cap 4" in shared[4][2]
+        assert shared[6][0] == 0 and shared[6][1] == [f"qwalk {qwalk.__version__}"]
+
+    def test_not_built_at_import(self):
+        from test_numpy_free import _run_python
+
+        proc = _run_python("import qwalk.cli as c; print(c._parser.cache_info().currsize)")
+        assert proc.returncode == 0 and proc.stdout == "0\n", proc.stderr
+
+
 def _parser_flags() -> dict[str, set[str]]:
     """Long option strings of the top-level parser ("") and each subcommand."""
     top = build_parser()

@@ -486,10 +486,11 @@ PAW = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
 
 
 class TestOnePowerPass:
-    def test_cycle24_certification_takes_nine_products_and_no_trace(self, monkeypatch):
-        # tau = 12: U^12 = I by square-and-multiply (4 products), then
-        # U^6 != I (3) and U^4 != I (2) for minimality; a periodic verdict
-        # rests on U^tau = I alone, so no trace is taken
+    def test_cycle24_certification_takes_four_products_and_no_trace(self, monkeypatch):
+        # tau = 12: one addition chain 1, 2, 4, 6, 12 gives U^4 != I,
+        # U^6 != I and U^12 = I (4 products); C24 has as many vertices as
+        # edges, so it is certified on U, and a periodic verdict rests on
+        # U^tau = I alone, so no trace is taken
         calls = _count_products(monkeypatch, "qwalk.periodicity", "qwalk.exact")
         traces = []
         trace = RationalMatrix.trace
@@ -497,7 +498,7 @@ class TestOnePowerPass:
         v = decide_periodicity(cycle(24))
         assert v.periodic is True and v.period == v.oracle_period == 12
         assert v.trace_witness is None
-        assert len(calls) == 9 and traces == []
+        assert len(calls) == 4 and traces == []
 
     def test_paw_spurious_candidate_is_certified_not_walked(self, monkeypatch):
         # qwalk.exact.mat_mul counts the products of mat_pow as well
