@@ -3,12 +3,14 @@
 Subcommands: gen, walk, period, scan, verify.  Structured output is JSON
 Lines (one object per line); --pretty switches to human-readable text.
 
-`period` decides by the integrality of q(y) = det(yI - (4M - 2I)); a
-periodic verdict is certified by U^tau = I with minimality, a non-periodic
-one carries the first non-integral tr(U^k), k <= 12, if there is one, and
-the spectral table's orders must agree with q.  Both certificates are
-checked on U, or on its quotient T of size n0 + n1 when n0 + n1 < |E|
-(average degree above 2).  Every connected input gets a definite verdict.
+`period` decides by the integrality of q(y) = det(yI - (4M - 2I)), a
+Grover walk as the bipartite walk of the subdivision S(g); a periodic
+verdict is certified by U^tau = I with minimality, a non-periodic one
+carries the first non-integral tr(U^k), k <= 12, if there is one, and the
+spectral table's orders must agree with q.  Both certificates are checked
+on U, or on its quotient T of size n0 + n1 when n0 + n1 < |E| (average
+degree above 2).  Every connected input with an edge gets a definite
+verdict; a graph with no edges is an input error.
 
 Exit codes: 0 periodic / success, 3 non-periodic, 5 internal method
 disagreement, 1 usage or input error.

@@ -1,11 +1,16 @@
 """Periodicity deciders for bipartite and Grover walks.
 
-The walk eigenvalues other than +-1 are e^(+-i theta) with 2cos(theta) a
-root of q(y) = det(yI - (4M - 2I)), M = D0^-1 C D1^-1 C^T for the
-biadjacency block C.  q is monic with every root in [-2, 2], so the walk
-is periodic iff q has integer coefficients (Kronecker, 1857), and then q
-is a product of the minimal polynomials Psi_k of 2cos(2 pi / k): the
-period is the lcm of those k, with 2 when the walk has a -1 eigenvector.
+A Grover walk on g is decided as the bipartite walk of its subdivision
+S(g), to which U_GW is similar, so one path decides both kinds.  The walk
+eigenvalues other than +-1 are e^(+-i theta) with 2cos(theta) a root of
+q(y) = det(yI - (4M - 2I)), M = D0^-1 C D1^-1 C^T for the block C of the
+adjacency between the two classes, taken on one class: the smaller one,
+or the original vertices of S(g).  M comes from one integer builder
+(_gram) as the rows of L M over L.  q is monic with every root in
+[-2, 2], so the walk is periodic iff q has integer coefficients
+(Kronecker, 1857), and then q is a product of the minimal polynomials
+Psi_k of 2cos(2 pi / k): the period is the lcm of those k, with 2 when
+the walk has a -1 eigenvector.
 
 That decides, and each verdict carries one certificate:
 
@@ -20,8 +25,7 @@ cell space (walks.cell_operator) when n0 + n1 < |E|, that is when the
 average degree is above 2: U^k = I exactly when every column of T^k - I is
 a multiple of z, and tr(U^k) = tr(T^k) + |E| - n0 - n1.  On a tree or a
 cycle U is a sparse near-permutation and T's powers fill in, so U is kept
-there.  A Grover walk is certified as the bipartite walk of S(g), on its T
-when n < |E|, else on U_GW.
+there.  For a Grover walk that is the U or T of S(g): T when n < |E|.
 
 The spectral table is the paper's characterization for biregular graphs:
 every squared adjacency eigenvalue lies in the allowed-value table, the
@@ -38,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .exact import (
     HigherDegreeFactor,
@@ -62,12 +66,11 @@ from .graphs import (
     GraphError,
     NotBiregularError,
     adjacency_matrix,
-    biadjacency,
     bipartition,
     degree_profile,
     subdivision,
 )
-from .walks import WalkOperator, build_bipartite_walk, build_grover_walk, cell_operator
+from .walks import WalkOperator, build_bipartite_walk, cell_operator
 
 TRACE_DEPTH = 12  # tr(U^k) is checked for k <= TRACE_DEPTH
 
@@ -115,36 +118,34 @@ def _allowed_values(d0d1: int) -> dict[QuadraticValue, int]:
 # ---------------------------------------------------------------------------
 
 
-def _smaller_side(g: Graph, b: Bipartition) -> list:
-    """The biadjacency block with its rows on the smaller colour class."""
-    c = biadjacency(g, b)
-    return list(zip(*c)) if len(c) > len(c[0]) else c
+def _gram(g: Graph, rows: Iterable[int], other: Iterable[int]) -> tuple[list[list[int]], int]:
+    """The integer rows of L M, and L, for M = Dr^-1 C Do^-1 C^T with C the
+    block of g's adjacency from the vertices `rows` to `other` and
+    L = lcm(deg rows) lcm(deg other): two-hop sums over g's neighbours.
+
+    On a (d0, d1)-biregular graph L M is C C^T.  On the subdivision S(g),
+    with rows the original vertices, it is (L/2)(I + D^-1 A).
+    """
+    deg, adj = g.degrees(), g.neighbors()
+    rows = sorted(rows)
+    pos = {v: i for i, v in enumerate(rows)}
+    l_rows, l_other = lcm(*(deg[v] for v in rows)), lcm(*(deg[x] for x in other))
+    out = []
+    for v in rows:
+        row, w = [0] * len(rows), l_rows // deg[v]
+        for x in adj[v]:
+            wx = w * (l_other // deg[x])
+            for y in adj[x]:
+                row[pos[y]] += wx
+        out.append(row)
+    return out, l_rows * l_other
 
 
-def _numerator_q(m: RationalMatrix) -> IntPolynomial:
-    """charpoly(m) from the char-poly of its integer numerators, if
-    integral; NonIntegralPolynomial otherwise."""
-    return rescaled_integral(char_poly(m.num), Fraction(1, m.den))
-
-
-def _gram_operator(g: Graph, b: Bipartition) -> RationalMatrix:
-    """4M - 2I for M = D0^-1 C D1^-1 C^T on the smaller colour class."""
-    c = _smaller_side(g, b)
-    col_deg = [sum(col) for col in zip(*c)]
-    return RationalMatrix([
-        [4 * sum(Fraction(x * y, d) for x, y, d in zip(r, t, col_deg)) / sum(r) - 2 * (i == j)
-         for j, t in enumerate(c)]
-        for i, r in enumerate(c)
-    ])
-
-
-def _grover_operator(g: Graph) -> RationalMatrix:
-    """2 D^-1 A: 4M - 2I of the subdivision S(g) on the original vertices,
-    where M = D^-1 (D + A) / 2."""
-    deg = g.degrees()
-    return RationalMatrix(
-        [[Fraction(2 * x, deg[i]) for x in row] for i, row in enumerate(adjacency_matrix(g))]
-    )
+def _q(chi: IntPolynomial, den: int, shift: int = 0) -> IntPolynomial:
+    """q(y) = det(yI - (4M - 2I)) from chi = charpoly(den M - shift I), a
+    root x of chi sitting at y = 4(x + shift)/den - 2; NonIntegralPolynomial
+    when q is not integral."""
+    return rescaled_integral(chi, Fraction(4, den), Fraction(4 * shift, den) - 2)
 
 
 def _q_period(q: IntPolynomial, n0: int, n1: int) -> tuple[set[int], int]:
@@ -170,7 +171,10 @@ def period_from_phases(g: Graph, b: Optional[Bipartition] = None) -> int:
         b = bipartition(g)
     elif not g.is_connected():
         raise GraphError("graph is disconnected")
-    return _q_period(_numerator_q(_gram_operator(g, b)), len(b.c0), len(b.c1))[1]
+    if not g.num_edges:
+        raise GraphError("graph has no edges")
+    gram, den = _gram(g, *sorted((b.c0, b.c1), key=len))  # on the smaller class
+    return _q_period(_q(char_poly(gram), den), len(b.c0), len(b.c1))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +229,7 @@ def exact_period_oracle(u: RationalMatrix) -> Optional[int]:
     if not u.is_square:
         raise ValueError("U must be square")
     try:
-        orders, rest = cyclotomic_factors(_numerator_q(u))
+        orders, rest = cyclotomic_factors(rescaled_integral(char_poly(u.num), Fraction(1, u.den)))
     except NonIntegralPolynomial:
         return None
     return _certified_order(u, lcm(*orders)) if rest.degree == 0 else None
@@ -303,26 +307,6 @@ def _bipartite_certificate(g: Graph, b: Bipartition) -> _Certificate:
     return _Certificate(build_bipartite_walk(g, b).U)
 
 
-def _grover_certificate(g: Graph) -> _Certificate:
-    """U_GW is permutation-similar to U_BW(S(g)), whose classes have n and
-    |E| vertices: on the T of S(g) when n < |E|, else on U_GW."""
-    if not g.is_connected():
-        raise GraphError("graph is disconnected")
-    if g.n < g.num_edges:
-        return _cell_certificate(*subdivision(g))
-    return _Certificate(build_grover_walk(g).U)
-
-
-def _period(m: RationalMatrix, sizes: tuple[int, int], cert: _Certificate) -> Optional[int]:
-    """The period from q = charpoly of the numerators of m, certified on
-    cert, or None when q is not integral."""
-    try:
-        _, tau = _q_period(_numerator_q(m), *sizes)
-    except NonIntegralPolynomial:
-        return None
-    return cert.order(tau)
-
-
 # ---------------------------------------------------------------------------
 # Spectral table (biregular bipartite, and Grover on regular graphs)
 # ---------------------------------------------------------------------------
@@ -386,8 +370,7 @@ def spectral_test_biregular(g: Graph, b: Optional[Bipartition] = None) -> Spectr
     prof = degree_profile(g, b)
     if not prof.is_biregular:
         raise NotBiregularError("spectral test requires a biregular graph")
-    c = _smaller_side(g, b)  # the squared eigenvalues from the smaller Gram block
-    gram = [[sum(x * y for x, y in zip(r, t)) for t in c] for r in c]
+    gram, _ = _gram(g, *sorted((b.c0, b.c1), key=len))  # C C^T on the smaller class
     return _classify(char_poly(gram), prof.d0, prof.d1)
 
 
@@ -437,14 +420,11 @@ def state_periodicity(w: WalkOperator, edge: int) -> bool:
 
 def grover_period_doubling(g: Graph) -> tuple[int, int]:
     """Exact periods (tau_bipartite, tau_grover) for a connected bipartite
-    graph, asserting the doubling relation tau_grover = 2 * tau_bipartite.
-    Each is the tau of its q, certified on g and on S(g) as in
-    decide_periodicity.  A graph whose walks are not periodic raises
-    ValueError.
+    graph, each from decide_periodicity, asserting the doubling relation
+    tau_grover = 2 * tau_bipartite.  A graph whose walks are not periodic
+    raises ValueError.
     """
-    b = bipartition(g)
-    tau_bw = _period(_gram_operator(g, b), (len(b.c0), len(b.c1)), _bipartite_certificate(g, b))
-    tau_gw = _period(_grover_operator(g), (g.n, g.num_edges), _grover_certificate(g))
+    tau_bw, tau_gw = (decide_periodicity(g, kind).period for kind in ("bipartite", "grover"))
     if tau_gw != (None if tau_bw is None else 2 * tau_bw):
         raise MethodDisagreement(
             f"period doubling violated: bipartite {tau_bw}, grover {tau_gw}"
@@ -470,52 +450,60 @@ class PeriodicityVerdict:
 def decide_periodicity(g: Graph, kind: str = "bipartite") -> PeriodicityVerdict:
     """Decide the walk of the given kind on g by the integrality of q, and
     certify the verdict: a periodic one by U^tau = I with minimality, a
-    non-periodic one with the trace witness, if any.  Both are checked on
-    T, U's quotient on the cell space, when n0 + n1 < |E| (average degree
-    above 2), else on U itself.
+    non-periodic one with the trace witness, if any.
 
-    kind "bipartite" requires g connected bipartite; kind "grover" accepts
-    any connected graph, as the bipartite walk on its subdivision S(g),
-    whose classes have n and |E| vertices.  q comes from the one char-poly
-    of the decision: the table's when there is one, else that of the
-    numerators of 4M - 2I.  The table's orders must be those of q.
-    Contradictory answers raise MethodDisagreement.
+    kind "bipartite" requires g connected bipartite, and q is taken on its
+    smaller class (c0 on a tie).  kind "grover" accepts any connected g and
+    decides it as the bipartite walk of its subdivision S(g), which U_GW is
+    similar to: q on the original vertices, classes of n and |E| vertices.
+    Past this choice of graph and class both kinds take one path.  q comes
+    from the spectral table's char-poly when the graph is biregular (g
+    regular, for a Grover walk), else from that of the integer Gram rows
+    (_gram); the table's orders must be those of q.  Both certificates are
+    checked on T, U's quotient on the cell space, when n0 + n1 < |E|
+    (average degree above 2), else on U.  A graph with no edges raises
+    GraphError, contradictory answers MethodDisagreement.
     """
     if kind not in ("bipartite", "grover"):
         raise ValueError(f"unknown walk kind: {kind}")
-    v = PeriodicityVerdict(periodic=False)
-    if kind == "bipartite":
-        b = bipartition(g)  # raises for non-bipartite or disconnected input
-        cert, sizes = _bipartite_certificate(g, b), (len(b.c0), len(b.c1))
-        try:
-            v.spectral = spectral_test_biregular(g, b)
-        except NotBiregularError:
-            v.notes.append("spectral test skipped: graph not biregular")
-            m = _gram_operator(g, b)
+    grover = kind == "grover"
+    if grover:
+        if not g.is_connected():
+            raise GraphError("graph is disconnected")
+        h, b = subdivision(g)
+        rows, other = b.c1, b.c0
     else:
-        cert, sizes = _grover_certificate(g), (g.n, g.num_edges)  # the classes of S(g)
-        if len(set(g.degrees())) == 1:
-            v.spectral = grover_regular_test(g)
-        else:
-            v.notes.append("spectral test skipped: graph not regular")
-            m = _grover_operator(g)
+        h, b = g, bipartition(g)  # raises for non-bipartite or disconnected input
+        rows, other = sorted((b.c0, b.c1), key=len)
+    if not g.num_edges:
+        raise GraphError("graph has no edges")
 
-    s = v.spectral
+    v = PeriodicityVerdict(periodic=False)
+    if degree_profile(h, b).is_biregular:  # for a Grover walk: g is regular
+        v.spectral = grover_regular_test(g) if grover else spectral_test_biregular(g, b)
+        chi, den = v.spectral.chi, v.spectral.d0 * v.spectral.d1
+    else:
+        v.notes.append(f"spectral test skipped: graph not {'regular' if grover else 'biregular'}")
+        gram, den = _gram(h, rows, other)
+        if grover:
+            for i, row in enumerate(gram):
+                row[i] -= den // 2
+        chi = char_poly(gram)
+    # on S(g), L M = (L/2)(I + D^-1 A): chi is that of (L/2) D^-1 A, zero
+    # on the diagonal, which on a d-regular g (L = 2d) is A, the table's
+    shift = den // 2 if grover else 0
     try:
-        if s is None:
-            q = _numerator_q(m)
-        else:  # a root x of chi is at y = 4x/(d0 d1) - 2 for x = lambda^2,
-            # and at y = 2x/d for a Grover walk's x = lambda
-            q = rescaled_integral(s.chi, Fraction(4, s.d0 * s.d1), 0 if kind == "grover" else -2)
-        orders, tau = _q_period(q, *sizes)
+        orders, tau = _q_period(_q(chi, den, shift), len(b.c0), len(b.c1))
     except NonIntegralPolynomial as exc:
         orders, tau = None, 0
         v.notes.append(f"q = det(yI - (4M - 2I)) is not integral: {exc}")
+    s = v.spectral
     if s is not None and s.status != "inconclusive":
         table_orders = {c.order for c in s.classifications} if s.status == "periodic" else None
         if table_orders != orders:
             raise MethodDisagreement(f"spectral table: orders {table_orders}; q: orders {orders}")
 
+    cert = _bipartite_certificate(h, b)
     if orders is None:
         witness = cert.trace_witness()
         if witness is not None:

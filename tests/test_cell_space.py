@@ -3,6 +3,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from qwalk.graphs import (
     figure7_graph,
     format_graph,
     heawood_graph,
+    path,
     petersen_graph,
     subdivision,
 )
@@ -231,12 +233,21 @@ def _recording(monkeypatch, name, sizes):
         monkeypatch.setattr(module, name, wrapped)
 
 
-def _forbid_builds(monkeypatch):
+def _replace_everywhere(monkeypatch, original, replacement):
+    """Put replacement at every qwalk.* module attribute that holds original."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "qwalk" or module_name.startswith("qwalk."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def _forbid_builds(monkeypatch, names=("build_bipartite_walk", "build_grover_walk")):
     def refuse(*_args):
         raise AssertionError("a walk operator on edge space was built")
 
-    for name in ("build_bipartite_walk", "build_grover_walk"):
-        monkeypatch.setattr(f"qwalk.periodicity.{name}", refuse)
+    for name in names:
+        _replace_everywhere(monkeypatch, getattr(qwalk.walks, name), refuse)
 
 
 class TestSizeRule:
@@ -271,6 +282,18 @@ class TestSizeRule:
         path.write_text(format_graph(cycle(24)))
         assert main(["period", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"]["period"] == 12
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("g", [cycle(10), path(5)], ids=["c10", "p5"])
+    def test_grover_period_on_u_builds_one_bipartite_walk(self, monkeypatch, capsys, tmp_path, g):
+        calls = []
+        build = qwalk.walks.build_bipartite_walk
+        _forbid_builds(monkeypatch, ["build_grover_walk"])
+        _replace_everywhere(monkeypatch, build, lambda *a: calls.append(a) or build(*a))
+        graph_file = tmp_path / "g.txt"
+        graph_file.write_text(format_graph(g))
+        assert main(["period", str(graph_file), "--kind", "g"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"]["oracle"]["ran"]
         assert len(calls) == 1
 
 

@@ -164,6 +164,16 @@ class TestPeriod:
         assert exc.value.code == 1
         assert "unrecognized arguments: --methods" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["b", "g"])
+    @pytest.mark.parametrize("transform", ["none", "s"])
+    def test_edgeless_single_vertex(self, capsys, monkeypatch, kind, transform):
+        code, out, err = run(
+            capsys, "period", "-", "--kind", kind, "--transform", transform,
+            stdin="1\n", monkeypatch=monkeypatch,
+        )
+        assert code == 1 and out == ""
+        assert err == "qwalk: error: graph has no edges\n"
+
     def test_unknown_input(self, capsys):
         code, _, err = run(capsys, "period", "no_such_file.edges")
         assert code == 1 and "neither a file" in err

@@ -4,10 +4,9 @@ fixture, C3..C24 and the paw graph, each with --kind b|g and
 --transform none|s|d (204 commands), and one for the whole stream of
 `qwalk scan --max-edges 12`.
 
-The digests in frozen_reports.json were computed with the shared power
-pass that certified periodic walks before _certified_order served every
-period; any change to a verdict, period, certificate field, note or
-error message shows here.  To recompute them on purpose:
+The digests in frozen_reports.json are fixed: any change to a verdict,
+period, certificate field, note or error message shows here, whichever
+route computes it.  To recompute them on purpose:
 
     PYTHONPATH=src python tests/test_frozen_reports.py tests/frozen_reports.json
 """

@@ -4,14 +4,25 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qwalk.exact import QuadraticValue, RationalMatrix, char_poly, mat_mul, mat_pow
+from qwalk.exact import (
+    NonIntegralPolynomial,
+    QuadraticValue,
+    RationalMatrix,
+    char_poly,
+    mat_mul,
+    mat_pow,
+)
 from qwalk.graphs import (
     Bipartition,
     Graph,
     GraphError,
     adjacency_matrix,
+    biadjacency,
     bipartite_double_cover,
+    bipartition,
     circulant,
     complete_bipartite,
     cycle,
@@ -29,6 +40,8 @@ from qwalk.periodicity import (
     TRACE_DEPTH,
     MethodDisagreement,
     _certified_order,
+    _gram,
+    _q,
     allowed_value_table,
     decide_periodicity,
     exact_period_oracle,
@@ -181,6 +194,10 @@ class TestPeriodFromPhases:
     def test_subdivided_cayley_graph(self):
         g, b = subdivision(circulant(10, [1, 4, -1, -4]))
         assert period_from_phases(g, b) == 20
+
+    def test_edgeless_graph_raises(self):
+        with pytest.raises(GraphError, match="^graph has no edges$"):
+            period_from_phases(Graph.from_edges(1, []))
 
 
 class TestGroverRegular:
@@ -654,3 +671,85 @@ class TestKroneckerAgainstSympy:
             assert (v.periodic, v.period) == expected, g
             outcomes.append(v.periodic)
         assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
+
+
+# ---------------------------------------------------------------------------
+# The integer Gram builder against the Fraction formula and sympy
+# ---------------------------------------------------------------------------
+
+
+def _balanced_bipartite(rng: random.Random, max_k: int = 5) -> Graph:
+    """Connected bipartite graph with two classes of k vertices (the
+    parities): a random spanning tree across them plus a few more edges."""
+    n = 2 * rng.randint(1, max_k)
+    edges = {(rng.choice(range(1 - v % 2, v, 2)), v) for v in range(1, n)}
+    for _ in range(rng.randint(0, n)):
+        u, v = sorted(rng.sample(range(n), 2))
+        if (u + v) % 2:
+            edges.add((u, v))
+    return Graph.from_edges(n, edges)
+
+
+def _fraction_gram(h: Graph, b: Bipartition, rows) -> list[list[Fraction]]:
+    """M = Dr^-1 C Do^-1 C^T in Fractions, on the class `rows` of b: the
+    expression of the Fraction-built Gram operator that _gram replaced."""
+    c = biadjacency(h, b)
+    if rows is not b.c0:
+        c = [list(col) for col in zip(*c)]
+    col_deg = [sum(col) for col in zip(*c)]
+    return [
+        [sum(Fraction(x * y, d) for x, y, d in zip(r, t, col_deg)) / sum(r) for t in c]
+        for r in c
+    ]
+
+
+def _assert_gram_and_q(h: Graph, b: Bipartition, rows, other, shifts) -> None:
+    """_gram / L is the Fraction formula, and q = charpoly(4M - 2I) from
+    charpoly(L M - sI) for every shift s; NonIntegralPolynomial exactly
+    when sympy's charpoly has a non-integral coefficient."""
+    sympy = pytest.importorskip("sympy")
+    gram, den = _gram(h, rows, other)
+    m = _fraction_gram(h, b, rows)
+    assert [[Fraction(x, den) for x in row] for row in gram] == m
+    expected = sympy.Matrix([[4 * x for x in row] for row in m]) - 2 * sympy.eye(len(m))
+    coeffs = [sympy.Rational(c) for c in reversed(expected.charpoly().all_coeffs())]
+    for shift in shifts:
+        chi = char_poly(
+            [[x - shift * (i == j) for j, x in enumerate(row)] for i, row in enumerate(gram)]
+        )
+        if all(c.q == 1 for c in coeffs):
+            assert list(_q(chi, den, shift).coeffs) == [int(c) for c in coeffs]
+        else:
+            with pytest.raises(NonIntegralPolynomial):
+                _q(chi, den, shift)
+
+
+class TestGramAgainstFractions:
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_bipartite_on_the_smaller_class(self, seed, balanced):
+        rng = random.Random(seed)
+        g = _balanced_bipartite(rng) if balanced else _random_bipartite(rng)
+        b = bipartition(g)
+        _assert_gram_and_q(g, b, *sorted((b.c0, b.c1), key=len), shifts=(0,))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_subdivision_on_the_original_vertices(self, seed):
+        h, b = subdivision(random_connected_graph(random.Random(seed), max_n=7))
+        den = _gram(h, b.c1, b.c0)[1]
+        _assert_gram_and_q(h, b, b.c1, b.c0, shifts=(0, den // 2))
+
+    def test_biregular_gram_is_c_ct_and_subdivision_of_regular_is_a(self):
+        g = figure7_graph()
+        h, b = bipartite_double_cover(g)
+        c = biadjacency(h, b)
+        d = h.degrees()[0]  # figure7 is d-regular, its double cover (d, d)-biregular
+        c_ct = [[sum(x * y for x, y in zip(r, t)) for t in c] for r in c]
+        assert _gram(h, b.c0, b.c1) == (c_ct, d * d)
+        sg, sb = subdivision(petersen_graph())
+        gram, den = _gram(sg, sb.c1, sb.c0)
+        assert den == 6
+        assert [[x - 3 * (i == j) for j, x in enumerate(row)] for i, row in enumerate(gram)] == (
+            adjacency_matrix(petersen_graph())
+        )
