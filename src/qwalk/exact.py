@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from math import gcd, isqrt, lcm, prod
+from operator import mul
 from typing import Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -314,26 +315,40 @@ def poly_divmod_monic(p: IntPolynomial, d: IntPolynomial) -> tuple[IntPolynomial
     return IntPolynomial.from_coeffs(quo), IntPolynomial.from_coeffs(rem[:dd] if dd else [0])
 
 
+def _sparse_times_dense(a: list, b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Rows of A B from the nonzeros (k, a_ik) of A's rows and B's dense
+    rows: row i is the sum of the a_ik B_k, column by column."""
+    zero = [0] * len(b[0])
+    return [list(map(sum, zip(zero, *(b[k] if x == 1 else [x * y for y in b[k]] for k, x in row))))
+            for row in a]
+
+
 def char_poly(m: Sequence[Sequence[int]]) -> IntPolynomial:
     """Monic characteristic polynomial det(xI - M) of an integer matrix.
 
-    Faddeev-LeVerrier on the integer rows: M_1 = M, c_(n-k) = -tr(M_k)/k,
-    M_(k+1) = M (M_k + c_(n-k) I).  Every M_k is an integer matrix and
-    every division by k is exact; the remainder is asserted to be 0.
+    From the power sums p_k = tr(M^k), k <= n, forming only M^1..M^h,
+    h = ceil(n/2), in h - 1 products: p_k = tr(M^h M^(k-h)) for k > h is a
+    sum of dot products of rows (after Preparata and Sarwate, IPL 7, 1978).
+    Newton's identities k c_k = -sum_(i<=k) c_(k-i) p_i give the coefficient
+    c_k of x^(n-k); a remainder, impossible for an integer M, raises ValueError.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise DimensionError("matrix is not square")
-    coeffs = [0] * n + [1]
-    mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in m]
+    powers = [m]  # powers[k - 1] = M^k
+    for _ in range((n + 1) // 2 - 1):
+        powers.append(_sparse_times_dense(sparse, powers[-1]))
+    p = [0] + [sum(row[i] for i, row in enumerate(mk)) for mk in powers]
+    top = list(zip(*powers[-1]))
+    p += [sum(sum(map(mul, r, t)) for r, t in zip(mk, top)) for mk in powers[: n // 2]]
+    c = [1]
     for k in range(1, n + 1):
-        mk = _int_product(m, mk, n)
-        ck, r = divmod(-sum(row[i] for i, row in enumerate(mk)), k)
-        assert r == 0, "char poly must be integral"
-        coeffs[n - k] = ck
-        for i, row in enumerate(mk):
-            row[i] += ck
-    return IntPolynomial.from_coeffs(coeffs)
+        ck, r = divmod(-sum(map(mul, c[::-1], p[1 : k + 1])), k)
+        if r:
+            raise ValueError(f"coefficient of x^{n - k} is not an integer: M is not integral")
+        c.append(ck)
+    return IntPolynomial(tuple(c[::-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -350,21 +365,28 @@ def rescaled_integral(p: IntPolynomial, a: RationalLike, b: RationalLike = 0) ->
     p, if it is integral; else NonIntegralPolynomial names its highest
     non-integral coefficient.
 
-    Coefficient i scales by a^(n-i), then a Taylor shift gives p(y - b).
-    With a = 1/L and b = 0 this is charpoly(N / L) from charpoly(N): it is
-    integral iff L^i divides the coefficient of x^(n-i).
+    In integers, with a = u/v and b = w/v over one denominator: coefficient
+    i scales by u^(n-i), a Taylor shift by w gives r with the roots u*x + w,
+    and the result's coefficient i is r_i / v^(n-i).  With a = 1/L and
+    b = 0 this is charpoly(N / L) from charpoly(N): it is integral iff L^i
+    divides the coefficient of x^(n-i).
     """
     if not p.is_monic:
         raise ValueError("polynomial must be monic")
     a, b, n = Fraction(a), Fraction(b), p.degree
-    c = [ci * a ** (n - i) for i, ci in enumerate(p.coeffs)]
-    for i in range(n) if b else ():
+    v = lcm(a.denominator, b.denominator)
+    u, w = int(a * v), int(b * v)
+    c = [ci * u ** (n - i) for i, ci in enumerate(p.coeffs)]
+    for i in range(n) if w else ():
         for j in range(n - 1, i - 1, -1):
-            c[j] -= b * c[j + 1]
+            c[j] -= w * c[j + 1]
     for i in range(n - 1, -1, -1):
-        if c[i].denominator != 1:
-            raise NonIntegralPolynomial(f"coefficient {c[i]} of y^{i} is not an integer")
-    return IntPolynomial(tuple(map(int, c)))
+        ci, r = divmod(c[i], v ** (n - i))
+        if r:
+            frac = Fraction(c[i], v ** (n - i))
+            raise NonIntegralPolynomial(f"coefficient {frac} of y^{i} is not an integer")
+        c[i] = ci
+    return IntPolynomial(tuple(c))
 
 
 def _prime_factors(k: int) -> list[int]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 
@@ -73,14 +74,23 @@ class Graph:
             d[v] += 1
         return d
 
-    def neighbors(self) -> list[list[int]]:
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours, built once per graph, as shared tuples."""
+        return self._adjacency
+
+    def is_connected(self) -> bool:
+        return self._connected
+
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return adj
+        return tuple(map(tuple, adj))
 
-    def is_connected(self) -> bool:
+    @cached_property
+    def _connected(self) -> bool:
         if self.n == 1:
             return True
         if self.n > self.num_edges + 1:  # a spanning tree needs n - 1 edges

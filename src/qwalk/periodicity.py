@@ -361,12 +361,15 @@ def spectral_test_biregular(g: Graph, b: Optional[Bipartition] = None) -> Spectr
     allowed-value table for (d0, d1).
 
     A residual factor of algebraic degree > 2 is outside the
-    characterization's hypothesis and yields "inconclusive".
+    characterization's hypothesis and yields "inconclusive".  A graph with
+    no edges raises GraphError.
     """
     if b is None:
         b = bipartition(g)
     elif not g.is_connected():
         raise GraphError("graph is disconnected")
+    if not g.num_edges:
+        raise GraphError("graph has no edges")
     prof = degree_profile(g, b)
     if not prof.is_biregular:
         raise NotBiregularError("spectral test requires a biregular graph")
@@ -381,10 +384,13 @@ def grover_regular_test(g: Graph) -> SpectralVerdict:
     The Gram block of S(g) on the original vertices is A + dI, so each
     adjacency eigenvalue lambda is classified, with its order, by looking
     up lambda + d in allowed_value_table(2, d).  The allowed lambda are
-    0, +-d, +-d/2, +-sqrt2/2 d, +-sqrt3/2 d and (+-1 +- sqrt5)/4 d.
+    0, +-d, +-d/2, +-sqrt2/2 d, +-sqrt3/2 d and (+-1 +- sqrt5)/4 d.  A
+    graph with no edges raises GraphError.
     """
     if not g.is_connected():
         raise GraphError("graph is disconnected")
+    if not g.num_edges:
+        raise GraphError("graph has no edges")
     degs = set(g.degrees())
     if len(degs) != 1:
         raise GraphError("grover test requires a regular graph")

@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .exact import RationalMatrix, _int_product, mat_mul
@@ -178,16 +179,25 @@ def _quotient(
 
 
 def _reflect(
-    vec: dict[int, int], cells: dict[int, tuple[int, ...]], cell_of: dict[int, int], den: int
-) -> dict[int, int]:
-    """(2P - I) vec for the cell projection P, as numerators over den times
-    those of vec: only the cells that vec's support meets are touched."""
-    out = {}
-    for key in {cell_of[e] for e in vec}:
-        cell = cells[key]
-        s = 2 * (den // len(cell)) * sum(vec.get(e, 0) for e in cell)
+    rows: Sequence[Sequence[tuple[int, int]]], cells: Iterable[Sequence[int]], den: int, n: int
+) -> list[list[int]]:
+    """(2P - I) Y for the cell projection P, Y given by the (column, value)
+    pairs of the nonzeros of its rows, one per edge: the dense rows of n
+    numerators over den times those of Y.  Row e is 2 den/|cell| times the
+    sum of the rows of e's cell, less den times itself."""
+    sums = [[0] * n] * len(rows)  # P is 0 on an edge in no cell
+    for cell in cells:
+        w = 2 * (den // len(cell))
+        s = [0] * n
         for e in cell:
-            out[e] = s - den * vec.get(e, 0)
+            for c, x in rows[e]:
+                s[c] += w * x
+        for e in cell:
+            sums[e] = s
+    out = [s[:] for s in sums]
+    for o, row in zip(out, rows):
+        for c, x in row:
+            o[c] -= den * x
     return out
 
 
@@ -206,9 +216,10 @@ def cell_operator(
     When that is c0, T is the quotient of U^T = (2Q - I)(2P - I), which has
     U's order and traces.
 
-    Checked exactly, without forming U: X z = 0, and U X = X T, applying
-    the two reflections cell by cell to each column of X.  A failure raises
-    ConstructionError.
+    Checked exactly, without forming U: X z = 0, and U X = X T for every
+    column of X, applying the two reflections cell by cell to X's rows and
+    forming row e of X T as the sum of the rows of T at e's two vertices.
+    A failure raises ConstructionError.
     """
     if b is None:
         b = bipartition(g)
@@ -223,28 +234,28 @@ def cell_operator(
     c_first, c_last = sorted(c_first), sorted(c_last)
     rows, den, z = _quotient(g, c_last, c_first)
     columns = [last.cells[v] for v in c_last] + [first.cells[x] for x in c_first]
-
-    def x_times(t: Sequence[int]) -> list[int]:
-        out = [0] * g.num_edges
-        for c, cell in zip(t, columns):
-            if c:
-                for e in cell:
-                    out[e] += c
-        return out
-
-    if any(x_times(z)):
+    n = len(columns)
+    held: list[list[int]] = [[] for _ in range(g.num_edges)]  # row e of X: 1 in these columns
+    for c, cell in enumerate(columns):
+        for e in cell:
+            held[e].append(c)
+    if any(sum(z[c] for c in cs) for cs in held):
         raise ConstructionError("z is not in the kernel of X")
-    cell_of_first = {e: v for v, cell in first.cells.items() for e in cell}
-    cell_of_last = {e: v for v, cell in last.cells.items() for e in cell}
+    # den d_first d_last U X, less the common factor k, is X's rows reflected
+    # by both classes' cells; row e of X T sums T's rows at e's columns
     d_first = lcm(1, *map(len, first.cells.values()))
     d_last = lcm(1, *map(len, last.cells.values()))
-    for cell, t in zip(columns, zip(*rows)):
-        y = _reflect(dict.fromkeys(cell, 1), first.cells, cell_of_first, d_first)
-        w = _reflect(y, last.cells, cell_of_last, d_last)
-        ux = [0] * g.num_edges
-        for e, x in w.items():
-            ux[e] = x * den
-        if ux != [x * d_first * d_last for x in x_times(t)]:
+    k = gcd(den, d_first * d_last)
+    ux = _reflect([[(c, den // k) for c in cs] for cs in held], first.cells.values(), d_first, n)
+    ux = [[(c, x) for c, x in enumerate(row) if x] for row in ux]
+    ux = _reflect(ux, last.cells.values(), d_last, n)
+    f = d_first * d_last // k
+    xt = rows if f == 1 else [[f * x for x in row] for row in rows]
+    for w, cs in zip(ux, held):
+        acc = [0] * n
+        for c in cs:
+            acc = list(map(add, acc, xt[c]))
+        if w != acc:
             raise ConstructionError("T does not satisfy U X = X T")
     return rows, den, z
 

@@ -164,22 +164,35 @@ def _wrap_quotient(monkeypatch, change):
     monkeypatch.setattr(qwalk.walks, "_quotient", corrupted)
 
 
-def _shift_entry(rows, den, z):
-    rows[1][2] += 1
-    return rows, den, tuple(z)
-
-
 def _flip_z(rows, den, z):
     z[-1] = -z[-1]
     return rows, den, tuple(z)
 
 
+CORRUPTIBLE = {"k34": complete_bipartite(3, 4), "heawood": heawood_graph()}
+
+
 class TestCellOperatorChecks:
-    @pytest.mark.parametrize("g", [complete_bipartite(3, 4), heawood_graph()], ids=["k34", "heawood"])
-    def test_corrupted_t(self, monkeypatch, g):
-        _wrap_quotient(monkeypatch, _shift_entry)
+    @pytest.mark.parametrize(
+        "name,row,column",
+        [
+            (name, row, column)
+            for name, g in CORRUPTIBLE.items()
+            for column in range(g.n)
+            for row in (0, g.n - 1)  # a row in each block of T
+        ],
+    )
+    def test_corrupted_t(self, monkeypatch, name, row, column):
+        """One entry of T off by one, in every column and in both blocks of
+        rows: X has no zero column, so X T moves and U X = X T fails."""
+
+        def shift_entry(rows, den, z):
+            rows[row][column] += 1
+            return rows, den, tuple(z)
+
+        _wrap_quotient(monkeypatch, shift_entry)
         with pytest.raises(ConstructionError) as exc:
-            cell_operator(g)
+            cell_operator(CORRUPTIBLE[name])
         assert str(exc.value) == "T does not satisfy U X = X T"
 
     def test_corrupted_z(self, monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 
 from qwalk.cli import EXIT_DISAGREEMENT, build_parser, main
 from qwalk.exact import quadratic_from_string
-from qwalk.graphs import circulant, figure1_graph, format_graph, parse_graph, path
+from qwalk.graphs import Graph, circulant, figure1_graph, format_graph, parse_graph, path
 from qwalk.periodicity import MethodDisagreement, decide_periodicity
 from qwalk.walks import walk_from_json
 
@@ -109,6 +109,28 @@ class TestPeriod:
         code, out, _ = run(capsys, "period", "k22", "--kind", "grover")
         assert code == 0
         assert json.loads(out)["verdict"]["period"] == 4
+
+    @pytest.mark.parametrize(
+        "argv,graphs",
+        [
+            (("--transform", "d"), 2),  # the input and its double cover
+            (("--kind", "g"), 2),  # the input and its subdivision
+            (("--transform", "s", "--kind", "g"), 2),  # S(g) and S(S(g)) only
+        ],
+        ids=["d", "g", "s-g"],
+    )
+    def test_one_adjacency_and_one_search_per_graph(self, capsys, monkeypatch, argv, graphs):
+        """Each graph a command makes builds its adjacency and runs its
+        connectivity search once, however often the layers ask."""
+        calls = {"_adjacency": [], "_connected": []}
+        for name, record in calls.items():
+            prop = Graph.__dict__[name]
+            monkeypatch.setattr(prop, "func", lambda g, f=prop.func, r=record: r.append(g) or f(g))
+        text = format_graph(circulant(7, [1, 2, -1, -2]))
+        code, _, _ = run(capsys, "period", "-", *argv, stdin=text, monkeypatch=monkeypatch)
+        assert code in (0, 3)
+        for record in calls.values():
+            assert len(record) == len({id(g) for g in record}) == graphs
 
     def test_subdivided_circulant(self, capsys, monkeypatch):
         text = format_graph(circulant(10, [1, 4, -1, -4]))

@@ -38,8 +38,18 @@ from qwalk.exact import (
     roots_degree_le2,
     square_free_part,
 )
-from qwalk.graphs import Graph, bipartite_double_cover, heawood_graph, petersen_graph
-from qwalk.periodicity import grover_regular_test, spectral_test_biregular
+from qwalk.graphs import (
+    Graph,
+    bipartite_double_cover,
+    figure1_graph,
+    figure4a_graph,
+    heawood_graph,
+    path,
+    petersen_graph,
+    star,
+    subdivision,
+)
+from qwalk.periodicity import _gram, grover_regular_test, spectral_test_biregular
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -364,17 +374,121 @@ def _random_factor(rng: random.Random, kind: str) -> list[int]:
     return [rng.choice([-3, -2, 2, 3, 5]), rng.randint(-3, 3), 0, 1]  # x^3 + a x + b
 
 
-@pytest.mark.parametrize("n", list(range(1, 31)))
+@pytest.mark.parametrize("n", list(range(1, 41)))
 def test_char_poly_agrees_with_sympy(n):
-    """Faddeev-LeVerrier on integer rows against sympy's charpoly, on a
-    seeded integer matrix of each size up to 30x30: sparse for even n,
-    dense for odd n."""
+    """char_poly (power sums from half the powers, then Newton's
+    identities) against sympy's charpoly, on a seeded integer matrix of each
+    size up to 40x40: sparse for even n, dense for odd n."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(7000 + n)
     density = 0.3 if n % 2 == 0 else 1.0
     m = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
     expected = sympy.Matrix(m).charpoly(sympy.Symbol("x")).all_coeffs()
     assert char_poly(m).coeffs == tuple(int(c) for c in reversed(expected))
+
+
+def _faddeev_leverrier(m: list[list[int]]) -> tuple[int, ...]:
+    """det(xI - M), ascending, by Faddeev-LeVerrier on Fractions: an
+    oracle independent of power sums.  M_1 = M, c_(n-k) = -tr(M_k)/k,
+    M_(k+1) = M (M_k + c_(n-k) I)."""
+    n = len(m)
+    a = RationalMatrix(m) if n else None
+    coeffs, mk = [0] * n + [1], a
+    for k in range(1, n + 1):
+        c = -mk.trace() / k
+        coeffs[n - k] = c
+        if k < n:
+            mk = mat_mul(a, mk.add(RationalMatrix.identity(n).scale(c)))
+    assert all(c.denominator == 1 for c in map(Fraction, coeffs))
+    return tuple(int(c) for c in coeffs)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_char_poly_agrees_with_faddeev_leverrier(seed):
+    """Twenty seeded non-symmetric integer matrices per seed, up to 13x13,
+    entries up to +-10^6 at mixed densities."""
+    rng = random.Random(8000 + seed)
+    for _ in range(20):
+        n, density = rng.randint(0, 13), rng.choice([0.2, 0.5, 1.0])
+        bound = rng.choice([1, 9, 10**6])
+        m = [
+            [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(n)
+        ]
+        assert char_poly(m).coeffs == _faddeev_leverrier(m)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_char_poly_of_large_non_symmetric_entries_agrees_with_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(8100 + seed)
+    n = rng.randint(2, 16)
+    m = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(n)]
+    assert m != [list(col) for col in zip(*m)]
+    expected = sympy.Matrix(m).charpoly(sympy.Symbol("x")).all_coeffs()
+    assert char_poly(m).coeffs == tuple(int(c) for c in reversed(expected))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 11, 20])
+def test_char_poly_of_nilpotent_and_zero_matrices(n):
+    """x^n for the zero matrix, a strictly upper triangular matrix, one
+    Jordan block, and a dense rank-one u v^T with v.u = 0."""
+    rng = random.Random(n)
+    upper = [[rng.randint(-10**6, 10**6) if j > i else 0 for j in range(n)] for i in range(n)]
+    jordan = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+    u = [1] + [rng.choice([-3, -1, 2, 5]) for _ in range(n - 1)]
+    v = [rng.choice([-2, 1, 4]) for _ in range(n)]
+    v[0] = -sum(x * y for x, y in zip(u[1:], v[1:]))
+    rank_one = [[x * y for y in v] for x in u]
+    for m in ([[0] * n for _ in range(n)], upper, jordan, rank_one):
+        assert char_poly(m).coeffs == (0,) * n + (1,)
+
+
+def test_char_poly_of_non_symmetric_gram_rows_of_subdivisions():
+    """The Gram rows of S(g) on the original vertices of a non-regular g,
+    L (I + D^-1 A) / 2, are not symmetric."""
+    sympy = pytest.importorskip("sympy")
+    graphs = [figure1_graph(), figure4a_graph(), star(4), path(6), petersen_graph()]
+    graphs.append(Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)]))
+    for g in graphs:
+        sg, sb = subdivision(g)
+        gram, _ = _gram(sg, sb.c1, sb.c0)
+        if len(set(g.degrees())) > 1:
+            assert gram != [list(col) for col in zip(*gram)]
+        expected = sympy.Matrix(gram).charpoly(sympy.Symbol("x")).all_coeffs()
+        assert char_poly(gram).coeffs == tuple(int(c) for c in reversed(expected))
+
+
+@pytest.mark.parametrize("n", range(14))
+def test_char_poly_makes_half_the_products(monkeypatch, n):
+    """ceil(n/2) - 1 matrix products for an n x n matrix, and no other."""
+    products = []
+    original = qwalk.exact._sparse_times_dense
+
+    def counted(a, b):
+        products.append(len(b))
+        return original(a, b)
+
+    def refuse(*_args):
+        raise AssertionError("char_poly multiplied matrices outside its power chain")
+
+    monkeypatch.setattr(qwalk.exact, "_sparse_times_dense", counted)
+    monkeypatch.setattr(qwalk.exact, "_int_product", refuse)
+    monkeypatch.setattr(qwalk.exact, "mat_mul", refuse)
+    rng = random.Random(n)
+    m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+    coeffs = char_poly(m).coeffs
+    monkeypatch.undo()
+    assert coeffs == _faddeev_leverrier(m)
+    assert products == [n] * max(0, -(-n // 2) - 1)
+
+
+def test_char_poly_raises_on_an_inexact_division():
+    # -p_1 = -1/2 and -4/3 are not integers: the first division by k = 1
+    with pytest.raises(ValueError, match="^coefficient of x\\^0 is not an integer"):
+        char_poly([[Fraction(1, 2)]])
+    with pytest.raises(ValueError, match="^coefficient of x\\^1 is not an integer"):
+        char_poly([[1, 0], [0, Fraction(1, 3)]])
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 36, 97, 360, 1024])
@@ -849,3 +963,54 @@ def test_rescaled_integral_of_numerators():
     assert rescaled_integral(char_poly([[0, 2], [2, 0]]), Fraction(1, 2)).coeffs == (-1, 0, 1)
     with pytest.raises(ValueError):
         rescaled_integral(IntPolynomial.from_coeffs([1, 2]), 1)
+
+
+def _rescaled_integral_fractions(
+    p: IntPolynomial, a: Fraction, b: Fraction = Fraction(0)
+) -> IntPolynomial:
+    """rescaled_integral on Fractions, an oracle for the integer version:
+    coefficient i scales by a^(n-i), then a Taylor shift gives p(y - b)."""
+    if not p.is_monic:
+        raise ValueError("polynomial must be monic")
+    a, b, n = Fraction(a), Fraction(b), p.degree
+    c = [ci * a ** (n - i) for i, ci in enumerate(p.coeffs)]
+    for i in range(n) if b else ():
+        for j in range(n - 1, i - 1, -1):
+            c[j] -= b * c[j + 1]
+    for i in range(n - 1, -1, -1):
+        if c[i].denominator != 1:
+            raise NonIntegralPolynomial(f"coefficient {c[i]} of y^{i} is not an integer")
+    return IntPolynomial(tuple(map(int, c)))
+
+
+def _rescaling(f, *args):
+    try:
+        return f(*args).coeffs
+    except NonIntegralPolynomial as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rescaled_integral_agrees_with_fractions(seed):
+    """Twenty seeded cases per seed: random monic p with random a and b,
+    and charpoly(s N) with a = t/s, which is integral for an integer b.
+    The result, or the exact NonIntegralPolynomial message, must match."""
+    rng = random.Random(9300 + seed)
+    outcomes = []
+    for case in range(20):
+        n = rng.randint(0, 9)
+        if case % 2:
+            p = IntPolynomial(tuple(rng.randint(-60, 60) for _ in range(n)) + (1,))
+            a = Fraction(rng.randint(-8, 8), rng.randint(1, 12))
+            b = Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+        else:
+            s = rng.randint(1, 6)
+            p = char_poly([[s * rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+            a = Fraction(rng.choice([-2, -1, 1, 3]), s)
+            b = Fraction(rng.randint(-6, 6), rng.choice([1, 1, s]))
+        outcomes.append(_rescaling(rescaled_integral, p, a, b))
+        assert outcomes[-1] == _rescaling(_rescaled_integral_fractions, p, a, b)
+    assert any(isinstance(o, str) for o in outcomes) and any(isinstance(o, tuple) for o in outcomes)
+    for f in (rescaled_integral, _rescaled_integral_fractions):
+        with pytest.raises(ValueError, match="^polynomial must be monic$"):
+            f(IntPolynomial.from_coeffs([1, 2]), Fraction(1, 2))

@@ -52,6 +52,14 @@ class TestGraphConstruction:
         assert cycle(5).is_connected()
         assert not Graph.from_edges(4, [(0, 1), (2, 3)]).is_connected()
 
+    def test_neighbors_are_built_once_and_immutable(self):
+        g = figure1_graph()
+        adj = g.neighbors()
+        assert adj is g.neighbors()
+        assert adj == ((1, 5), (0, 2, 4), (1, 3), (2,), (1,), (0, 6), (5, 7), (6,))
+        with pytest.raises(TypeError):
+            adj[0][0] = 3  # type: ignore[index]
+
     def test_too_few_edges_is_disconnected_without_a_search(self, monkeypatch):
         g = Graph.from_edges(10**9, [(0, 1)])
 

@@ -177,6 +177,10 @@ class TestSpectralTest:
         with pytest.raises(GraphError, match="graph is disconnected"):
             spectral_test_biregular(g, Bipartition(frozenset({0}), frozenset({1})))
 
+    def test_edgeless_graph_raises(self):
+        with pytest.raises(GraphError, match="^graph has no edges$"):
+            spectral_test_biregular(Graph.from_edges(1, []))
+
 
 class TestPeriodFromPhases:
     @pytest.mark.parametrize(
@@ -226,6 +230,10 @@ class TestGroverRegular:
         monkeypatch.setattr(Graph, "degrees", no_degrees)
         with pytest.raises(GraphError, match="^graph is disconnected$"):
             grover_regular_test(Graph.from_edges(10**6, [(0, 1)]))
+
+    def test_edgeless_graph_raises(self):
+        with pytest.raises(GraphError, match="^graph has no edges$"):
+            grover_regular_test(Graph.from_edges(1, []))
 
 
 class TestPeriodDoubling:
