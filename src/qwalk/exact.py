@@ -10,13 +10,12 @@ reduced).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from math import gcd, isqrt, lcm, prod
 from operator import mul
-from typing import Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -32,9 +31,10 @@ class RationalMatrix:
     The pair (num, den) is kept in normal form: gcd(den, every numerator)
     is 1, so the zero matrix has den 1.  Equal matrices therefore have
     equal (num, den), and equality and hashing compare those directly.
+    The nonzeros of each row are found on first use and kept.
     """
 
-    __slots__ = ("rows", "cols", "num", "den")
+    __slots__ = ("rows", "cols", "num", "den", "_nonzeros")
 
     def __init__(self, data: Sequence[Sequence[RationalLike]]):
         fracs = [[Fraction(x) for x in row] for row in data]
@@ -51,6 +51,7 @@ class RationalMatrix:
         self.num, self.den = num, den
         self.rows = len(num)
         self.cols = len(num[0]) if num else 0
+        self._nonzeros = None
 
     @classmethod
     def _normal(cls, num: tuple[tuple[int, ...], ...], den: int) -> "RationalMatrix":
@@ -88,6 +89,12 @@ class RationalMatrix:
         """The entries as Fraction rows, derived on demand."""
         den = self.den
         return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
+
+    def nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The (column, numerator) pairs of the nonzeros of each row."""
+        if self._nonzeros is None:
+            self._nonzeros = _nonzeros(self.num)
+        return self._nonzeros
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         return Fraction(self.num[ij[0]][ij[1]], self.den)
@@ -148,22 +155,28 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     over den(a)*den(b)."""
     if a.cols != b.rows:
         raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return RationalMatrix.from_numerators(_int_product(a.num, b.num, b.cols), a.den * b.den)
+    return RationalMatrix.from_numerators(
+        _int_product(a.nonzeros(), b.nonzeros(), b.cols), a.den * b.den
+    )
+
+
+def _nonzeros(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The (column, value) pairs of the nonzeros of each row."""
+    return tuple(tuple([(j, x) for j, x in enumerate(row) if x]) for row in rows)
 
 
 def _int_product(
-    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], cols: int
+    a: Sequence[Sequence[tuple[int, int]]], b: Sequence[Sequence[tuple[int, int]]], cols: int
 ) -> list[list[int]]:
-    """Row-sparse product of integer matrices, b with `cols` columns: each
-    nonzero a[i][k] adds its multiple of the nonzeros of row k of b."""
-    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    """Dense rows of the product of integer matrices given by their
+    nonzeros (_nonzeros), b with `cols` columns: each nonzero a[i][k] adds
+    its multiple of the nonzeros of row k of b."""
     out = []
     for row in a:
         acc = [0] * cols
-        for k, x in enumerate(row):
-            if x:
-                for j, y in sparse_b[k]:
-                    acc[j] += x * y
+        for k, x in row:
+            for j, y in b[k]:
+                acc[j] += x * y
         out.append(acc)
     return out
 
@@ -228,7 +241,7 @@ def local_minimal_polynomial(u: RationalMatrix, j: int) -> tuple[Fraction, ...]:
     n = u.rows
     if not 0 <= j < n:
         raise ValueError(f"basis index {j} out of range")
-    sparse = [[(c, x) for c, x in enumerate(row) if x] for row in u.num]
+    sparse = u.nonzeros()
     basis: list[tuple[int, list[int]]] = []  # (pivot, row)
     v = [int(i == j) for i in range(n)]
     while True:
@@ -255,8 +268,7 @@ def local_minimal_polynomial(u: RationalMatrix, j: int) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(NamedTuple):
     """Integer polynomial, coefficients in ascending degree order."""
 
     coeffs: tuple[int, ...]
@@ -335,7 +347,7 @@ def char_poly(m: Sequence[Sequence[int]]) -> IntPolynomial:
     n = len(m)
     if any(len(row) != n for row in m):
         raise DimensionError("matrix is not square")
-    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in m]
+    sparse = _nonzeros(m)
     powers = [m]  # powers[k - 1] = M^k
     for _ in range((n + 1) // 2 - 1):
         powers.append(_sparse_times_dense(sparse, powers[-1]))
@@ -517,8 +529,7 @@ def square_free_part(n: int) -> tuple[int, int]:
     return s, f
 
 
-@dataclass(frozen=True)
-class QuadraticValue:
+class QuadraticValue(NamedTuple):
     """Exact number a + b*sqrt(m) with a, b rational and m square-free.
 
     m == 1 canonically encodes plain rationals (then b == 0).
@@ -562,6 +573,9 @@ class QuadraticValue:
             self.a * other.b + self.b * other.a,
             m,
         )
+
+    def __rmul__(self, other: object) -> "QuadraticValue":
+        return NotImplemented  # not tuple repetition: 2 * v raises TypeError
 
     def scale(self, c: RationalLike) -> "QuadraticValue":
         c = Fraction(c)
@@ -661,18 +675,25 @@ def _fujiwara_bound(p: IntPolynomial) -> int:
     return 2 * max(_iroot_ceil(abs(p.coeffs[n - k]), k) for k in range(1, n + 1))
 
 
-def _root_bound(p: IntPolynomial) -> int:
-    """The smaller of the Cauchy and Fujiwara bounds on the roots of p."""
-    return min(1 + max(abs(c) for c in p.coeffs[:-1]), _fujiwara_bound(p))
+def _root_bound(p: IntPolynomial, cap: Optional[int] = None) -> int:
+    """The smaller of the Cauchy and Fujiwara bounds on the roots of p, and
+    of cap when it is given."""
+    b = min(1 + max(abs(c) for c in p.coeffs[:-1]), _fujiwara_bound(p))
+    return b if cap is None else min(b, cap)
 
 
-def roots_degree_le2(p: IntPolynomial) -> list[tuple[QuadraticValue, int]]:
+def roots_degree_le2(
+    p: IntPolynomial, bound: Optional[int] = None
+) -> list[tuple[QuadraticValue, int]]:
     """Factor a monic integer polynomial into roots of algebraic degree <= 2.
 
     Returns (root, multiplicity) pairs. Rational roots of a monic integer
     polynomial are integers; irreducible monic quadratic factors have
     integer coefficients (Gauss), so an integer search is complete.
     Raises HigherDegreeFactor when a residual admits no such factor.
+    The search runs within the Cauchy and Fujiwara bounds on the roots,
+    and within `bound` when the caller knows every root's absolute value
+    is at most it; the search stays complete only if that is proven.
     """
     if not p.is_monic:
         raise ValueError("polynomial must be monic")
@@ -694,7 +715,7 @@ def roots_degree_le2(p: IntPolynomial) -> list[tuple[QuadraticValue, int]]:
         # rational roots of a monic integer polynomial divide its constant
         # term, which stays nonzero once the powers of x are stripped, and
         # lie within the root bound
-        for r in _signed_divisors(rem.coeffs[0], _root_bound(rem)):
+        for r in _signed_divisors(rem.coeffs[0], _root_bound(rem, bound)):
             while rem.degree > 0 and rem(r) == 0:
                 rem = poly_divmod_monic(rem, IntPolynomial.from_coeffs([-r, 1]))[0]
                 record(QuadraticValue.rational(r))
@@ -705,8 +726,8 @@ def roots_degree_le2(p: IntPolynomial) -> list[tuple[QuadraticValue, int]]:
         found = False
         # every root has |z| <= B, so a factor's coefficients have
         # |beta| <= 2B, |gamma| <= B^2
-        bound = _root_bound(rem)
-        gammas = _signed_divisors(rem.coeffs[0], bound * bound)
+        big_b = _root_bound(rem, bound)
+        gammas = _signed_divisors(rem.coeffs[0], big_b * big_b)
         # Kronecker's evaluation test: f | rem in Z[x] makes f(t) divide
         # rem(t) for every integer t, and rem(t) != 0 as no integer root is
         # left, so f(t) != 0 too; four remainders reject almost every
@@ -714,7 +735,7 @@ def roots_degree_le2(p: IntPolynomial) -> list[tuple[QuadraticValue, int]]:
         r1, r_1, r2, r_2 = rem(1), rem(-1), rem(2), rem(-2)
         for gamma in gammas:
             g1, g2 = 1 + gamma, 4 + gamma  # f(+-1) = g1 +- beta, f(+-2) = g2 +- 2 beta
-            for beta in range(-2 * bound, 2 * bound + 1):
+            for beta in range(-2 * big_b, 2 * big_b + 1):
                 f1, f_1, f2, f_2 = g1 + beta, g1 - beta, g2 + 2 * beta, g2 - 2 * beta
                 if not (f1 and f_1 and f2 and f_2) or r1 % f1 or r_1 % f_1 or r2 % f2 or r_2 % f_2:
                     continue

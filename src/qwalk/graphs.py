@@ -9,9 +9,8 @@ are reproducible bit for bit.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class GraphError(ValueError):
@@ -26,12 +25,33 @@ class NotBiregularError(GraphError):
     """Operation requires a biregular bipartite graph."""
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with a canonical edge list."""
+    """Simple undirected graph on vertices 0..n-1 with a canonical edge list.
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    An immutable value, equal and hashed by (n, edges).  A plain class, not
+    a NamedTuple, so that its derived data (adjacency, degrees,
+    connectivity) can be cached on the instance.
+    """
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+        self.__dict__.update(n=n, edges=edges)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -68,11 +88,8 @@ class Graph:
         return lo
 
     def degrees(self) -> list[int]:
-        d = [0] * self.n
-        for u, v in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return d
+        """Each vertex's degree, counted once per graph, as a fresh list."""
+        return list(self._degrees)
 
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Each vertex's neighbours, built once per graph, as shared tuples."""
@@ -80,6 +97,14 @@ class Graph:
 
     def is_connected(self) -> bool:
         return self._connected
+
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        d = [0] * self.n
+        for u, v in self.edges:
+            d[u] += 1
+            d[v] += 1
+        return tuple(d)
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -107,16 +132,14 @@ class Graph:
         return len(seen) == self.n
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(NamedTuple):
     """Two color classes with vertex 0 anchored in c0."""
 
     c0: frozenset[int]
     c1: frozenset[int]
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Common per-class degrees; a field is None when degrees differ."""
 
     d0: Optional[int]

@@ -38,11 +38,10 @@ minimal polynomial of the state (see state_periodicity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .exact import (
     HigherDegreeFactor,
@@ -267,8 +266,7 @@ def _fixes_cell_space(z: tuple[int, ...]) -> Callable[[RationalMatrix], bool]:
     return test
 
 
-@dataclass(frozen=True)
-class _Certificate:
+class _Certificate(NamedTuple):
     """The matrix a verdict on U is certified on: U itself, or its quotient
     T on the cell space, where is_identity(T^k) says U^k = I and
     tr(U^k) = tr(T^k) + trace_shift."""
@@ -312,16 +310,14 @@ def _bipartite_certificate(g: Graph, b: Bipartition) -> _Certificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EigenvalueClassification:
+class EigenvalueClassification(NamedTuple):
     value: QuadraticValue  # squared adjacency eigenvalue
     multiplicity: int
     allowed: bool
     order: Optional[int]  # cyclotomic order of the walk eigenvalue
 
 
-@dataclass(frozen=True)
-class SpectralVerdict:
+class SpectralVerdict(NamedTuple):
     status: str  # "periodic" | "non-periodic" | "inconclusive"
     d0: Optional[int] = None
     d1: Optional[int] = None
@@ -334,7 +330,8 @@ def _classify(chi: IntPolynomial, d0: int, d1: int, shift: int = 0) -> SpectralV
     """Verdict on a (d0, d1)-biregular graph whose squared adjacency
     eigenvalues are value + shift for the roots of chi."""
     try:
-        roots = roots_degree_le2(chi)
+        # the squared eigenvalues, value + shift, lie in [0, d0 d1]
+        roots = roots_degree_le2(chi, max(shift, d0 * d1 - shift))
     except HigherDegreeFactor as exc:
         return SpectralVerdict("inconclusive", d0, d1, reason=str(exc), chi=chi)
     table = _allowed_values(d0 * d1)
@@ -440,8 +437,7 @@ def grover_period_doubling(g: Graph) -> tuple[int, int]:
     return tau_bw, tau_gw
 
 
-@dataclass
-class PeriodicityVerdict:
+class PeriodicityVerdict(NamedTuple):
     """The verdict of q with the evidence of every cross-check."""
 
     periodic: bool
@@ -450,7 +446,7 @@ class PeriodicityVerdict:
     spectral: Optional[SpectralVerdict] = None
     phase_period: Optional[int] = None
     trace_witness: Optional[tuple[int, str]] = None
-    notes: list[str] = field(default_factory=list)
+    notes: tuple[str, ...] = ()
 
 
 def decide_periodicity(g: Graph, kind: str = "bipartite") -> PeriodicityVerdict:
@@ -484,12 +480,13 @@ def decide_periodicity(g: Graph, kind: str = "bipartite") -> PeriodicityVerdict:
     if not g.num_edges:
         raise GraphError("graph has no edges")
 
-    v = PeriodicityVerdict(periodic=False)
+    notes = []
     if degree_profile(h, b).is_biregular:  # for a Grover walk: g is regular
-        v.spectral = grover_regular_test(g) if grover else spectral_test_biregular(g, b)
-        chi, den = v.spectral.chi, v.spectral.d0 * v.spectral.d1
+        s = grover_regular_test(g) if grover else spectral_test_biregular(g, b)
+        chi, den = s.chi, s.d0 * s.d1
     else:
-        v.notes.append(f"spectral test skipped: graph not {'regular' if grover else 'biregular'}")
+        s = None
+        notes.append(f"spectral test skipped: graph not {'regular' if grover else 'biregular'}")
         gram, den = _gram(h, rows, other)
         if grover:
             for i, row in enumerate(gram):
@@ -502,8 +499,7 @@ def decide_periodicity(g: Graph, kind: str = "bipartite") -> PeriodicityVerdict:
         orders, tau = _q_period(_q(chi, den, shift), len(b.c0), len(b.c1))
     except NonIntegralPolynomial as exc:
         orders, tau = None, 0
-        v.notes.append(f"q = det(yI - (4M - 2I)) is not integral: {exc}")
-    s = v.spectral
+        notes.append(f"q = det(yI - (4M - 2I)) is not integral: {exc}")
     if s is not None and s.status != "inconclusive":
         table_orders = {c.order for c in s.classifications} if s.status == "periodic" else None
         if table_orders != orders:
@@ -512,9 +508,10 @@ def decide_periodicity(g: Graph, kind: str = "bipartite") -> PeriodicityVerdict:
     cert = _bipartite_certificate(h, b)
     if orders is None:
         witness = cert.trace_witness()
-        if witness is not None:
-            v.trace_witness = (witness[0], str(witness[1]))
-        return v
-    v.oracle_period = cert.order(tau)
-    v.periodic, v.period, v.phase_period = True, tau, tau
-    return v
+        return PeriodicityVerdict(
+            False,
+            spectral=s,
+            trace_witness=None if witness is None else (witness[0], str(witness[1])),
+            notes=tuple(notes),
+        )
+    return PeriodicityVerdict(True, tau, cert.order(tau), s, tau, notes=tuple(notes))

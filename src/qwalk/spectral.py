@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,8 +35,7 @@ SUPPORT_TOL = 1e-8
 RECON_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Grouped eigenvalues with an orthonormal eigenbasis."""
 
     eigenvalues: tuple[tuple[float, int], ...]  # (value, multiplicity), ascending
@@ -77,8 +75,7 @@ def eigenprojector(dec: SpectralDecomposition, value: float, tol: float = GROUP_
     return v @ v.T
 
 
-@dataclass(frozen=True)
-class EigenphaseSet:
+class EigenphaseSet(NamedTuple):
     """Phases theta in (0, pi) with multiplicities, plus the +1/-1 counts.
 
     Each (theta, mult) entry stands for the conjugate pair e^{+-i theta},
@@ -215,8 +212,7 @@ def unitary_idempotents(u) -> list[tuple[float, np.ndarray]]:
     return out
 
 
-@dataclass(frozen=True)
-class EigenvalueSupport:
+class EigenvalueSupport(NamedTuple):
     """Signed phase pairs (theta_r, theta_s) that do not annihilate a state."""
 
     pairs: frozenset[tuple[float, float]]

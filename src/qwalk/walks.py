@@ -14,13 +14,13 @@ of the coin matrix D itself so every entry stays rational.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .exact import RationalMatrix, _int_product, mat_mul
+from .exact import RationalMatrix, _int_product, _nonzeros, mat_mul
 from .graphs import (
     Bipartition,
     DegreeProfile,
@@ -36,16 +36,16 @@ class ConstructionError(RuntimeError):
     """A structural invariant failed at operator construction time."""
 
 
-@dataclass(frozen=True)
 class EdgePartition:
     """Edge-index cells keyed by the vertices of one color class."""
 
-    cells: dict[int, tuple[int, ...]]
+    __slots__ = ("cells",)
 
-    def __post_init__(self):
-        all_edges = [e for cell in self.cells.values() for e in cell]
+    def __init__(self, cells: dict[int, tuple[int, ...]]):
+        all_edges = [e for cell in cells.values() for e in cell]
         if len(all_edges) != len(set(all_edges)):
             raise ConstructionError("edge partition cells overlap")
+        self.cells = cells
 
 
 def build_partitions(g: Graph, b: Bipartition) -> tuple[EdgePartition, EdgePartition]:
@@ -96,19 +96,26 @@ def _projection(
     p = RationalMatrix.from_numerators(rows, den)
     if p.num != tuple(zip(*p.num)):
         raise ConstructionError(f"{name} is not symmetric")
-    if _int_product(p.num, p.num, m) != [[p.den * x for x in row] for row in p.num]:
+    nz = p.nonzeros()
+    if _int_product(nz, nz, m) != [[p.den * x for x in row] for row in p.num]:
         raise ConstructionError(f"{name} is not idempotent")
     return p, refl, den
 
 
 def _assert_orthogonal(u: RationalMatrix, name: str) -> None:
-    """U U^T = I, i.e. num num^T = den^2 I."""
-    if not _is_scaled_identity(_int_product(u.num, tuple(zip(*u.num)), u.rows), u.den**2):
+    """U^T U = I, so U U^T = I for the square U: num^T num = den^2 I, the
+    sum over the rows of the outer products of their nonzeros."""
+    gram = [[0] * u.cols for _ in range(u.cols)]
+    for row in u.nonzeros():
+        for j, x in row:
+            acc = gram[j]
+            for k, y in row:
+                acc[k] += x * y
+    if not _is_scaled_identity(gram, u.den**2):
         raise ConstructionError(f"{name} is not orthogonal")
 
 
-@dataclass(frozen=True)
-class WalkOperator:
+class WalkOperator(NamedTuple):
     """Bipartite walk operator with its exact ingredients and index maps."""
 
     graph: Graph
@@ -135,7 +142,7 @@ def build_bipartite_walk(g: Graph, b: Optional[Bipartition] = None) -> WalkOpera
     # that reproduces the reference example matrices frozen in the tests
     p, rp, dp = _projection(m, pi1.cells.values(), "P")
     q, rq, dq = _projection(m, pi0.cells.values(), "Q")
-    u = RationalMatrix.from_numerators(_int_product(rp, rq, m), dp * dq)
+    u = RationalMatrix.from_numerators(_int_product(_nonzeros(rp), _nonzeros(rq), m), dp * dq)
     _assert_orthogonal(u, "U")
     return WalkOperator(g, b, degree_profile(g, b), p, q, u)
 
@@ -265,8 +272,7 @@ def cell_operator(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArcWalkOperator:
+class ArcWalkOperator(NamedTuple):
     """Arc walk operator U_GW = R(2K - I) with its arc index map.
 
     arcs[j] = (head, tail); arc j and arc j + |E| are mutual reversals in
@@ -305,7 +311,7 @@ def build_grover_walk(g: Graph) -> ArcWalkOperator:
     n_arcs = len(arcs)
     rev, cells = _arc_maps(arcs)
     r = RationalMatrix.from_numerators([[0] * i + [1] + [0] * (n_arcs - 1 - i) for i in rev], 1)
-    if not _is_scaled_identity(_int_product(r.num, r.num, n_arcs), r.den**2):
+    if not _is_scaled_identity(_int_product(r.nonzeros(), r.nonzeros(), n_arcs), r.den**2):
         raise ConstructionError("R is not an involution")
     k, refl, den = _projection(n_arcs, cells, "K")
     u = RationalMatrix.from_numerators([refl[j] for j in rev], den)
@@ -388,12 +394,13 @@ def block_identity_check(g: Graph, k: int, b: Optional[Bipartition] = None) -> b
 
 def _entries_to_strings(m: RationalMatrix) -> list[list[str]]:
     """str(Fraction(x, den)) for each numerator x, formatted from the
-    integers with one gcd per entry."""
+    integers with one gcd per distinct numerator."""
     den = m.den
-    return [
-        [str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for x in row]
-        for row in m.num
-    ]
+    text = {
+        x: str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}"
+        for x in set(chain.from_iterable(m.num))
+    }
+    return [list(map(text.__getitem__, row)) for row in m.num]
 
 
 def _entries_from_strings(rows: list[list[str]]) -> RationalMatrix:

@@ -121,16 +121,19 @@ class TestPeriod:
     )
     def test_one_adjacency_and_one_search_per_graph(self, capsys, monkeypatch, argv, graphs):
         """Each graph a command makes builds its adjacency and runs its
-        connectivity search once, however often the layers ask."""
-        calls = {"_adjacency": [], "_connected": []}
+        connectivity search once, however often the layers ask, and
+        counts its degrees at most once."""
+        calls = {"_adjacency": [], "_connected": [], "_degrees": []}
         for name, record in calls.items():
             prop = Graph.__dict__[name]
             monkeypatch.setattr(prop, "func", lambda g, f=prop.func, r=record: r.append(g) or f(g))
         text = format_graph(circulant(7, [1, 2, -1, -2]))
         code, _, _ = run(capsys, "period", "-", *argv, stdin=text, monkeypatch=monkeypatch)
         assert code in (0, 3)
+        degrees = calls.pop("_degrees")
         for record in calls.values():
             assert len(record) == len({id(g) for g in record}) == graphs
+        assert 0 < len(degrees) == len({id(g) for g in degrees}) <= graphs
 
     def test_subdivided_circulant(self, capsys, monkeypatch):
         text = format_graph(circulant(10, [1, 4, -1, -4]))

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qwalk.exact
+import qwalk.periodicity
 from qwalk.exact import (
     DimensionError,
     HigherDegreeFactor,
@@ -21,6 +22,7 @@ from qwalk.exact import (
     RationalMatrix,
     _fujiwara_bound,
     _orders_of_totient_at_most,
+    _root_bound,
     _signed_divisors,
     _totient,
     char_poly,
@@ -129,6 +131,18 @@ class TestRationalMatrix:
     @settings(max_examples=30, deadline=None)
     def test_transpose_involution(self, a):
         assert a.transpose().transpose() == a
+
+    def test_nonzeros_are_found_once_per_matrix(self, monkeypatch):
+        m = RationalMatrix([[0, Fraction(1, 2), 0], [0, 0, 0], [3, 0, -1]])
+        calls = []
+        find = qwalk.exact._nonzeros
+        monkeypatch.setattr(qwalk.exact, "_nonzeros", lambda rows: calls.append(1) or find(rows))
+        assert m.nonzeros() == (((1, 1),), (), ((0, 6), (2, -2)))
+        assert m.nonzeros() is m.nonzeros()
+        square = mat_mul(m, m)
+        assert square == RationalMatrix(ref_mul(m.data, m.data))
+        assert mat_mul(square, m) == mat_mul(m, square)
+        assert len(calls) == 2  # those of m and of its square
 
     def test_rank(self):
         assert rational_rank(RationalMatrix.identity(4)) == 4
@@ -727,6 +741,77 @@ def test_filtered_search_divides_rarely(monkeypatch):
     with pytest.raises(HigherDegreeFactor, match="^no degree<=2 factor of residual"):
         roots_degree_le2(chi)
     assert 0 < calls <= 50
+
+
+def _random_biregular(rng: random.Random, d0: int, d1: int, n0: int) -> Optional[Graph]:
+    """A random connected simple (d0, d1)-biregular graph with n0 vertices of
+    degree d0, by pairing stubs; None when the pairing is not one."""
+    n1 = n0 * d0 // d1
+    stubs = [n0 + x for x in range(n1) for _ in range(d1)]
+    rng.shuffle(stubs)
+    edges = {(v, stubs[v * d0 + i]) for v in range(n0) for i in range(d0)}
+    if len(edges) < n0 * d0:
+        return None
+    g = Graph.from_edges(n0 + n1, edges)
+    return g if g.is_connected() else None
+
+
+def _proven_bound_cases() -> list[tuple[str, IntPolynomial, int]]:
+    """(label, chi, bound) as the spectral table factors them: chi(C C^T)
+    with every root in [0, d0 d1] on seeded biregular graphs, and chi(A)
+    with every root in [-d, d] on seeded d-regular ones (Grover)."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(4040)
+    cases = []
+    for d0, d1, n0 in ((2, 3, 6), (3, 2, 4), (2, 4, 8), (3, 3, 7), (4, 2, 4), (3, 4, 8), (4, 4, 5)):
+        found = 0
+        while found < 4:
+            g = _random_biregular(rng, d0, d1, n0)
+            if g is not None:
+                found += 1
+                s = spectral_test_biregular(g)
+                cases.append((f"biregular-{d0}-{d1}-{found}", s.chi, s.d0 * s.d1))
+    for d, n in ((3, 8), (3, 10), (3, 12), (4, 9), (5, 10)):
+        for seed in range(4):
+            h = nx.random_regular_graph(d, n, seed=seed)
+            g = Graph.from_edges(n, h.edges())
+            if g.is_connected():
+                cases.append((f"regular-{d}-{n}-{seed}", grover_regular_test(g).chi, d))
+                cover = spectral_test_biregular(*bipartite_double_cover(g))
+                cases.append((f"cover-{d}-{n}-{seed}", cover.chi, d * d))
+    return cases
+
+
+def test_proven_root_bound_keeps_the_search_complete():
+    """The bound the spectral table passes, d0 d1 for chi(C C^T) and d for
+    chi(A), gives the same roots, multiplicities and messages as the search
+    without it, and is below the Cauchy/Fujiwara bound on most inputs."""
+    np = pytest.importorskip("numpy")
+    cases = _proven_bound_cases()
+    tighter = 0
+    outcomes = set()
+    for label, chi, bound in cases:
+        assert max(abs(np.roots(chi.coeffs[::-1]))) <= bound * (1 + 1e-9), label
+        with_bound = _outcome(lambda p: roots_degree_le2(p, bound), chi)
+        assert with_bound == _outcome(roots_degree_le2, chi), label
+        outcomes.add(type(with_bound))
+        tighter += bound < _root_bound(chi)
+    assert outcomes == {list, str}  # both factored and HigherDegreeFactor cases
+    assert tighter > len(cases) // 2
+
+
+def test_the_table_passes_its_proven_root_bound(monkeypatch):
+    bounds = []
+    search = qwalk.periodicity.roots_degree_le2
+
+    def recording(p, bound=None):
+        bounds.append(bound)
+        return search(p, bound)
+
+    monkeypatch.setattr(qwalk.periodicity, "roots_degree_le2", recording)
+    spectral_test_biregular(star(3))  # (3, 1)-biregular: roots in [0, 3]
+    grover_regular_test(petersen_graph())  # 3-regular: roots in [-3, 3]
+    assert [b for b in bounds if b is not None] == [3, 3]
 
 
 def test_integer_horner():

@@ -60,6 +60,15 @@ class TestGraphConstruction:
         with pytest.raises(TypeError):
             adj[0][0] = 3  # type: ignore[index]
 
+    def test_degrees_are_counted_once_and_returned_as_fresh_lists(self):
+        g = figure1_graph()
+        d = g.degrees()
+        assert d == [2, 3, 2, 1, 1, 2, 2, 1]
+        d[0] = 99
+        assert g.degrees() == [2, 3, 2, 1, 1, 2, 2, 1]
+        assert g.degrees() is not g.degrees()
+        assert g._degrees is g._degrees
+
     def test_too_few_edges_is_disconnected_without_a_search(self, monkeypatch):
         g = Graph.from_edges(10**9, [(0, 1)])
 
