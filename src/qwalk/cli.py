@@ -5,12 +5,12 @@ Lines (one object per line); --pretty switches to human-readable text.
 
 `period` decides by the integrality of q(y) = det(yI - (4M - 2I)), a
 Grover walk as the bipartite walk of the subdivision S(g); a periodic
-verdict is certified by U^tau = I with minimality, a non-periodic one
-carries the first non-integral tr(U^k), k <= 12, if there is one, and the
-spectral table's orders must agree with q.  Both certificates are checked
-on U, or on its quotient T of size n0 + n1 when n0 + n1 < |E| (average
-degree above 2).  Every connected input with an edge gets a definite
-verdict; a graph with no edges is an input error.
+verdict is certified by U^tau = I with minimality, on U or on its
+quotient T of size n0 + n1 when n0 + n1 < |E|; a non-periodic one carries
+the first non-integral tr(U^k), k <= 12, if any, from q's char-poly with
+no walk built.  The spectral table's orders must agree with q.  Every
+connected input with an edge gets a definite verdict; a graph with no
+edges is an input error.
 
 Exit codes: 0 periodic / success, 3 non-periodic, 5 internal method
 disagreement, 1 usage or input error.
@@ -279,11 +279,11 @@ def _report_disagreement(input_desc: str, exc: MethodDisagreement) -> int:
 
 def cmd_period(args: argparse.Namespace) -> int:
     g = _resolve_input(args.input)
-    g, _, transform = _apply_transform(g, args.transform)
+    g, b, transform = _apply_transform(g, args.transform)
     kind = _kind_name(args.kind)
     start = time.perf_counter()
     try:
-        verdict = decide_periodicity(g, kind=kind)
+        verdict = decide_periodicity(g, kind=kind, b=b)
     except MethodDisagreement as exc:
         return _report_disagreement(args.input, exc)
     doc = analysis_report(args.input, g, kind, transform, verdict, time.perf_counter() - start)

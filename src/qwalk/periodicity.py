@@ -18,14 +18,15 @@ That decides, and each verdict carries one certificate:
   powers taken on one addition chain (_certified_order).  Every eigenvalue
   is then a root of unity, so every tr(U^k) is a rational algebraic
   integer, an integer: the trace test could not fail and is not run;
-- non-periodic: the first non-integral tr(U^k), k <= TRACE_DEPTH, if any.
+- non-periodic: the first non-integral tr(U^k), k <= TRACE_DEPTH, if any,
+  from the char-poly q came from, with no walk built (_scaled_traces).
 
-Both are checked on U, or on its quotient T on the (n0 + n1)-dimensional
-cell space (walks.cell_operator) when n0 + n1 < |E|, that is when the
-average degree is above 2: U^k = I exactly when every column of T^k - I is
-a multiple of z, and tr(U^k) = tr(T^k) + |E| - n0 - n1.  On a tree or a
-cycle U is a sparse near-permutation and T's powers fill in, so U is kept
-there.  For a Grover walk that is the U or T of S(g): T when n < |E|.
+The order is checked on U, or on its quotient T on the (n0 + n1)-
+dimensional cell space (walks.cell_operator) when n0 + n1 < |E|, that is
+when the average degree is above 2: U^k = I exactly when every column of
+T^k - I is a multiple of z.  On a tree or a cycle U is a sparse
+near-permutation and T's powers fill in, so U is kept there.  For a Grover
+walk that is the U or T of S(g): T when n < |E|.
 
 The spectral table is the paper's characterization for biregular graphs:
 every squared adjacency eigenvalue lies in the allowed-value table, the
@@ -40,8 +41,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Callable, Iterable, NamedTuple, Optional
+from math import comb, lcm
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .exact import (
     HigherDegreeFactor,
@@ -162,6 +163,28 @@ def _q_period(q: IntPolynomial, n0: int, n1: int) -> tuple[set[int], int]:
     return set(orders), lcm(*orders, 2 if n0 != n1 else 1)
 
 
+def _scaled_traces(chi: IntPolynomial, den: int, shift: int, n_f: int, edges: int) -> Iterator[int]:
+    """den^k tr(U^k), k = 1..TRACE_DEPTH, for the bipartite walk with
+    |E| = edges whose q comes from chi as in _q, on a class of n_l = deg chi
+    vertices with n_f in the other.  charpoly(T) = (x + 1)^(n_f - n_l)
+    prod_y (x^2 - y x + 1) over the roots y of q, and U is I off the cell
+    space, so tr(U^k) = sum_y D_k(y) + (n_f - n_l)(-1)^k + |E| - n_l - n_f,
+    with the Dickson D_k(y) = sum_j (-1)^j k/(k-j) C(k-j, j) y^(k-2j), which
+    is 2cos kt at y = 2cos t.  Newton's identities give chi's power sums p_h,
+    and den y = 4x + c, c = 4 shift - 2 den, has s_i = sum_h C(i, h) 4^h c^(i-h) p_h.
+    """
+    n_l, c = chi.degree, 4 * shift - 2 * den
+    a = chi.coeffs[::-1] + (0,) * TRACE_DEPTH  # a[i]: the coefficient of x^(n_l - i)
+    p, s = [n_l], [n_l]
+    for k in range(1, TRACE_DEPTH + 1):
+        p.append(-sum(a[i] * p[k - i] for i in range(1, k)) - k * a[k])
+        s.append(sum(comb(k, h) * 4**h * c ** (k - h) * p[h] for h in range(k + 1)))
+        yield den**k * (edges - 2 * (n_f if k % 2 else n_l)) + sum(
+            (-1) ** j * k * comb(k - j, j) // (k - j) * den ** (2 * j) * s[k - 2 * j]
+            for j in range(k // 2 + 1)
+        )
+
+
 def period_from_phases(g: Graph, b: Optional[Bipartition] = None) -> int:
     """Period of the bipartite walk on a connected bipartite graph, from q.
     Raises NonIntegralPolynomial, a ValueError, when the walk is not
@@ -267,13 +290,11 @@ def _fixes_cell_space(z: tuple[int, ...]) -> Callable[[RationalMatrix], bool]:
 
 
 class _Certificate(NamedTuple):
-    """The matrix a verdict on U is certified on: U itself, or its quotient
-    T on the cell space, where is_identity(T^k) says U^k = I and
-    tr(U^k) = tr(T^k) + trace_shift."""
+    """The matrix a periodic verdict on U is certified on: U itself, or its
+    quotient T on the cell space, where is_identity(T^k) says U^k = I."""
 
     matrix: RationalMatrix
     is_identity: Callable[[RationalMatrix], bool] = RationalMatrix.is_identity
-    trace_shift: int = 0
 
     def order(self, tau: int) -> int:
         """tau, certified as the least k with U^k = I; MethodDisagreement
@@ -285,16 +306,10 @@ class _Certificate(NamedTuple):
             )
         return order
 
-    def trace_witness(self) -> Optional[tuple[int, Fraction]]:
-        witness = trace_test(self.matrix)
-        return None if witness is None else (witness[0], witness[1] + self.trace_shift)
-
 
 def _cell_certificate(g: Graph, b: Bipartition) -> _Certificate:
     num, den, z = cell_operator(g, b)
-    return _Certificate(
-        RationalMatrix.from_numerators(num, den), _fixes_cell_space(z), g.num_edges - g.n
-    )
+    return _Certificate(RationalMatrix.from_numerators(num, den), _fixes_cell_space(z))
 
 
 def _bipartite_certificate(g: Graph, b: Bipartition) -> _Certificate:
@@ -449,33 +464,37 @@ class PeriodicityVerdict(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-def decide_periodicity(g: Graph, kind: str = "bipartite") -> PeriodicityVerdict:
+def decide_periodicity(
+    g: Graph, kind: str = "bipartite", b: Optional[Bipartition] = None
+) -> PeriodicityVerdict:
     """Decide the walk of the given kind on g by the integrality of q, and
     certify the verdict: a periodic one by U^tau = I with minimality, a
     non-periodic one with the trace witness, if any.
 
-    kind "bipartite" requires g connected bipartite, and q is taken on its
-    smaller class (c0 on a tie).  kind "grover" accepts any connected g and
-    decides it as the bipartite walk of its subdivision S(g), which U_GW is
-    similar to: q on the original vertices, classes of n and |E| vertices.
-    Past this choice of graph and class both kinds take one path.  q comes
-    from the spectral table's char-poly when the graph is biregular (g
-    regular, for a Grover walk), else from that of the integer Gram rows
-    (_gram); the table's orders must be those of q.  Both certificates are
-    checked on T, U's quotient on the cell space, when n0 + n1 < |E|
-    (average degree above 2), else on U.  A graph with no edges raises
-    GraphError, contradictory answers MethodDisagreement.
+    kind "bipartite" requires g connected bipartite; b, if given, is its
+    bipartition, either way round: c0 is the class of vertex 0, as from
+    bipartition, and q is taken on the smaller class (c0 on a tie).  kind "grover" accepts any
+    connected g and decides it as the bipartite walk of its subdivision
+    S(g), which U_GW is similar to: q on the original vertices, classes of
+    n and |E| vertices.  Past this both kinds take one path.  q and the
+    trace witness (_scaled_traces) come from one char-poly: the spectral
+    table's when the graph is biregular (g regular, for a Grover walk), else
+    that of the integer Gram rows (_gram); the table's orders must be those
+    of q.  U^tau = I is checked on T, U's quotient on the cell space, when
+    n0 + n1 < |E| (average degree above 2), else on U.  A graph with no
+    edges raises GraphError, contradictory answers MethodDisagreement.
     """
     if kind not in ("bipartite", "grover"):
         raise ValueError(f"unknown walk kind: {kind}")
     grover = kind == "grover"
+    if not g.is_connected():
+        raise GraphError("graph is disconnected")
     if grover:
-        if not g.is_connected():
-            raise GraphError("graph is disconnected")
         h, b = subdivision(g)
         rows, other = b.c1, b.c0
     else:
-        h, b = g, bipartition(g)  # raises for non-bipartite or disconnected input
+        b = bipartition(g) if b is None else b  # raises for non-bipartite input
+        h, b = g, b if 0 in b.c0 else Bipartition(b.c1, b.c0)
         rows, other = sorted((b.c0, b.c1), key=len)
     if not g.num_edges:
         raise GraphError("graph has no edges")
@@ -505,13 +524,9 @@ def decide_periodicity(g: Graph, kind: str = "bipartite") -> PeriodicityVerdict:
         if table_orders != orders:
             raise MethodDisagreement(f"spectral table: orders {table_orders}; q: orders {orders}")
 
-    cert = _bipartite_certificate(h, b)
     if orders is None:
-        witness = cert.trace_witness()
-        return PeriodicityVerdict(
-            False,
-            spectral=s,
-            trace_witness=None if witness is None else (witness[0], str(witness[1])),
-            notes=tuple(notes),
-        )
-    return PeriodicityVerdict(True, tau, cert.order(tau), s, tau, notes=tuple(notes))
+        traces = enumerate(_scaled_traces(chi, den, shift, len(other), h.num_edges), 1)
+        witness = next(((k, str(Fraction(t, den**k))) for k, t in traces if t % den**k), None)
+        return PeriodicityVerdict(False, spectral=s, trace_witness=witness, notes=tuple(notes))
+    order = _bipartite_certificate(h, b).order(tau)
+    return PeriodicityVerdict(True, tau, order, s, tau, notes=tuple(notes))

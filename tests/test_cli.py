@@ -8,13 +8,25 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from qwalk.cli import EXIT_DISAGREEMENT, build_parser, main
+import qwalk.graphs
+import qwalk.periodicity
+import qwalk.walks
+from qwalk.cli import EXIT_DISAGREEMENT, FIXTURES, build_parser, main
 from qwalk.exact import quadratic_from_string
-from qwalk.graphs import Graph, circulant, figure1_graph, format_graph, parse_graph, path
+from qwalk.graphs import (
+    Graph,
+    circulant,
+    complete_bipartite,
+    figure1_graph,
+    format_graph,
+    parse_graph,
+    path,
+)
 from qwalk.periodicity import MethodDisagreement, decide_periodicity
 from qwalk.walks import walk_from_json
 
 P5 = format_graph(path(5))
+CIRCULANT7 = circulant(7, [1, 2, -1, -2])  # 4-regular, its walks not periodic
 
 
 @pytest.fixture(scope="module")
@@ -111,29 +123,47 @@ class TestPeriod:
         assert json.loads(out)["verdict"]["period"] == 4
 
     @pytest.mark.parametrize(
-        "argv,graphs",
+        "argv,g,adjacencies,searches",
         [
-            (("--transform", "d"), 2),  # the input and its double cover
-            (("--kind", "g"), 2),  # the input and its subdivision
-            (("--transform", "s", "--kind", "g"), 2),  # S(g) and S(S(g)) only
+            (("--transform", "d"), CIRCULANT7, 2, 2),  # the input and its double cover
+            # non-periodic: only the input; S(g) is built, and its degrees counted
+            (("--kind", "g"), CIRCULANT7, 1, 1),
+            # S(g), and the Gram rows of the non-regular S(g) on S(S(g)); only
+            # S(g) is searched
+            (("--transform", "s", "--kind", "g"), CIRCULANT7, 2, 1),
+            (("--kind", "g"), complete_bipartite(3, 3), 2, 2),  # periodic: T on S(g)
+            (("--transform", "s", "--kind", "g"), complete_bipartite(3, 3), 2, 2),
         ],
-        ids=["d", "g", "s-g"],
+        ids=["d", "g", "s-g", "g-periodic", "s-g-periodic"],
     )
-    def test_one_adjacency_and_one_search_per_graph(self, capsys, monkeypatch, argv, graphs):
-        """Each graph a command makes builds its adjacency and runs its
-        connectivity search once, however often the layers ask, and
-        counts its degrees at most once."""
+    def test_one_adjacency_and_one_search_per_graph(
+        self, capsys, monkeypatch, argv, g, adjacencies, searches
+    ):
+        """Each of the two graphs a command makes builds its adjacency and
+        runs its connectivity search at most once, however often the layers
+        ask, and counts its degrees at most once."""
         calls = {"_adjacency": [], "_connected": [], "_degrees": []}
         for name, record in calls.items():
             prop = Graph.__dict__[name]
             monkeypatch.setattr(prop, "func", lambda g, f=prop.func, r=record: r.append(g) or f(g))
-        text = format_graph(circulant(7, [1, 2, -1, -2]))
-        code, _, _ = run(capsys, "period", "-", *argv, stdin=text, monkeypatch=monkeypatch)
-        assert code in (0, 3)
-        degrees = calls.pop("_degrees")
-        for record in calls.values():
-            assert len(record) == len({id(g) for g in record}) == graphs
-        assert 0 < len(degrees) == len({id(g) for g in degrees}) <= graphs
+        code, _, _ = run(capsys, "period", "-", *argv, stdin=format_graph(g), monkeypatch=monkeypatch)
+        assert code == (3 if g is CIRCULANT7 else 0)
+        for name, count in (("_adjacency", adjacencies), ("_connected", searches)):
+            assert len(calls[name]) == len({id(g) for g in calls[name]}) == count, name
+        degrees = calls["_degrees"]
+        assert 0 < len(degrees) == len({id(g) for g in degrees}) <= 2
+
+    def test_double_cover_is_not_bipartitioned_again(self, capsys, monkeypatch):
+        """`period --transform d` 2-colours only its input, to reject a
+        bipartite one: the decider takes the cover's classes from the CLI."""
+        seen = []
+        original = qwalk.graphs.bipartition
+        for module in (qwalk.graphs, qwalk.periodicity, qwalk.walks):
+            monkeypatch.setattr(module, "bipartition", lambda g: seen.append(g) or original(g))
+        for name, code in (("petersen", 3), ("k33", 1)):
+            seen.clear()
+            assert run(capsys, "period", name, "--transform", "d")[0] == code
+            assert seen == [FIXTURES[name]()], name
 
     def test_subdivided_circulant(self, capsys, monkeypatch):
         text = format_graph(circulant(10, [1, 4, -1, -4]))

@@ -70,9 +70,9 @@ CASES = [
     (
         "_Certificate",
         lambda: _Certificate(U2),
-        lambda: _Certificate(U2, trace_shift=1),
-        f"_Certificate(matrix=RationalMatrix(2x2), is_identity={RationalMatrix.is_identity!r}, trace_shift=0)",
-        {"is_identity": RationalMatrix.is_identity, "trace_shift": 0},
+        lambda: _Certificate(U2, lambda m: True),
+        f"_Certificate(matrix=RationalMatrix(2x2), is_identity={RationalMatrix.is_identity!r})",
+        {"is_identity": RationalMatrix.is_identity},
     ),
     (
         "EigenvalueClassification",
