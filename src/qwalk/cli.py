@@ -8,9 +8,10 @@ Grover walk as the bipartite walk of the subdivision S(g); a periodic
 verdict is certified by U^tau = I with minimality, on U or on its
 quotient T of size n0 + n1 when n0 + n1 < |E|; a non-periodic one carries
 the first non-integral tr(U^k), k <= 12, if any, from q's char-poly with
-no walk built.  The spectral table's orders must agree with q.  Every
-connected input with an edge gets a definite verdict; a graph with no
-edges is an input error.
+no walk built.  The spectral table classifies the roots of that char-poly,
+and its orders must agree with q.  A report states the period once, as
+verdict.period.  Every connected input with an edge gets a definite
+verdict; a graph with no edges is an input error.
 
 Exit codes: 0 periodic / success, 3 non-periodic, 5 internal method
 disagreement, 1 usage or input error.
@@ -114,8 +115,8 @@ def _resolve_input(spec: str) -> Graph:
 
 def _apply_transform(g: Graph, transform: str) -> tuple[Graph, Optional[Bipartition], str]:
     if transform in ("s", "subdivide"):
-        sg, sb = subdivision(g)
-        return sg, sb, "subdivide"
+        sg, sb = subdivision(g)  # c0 the edge vertices; bipartition puts vertex 0 in c0
+        return sg, Bipartition(sb.c1, sb.c0), "subdivide"
     if transform in ("d", "doublecover"):
         if is_bipartite(g):
             raise GraphError("doublecover of a bipartite graph is disconnected")
@@ -140,24 +141,17 @@ def _kind_name(kind: str) -> str:
 
 
 def verdict_to_dict(v: PeriodicityVerdict) -> dict:
-    doc: dict = {
+    s, tw = v.spectral, v.trace_witness
+    return {
         "periodic": v.periodic,
         "period": v.period,
-        "oracle": {"ran": True, "period": v.oracle_period},
-        "phase_period": v.phase_period,
-        "trace_witness": (
-            {"k": v.trace_witness[0], "value": v.trace_witness[1]}
-            if v.trace_witness
-            else None
-        ),
+        "trace_witness": {"k": tw[0], "value": tw[1]} if tw else None,
         "notes": list(v.notes),
-    }
-    if v.spectral is not None:
-        doc["spectral"] = {
-            "status": v.spectral.status,
-            "d0": v.spectral.d0,
-            "d1": v.spectral.d1,
-            "reason": v.spectral.reason,
+        "spectral": None if s is None else {
+            "status": s.status,
+            "d0": s.d0,
+            "d1": s.d1,
+            "reason": s.reason,
             "eigenvalues": [
                 {
                     "value": str(c.value),
@@ -165,12 +159,10 @@ def verdict_to_dict(v: PeriodicityVerdict) -> dict:
                     "allowed": c.allowed,
                     "order": c.order,
                 }
-                for c in v.spectral.classifications
+                for c in s.classifications
             ],
-        }
-    else:
-        doc["spectral"] = None
-    return doc
+        },
+    }
 
 
 def analysis_report(
@@ -202,9 +194,6 @@ def _print_report(doc: dict, pretty: bool) -> None:
     print(f"input:     {doc['input']}  (n={doc['vertices']}, |E|={doc['edges']})")
     print(f"walk:      {doc['kind']} (dim {doc['dim']}), transform {doc['transform']}")
     print(f"periodic:  {v['periodic']}" + (f"  (period {v['period']})" if v["period"] else ""))
-    print(f"oracle:    period {v['oracle']['period']}")
-    if v["phase_period"] is not None:
-        print(f"phases:    period {v['phase_period']}")
     if v["trace_witness"]:
         tw = v["trace_witness"]
         print(f"trace:     non-integral tr(U^{tw['k']}) = {tw['value']}")

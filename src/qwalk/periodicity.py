@@ -31,7 +31,9 @@ walk that is the U or T of S(g): T when n < |E|.
 The spectral table is the paper's characterization for biregular graphs:
 every squared adjacency eigenvalue lies in the allowed-value table, the
 image of the roots of the Psi_k of degree <= 2 (k = 1, 2, 3, 4, 5, 6, 8,
-10, 12).  Its orders must be those of q.
+10, 12).  It classifies the roots of the char-poly q comes from, and its
+orders must be those of q; spectral_test_biregular and grover_regular_test
+give its verdict standalone.
 
 Per-state periodicity is exact too: an integrality test on the local
 minimal polynomial of the state (see state_periodicity).
@@ -289,35 +291,17 @@ def _fixes_cell_space(z: tuple[int, ...]) -> Callable[[RationalMatrix], bool]:
     return test
 
 
-class _Certificate(NamedTuple):
-    """The matrix a periodic verdict on U is certified on: U itself, or its
-    quotient T on the cell space, where is_identity(T^k) says U^k = I."""
-
-    matrix: RationalMatrix
-    is_identity: Callable[[RationalMatrix], bool] = RationalMatrix.is_identity
-
-    def order(self, tau: int) -> int:
-        """tau, certified as the least k with U^k = I; MethodDisagreement
-        when it is not."""
-        order = _certified_order(self.matrix, tau, self.is_identity)
-        if order != tau:
-            raise MethodDisagreement(
-                f"q gives period {tau}, but the order of U certified from U^{tau} is {order}"
-            )
-        return order
-
-
-def _cell_certificate(g: Graph, b: Bipartition) -> _Certificate:
-    num, den, z = cell_operator(g, b)
-    return _Certificate(RationalMatrix.from_numerators(num, den), _fixes_cell_space(z))
-
-
-def _bipartite_certificate(g: Graph, b: Bipartition) -> _Certificate:
-    """On T when n0 + n1 < |E| (average degree above 2), else on U: on a
-    cycle or a tree U is a sparse near-permutation, and T's powers fill in."""
+def _certificate(
+    g: Graph, b: Bipartition
+) -> tuple[RationalMatrix, Callable[[RationalMatrix], bool]]:
+    """The matrix a periodic verdict on U is certified on, with the test
+    that its k-th power stands for U^k = I: T on the cell space when
+    n0 + n1 < |E| (average degree above 2), else U itself.  On a cycle or a
+    tree U is a sparse near-permutation, and T's powers fill in."""
     if g.n < g.num_edges:
-        return _cell_certificate(g, b)
-    return _Certificate(build_bipartite_walk(g, b).U)
+        num, den, z = cell_operator(g, b)
+        return RationalMatrix.from_numerators(num, den), _fixes_cell_space(z)
+    return build_bipartite_walk(g, b).U, RationalMatrix.is_identity
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +322,6 @@ class SpectralVerdict(NamedTuple):
     d1: Optional[int] = None
     classifications: tuple[EigenvalueClassification, ...] = ()
     reason: Optional[str] = None
-    chi: Optional[IntPolynomial] = None  # the char-poly the values are roots of
 
 
 def _classify(chi: IntPolynomial, d0: int, d1: int, shift: int = 0) -> SpectralVerdict:
@@ -348,7 +331,7 @@ def _classify(chi: IntPolynomial, d0: int, d1: int, shift: int = 0) -> SpectralV
         # the squared eigenvalues, value + shift, lie in [0, d0 d1]
         roots = roots_degree_le2(chi, max(shift, d0 * d1 - shift))
     except HigherDegreeFactor as exc:
-        return SpectralVerdict("inconclusive", d0, d1, reason=str(exc), chi=chi)
+        return SpectralVerdict("inconclusive", d0, d1, reason=str(exc))
     table = _allowed_values(d0 * d1)
     offset = QuadraticValue.rational(shift)
     classifications = []
@@ -361,10 +344,10 @@ def _classify(chi: IntPolynomial, d0: int, d1: int, shift: int = 0) -> SpectralV
         if not c.value.is_rational and by_value.get(c.value.conjugate()) != c.multiplicity:
             return SpectralVerdict(
                 "non-periodic", d0, d1, tuple(classifications),
-                reason="conjugate pair multiplicities differ", chi=chi,
+                reason="conjugate pair multiplicities differ",
             )
     status = "periodic" if all(c.allowed for c in classifications) else "non-periodic"
-    return SpectralVerdict(status, d0, d1, tuple(classifications), chi=chi)
+    return SpectralVerdict(status, d0, d1, tuple(classifications))
 
 
 def spectral_test_biregular(g: Graph, b: Optional[Bipartition] = None) -> SpectralVerdict:
@@ -453,13 +436,12 @@ def grover_period_doubling(g: Graph) -> tuple[int, int]:
 
 
 class PeriodicityVerdict(NamedTuple):
-    """The verdict of q with the evidence of every cross-check."""
+    """The verdict of q, its period, and the evidence of the spectral
+    table and the trace witness."""
 
     periodic: bool
     period: Optional[int] = None
-    oracle_period: Optional[int] = None
     spectral: Optional[SpectralVerdict] = None
-    phase_period: Optional[int] = None
     trace_witness: Optional[tuple[int, str]] = None
     notes: tuple[str, ...] = ()
 
@@ -476,12 +458,14 @@ def decide_periodicity(
     bipartition, and q is taken on the smaller class (c0 on a tie).  kind "grover" accepts any
     connected g and decides it as the bipartite walk of its subdivision
     S(g), which U_GW is similar to: q on the original vertices, classes of
-    n and |E| vertices.  Past this both kinds take one path.  q and the
-    trace witness (_scaled_traces) come from one char-poly: the spectral
-    table's when the graph is biregular (g regular, for a Grover walk), else
-    that of the integer Gram rows (_gram); the table's orders must be those
-    of q.  U^tau = I is checked on T, U's quotient on the cell space, when
-    n0 + n1 < |E| (average degree above 2), else on U.  A graph with no
+    n and |E| vertices.  Past this both kinds take one path.  q, the
+    spectral table and the trace witness (_scaled_traces) come from one
+    char-poly, that of the integer Gram rows (_gram): C C^T on a biregular
+    graph, and A + dI, less dI, on S(g) for a d-regular g.  When the graph
+    is biregular (g regular, for a Grover walk) the table classifies that
+    char-poly's roots, and its orders must be those of q.  U^tau = I is
+    checked on T, U's quotient on the cell space, when n0 + n1 < |E|
+    (average degree above 2), else on U (_certificate).  A graph with no
     edges raises GraphError, contradictory answers MethodDisagreement.
     """
     if kind not in ("bipartite", "grover"):
@@ -499,21 +483,18 @@ def decide_periodicity(
     if not g.num_edges:
         raise GraphError("graph has no edges")
 
-    notes = []
-    if degree_profile(h, b).is_biregular:  # for a Grover walk: g is regular
-        s = grover_regular_test(g) if grover else spectral_test_biregular(g, b)
-        chi, den = s.chi, s.d0 * s.d1
+    # on S(g), L M = (L/2)(I + D^-1 A): less (L/2) I it is (L/2) D^-1 A,
+    # zero on the diagonal, which on a d-regular g (L = 2d) is A
+    gram, den = _gram(h, rows, other)
+    shift = den // 2 if grover else 0
+    for i, row in enumerate(gram):
+        row[i] -= shift
+    chi, prof, notes = char_poly(gram), degree_profile(h, b), []
+    if prof.is_biregular:  # for a Grover walk: g is regular
+        s = _classify(chi, prof.d0, prof.d1, shift)
     else:
         s = None
         notes.append(f"spectral test skipped: graph not {'regular' if grover else 'biregular'}")
-        gram, den = _gram(h, rows, other)
-        if grover:
-            for i, row in enumerate(gram):
-                row[i] -= den // 2
-        chi = char_poly(gram)
-    # on S(g), L M = (L/2)(I + D^-1 A): chi is that of (L/2) D^-1 A, zero
-    # on the diagonal, which on a d-regular g (L = 2d) is A, the table's
-    shift = den // 2 if grover else 0
     try:
         orders, tau = _q_period(_q(chi, den, shift), len(b.c0), len(b.c1))
     except NonIntegralPolynomial as exc:
@@ -528,5 +509,10 @@ def decide_periodicity(
         traces = enumerate(_scaled_traces(chi, den, shift, len(other), h.num_edges), 1)
         witness = next(((k, str(Fraction(t, den**k))) for k, t in traces if t % den**k), None)
         return PeriodicityVerdict(False, spectral=s, trace_witness=witness, notes=tuple(notes))
-    order = _bipartite_certificate(h, b).order(tau)
-    return PeriodicityVerdict(True, tau, order, s, tau, notes=tuple(notes))
+    m, is_identity = _certificate(h, b)
+    order = _certified_order(m, tau, is_identity)
+    if order != tau:
+        raise MethodDisagreement(
+            f"q gives period {tau}, but the order of U certified from U^{tau} is {order}"
+        )
+    return PeriodicityVerdict(True, tau, s, notes=tuple(notes))

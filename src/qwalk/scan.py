@@ -109,6 +109,6 @@ def enumerate_biregular(max_edges: int) -> Iterator[tuple[Graph, Bipartition]]:
 
 
 def scan_periodicity(max_edges: int) -> Iterator[tuple[Graph, Bipartition, PeriodicityVerdict]]:
-    """Decide the bipartite walk of every enumerated graph."""
+    """Decide the bipartite walk of every enumerated graph on its classes."""
     for g, b in enumerate_biregular(max_edges):
-        yield g, b, decide_periodicity(g)
+        yield g, b, decide_periodicity(g, b=b)

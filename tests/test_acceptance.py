@@ -194,7 +194,8 @@ def test_criterion_7_characterization_equivalence(capsys):
         if v.spectral is None or v.spectral.status == "inconclusive":
             continue
         checked += 1
-        ok = ok and (v.spectral.status == "periodic") == (v.oracle_period is not None)
+        oracle_periodic = exact_period_oracle(build_bipartite_walk(g, b).U) is not None
+        ok = ok and (v.spectral.status == "periodic") == oracle_periodic == v.periodic
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         report(

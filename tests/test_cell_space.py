@@ -32,8 +32,9 @@ from qwalk.graphs import (
 )
 from qwalk.periodicity import (
     TRACE_DEPTH,
-    _cell_certificate,
+    _certificate,
     _certified_order,
+    _fixes_cell_space,
     decide_periodicity,
     exact_period_oracle,
     grover_period_doubling,
@@ -83,19 +84,27 @@ def _traces(m: RationalMatrix, k_max: int) -> list:
     return out
 
 
+def _cell_certificate(g: Graph, b):
+    """T and its identity test, on either side of the size rule, where
+    _certificate would take U."""
+    num, den, z = cell_operator(g, b)
+    return RationalMatrix.from_numerators(num, den), _fixes_cell_space(z)
+
+
 def _assert_matches_u(t_cert, u: RationalMatrix, n_edges: int, n_vertices: int) -> None:
     """T's certificate gives U's order, identity tests and traces."""
+    t, is_identity = t_cert
     tau = exact_period_oracle(u)
     cands = (1, 2, 3, 4, 6) if tau is None else (tau, 2 * tau, 6 * tau)
     for c in cands:
         expected = None if tau is None or c % tau else tau
-        assert _certified_order(t_cert.matrix, c, t_cert.is_identity) == expected, c
-    t_k, u_k = t_cert.matrix, u
+        assert _certified_order(t, c, is_identity) == expected, c
+    t_k, u_k = t, u
     for k in range(1, 2 * (tau or 3) + 1):
-        assert t_cert.is_identity(t_k) == u_k.is_identity(), k
-        t_k, u_k = mat_mul(t_k, t_cert.matrix), mat_mul(u_k, u)
+        assert is_identity(t_k) == u_k.is_identity(), k
+        t_k, u_k = mat_mul(t_k, t), mat_mul(u_k, u)
     shift = n_edges - n_vertices
-    on_t = [x + shift for x in _traces(t_cert.matrix, TRACE_DEPTH)]
+    on_t = [x + shift for x in _traces(t, TRACE_DEPTH)]
     assert on_t == _traces(u, TRACE_DEPTH)
     witness = next(((k, t) for k, t in enumerate(on_t, 1) if t.denominator != 1), None)
     assert trace_test(u) == witness
@@ -139,7 +148,7 @@ class TestAgainstU:
         g = seeded_bipartite(seed, dense)
         u = (build_bipartite_walk if kind == "bipartite" else build_grover_walk)(g).U
         v = decide_periodicity(g, kind)
-        assert v.oracle_period == exact_period_oracle(u)
+        assert v.period == exact_period_oracle(u)
         witness = None if v.periodic else trace_test(u)
         assert v.trace_witness == (None if witness is None else (witness[0], str(witness[1])))
 
@@ -269,21 +278,30 @@ class TestSizeRule:
         _recording(monkeypatch, "mat_mul", sizes)
         _recording(monkeypatch, "_int_product", sizes)
         v = decide_periodicity(complete_bipartite(20, 20))
-        assert v.periodic and v.period == v.oracle_period == 2
+        assert v.periodic and v.period == 2
         assert sizes and max(max(s) for s in sizes) <= 40
 
     @pytest.mark.parametrize(
-        "g,kind,code", [(complete_bipartite(4, 4), "b", 0), (petersen_graph(), "g", 3)],
+        "g,kind,code,period",
+        [(complete_bipartite(4, 4), "b", 0, 2), (petersen_graph(), "g", 3, None)],
         ids=["k44", "petersen-g"],
     )
     def test_period_builds_no_walk_operator_above_average_degree_two(
-        self, monkeypatch, capsys, tmp_path, g, kind, code
+        self, monkeypatch, capsys, tmp_path, g, kind, code, period
     ):
         _forbid_builds(monkeypatch)
         path = tmp_path / "g.txt"
         path.write_text(format_graph(g))
         assert main(["period", str(path), "--kind", kind]) == code
-        assert json.loads(capsys.readouterr().out)["verdict"]["oracle"]["ran"]
+        assert json.loads(capsys.readouterr().out)["verdict"]["period"] == period
+
+    @pytest.mark.parametrize("g", [complete_bipartite(4, 4), cycle(24), path(5)], ids=["k44", "c24", "p5"])
+    def test_certificate_is_t_above_average_degree_two(self, g):
+        m, is_identity = _certificate(g, bipartition(g))
+        if _on_t(g):
+            assert m.rows == g.n and is_identity is not RationalMatrix.is_identity
+        else:
+            assert m == build_bipartite_walk(g).U and is_identity is RationalMatrix.is_identity
 
     def test_c24_is_certified_on_u(self, monkeypatch, capsys, tmp_path):
         calls = []
@@ -297,8 +315,10 @@ class TestSizeRule:
         assert json.loads(capsys.readouterr().out)["verdict"]["period"] == 12
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("g", [cycle(10), path(5)], ids=["c10", "p5"])
-    def test_grover_period_on_u_builds_one_bipartite_walk(self, monkeypatch, capsys, tmp_path, g):
+    @pytest.mark.parametrize("g,period", [(cycle(10), 10), (path(5), 8)], ids=["c10", "p5"])
+    def test_grover_period_on_u_builds_one_bipartite_walk(
+        self, monkeypatch, capsys, tmp_path, g, period
+    ):
         calls = []
         build = qwalk.walks.build_bipartite_walk
         _forbid_builds(monkeypatch, ["build_grover_walk"])
@@ -306,7 +326,7 @@ class TestSizeRule:
         graph_file = tmp_path / "g.txt"
         graph_file.write_text(format_graph(g))
         assert main(["period", str(graph_file), "--kind", "g"]) == 0
-        assert json.loads(capsys.readouterr().out)["verdict"]["oracle"]["ran"]
+        assert json.loads(capsys.readouterr().out)["verdict"]["period"] == period
         assert len(calls) == 1
 
 

@@ -17,10 +17,14 @@ from qwalk.graphs import (
     Graph,
     circulant,
     complete_bipartite,
+    cycle,
     figure1_graph,
+    figure4a_graph,
     format_graph,
     parse_graph,
     path,
+    star,
+    subdivision,
 )
 from qwalk.periodicity import MethodDisagreement, decide_periodicity
 from qwalk.walks import walk_from_json
@@ -101,6 +105,22 @@ class TestWalk:
         code, out, _ = run(capsys, "walk", "k22", "--pretty")
         assert code == 0 and "U =" in out
 
+    @pytest.mark.parametrize("g", [star(3), figure4a_graph(), cycle(5)], ids=["star3", "figure4a", "c5"])
+    @pytest.mark.parametrize("pretty", [(), ("--pretty",)], ids=["json", "pretty"])
+    def test_subdivide_transform_matches_the_subdivision_read_from_a_file(
+        self, capsys, tmp_path, g, pretty
+    ):
+        """`walk g --transform s` prints what `walk` prints on S(g) read
+        from a file: the same c0 (vertex 0's class), P and Q."""
+        g_file, sg_file = tmp_path / "g.txt", tmp_path / "sg.txt"
+        g_file.write_text(format_graph(g))
+        sg_file.write_text(format_graph(subdivision(g)[0]))
+        transformed = run(capsys, "walk", str(g_file), "--transform", "s", *pretty)
+        assert transformed == run(capsys, "walk", str(sg_file), *pretty)
+        assert transformed[0] == 0
+        if not pretty:
+            assert 0 in json.loads(transformed[1])["c0"]
+
 
 class TestPeriod:
     def test_periodic_exit_code(self, capsys, schema):
@@ -126,8 +146,9 @@ class TestPeriod:
         "argv,g,adjacencies,searches",
         [
             (("--transform", "d"), CIRCULANT7, 2, 2),  # the input and its double cover
-            # non-periodic: only the input; S(g) is built, and its degrees counted
-            (("--kind", "g"), CIRCULANT7, 1, 1),
+            # non-periodic: the input, and S(g) for its Gram rows, the one
+            # char-poly; only the input is searched
+            (("--kind", "g"), CIRCULANT7, 2, 1),
             # S(g), and the Gram rows of the non-regular S(g) on S(S(g)); only
             # S(g) is searched
             (("--transform", "s", "--kind", "g"), CIRCULANT7, 2, 1),
@@ -192,7 +213,7 @@ class TestPeriod:
         doc = json.loads(out)
         jsonschema.validate(doc, schema)
         assert doc["verdict"]["periodic"] is True
-        assert doc["verdict"]["period"] == doc["verdict"]["phase_period"] == 4
+        assert doc["verdict"]["period"] == 4
 
     def test_pretty_labels_grover_eigenvalues(self, capsys):
         # a Grover table lists adjacency eigenvalues lambda, not squares

@@ -41,8 +41,10 @@ from qwalk.exact import (
     square_free_part,
 )
 from qwalk.graphs import (
+    Bipartition,
     Graph,
     bipartite_double_cover,
+    bipartition,
     figure1_graph,
     figure4a_graph,
     heawood_graph,
@@ -700,13 +702,28 @@ def test_filtered_search_agrees_with_exhaustive_search(block):
     assert widest > 0.3
 
 
+def _table_chi(g: Graph, b: Optional[Bipartition] = None) -> IntPolynomial:
+    """The char-poly the spectral table factors on a biregular bipartite g:
+    that of C C^T on the smaller class, the integer Gram rows."""
+    b = bipartition(g) if b is None else b
+    return char_poly(_gram(g, *sorted((b.c0, b.c1), key=len))[0])
+
+
+def _grover_chi(g: Graph) -> IntPolynomial:
+    """The char-poly the table factors for the Grover walk on a d-regular
+    g, chi(A): the Gram rows of S(g) on the original vertices are A + dI."""
+    sg, sb = subdivision(g)
+    gram, den = _gram(sg, sb.c1, sb.c0)
+    return char_poly([[x - (den // 2) * (i == j) for j, x in enumerate(row)] for i, row in enumerate(gram)])
+
+
 def _cover_char_polys() -> list[IntPolynomial]:
     """The char-polys the spectral table factors on the double covers of
     the 17 non-bipartite cubic graphs on 10 vertices, on Heawood, and on
     Petersen's Grover walk."""
     data = json.loads((Path(__file__).parent.parent / "perfbench" / "cubic10.json").read_text())
-    chis = [spectral_test_biregular(*bipartite_double_cover(Graph.from_edges(10, e))).chi for e in data]
-    return chis + [spectral_test_biregular(heawood_graph()).chi, grover_regular_test(petersen_graph()).chi]
+    chis = [_table_chi(*bipartite_double_cover(Graph.from_edges(10, e))) for e in data]
+    return chis + [_table_chi(heawood_graph()), _grover_chi(petersen_graph())]
 
 
 def _cover90_char_poly() -> IntPolynomial:
@@ -715,7 +732,7 @@ def _cover90_char_poly() -> IntPolynomial:
     past its integer roots."""
     nx = pytest.importorskip("networkx")
     h = nx.random_regular_graph(3, 30, seed=0)
-    return spectral_test_biregular(*bipartite_double_cover(Graph.from_edges(30, h.edges()))).chi
+    return _table_chi(*bipartite_double_cover(Graph.from_edges(30, h.edges())))
 
 
 def test_filtered_search_agrees_on_cover_char_polys():
@@ -769,16 +786,14 @@ def _proven_bound_cases() -> list[tuple[str, IntPolynomial, int]]:
             g = _random_biregular(rng, d0, d1, n0)
             if g is not None:
                 found += 1
-                s = spectral_test_biregular(g)
-                cases.append((f"biregular-{d0}-{d1}-{found}", s.chi, s.d0 * s.d1))
+                cases.append((f"biregular-{d0}-{d1}-{found}", _table_chi(g), d0 * d1))
     for d, n in ((3, 8), (3, 10), (3, 12), (4, 9), (5, 10)):
         for seed in range(4):
             h = nx.random_regular_graph(d, n, seed=seed)
             g = Graph.from_edges(n, h.edges())
             if g.is_connected():
-                cases.append((f"regular-{d}-{n}-{seed}", grover_regular_test(g).chi, d))
-                cover = spectral_test_biregular(*bipartite_double_cover(g))
-                cases.append((f"cover-{d}-{n}-{seed}", cover.chi, d * d))
+                cases.append((f"regular-{d}-{n}-{seed}", _grover_chi(g), d))
+                cases.append((f"cover-{d}-{n}-{seed}", _table_chi(*bipartite_double_cover(g)), d * d))
     return cases
 
 

@@ -4,11 +4,16 @@ fixture, C3..C24 and the paw graph, each with --kind b|g and
 --transform none|s|d (204 commands), and one for the whole stream of
 `qwalk scan --max-edges 12`.
 
-The digests in frozen_reports.json are fixed: any change to a verdict,
-period, certificate field, note or error message shows here, whichever
-route computes it.  To recompute them on purpose:
+The digests are fixed: any change to a verdict, period, certificate field,
+note or error message shows here, whichever route computes it.
+frozen_reports_v2.json holds the digests of today's reports.
+frozen_reports.json holds those of the reports from before they dropped
+`oracle` and `phase_period`, two copies of `period`; it is never
+recomputed, and today's reports, mapped back by to_old, must still match
+it.  Every report is also validated against report_schema.json.  To
+recompute frozen_reports_v2.json on purpose:
 
-    PYTHONPATH=src python tests/test_frozen_reports.py tests/frozen_reports.json
+    PYTHONPATH=src python tests/test_frozen_reports.py tests/frozen_reports_v2.json
 """
 
 import contextlib
@@ -16,14 +21,19 @@ import hashlib
 import io
 import json
 import sys
+from functools import lru_cache
+from importlib import resources
 from pathlib import Path
 
+import jsonschema
 import pytest
 
-from qwalk.cli import FIXTURES, main
+from qwalk.cli import EXIT_USAGE, FIXTURES, main
 from qwalk.graphs import Graph, cycle, format_graph
 
-FROZEN = Path(__file__).resolve().parent / "frozen_reports.json"
+HERE = Path(__file__).resolve().parent
+FROZEN_OLD = HERE / "frozen_reports.json"
+FROZEN = HERE / "frozen_reports_v2.json"
 
 EDGE_LISTS = {f"C{n}": format_graph(cycle(n)) for n in range(3, 25)}
 EDGE_LISTS["paw"] = format_graph(Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)]))
@@ -43,31 +53,70 @@ def _run(argv: list[str], stdin_text=None) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def period_digests(name: str) -> dict[str, str]:
-    """The six `qwalk period` digests of one input, read from stdin ('-')
-    unless it is a fixture."""
+def to_old(doc: dict) -> dict:
+    """The report as it was before its verdict dropped two copies of the
+    period: `"oracle": {"ran": true, "period": p}` and `"phase_period": p`
+    go back in right after `"period": p`, where they stood.  A document
+    with no verdict (an error report) is returned as it is."""
+    if "verdict" not in doc:
+        return doc
+    verdict = {}
+    for key, value in doc["verdict"].items():
+        verdict[key] = value
+        if key == "period":
+            verdict["oracle"] = {"ran": True, "period": value}
+            verdict["phase_period"] = value
+    return {key: verdict if key == "verdict" else value for key, value in doc.items()}
+
+
+@lru_cache(maxsize=None)
+def _period_runs(name: str) -> tuple[tuple[str, int, tuple[str, ...], str], ...]:
+    """(key, exit code, report lines, stderr) of the six `qwalk period`
+    commands of one input, read from stdin ('-') unless it is a fixture."""
     spec = name if name in FIXTURES else "-"
-    digests = {}
+    runs = []
     for kind in "bg":
         for transform in ("none", "s", "d"):
             argv = ["period", spec, "--kind", kind, "--transform", transform]
             code, out, err = _run(argv, EDGE_LISTS.get(name))
-            docs = [json.loads(line) for line in out.splitlines()]
-            for doc in docs:
-                doc.pop("timing_seconds", None)
-            text = f"{code}\n" + "".join(json.dumps(doc) + "\n" for doc in docs) + err
             key = f"{name} --kind {kind} --transform {transform}"
-            digests[key] = hashlib.sha256(text.encode()).hexdigest()
+            runs.append((key, code, tuple(out.splitlines()), err))
+    return tuple(runs)
+
+
+def period_digests(name: str, mapped=lambda doc: doc) -> dict[str, str]:
+    """The six `qwalk period` digests of one input, each report passed
+    through mapped before it is hashed."""
+    digests = {}
+    for key, code, lines, err in _period_runs(name):
+        docs = [json.loads(line) for line in lines]
+        for doc in docs:
+            doc.pop("timing_seconds", None)
+        text = f"{code}\n" + "".join(json.dumps(mapped(doc)) + "\n" for doc in docs) + err
+        digests[key] = hashlib.sha256(text.encode()).hexdigest()
     return digests
 
 
-def scan_digest() -> str:
-    code, out, err = _run(["scan", "--max-edges", "12"])
+@lru_cache(maxsize=None)
+def _scan_run() -> tuple[int, str, str]:
+    return _run(["scan", "--max-edges", "12"])
+
+
+def scan_digest(mapped=None) -> str:
+    code, out, err = _scan_run()
+    if mapped is not None:
+        out = "".join(json.dumps(mapped(json.loads(line))) + "\n" for line in out.splitlines())
     return hashlib.sha256(f"{code}\n{out}{err}".encode()).hexdigest()
 
 
-def _frozen() -> dict:
-    return json.loads(FROZEN.read_text())
+def _frozen(path: Path = FROZEN) -> dict:
+    return json.loads(path.read_text())
+
+
+@pytest.fixture(scope="module")
+def schema():
+    with resources.files("qwalk").joinpath("report_schema.json").open() as fh:
+        return json.load(fh)
 
 
 @pytest.mark.parametrize("name", INPUTS)
@@ -78,12 +127,55 @@ def test_period_reports_are_frozen(name):
     assert period_digests(name) == expected
 
 
+@pytest.mark.parametrize("name", INPUTS)
+def test_period_reports_map_back_to_the_old_digests(name):
+    frozen = _frozen(FROZEN_OLD)["period"]
+    expected = {k: v for k, v in frozen.items() if k.split(" ")[0] == name}
+    assert len(expected) == 6
+    assert period_digests(name, to_old) == expected
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_period_reports_validate(name, schema):
+    for key, code, lines, err in _period_runs(name):
+        if code == EXIT_USAGE:  # an input error: a message, no report
+            assert lines == () and err, key
+            continue
+        (line,) = lines
+        doc = json.loads(line)
+        jsonschema.validate(doc, schema)
+        assert doc["verdict"]["periodic"] is (code == 0), key
+
+
 def test_every_frozen_period_command_is_run():
     assert len(_frozen()["period"]) == 6 * len(INPUTS) == 204
+    assert _frozen()["period"].keys() == _frozen(FROZEN_OLD)["period"].keys()
 
 
 def test_scan_stream_is_frozen():
     assert scan_digest() == _frozen()["scan --max-edges 12"]
+
+
+def test_scan_stream_maps_back_to_the_old_digest():
+    assert scan_digest(to_old) == _frozen(FROZEN_OLD)["scan --max-edges 12"]
+
+
+def test_scan_stream_validates(schema):
+    code, out, err = _scan_run()
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 27
+    for line in lines:
+        jsonschema.validate(json.loads(line), schema)
+
+
+def test_schema_rejects_a_dropped_field(schema):
+    _, _, lines, _ = _period_runs("c6")[0]
+    old = to_old(json.loads(lines[0]))
+    with pytest.raises(jsonschema.ValidationError, match="oracle"):
+        jsonschema.validate(old, schema)
+    with pytest.raises(jsonschema.ValidationError, match="extra"):
+        jsonschema.validate({**json.loads(lines[0]), "extra": 1}, schema)
 
 
 if __name__ == "__main__":

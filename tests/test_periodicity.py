@@ -52,10 +52,10 @@ from qwalk.periodicity import (
     state_periodicity,
     trace_test,
 )
-from qwalk.scan import scan_periodicity
+from qwalk.scan import enumerate_biregular, scan_periodicity
 from qwalk.spectral import GROUP_TOL, eigenvalue_support, pm1_eigenspace_dims
 from qwalk.walks import build_bipartite_walk, build_grover_walk
-from test_exact import sympy_cyclotomic_order
+from test_exact import _random_biregular, sympy_cyclotomic_order
 from test_walks import random_connected_graph
 
 F = Fraction
@@ -330,7 +330,7 @@ class TestStatePeriodicity:
             classes += 1
             w = build_bipartite_walk(g, b)
             every_state = all(state_periodicity(w, e) for e in range(w.dim))
-            assert every_state == (v.oracle_period is not None), g
+            assert every_state == v.periodic, g
         assert classes == 15
 
     @pytest.mark.parametrize("edge", [99, 6, -1])
@@ -349,7 +349,7 @@ class TestDecidePeriodicity:
     def test_c6_all_methods_agree(self):
         v = decide_periodicity(cycle(6))
         assert v.periodic is True and v.period == 3
-        assert v.oracle_period == v.phase_period == 3
+        assert exact_period_oracle(build_bipartite_walk(cycle(6)).U) == 3
         assert v.spectral.status == "periodic"
 
     def test_grover_kind(self):
@@ -370,7 +370,7 @@ class TestDecidePeriodicity:
     )
     def test_non_periodic_verdict_names_a_coefficient_of_q(self, g, kind, certificate):
         v = decide_periodicity(g, kind)
-        assert v.periodic is False and v.period is None and v.phase_period is None
+        assert v.periodic is False and v.period is None
         assert v.notes[-1] == f"q = det(yI - (4M - 2I)) is not integral: {certificate}"
 
     @pytest.mark.parametrize(
@@ -394,7 +394,8 @@ class TestScanAgreement:
             if v.spectral is None or v.spectral.status == "inconclusive":
                 continue
             spectral_periodic = v.spectral.status == "periodic"
-            oracle_periodic = v.oracle_period is not None
+            oracle_periodic = exact_period_oracle(build_bipartite_walk(g, b).U) is not None
+            assert oracle_periodic == v.periodic, g
             assert spectral_periodic == oracle_periodic, g
         assert count == 15
 
@@ -477,10 +478,10 @@ class TestGroverThroughSubdivision:
         decided = decide_periodicity(g, "grover")
         if v.status == "periodic":
             tau = period_from_phases(sg, sb)
-            assert decided.phase_period == tau == decided.oracle_period
+            assert decided.period == tau == exact_period_oracle(build_grover_walk(g).U)
             assert tau == _rank_phase_period(s, build_bipartite_walk(sg, sb))
         else:
-            assert decided.phase_period is None and decided.periodic is False
+            assert decided.period is None and decided.periodic is False
 
     def test_both_outcomes_occur(self):
         statuses = [grover_regular_test(g).status for g in REGULAR_GRAPHS.values()]
@@ -489,10 +490,76 @@ class TestGroverThroughSubdivision:
     def test_bipartite_phase_period_matches_rank_formula_on_scan(self):
         periodic = 0
         for g, b, v in scan_periodicity(10):
-            if v.phase_period is not None:
+            if v.period is not None:
                 periodic += 1
-                assert v.phase_period == _rank_phase_period(v.spectral, build_bipartite_walk(g, b))
+                assert v.period == _rank_phase_period(v.spectral, build_bipartite_walk(g, b))
         assert periodic > 0
+
+
+def _biregular_graphs() -> dict:
+    """Connected biregular bipartite graphs: the bipartite ones among
+    REGULAR_GRAPHS, the double covers of the others, and seeded random
+    (d0, d1)-biregular graphs."""
+    graphs = {}
+    for name, g in REGULAR_GRAPHS.items():
+        if is_bipartite(g):
+            graphs[name] = g
+        else:
+            graphs[f"{name}-d"] = bipartite_double_cover(g)[0]
+    rng = random.Random(1818)
+    for d0, d1, n0 in ((2, 3, 6), (3, 2, 4), (2, 4, 8), (3, 3, 7), (3, 4, 8)):
+        for i in range(3):
+            g = None
+            while g is None:
+                g = _random_biregular(rng, d0, d1, n0)
+            graphs[f"biregular-{d0}-{d1}-{i}"] = g
+    return graphs
+
+
+BIREGULAR_GRAPHS = _biregular_graphs()
+
+
+def _refuse_second_char_poly(monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("the decision took a char-poly from a second source")
+
+    for name in ("spectral_test_biregular", "grover_regular_test", "adjacency_matrix"):
+        monkeypatch.setattr(f"qwalk.periodicity.{name}", refuse)
+    monkeypatch.setattr("qwalk.graphs.adjacency_matrix", refuse)
+
+
+class TestOneCharPoly:
+    """The table verdict of decide_periodicity, taken on the char-poly of
+    the Gram rows, equals that of the standalone table functions field by
+    field, and the decision calls neither of them nor adjacency_matrix."""
+
+    def test_scan_classes(self, monkeypatch):
+        classes = list(enumerate_biregular(10))
+        expected = [spectral_test_biregular(g, b) for g, b in classes]
+        assert len(expected) == 18 and all(s.status == "periodic" for s in expected)
+        _refuse_second_char_poly(monkeypatch)
+        assert [decide_periodicity(g, b=b).spectral for g, b in classes] == expected
+        assert [v.spectral for _, _, v in scan_periodicity(10)] == expected
+
+    @pytest.mark.parametrize("name", sorted(BIREGULAR_GRAPHS))
+    def test_bipartite_on_biregular_graphs(self, monkeypatch, name):
+        g = BIREGULAR_GRAPHS[name]
+        expected = spectral_test_biregular(g)
+        _refuse_second_char_poly(monkeypatch)
+        s = decide_periodicity(g).spectral
+        assert s is not None and s._asdict() == expected._asdict()
+
+    @pytest.mark.parametrize("name", sorted(REGULAR_GRAPHS))
+    def test_grover_on_regular_graphs(self, monkeypatch, name):
+        g = REGULAR_GRAPHS[name]
+        expected = grover_regular_test(g)
+        _refuse_second_char_poly(monkeypatch)
+        s = decide_periodicity(g, "grover").spectral
+        assert s is not None and s._asdict() == expected._asdict()
+
+    def test_both_table_outcomes_occur(self):
+        statuses = [spectral_test_biregular(g).status for g in BIREGULAR_GRAPHS.values()]
+        assert statuses.count("periodic") >= 5 and statuses.count("non-periodic") >= 5
 
 
 def _count_products(monkeypatch, *modules) -> list:
@@ -521,7 +588,7 @@ class TestOnePowerPass:
         trace = RationalMatrix.trace
         monkeypatch.setattr(RationalMatrix, "trace", lambda m: traces.append(m) or trace(m))
         v = decide_periodicity(cycle(24))
-        assert v.periodic is True and v.period == v.oracle_period == 12
+        assert v.periodic is True and v.period == 12
         assert v.trace_witness is None
         assert len(calls) == 4 and traces == []
 
@@ -531,7 +598,7 @@ class TestOnePowerPass:
         v = decide_periodicity(PAW, "grover")
         assert v.periodic is False
         assert v.trace_witness == (2, "-2/3")
-        assert v.oracle_period is None
+        assert v.period is None
         assert len(calls) < 64
 
     @pytest.mark.parametrize(

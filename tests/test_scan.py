@@ -5,6 +5,8 @@ import networkx as nx
 import pytest
 from networkx.algorithms import bipartite
 
+import qwalk.graphs
+import qwalk.periodicity
 from qwalk.graphs import bipartition, degree_profile
 from qwalk.scan import _biadjacency_fills, _profiles, _to_graph, enumerate_biregular, scan_periodicity
 
@@ -145,3 +147,12 @@ class TestScanPeriodicity:
     def test_verdicts_are_definite_at_small_scale(self):
         for g, b, v in scan_periodicity(8):
             assert v.periodic in (True, False)
+
+    def test_classes_are_not_bipartitioned_again(self, monkeypatch):
+        """Each class is decided on the bipartition it was built with."""
+        calls = []
+        original = qwalk.graphs.bipartition
+        for module in (qwalk.graphs, qwalk.periodicity):
+            monkeypatch.setattr(module, "bipartition", lambda g: calls.append(g) or original(g))
+        decided = list(scan_periodicity(8))
+        assert len(decided) == sum(COUNTS_10[e] for e in range(1, 9)) and calls == []

@@ -11,13 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwalk.exact import IntPolynomial, QuadraticValue, RationalMatrix
+from qwalk.exact import IntPolynomial, QuadraticValue
 from qwalk.graphs import Bipartition, DegreeProfile, Graph, cycle, path
 from qwalk.periodicity import (
     EigenvalueClassification,
     PeriodicityVerdict,
     SpectralVerdict,
-    _Certificate,
 )
 from qwalk.spectral import EigenphaseSet, EigenvalueSupport, SpectralDecomposition
 from qwalk.walks import ArcWalkOperator, WalkOperator, build_bipartite_walk, build_grover_walk
@@ -25,7 +24,6 @@ from qwalk.walks import ArcWalkOperator, WalkOperator, build_bipartite_walk, bui
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 C4 = cycle(4)
-U2 = RationalMatrix([[0, 1], [1, 0]])
 VECTORS, VALUES = np.eye(2), np.array([-1.0, 1.0])
 B = Bipartition(frozenset({0, 2}), frozenset({1, 3}))
 P = DegreeProfile(2, 2)
@@ -68,13 +66,6 @@ CASES = [
         {},
     ),
     (
-        "_Certificate",
-        lambda: _Certificate(U2),
-        lambda: _Certificate(U2, lambda m: True),
-        f"_Certificate(matrix=RationalMatrix(2x2), is_identity={RationalMatrix.is_identity!r})",
-        {"is_identity": RationalMatrix.is_identity},
-    ),
-    (
         "EigenvalueClassification",
         lambda: EigenvalueClassification(ROOT, 2, True, 5),
         lambda: EigenvalueClassification(ROOT, 2, False, None),
@@ -83,23 +74,19 @@ CASES = [
     ),
     (
         "SpectralVerdict",
-        lambda: SpectralVerdict("periodic", 2, 2, (CLASS,), chi=IntPolynomial((1, 1))),
+        lambda: SpectralVerdict("periodic", 2, 2, (CLASS,)),
         lambda: SpectralVerdict("inconclusive"),
         "SpectralVerdict(status='periodic', d0=2, d1=2, classifications=(EigenvalueClassification("
-        f"value={ROOT_TEXT}, multiplicity=2, allowed=True, order=5),), reason=None, "
-        "chi=IntPolynomial(coeffs=(1, 1)))",
-        {"d0": None, "d1": None, "classifications": (), "reason": None, "chi": None},
+        f"value={ROOT_TEXT}, multiplicity=2, allowed=True, order=5),), reason=None)",
+        {"d0": None, "d1": None, "classifications": (), "reason": None},
     ),
     (
         "PeriodicityVerdict",
         lambda: PeriodicityVerdict(False, trace_witness=(1, "-1/3"), notes=("a note",)),
-        lambda: PeriodicityVerdict(True, 2, 2, None, 2),
-        "PeriodicityVerdict(periodic=False, period=None, oracle_period=None, spectral=None, "
-        "phase_period=None, trace_witness=(1, '-1/3'), notes=('a note',))",
-        {
-            "period": None, "oracle_period": None, "spectral": None,
-            "phase_period": None, "trace_witness": None, "notes": (),
-        },
+        lambda: PeriodicityVerdict(True, 2),
+        "PeriodicityVerdict(periodic=False, period=None, spectral=None, "
+        "trace_witness=(1, '-1/3'), notes=('a note',))",
+        {"period": None, "spectral": None, "trace_witness": None, "notes": ()},
     ),
     (
         "SpectralDecomposition",
