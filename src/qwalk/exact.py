@@ -181,46 +181,58 @@ def _int_product(
     return out
 
 
+def _chain_power(known: dict[int, RationalMatrix], t: int) -> RationalMatrix:
+    """M^t from the powers in known, which holds M^1, adding M^t and every
+    power on the way: one product of two known powers whose exponents sum
+    to t, else M^(t/2) squared for even t, or M^(t-1) M for odd t."""
+    if t not in known:
+        a = next((a for a in sorted(known, reverse=True) if t - a in known), None)
+        if a is None:
+            a = t - 1 if t % 2 else t // 2
+            _chain_power(known, a)
+        known[t] = mat_mul(known[a], known[t - a])
+    return known[t]
+
+
 def mat_pow(a: RationalMatrix, k: int) -> RationalMatrix:
-    """Exact k-th power by binary exponentiation from the leading bit of k:
-    it starts from a itself, squares once per further bit, and multiplies
-    by a, on the right, where the bit is set."""
+    """Exact k-th power on _chain_power's addition chain, which from a alone
+    makes as many products as binary exponentiation: one per bit of k after
+    the leading one, and one per further set bit."""
     if not a.is_square:
         raise DimensionError("power of non-square matrix")
     if k < 0:
         raise ValueError("negative exponent")
     if k == 0:
         return RationalMatrix.identity(a.rows)
-    result = a
-    for bit in bin(k)[3:]:
-        result = mat_mul(result, result)
-        if bit == "1":
-            result = mat_mul(result, a)
-    return result
+    return _chain_power({1: a}, k)
+
+
+def _reduce(r: list[int], basis: Sequence[tuple[int, list[int]]]) -> list[int]:
+    """r with each (pivot, row) of basis, in turn, cleared from it without
+    fractions: row[pivot] r - r[pivot] row, over the gcd of its entries.
+    A row is zero at the pivots of the rows before it."""
+    for p, b in basis:
+        f = r[p]
+        if f:
+            s = b[p]
+            r = [s * x - f * y for x, y in zip(r, b)]
+            g = gcd(*r)
+            if g > 1:
+                r = [x // g for x in r]
+    return r
 
 
 def rational_rank(a: RationalMatrix) -> int:
-    """Rank over the rationals by fraction-free elimination on the
-    numerators, each new row divided by the gcd of its entries."""
-    m = [list(row) for row in a.num]
-    rank = 0
-    for col in range(a.cols):
-        pivot = next((r for r in range(rank, a.rows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        top = m[rank]
-        p = top[col]
-        for r in range(rank + 1, a.rows):
-            f = m[r][col]
-            if f:
-                row = [p * x - f * y for x, y in zip(m[r], top)]
-                g = gcd(*row)
-                m[r] = [x // g for x in row] if g > 1 else row
-        rank += 1
-        if rank == a.rows:
-            break
-    return rank
+    """Rank over the rationals: the number of the numerator rows that do
+    not vanish when reduced (_reduce) against the earlier ones that did
+    not, each kept with its first nonzero entry as pivot."""
+    basis: list[tuple[int, list[int]]] = []
+    for row in a.num:
+        r = _reduce(list(row), basis)
+        pivot = next((i for i, x in enumerate(r) if x), None)
+        if pivot is not None:
+            basis.append((pivot, r))
+    return len(basis)
 
 
 def local_minimal_polynomial(u: RationalMatrix, j: int) -> tuple[Fraction, ...]:
@@ -229,8 +241,7 @@ def local_minimal_polynomial(u: RationalMatrix, j: int) -> tuple[Fraction, ...]:
 
     Krylov on the numerators N = den * u: v_0 = e_j, v_(i+1) = N v_i.  Each
     v_k, extended by the unit vector of its index k, is reduced against the
-    earlier rows by fraction-free elimination on its first n entries (each
-    row divided by the gcd of its entries, as in rational_rank); the tail
+    earlier rows (_reduce, pivots among the first n entries); the tail
     carries the combination of v_0..v_k the row stands for.  The first v_k
     to vanish leaves sum c_i v_i = 0 with c_k != 0, the minimal polynomial
     of e_j under N; under u = N / den its coefficient i is
@@ -246,15 +257,7 @@ def local_minimal_polynomial(u: RationalMatrix, j: int) -> tuple[Fraction, ...]:
     v = [int(i == j) for i in range(n)]
     while True:
         k = len(basis)
-        r = v + [int(i == k) for i in range(n + 1)]
-        for p, b in basis:
-            f = r[p]
-            if f:
-                s = b[p]
-                r = [s * x - f * y for x, y in zip(r, b)]
-                g = gcd(*r)
-                if g > 1:
-                    r = [x // g for x in r]
+        r = _reduce(v + [int(i == k) for i in range(n + 1)], basis)
         pivot = next((i for i in range(n) if r[i]), None)
         if pivot is None:
             c, den = r[n : n + k + 1], u.den

@@ -205,6 +205,22 @@ def bipartition(g: Graph) -> Bipartition:
     )
 
 
+def checked_bipartition(g: Graph, b: Optional[Bipartition] = None) -> Bipartition:
+    """bipartition(g) when b is None; else b, once checked to be one of the
+    connected g: its classes split the vertices and every edge crosses.
+    Raises GraphError otherwise."""
+    if b is None:
+        return bipartition(g)
+    if not g.is_connected():
+        raise GraphError("graph is disconnected")
+    if b.c0 & b.c1 or b.c0 | b.c1 != set(range(g.n)):
+        raise GraphError("the classes do not split the vertices")
+    for u, v in g.edges:
+        if (u in b.c0) == (v in b.c0):
+            raise GraphError(f"edge ({u},{v}) lies inside one class")
+    return b
+
+
 def is_bipartite(g: Graph) -> bool:
     try:
         bipartition(g)

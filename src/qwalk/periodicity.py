@@ -6,11 +6,12 @@ eigenvalues other than +-1 are e^(+-i theta) with 2cos(theta) a root of
 q(y) = det(yI - (4M - 2I)), M = D0^-1 C D1^-1 C^T for the block C of the
 adjacency between the two classes, taken on one class: the smaller one,
 or the original vertices of S(g).  M comes from one integer builder
-(_gram) as the rows of L M over L.  q is monic with every root in
-[-2, 2], so the walk is periodic iff q has integer coefficients
-(Kronecker, 1857), and then q is a product of the minimal polynomials
-Psi_k of 2cos(2 pi / k): the period is the lcm of those k, with 2 when
-the walk has a -1 eigenvector.
+(walks._gram) as the rows of L M over L, and one routine (_chi) takes the
+char-poly that the decider, the table and the phase period read.  q is
+monic with every root in [-2, 2], so the walk is periodic iff q has
+integer coefficients (Kronecker, 1857), and then q is a product of the
+minimal polynomials Psi_k of 2cos(2 pi / k): the period is the lcm of
+those k, with 2 when the walk has a -1 eigenvector.
 
 That decides, and each verdict carries one certificate:
 
@@ -44,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .exact import (
     HigherDegreeFactor,
@@ -52,6 +53,7 @@ from .exact import (
     NonIntegralPolynomial,
     QuadraticValue,
     RationalMatrix,
+    _chain_power,
     _orders_of_totient_at_most,
     _prime_factors,
     char_poly,
@@ -67,12 +69,11 @@ from .graphs import (
     Graph,
     GraphError,
     NotBiregularError,
-    adjacency_matrix,
-    bipartition,
+    checked_bipartition,
     degree_profile,
     subdivision,
 )
-from .walks import WalkOperator, build_bipartite_walk, cell_operator
+from .walks import WalkOperator, _gram, build_bipartite_walk, cell_operator
 
 TRACE_DEPTH = 12  # tr(U^k) is checked for k <= TRACE_DEPTH
 
@@ -120,27 +121,38 @@ def _allowed_values(d0d1: int) -> dict[QuadraticValue, int]:
 # ---------------------------------------------------------------------------
 
 
-def _gram(g: Graph, rows: Iterable[int], other: Iterable[int]) -> tuple[list[list[int]], int]:
-    """The integer rows of L M, and L, for M = Dr^-1 C Do^-1 C^T with C the
-    block of g's adjacency from the vertices `rows` to `other` and
-    L = lcm(deg rows) lcm(deg other): two-hop sums over g's neighbours.
+def _chi(
+    g: Graph, kind: str, b: Optional[Bipartition] = None
+) -> tuple[Graph, Bipartition, IntPolynomial, int, int]:
+    """(h, b, chi, den, shift) for the walk of the given kind on g: the
+    bipartite walk on h with classes b, and chi = charpoly(den M - shift I)
+    from _gram's integer rows of den M, on the class q is taken on.
 
-    On a (d0, d1)-biregular graph L M is C C^T.  On the subdivision S(g),
-    with rows the original vertices, it is (L/2)(I + D^-1 A).
+    kind "bipartite": h = g, b checked when given and turned so that c0
+    holds vertex 0, M on the smaller class (c0 on a tie), shift 0.  kind
+    "grover": h = S(g) with c0 its edge vertices, M on the original
+    vertices, where den M = (den/2)(I + D^-1 A): less shift = den/2 on the
+    diagonal, that is A on a d-regular g.  An unknown kind raises
+    ValueError, a disconnected g or one with no edges GraphError.
     """
-    deg, adj = g.degrees(), g.neighbors()
-    rows = sorted(rows)
-    pos = {v: i for i, v in enumerate(rows)}
-    l_rows, l_other = lcm(*(deg[v] for v in rows)), lcm(*(deg[x] for x in other))
-    out = []
-    for v in rows:
-        row, w = [0] * len(rows), l_rows // deg[v]
-        for x in adj[v]:
-            wx = w * (l_other // deg[x])
-            for y in adj[x]:
-                row[pos[y]] += wx
-        out.append(row)
-    return out, l_rows * l_other
+    if kind == "grover":
+        if not g.is_connected():
+            raise GraphError("graph is disconnected")
+        h, b = subdivision(g)
+        rows, other = b.c1, b.c0
+    elif kind == "bipartite":
+        b = checked_bipartition(g, b)
+        h, b = g, b if 0 in b.c0 else Bipartition(b.c1, b.c0)
+        rows, other = sorted((b.c0, b.c1), key=len)
+    else:
+        raise ValueError(f"unknown walk kind: {kind}")
+    if not g.num_edges:
+        raise GraphError("graph has no edges")
+    gram, den = _gram(h, rows, other)
+    shift = den // 2 if kind == "grover" else 0
+    for i, row in enumerate(gram):
+        row[i] -= shift
+    return h, b, char_poly(gram), den, shift
 
 
 def _q(chi: IntPolynomial, den: int, shift: int = 0) -> IntPolynomial:
@@ -188,35 +200,17 @@ def _scaled_traces(chi: IntPolynomial, den: int, shift: int, n_f: int, edges: in
 
 
 def period_from_phases(g: Graph, b: Optional[Bipartition] = None) -> int:
-    """Period of the bipartite walk on a connected bipartite graph, from q.
-    Raises NonIntegralPolynomial, a ValueError, when the walk is not
-    periodic."""
-    if b is None:
-        b = bipartition(g)
-    elif not g.is_connected():
-        raise GraphError("graph is disconnected")
-    if not g.num_edges:
-        raise GraphError("graph has no edges")
-    gram, den = _gram(g, *sorted((b.c0, b.c1), key=len))  # on the smaller class
-    return _q_period(_q(char_poly(gram), den), len(b.c0), len(b.c1))[1]
+    """Period of the bipartite walk on a connected bipartite graph, from the
+    q of _chi's char-poly, as decide_periodicity reads it, with no
+    certificate.  Raises NonIntegralPolynomial, a ValueError, when the walk
+    is not periodic."""
+    _, b, chi, den, _ = _chi(g, "bipartite", b)
+    return _q_period(_q(chi, den), len(b.c0), len(b.c1))[1]
 
 
 # ---------------------------------------------------------------------------
 # Certificates: the order of U, and the trace test, on U or on T
 # ---------------------------------------------------------------------------
-
-
-def _chain_power(known: dict[int, RationalMatrix], t: int) -> RationalMatrix:
-    """M^t from the powers in known, which holds M^1, adding M^t and every
-    power on the way: one product of two known powers whose exponents sum
-    to t, else M^(t/2) squared for even t, or M^(t-1) M for odd t."""
-    if t not in known:
-        a = next((a for a in sorted(known, reverse=True) if t - a in known), None)
-        if a is None:
-            a = t - 1 if t % 2 else t // 2
-            _chain_power(known, a)
-        known[t] = mat_mul(known[a], known[t - a])
-    return known[t]
 
 
 def _certified_order(
@@ -357,19 +351,15 @@ def spectral_test_biregular(g: Graph, b: Optional[Bipartition] = None) -> Spectr
 
     A residual factor of algebraic degree > 2 is outside the
     characterization's hypothesis and yields "inconclusive".  A graph with
-    no edges raises GraphError.
+    no edges raises GraphError.  It classifies the roots of _chi's
+    char-poly, C C^T's, as decide_periodicity does, with d0 and d1 in the
+    order of the b given.
     """
-    if b is None:
-        b = bipartition(g)
-    elif not g.is_connected():
-        raise GraphError("graph is disconnected")
-    if not g.num_edges:
-        raise GraphError("graph has no edges")
-    prof = degree_profile(g, b)
+    _, turned, chi, _, _ = _chi(g, "bipartite", b)
+    prof = degree_profile(g, turned if b is None else b)
     if not prof.is_biregular:
         raise NotBiregularError("spectral test requires a biregular graph")
-    gram, _ = _gram(g, *sorted((b.c0, b.c1), key=len))  # C C^T on the smaller class
-    return _classify(char_poly(gram), prof.d0, prof.d1)
+    return _classify(chi, prof.d0, prof.d1)
 
 
 def grover_regular_test(g: Graph) -> SpectralVerdict:
@@ -380,17 +370,14 @@ def grover_regular_test(g: Graph) -> SpectralVerdict:
     adjacency eigenvalue lambda is classified, with its order, by looking
     up lambda + d in allowed_value_table(2, d).  The allowed lambda are
     0, +-d, +-d/2, +-sqrt2/2 d, +-sqrt3/2 d and (+-1 +- sqrt5)/4 d.  A
-    graph with no edges raises GraphError.
+    graph with no edges raises GraphError.  It classifies the roots of
+    _chi's char-poly, A's, as decide_periodicity does.
     """
-    if not g.is_connected():
-        raise GraphError("graph is disconnected")
-    if not g.num_edges:
-        raise GraphError("graph has no edges")
-    degs = set(g.degrees())
-    if len(degs) != 1:
+    h, b, chi, _, shift = _chi(g, "grover")
+    prof = degree_profile(h, b)
+    if not prof.is_biregular:
         raise GraphError("grover test requires a regular graph")
-    d = degs.pop()
-    return _classify(char_poly(adjacency_matrix(g)), 2, d, shift=d)
+    return _classify(chi, prof.d0, prof.d1, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -454,47 +441,27 @@ def decide_periodicity(
     non-periodic one with the trace witness, if any.
 
     kind "bipartite" requires g connected bipartite; b, if given, is its
-    bipartition, either way round: c0 is the class of vertex 0, as from
-    bipartition, and q is taken on the smaller class (c0 on a tie).  kind "grover" accepts any
-    connected g and decides it as the bipartite walk of its subdivision
-    S(g), which U_GW is similar to: q on the original vertices, classes of
-    n and |E| vertices.  Past this both kinds take one path.  q, the
-    spectral table and the trace witness (_scaled_traces) come from one
-    char-poly, that of the integer Gram rows (_gram): C C^T on a biregular
-    graph, and A + dI, less dI, on S(g) for a d-regular g.  When the graph
-    is biregular (g regular, for a Grover walk) the table classifies that
-    char-poly's roots, and its orders must be those of q.  U^tau = I is
-    checked on T, U's quotient on the cell space, when n0 + n1 < |E|
-    (average degree above 2), else on U (_certificate).  A graph with no
-    edges raises GraphError, contradictory answers MethodDisagreement.
+    bipartition, either way round; one that is not raises GraphError.
+    kind "grover" accepts any connected g and decides it as the bipartite
+    walk of its subdivision S(g), which U_GW is similar to.  Past this both
+    kinds take one path: q, the spectral table and the trace witness
+    (_scaled_traces) come from one char-poly, _chi's: C C^T on a biregular
+    graph, and A on the original vertices of S(g) for a d-regular g.  When
+    the graph is biregular (g regular, for a Grover walk) the table
+    classifies that char-poly's roots, and its orders must be those of q.
+    U^tau = I is checked on T, U's quotient on the cell space, when
+    n0 + n1 < |E| (average degree above 2), else on U (_certificate).  A
+    graph with no edges raises GraphError, contradictory answers
+    MethodDisagreement.
     """
-    if kind not in ("bipartite", "grover"):
-        raise ValueError(f"unknown walk kind: {kind}")
-    grover = kind == "grover"
-    if not g.is_connected():
-        raise GraphError("graph is disconnected")
-    if grover:
-        h, b = subdivision(g)
-        rows, other = b.c1, b.c0
-    else:
-        b = bipartition(g) if b is None else b  # raises for non-bipartite input
-        h, b = g, b if 0 in b.c0 else Bipartition(b.c1, b.c0)
-        rows, other = sorted((b.c0, b.c1), key=len)
-    if not g.num_edges:
-        raise GraphError("graph has no edges")
-
-    # on S(g), L M = (L/2)(I + D^-1 A): less (L/2) I it is (L/2) D^-1 A,
-    # zero on the diagonal, which on a d-regular g (L = 2d) is A
-    gram, den = _gram(h, rows, other)
-    shift = den // 2 if grover else 0
-    for i, row in enumerate(gram):
-        row[i] -= shift
-    chi, prof, notes = char_poly(gram), degree_profile(h, b), []
+    h, b, chi, den, shift = _chi(g, kind, b)
+    prof, notes = degree_profile(h, b), []
     if prof.is_biregular:  # for a Grover walk: g is regular
         s = _classify(chi, prof.d0, prof.d1, shift)
     else:
         s = None
-        notes.append(f"spectral test skipped: graph not {'regular' if grover else 'biregular'}")
+        not_what = "regular" if kind == "grover" else "biregular"
+        notes.append(f"spectral test skipped: graph not {not_what}")
     try:
         orders, tau = _q_period(_q(chi, den, shift), len(b.c0), len(b.c1))
     except NonIntegralPolynomial as exc:
@@ -506,7 +473,7 @@ def decide_periodicity(
             raise MethodDisagreement(f"spectral table: orders {table_orders}; q: orders {orders}")
 
     if orders is None:
-        traces = enumerate(_scaled_traces(chi, den, shift, len(other), h.num_edges), 1)
+        traces = enumerate(_scaled_traces(chi, den, shift, h.n - chi.degree, h.num_edges), 1)
         witness = next(((k, str(Fraction(t, den**k))) for k, t in traces if t % den**k), None)
         return PeriodicityVerdict(False, spectral=s, trace_witness=witness, notes=tuple(notes))
     m, is_identity = _certificate(h, b)

@@ -23,7 +23,7 @@ from .graphs import (
     NotBiregularError,
     adjacency_matrix,
     biadjacency,
-    bipartition,
+    checked_bipartition,
     degree_profile,
     line_graph,
     subdivision,
@@ -91,8 +91,7 @@ class EigenphaseSet(NamedTuple):
 
 
 def _require_biregular(g: Graph, b: Optional[Bipartition]) -> tuple[Bipartition, int, int]:
-    if b is None:
-        b = bipartition(g)
+    b = checked_bipartition(g, b)
     prof = degree_profile(g, b)
     if not prof.is_biregular:
         raise NotBiregularError("graph is not biregular")

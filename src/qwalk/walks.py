@@ -26,7 +26,7 @@ from .graphs import (
     DegreeProfile,
     Graph,
     GraphError,
-    bipartition,
+    checked_bipartition,
     degree_profile,
     subdivision,
 )
@@ -132,10 +132,7 @@ class WalkOperator(NamedTuple):
 
 def build_bipartite_walk(g: Graph, b: Optional[Bipartition] = None) -> WalkOperator:
     """Assemble U = (2P-I)(2Q-I); all invariants verified at construction."""
-    if b is None:
-        b = bipartition(g)  # raises for non-bipartite or disconnected input
-    elif not g.is_connected():
-        raise GraphError("graph is disconnected")
+    b = checked_bipartition(g, b)
     pi0, pi1 = build_partitions(g, b)
     m = g.num_edges
     # P from the c1-keyed cells, Q from the c0-keyed cells: the assignment
@@ -152,37 +149,55 @@ def build_bipartite_walk(g: Graph, b: Optional[Bipartition] = None) -> WalkOpera
 # ---------------------------------------------------------------------------
 
 
+def _gram(g: Graph, rows: Iterable[int], other: Iterable[int]) -> tuple[list[list[int]], int]:
+    """The integer rows of L M, and L, for M = Dr^-1 C Do^-1 C^T with C the
+    block of g's adjacency from the vertices `rows` to `other` and
+    L = lcm(deg rows) lcm(deg other): two-hop sums over g's neighbours.
+
+    On a (d0, d1)-biregular graph L M is C C^T.  On the subdivision S(g),
+    with rows the original vertices, it is (L/2)(I + D^-1 A).  The
+    decider's char-poly (periodicity._chi) and T's squared block read it.
+    """
+    deg, adj = g.degrees(), g.neighbors()
+    rows = sorted(rows)
+    pos = {v: i for i, v in enumerate(rows)}
+    l_rows, l_other = lcm(*(deg[v] for v in rows)), lcm(*(deg[x] for x in other))
+    out = []
+    for v in rows:
+        row, w = [0] * len(rows), l_rows // deg[v]
+        for x in adj[v]:
+            wx = w * (l_other // deg[x])
+            for y in adj[x]:
+                row[pos[y]] += wx
+        out.append(row)
+    return out, l_rows * l_other
+
+
 def _quotient(
     g: Graph, last: Sequence[int], first: Sequence[int]
 ) -> tuple[list[list[int]], int, tuple[int, ...]]:
     """Numerator rows of T over one denominator, and z, from the adjacency
-    of g, with the basis the vertices of `last` and then those of `first`.
+    of g, with the basis the vertices of `last`, sorted, and then those of
+    `first`.
 
     For U' = (2P_l - I)(2P_f - I), P_l and P_f the cell projections of the
     two classes, and D, C the degrees and the biadjacency blocks,
-    T = [[4 Dl^-1 Clf Df^-1 Cfl - I, 2 Dl^-1 Clf], [-2 Df^-1 Cfl, -I]].
+    T = [[4 Dl^-1 Clf Df^-1 Cfl - I, 2 Dl^-1 Clf], [-2 Df^-1 Cfl, -I]]:
+    over den = L, the squared block is 4 (_gram's rows of L M) - den I, and
+    each other entry is +-2 den / deg of its row's vertex.
     """
+    gram, den = _gram(g, last, first)
     deg, adj = g.degrees(), g.neighbors()
-    order = [*last, *first]
-    pos = {v: i for i, v in enumerate(order)}
-    d_last = lcm(*(deg[v] for v in last))
-    d_first = lcm(*(deg[x] for x in first))
-    den = d_last * d_first
-    rows = [[0] * len(order) for _ in order]
-    for i, v in enumerate(last):
-        row, w = rows[i], d_last // deg[v]
+    pos = {v: i for i, v in enumerate([*last, *first])}
+    z = (1,) * len(last) + (-1,) * len(first)
+    rows = [[4 * x for x in square] + [0] * len(first) for square in gram]
+    rows += ([0] * len(pos) for _ in first)
+    for v, i in pos.items():
+        row, w = rows[i], 2 * z[i] * (den // deg[v])
         for x in adj[v]:
-            row[pos[x]] = 2 * w * d_first
-            wx = 4 * w * (d_first // deg[x])
-            for y in adj[x]:
-                row[pos[y]] += wx
+            row[pos[x]] = w
         row[i] -= den
-    for i, x in enumerate(first, len(last)):
-        row, w = rows[i], -2 * (d_first // deg[x]) * d_last
-        for v in adj[x]:
-            row[pos[v]] = w
-        row[i] = -den
-    return rows, den, (1,) * len(last) + (-1,) * len(first)
+    return rows, den, z
 
 
 def _reflect(
@@ -226,12 +241,11 @@ def cell_operator(
     Checked exactly, without forming U: X z = 0, and U X = X T for every
     column of X, applying the two reflections cell by cell to X's rows and
     forming row e of X T as the sum of the rows of T at e's two vertices.
-    A failure raises ConstructionError.
+    A failure raises ConstructionError, a graph with no edges GraphError.
     """
-    if b is None:
-        b = bipartition(g)
-    elif not g.is_connected():
-        raise GraphError("graph is disconnected")
+    b = checked_bipartition(g, b)
+    if not g.num_edges:
+        raise GraphError("graph has no edges")
     pi0, pi1 = build_partitions(g, b)
     # U = (2P - I)(2Q - I) applies the c0 cells (Q) first
     if len(b.c0) < len(b.c1):
@@ -357,9 +371,8 @@ def block_identity_checks(
     """
     if k_max < 1:
         raise ValueError("k must be positive")
-    if b is None:
-        b = bipartition(g)
-    u_bw = build_bipartite_walk(g, b).U
+    w = build_bipartite_walk(g, b)
+    b, u_bw = w.bipart, w.U
     arcs_into_c1 = [((u, v) if v in b.c1 else (v, u)) for u, v in g.edges]
     m = g.num_edges
     rev, cells = _arc_maps(arcs_into_c1 + [(t, o) for o, t in arcs_into_c1])

@@ -232,6 +232,10 @@ class TestCellOperatorChecks:
         _wrap_quotient(monkeypatch, lambda rows, den, z: (rows, den, tuple(z)))
         assert cell_operator(complete_bipartite(3, 4)) == expected
 
+    def test_rejects_a_graph_with_no_edges(self):
+        with pytest.raises(GraphError, match="^graph has no edges$"):
+            cell_operator(Graph.from_edges(1, []))
+
     def test_rejects_disconnected_and_non_bipartite(self):
         with pytest.raises(GraphError, match="^graph is disconnected$"):
             cell_operator(Graph.from_edges(4, [(0, 1), (2, 3)]), bipartition(complete_bipartite(2, 2)))
@@ -365,7 +369,7 @@ class TestOneAdditionChain:
             calls.append(1)
             return mat_mul(a, b)
 
-        monkeypatch.setattr("qwalk.periodicity.mat_mul", counting)
+        monkeypatch.setattr("qwalk.exact.mat_mul", counting)
         # never the identity: every power of {c} and the c/p is made once
         assert _certified_order(RationalMatrix.identity(3), c, lambda m: False) is None
         assert len(calls) == products

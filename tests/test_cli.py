@@ -179,8 +179,7 @@ class TestPeriod:
         bipartite one: the decider takes the cover's classes from the CLI."""
         seen = []
         original = qwalk.graphs.bipartition
-        for module in (qwalk.graphs, qwalk.periodicity, qwalk.walks):
-            monkeypatch.setattr(module, "bipartition", lambda g: seen.append(g) or original(g))
+        monkeypatch.setattr(qwalk.graphs, "bipartition", lambda g: seen.append(g) or original(g))
         for name, code in (("petersen", 3), ("k33", 1)):
             seen.clear()
             assert run(capsys, "period", name, "--transform", "d")[0] == code

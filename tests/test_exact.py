@@ -53,7 +53,8 @@ from qwalk.graphs import (
     star,
     subdivision,
 )
-from qwalk.periodicity import _gram, grover_regular_test, spectral_test_biregular
+from qwalk.periodicity import grover_regular_test, spectral_test_biregular
+from qwalk.walks import _gram
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -129,6 +130,22 @@ class TestRationalMatrix:
         assert mat_pow(a, k) == expected
         assert len(calls) == products
 
+    def test_mat_pow_makes_as_many_products_as_binary_exponentiation(self, monkeypatch):
+        # one squaring per bit of k after the leading one, one product per
+        # further set bit
+        calls = []
+
+        def counting(x, y):
+            calls.append(1)
+            return mat_mul(x, y)
+
+        monkeypatch.setattr(qwalk.exact, "mat_mul", counting)
+        a = RationalMatrix([[1, 1], [0, 1]])
+        for k in range(1, 200):
+            calls.clear()
+            assert mat_pow(a, k) == RationalMatrix([[1, k], [0, 1]])
+            assert len(calls) == k.bit_length() - 1 + bin(k).count("1") - 1, k
+
     @given(square_matrices(3))
     @settings(max_examples=30, deadline=None)
     def test_transpose_involution(self, a):
@@ -150,6 +167,21 @@ class TestRationalMatrix:
         assert rational_rank(RationalMatrix.identity(4)) == 4
         assert rational_rank(RationalMatrix([[1, 2], [2, 4]])) == 1
         assert rational_rank(RationalMatrix.zeros(2, 5)) == 0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rank_agrees_with_sympy(self, seed):
+        """Each row a seeded rational combination of the same zero to four
+        integer rows, so that the rank often falls short of both sizes,
+        against sympy's rank."""
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(seed)
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        base = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rng.randint(0, 4))]
+        data = []
+        for _ in range(rows):
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in base]
+            data.append([sum(c * row[j] for c, row in zip(coeffs, base)) for j in range(cols)])
+        assert rational_rank(RationalMatrix(data)) == sympy.Matrix(data).rank()
 
 
 entries = st.one_of(st.just(Fraction(0)), rationals)

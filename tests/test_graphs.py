@@ -1,6 +1,7 @@
 import pytest
 
 from qwalk.graphs import (
+    Bipartition,
     Graph,
     GraphError,
     NotBipartiteError,
@@ -8,6 +9,7 @@ from qwalk.graphs import (
     biadjacency,
     bipartite_double_cover,
     bipartition,
+    checked_bipartition,
     circulant,
     complete_bipartite,
     cycle,
@@ -106,6 +108,19 @@ class TestBipartition:
     def test_disconnected_rejected(self):
         with pytest.raises(GraphError):
             bipartition(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+    def test_checked_bipartition(self):
+        """b is returned as given, either way round; without one it is
+        bipartition's; a disconnected graph is refused either way."""
+        g = complete_bipartite(2, 3)
+        b = bipartition(g)
+        turned = Bipartition(b.c1, b.c0)
+        assert checked_bipartition(g, turned) is turned
+        assert checked_bipartition(g) == b
+        disconnected = Graph.from_edges(4, [(0, 1), (2, 3)])
+        for given in (None, Bipartition(frozenset({0, 2}), frozenset({1, 3}))):
+            with pytest.raises(GraphError, match="^graph is disconnected$"):
+                checked_bipartition(disconnected, given)
 
     def test_degree_profile(self):
         g = complete_bipartite(2, 3)

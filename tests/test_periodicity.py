@@ -40,7 +40,7 @@ from qwalk.periodicity import (
     TRACE_DEPTH,
     MethodDisagreement,
     _certified_order,
-    _gram,
+    _chi,
     _q,
     allowed_value_table,
     decide_periodicity,
@@ -54,7 +54,14 @@ from qwalk.periodicity import (
 )
 from qwalk.scan import enumerate_biregular, scan_periodicity
 from qwalk.spectral import GROUP_TOL, eigenvalue_support, pm1_eigenspace_dims
-from qwalk.walks import build_bipartite_walk, build_grover_walk
+from qwalk.walks import (
+    _gram,
+    block_identity_check,
+    block_identity_checks,
+    build_bipartite_walk,
+    build_grover_walk,
+    cell_operator,
+)
 from test_exact import _random_biregular, sympy_cyclotomic_order
 from test_walks import random_connected_graph
 
@@ -523,7 +530,7 @@ def _refuse_second_char_poly(monkeypatch) -> None:
     def refuse(*args, **kwargs):
         raise AssertionError("the decision took a char-poly from a second source")
 
-    for name in ("spectral_test_biregular", "grover_regular_test", "adjacency_matrix"):
+    for name in ("spectral_test_biregular", "grover_regular_test"):
         monkeypatch.setattr(f"qwalk.periodicity.{name}", refuse)
     monkeypatch.setattr("qwalk.graphs.adjacency_matrix", refuse)
 
@@ -531,7 +538,9 @@ def _refuse_second_char_poly(monkeypatch) -> None:
 class TestOneCharPoly:
     """The table verdict of decide_periodicity, taken on the char-poly of
     the Gram rows, equals that of the standalone table functions field by
-    field, and the decision calls neither of them nor adjacency_matrix."""
+    field, and the decision calls neither of them nor adjacency_matrix.
+    All of them read _chi's char-poly, which TestCharPolyAgainstDenseBuilders
+    checks on its own."""
 
     def test_scan_classes(self, monkeypatch):
         classes = list(enumerate_biregular(10))
@@ -560,6 +569,61 @@ class TestOneCharPoly:
     def test_both_table_outcomes_occur(self):
         statuses = [spectral_test_biregular(g).status for g in BIREGULAR_GRAPHS.values()]
         assert statuses.count("periodic") >= 5 and statuses.count("non-periodic") >= 5
+
+
+class TestCharPolyAgainstDenseBuilders:
+    """_chi's char-poly, which the decider, the table functions and the
+    phase period share, against char-polys of matrices built without
+    _gram: A from adjacency_matrix for a Grover walk on a regular graph,
+    and C C^T from biadjacency, on the smaller class, for a biregular one."""
+
+    @pytest.mark.parametrize("name", sorted(REGULAR_GRAPHS))
+    def test_grover_chi_is_that_of_a(self, name):
+        g = REGULAR_GRAPHS[name]
+        assert _chi(g, "grover")[2] == char_poly(adjacency_matrix(g))
+
+    @pytest.mark.parametrize("name", sorted(BIREGULAR_GRAPHS))
+    def test_bipartite_chi_is_that_of_c_ct(self, name):
+        g = BIREGULAR_GRAPHS[name]
+        b = bipartition(g)
+        c = biadjacency(g, b if len(b.c0) <= len(b.c1) else Bipartition(b.c1, b.c0))
+        c_ct = [[sum(x * y for x, y in zip(r, s)) for s in c] for r in c]
+        assert _chi(g, "bipartite")[2] == char_poly(c_ct)
+
+
+# cycle(6) with a b that is not a bipartition of it, and the error it gives
+NOT_A_BIPARTITION = {
+    "edge-inside-a-class": (
+        Bipartition(frozenset({0, 1, 2}), frozenset({3, 4, 5})),
+        r"^edge \(0,1\) lies inside one class$",
+    ),
+    "vertex-in-neither-class": (
+        Bipartition(frozenset({0, 2}), frozenset({1, 3, 5})),
+        "^the classes do not split the vertices$",
+    ),
+    "vertex-in-both-classes": (
+        Bipartition(frozenset({0, 1, 2, 4}), frozenset({1, 3, 5})),
+        "^the classes do not split the vertices$",
+    ),
+}
+
+TAKES_A_BIPARTITION = {
+    "decide_periodicity": lambda g, b: decide_periodicity(g, b=b),
+    "period_from_phases": period_from_phases,
+    "spectral_test_biregular": spectral_test_biregular,
+    "build_bipartite_walk": build_bipartite_walk,
+    "cell_operator": cell_operator,
+    "block_identity_check": lambda g, b: block_identity_check(g, 2, b),
+    "block_identity_checks": lambda g, b: block_identity_checks(g, 2, b),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(NOT_A_BIPARTITION))
+@pytest.mark.parametrize("function", sorted(TAKES_A_BIPARTITION))
+def test_a_given_b_that_is_no_bipartition_is_an_input_error(function, defect):
+    b, message = NOT_A_BIPARTITION[defect]
+    with pytest.raises(GraphError, match=message):
+        TAKES_A_BIPARTITION[function](cycle(6), b)
 
 
 def _count_products(monkeypatch, *modules) -> list:
