@@ -28,7 +28,6 @@ from typing import Optional
 
 from . import __version__
 from .graphs import (
-    Bipartition,
     Graph,
     GraphError,
     bipartite_double_cover,
@@ -113,17 +112,15 @@ def _resolve_input(spec: str) -> Graph:
     return g
 
 
-def _apply_transform(g: Graph, transform: str) -> tuple[Graph, Optional[Bipartition], str]:
+def _apply_transform(g: Graph, transform: str) -> tuple[Graph, str]:
     if transform in ("s", "subdivide"):
-        sg, sb = subdivision(g)  # c0 the edge vertices; bipartition puts vertex 0 in c0
-        return sg, Bipartition(sb.c1, sb.c0), "subdivide"
+        return subdivision(g)[0], "subdivide"
     if transform in ("d", "doublecover"):
         if is_bipartite(g):
             raise GraphError("doublecover of a bipartite graph is disconnected")
-        dg, db = bipartite_double_cover(g)
-        return dg, db, "doublecover"
+        return bipartite_double_cover(g)[0], "doublecover"
     if transform == "none":
-        return g, None, "none"
+        return g, "none"
     raise GraphError(f"unknown transform {transform!r}")
 
 
@@ -239,10 +236,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_walk(args: argparse.Namespace) -> int:
     g = _resolve_input(args.input)
-    g, b, _ = _apply_transform(g, args.transform)
+    g, _ = _apply_transform(g, args.transform)
     kind = _kind_name(args.kind)
     if kind == "bipartite":
-        w = build_bipartite_walk(g, b)
+        w = build_bipartite_walk(g)
         doc = walk_to_json(w)
         matrices = [("P", w.P), ("Q", w.Q), ("U", w.U)]
     else:
@@ -268,11 +265,11 @@ def _report_disagreement(input_desc: str, exc: MethodDisagreement) -> int:
 
 def cmd_period(args: argparse.Namespace) -> int:
     g = _resolve_input(args.input)
-    g, b, transform = _apply_transform(g, args.transform)
+    g, transform = _apply_transform(g, args.transform)
     kind = _kind_name(args.kind)
     start = time.perf_counter()
     try:
-        verdict = decide_periodicity(g, kind=kind, b=b)
+        verdict = decide_periodicity(g, kind=kind)
     except MethodDisagreement as exc:
         return _report_disagreement(args.input, exc)
     doc = analysis_report(args.input, g, kind, transform, verdict, time.perf_counter() - start)

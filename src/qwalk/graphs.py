@@ -30,7 +30,7 @@ class Graph:
 
     An immutable value, equal and hashed by (n, edges).  A plain class, not
     a NamedTuple, so that its derived data (adjacency, degrees,
-    connectivity) can be cached on the instance.
+    connectivity, 2-colouring) can be cached on the instance.
     """
 
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
@@ -131,6 +131,25 @@ class Graph:
                     queue.append(y)
         return len(seen) == self.n
 
+    @cached_property
+    def _colouring(self) -> Optional[Bipartition]:
+        """The BFS 2-colouring from vertex 0 of the connected graph, None on
+        an odd cycle."""
+        color = [-1] * self.n
+        color[0] = 0
+        adj = self.neighbors()
+        queue = deque([0])
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if color[y] == -1:
+                    color[y] = 1 - color[x]
+                    queue.append(y)
+                elif color[y] == color[x]:
+                    return None
+        c0 = frozenset(v for v, c in enumerate(color) if c == 0)
+        return Bipartition(c0, frozenset(range(self.n)) - c0)
+
 
 class Bipartition(NamedTuple):
     """Two color classes with vertex 0 anchored in c0."""
@@ -181,44 +200,16 @@ def format_graph(g: Graph) -> str:
 
 
 def bipartition(g: Graph) -> Bipartition:
-    """2-color a connected graph by BFS from vertex 0.
+    """The 2-colouring of a connected graph, vertex 0 in c0, from one BFS
+    per graph (Graph caches it).
 
     Raises NotBipartiteError on an odd cycle, GraphError when disconnected.
     """
     if not g.is_connected():
         raise GraphError("graph is disconnected")
-    color = [-1] * g.n
-    color[0] = 0
-    adj = g.neighbors()
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if color[y] == -1:
-                color[y] = 1 - color[x]
-                queue.append(y)
-            elif color[y] == color[x]:
-                raise NotBipartiteError("graph contains an odd cycle")
-    return Bipartition(
-        frozenset(v for v in range(g.n) if color[v] == 0),
-        frozenset(v for v in range(g.n) if color[v] == 1),
-    )
-
-
-def checked_bipartition(g: Graph, b: Optional[Bipartition] = None) -> Bipartition:
-    """bipartition(g) when b is None; else b, once checked to be one of the
-    connected g: its classes split the vertices and every edge crosses.
-    Raises GraphError otherwise."""
-    if b is None:
-        return bipartition(g)
-    if not g.is_connected():
-        raise GraphError("graph is disconnected")
-    if b.c0 & b.c1 or b.c0 | b.c1 != set(range(g.n)):
-        raise GraphError("the classes do not split the vertices")
-    for u, v in g.edges:
-        if (u in b.c0) == (v in b.c0):
-            raise GraphError(f"edge ({u},{v}) lies inside one class")
-    return b
+    if g._colouring is None:
+        raise NotBipartiteError("graph contains an odd cycle")
+    return g._colouring
 
 
 def is_bipartite(g: Graph) -> bool:

@@ -69,7 +69,7 @@ from .graphs import (
     Graph,
     GraphError,
     NotBiregularError,
-    checked_bipartition,
+    bipartition,
     degree_profile,
     subdivision,
 )
@@ -121,18 +121,15 @@ def _allowed_values(d0d1: int) -> dict[QuadraticValue, int]:
 # ---------------------------------------------------------------------------
 
 
-def _chi(
-    g: Graph, kind: str, b: Optional[Bipartition] = None
-) -> tuple[Graph, Bipartition, IntPolynomial, int, int]:
+def _chi(g: Graph, kind: str) -> tuple[Graph, Bipartition, IntPolynomial, int, int]:
     """(h, b, chi, den, shift) for the walk of the given kind on g: the
     bipartite walk on h with classes b, and chi = charpoly(den M - shift I)
     from _gram's integer rows of den M, on the class q is taken on.
 
-    kind "bipartite": h = g, b checked when given and turned so that c0
-    holds vertex 0, M on the smaller class (c0 on a tie), shift 0.  kind
-    "grover": h = S(g) with c0 its edge vertices, M on the original
-    vertices, where den M = (den/2)(I + D^-1 A): less shift = den/2 on the
-    diagonal, that is A on a d-regular g.  An unknown kind raises
+    kind "bipartite": h = g, b = bipartition(g), M on the smaller class (c0
+    on a tie), shift 0.  kind "grover": h = S(g) with c0 its edge vertices,
+    M on the original vertices, where den M = (den/2)(I + D^-1 A): less
+    shift = den/2 on the diagonal, that is A on a d-regular g.  An unknown kind raises
     ValueError, a disconnected g or one with no edges GraphError.
     """
     if kind == "grover":
@@ -141,8 +138,7 @@ def _chi(
         h, b = subdivision(g)
         rows, other = b.c1, b.c0
     elif kind == "bipartite":
-        b = checked_bipartition(g, b)
-        h, b = g, b if 0 in b.c0 else Bipartition(b.c1, b.c0)
+        h, b = g, bipartition(g)
         rows, other = sorted((b.c0, b.c1), key=len)
     else:
         raise ValueError(f"unknown walk kind: {kind}")
@@ -199,12 +195,12 @@ def _scaled_traces(chi: IntPolynomial, den: int, shift: int, n_f: int, edges: in
         )
 
 
-def period_from_phases(g: Graph, b: Optional[Bipartition] = None) -> int:
+def period_from_phases(g: Graph) -> int:
     """Period of the bipartite walk on a connected bipartite graph, from the
     q of _chi's char-poly, as decide_periodicity reads it, with no
     certificate.  Raises NonIntegralPolynomial, a ValueError, when the walk
     is not periodic."""
-    _, b, chi, den, _ = _chi(g, "bipartite", b)
+    _, b, chi, den, _ = _chi(g, "bipartite")
     return _q_period(_q(chi, den), len(b.c0), len(b.c1))[1]
 
 
@@ -285,17 +281,16 @@ def _fixes_cell_space(z: tuple[int, ...]) -> Callable[[RationalMatrix], bool]:
     return test
 
 
-def _certificate(
-    g: Graph, b: Bipartition
-) -> tuple[RationalMatrix, Callable[[RationalMatrix], bool]]:
-    """The matrix a periodic verdict on U is certified on, with the test
-    that its k-th power stands for U^k = I: T on the cell space when
-    n0 + n1 < |E| (average degree above 2), else U itself.  On a cycle or a
-    tree U is a sparse near-permutation, and T's powers fill in."""
+def _certificate(g: Graph) -> tuple[RationalMatrix, Callable[[RationalMatrix], bool]]:
+    """The matrix a periodic verdict on the bipartite walk of g is certified
+    on, with the test that its k-th power stands for U^k = I: T on the cell
+    space when n0 + n1 < |E| (average degree above 2), else U itself, both
+    on bipartition(g).  On a cycle or a tree U is a sparse
+    near-permutation, and T's powers fill in."""
     if g.n < g.num_edges:
-        num, den, z = cell_operator(g, b)
+        num, den, z = cell_operator(g)
         return RationalMatrix.from_numerators(num, den), _fixes_cell_space(z)
-    return build_bipartite_walk(g, b).U, RationalMatrix.is_identity
+    return build_bipartite_walk(g).U, RationalMatrix.is_identity
 
 
 # ---------------------------------------------------------------------------
@@ -344,22 +339,22 @@ def _classify(chi: IntPolynomial, d0: int, d1: int, shift: int = 0) -> SpectralV
     return SpectralVerdict(status, d0, d1, tuple(classifications))
 
 
-def spectral_test_biregular(g: Graph, b: Optional[Bipartition] = None) -> SpectralVerdict:
+def spectral_test_biregular(g: Graph) -> SpectralVerdict:
     """Exact spectral periodicity test for connected biregular bipartite
     graphs: periodic iff every squared adjacency eigenvalue sits in the
     allowed-value table for (d0, d1).
 
     A residual factor of algebraic degree > 2 is outside the
     characterization's hypothesis and yields "inconclusive".  A graph with
-    no edges raises GraphError.  It classifies the roots of _chi's
-    char-poly, C C^T's, as decide_periodicity does, with d0 and d1 in the
-    order of the b given.
+    no edges raises GraphError, one that is not biregular
+    NotBiregularError, before any char-poly.  It classifies the roots of
+    _chi's char-poly, C C^T's, as decide_periodicity does, with d0 and d1
+    those of bipartition(g)'s c0 and c1.
     """
-    _, turned, chi, _, _ = _chi(g, "bipartite", b)
-    prof = degree_profile(g, turned if b is None else b)
-    if not prof.is_biregular:
+    prof = degree_profile(g, bipartition(g))
+    if g.num_edges and not prof.is_biregular:  # no edges: _chi's error
         raise NotBiregularError("spectral test requires a biregular graph")
-    return _classify(chi, prof.d0, prof.d1)
+    return _classify(_chi(g, "bipartite")[2], prof.d0, prof.d1)
 
 
 def grover_regular_test(g: Graph) -> SpectralVerdict:
@@ -370,14 +365,14 @@ def grover_regular_test(g: Graph) -> SpectralVerdict:
     adjacency eigenvalue lambda is classified, with its order, by looking
     up lambda + d in allowed_value_table(2, d).  The allowed lambda are
     0, +-d, +-d/2, +-sqrt2/2 d, +-sqrt3/2 d and (+-1 +- sqrt5)/4 d.  A
-    graph with no edges raises GraphError.  It classifies the roots of
-    _chi's char-poly, A's, as decide_periodicity does.
+    graph with no edges or whose degrees differ raises GraphError, the
+    latter before any char-poly.  It classifies the roots of _chi's
+    char-poly, A's, as decide_periodicity does.
     """
-    h, b, chi, _, shift = _chi(g, "grover")
-    prof = degree_profile(h, b)
-    if not prof.is_biregular:
+    if g.is_connected() and len(set(g.degrees())) > 1:  # disconnected: _chi's error
         raise GraphError("grover test requires a regular graph")
-    return _classify(chi, prof.d0, prof.d1, shift)
+    _, _, chi, _, shift = _chi(g, "grover")
+    return _classify(chi, 2, g.degrees()[0], shift)
 
 
 # ---------------------------------------------------------------------------
@@ -433,28 +428,26 @@ class PeriodicityVerdict(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-def decide_periodicity(
-    g: Graph, kind: str = "bipartite", b: Optional[Bipartition] = None
-) -> PeriodicityVerdict:
+def decide_periodicity(g: Graph, kind: str = "bipartite") -> PeriodicityVerdict:
     """Decide the walk of the given kind on g by the integrality of q, and
     certify the verdict: a periodic one by U^tau = I with minimality, a
     non-periodic one with the trace witness, if any.
 
-    kind "bipartite" requires g connected bipartite; b, if given, is its
-    bipartition, either way round; one that is not raises GraphError.
-    kind "grover" accepts any connected g and decides it as the bipartite
-    walk of its subdivision S(g), which U_GW is similar to.  Past this both
-    kinds take one path: q, the spectral table and the trace witness
-    (_scaled_traces) come from one char-poly, _chi's: C C^T on a biregular
-    graph, and A on the original vertices of S(g) for a d-regular g.  When
-    the graph is biregular (g regular, for a Grover walk) the table
-    classifies that char-poly's roots, and its orders must be those of q.
-    U^tau = I is checked on T, U's quotient on the cell space, when
-    n0 + n1 < |E| (average degree above 2), else on U (_certificate).  A
-    graph with no edges raises GraphError, contradictory answers
-    MethodDisagreement.
+    kind "bipartite" requires g connected bipartite and takes its classes
+    from bipartition(g).  kind "grover" accepts any connected g and decides
+    it as the bipartite walk of its subdivision S(g), which U_GW is similar
+    to.  Past this both kinds take one path: q, the spectral table and the
+    trace witness (_scaled_traces) come from one char-poly, _chi's: C C^T
+    on a biregular graph, and A on the original vertices of S(g) for a
+    d-regular g.  When the graph is biregular (g regular, for a Grover
+    walk) the table classifies that char-poly's roots, and its orders must
+    be those of q.  U^tau = I is checked on T, U's quotient on the cell
+    space, when n0 + n1 < |E| (average degree above 2), else on U
+    (_certificate), both on bipartition(h), the colouring _chi left cached
+    on a bipartite g.  A graph with no edges raises GraphError,
+    contradictory answers MethodDisagreement.
     """
-    h, b, chi, den, shift = _chi(g, kind, b)
+    h, b, chi, den, shift = _chi(g, kind)
     prof, notes = degree_profile(h, b), []
     if prof.is_biregular:  # for a Grover walk: g is regular
         s = _classify(chi, prof.d0, prof.d1, shift)
@@ -476,7 +469,7 @@ def decide_periodicity(
         traces = enumerate(_scaled_traces(chi, den, shift, h.n - chi.degree, h.num_edges), 1)
         witness = next(((k, str(Fraction(t, den**k))) for k, t in traces if t % den**k), None)
         return PeriodicityVerdict(False, spectral=s, trace_witness=witness, notes=tuple(notes))
-    m, is_identity = _certificate(h, b)
+    m, is_identity = _certificate(h)
     order = _certified_order(m, tau, is_identity)
     if order != tau:
         raise MethodDisagreement(

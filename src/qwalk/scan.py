@@ -109,6 +109,7 @@ def enumerate_biregular(max_edges: int) -> Iterator[tuple[Graph, Bipartition]]:
 
 
 def scan_periodicity(max_edges: int) -> Iterator[tuple[Graph, Bipartition, PeriodicityVerdict]]:
-    """Decide the bipartite walk of every enumerated graph on its classes."""
+    """Decide the bipartite walk of every enumerated graph, whose classes
+    are those bipartition(g) finds."""
     for g, b in enumerate_biregular(max_edges):
-        yield g, b, decide_periodicity(g, b=b)
+        yield g, b, decide_periodicity(g)

@@ -11,19 +11,18 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .exact import RationalMatrix, rational_rank
 from .graphs import (
-    Bipartition,
     Graph,
     GraphError,
     NotBiregularError,
     adjacency_matrix,
     biadjacency,
-    checked_bipartition,
+    bipartition,
     degree_profile,
     line_graph,
     subdivision,
@@ -90,14 +89,6 @@ class EigenphaseSet(NamedTuple):
         return self.plus + self.minus + 2 * sum(m for _, m in self.phases)
 
 
-def _require_biregular(g: Graph, b: Optional[Bipartition]) -> tuple[Bipartition, int, int]:
-    b = checked_bipartition(g, b)
-    prof = degree_profile(g, b)
-    if not prof.is_biregular:
-        raise NotBiregularError("graph is not biregular")
-    return b, prof.d0, prof.d1
-
-
 def pm1_eigenspace_dims(w: WalkOperator) -> tuple[int, int]:
     """Dimensions of the +1 and -1 eigenspaces of U, computed exactly.
 
@@ -112,8 +103,9 @@ def pm1_eigenspace_dims(w: WalkOperator) -> tuple[int, int]:
     return m - c0 - c1 + 2, c0 + c1 - 2 * rank
 
 
-def walk_phases_from_graph(g: Graph, b: Optional[Bipartition] = None) -> EigenphaseSet:
-    """Eigenphases of the bipartite walk from the adjacency spectrum.
+def walk_phases_from_graph(g: Graph) -> EigenphaseSet:
+    """Eigenphases of the bipartite walk on bipartition(g) from the
+    adjacency spectrum.
 
     For a biregular (d0, d1) graph each adjacency eigenvalue lambda maps to
     cos(theta) = 2 lambda^2 / (d0 d1) - 1.  Boundary values (lambda^2 equal
@@ -122,8 +114,11 @@ def walk_phases_from_graph(g: Graph, b: Optional[Bipartition] = None) -> Eigenph
     """
     from .walks import build_bipartite_walk
 
-    b, d0, d1 = _require_biregular(g, b)
-    w = build_bipartite_walk(g, b)
+    prof = degree_profile(g, bipartition(g))
+    if not prof.is_biregular:
+        raise NotBiregularError("graph is not biregular")
+    d0, d1 = prof
+    w = build_bipartite_walk(g)
     plus, minus = pm1_eigenspace_dims(w)
     dec = sym_eig(adjacency_matrix(g))
     phases: list[tuple[float, int]] = []

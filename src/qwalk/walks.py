@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact import RationalMatrix, _int_product, _nonzeros, mat_mul
 from .graphs import (
@@ -26,7 +26,7 @@ from .graphs import (
     DegreeProfile,
     Graph,
     GraphError,
-    checked_bipartition,
+    bipartition,
     degree_profile,
     subdivision,
 )
@@ -130,9 +130,10 @@ class WalkOperator(NamedTuple):
         return self.U.rows
 
 
-def build_bipartite_walk(g: Graph, b: Optional[Bipartition] = None) -> WalkOperator:
-    """Assemble U = (2P-I)(2Q-I); all invariants verified at construction."""
-    b = checked_bipartition(g, b)
+def build_bipartite_walk(g: Graph) -> WalkOperator:
+    """Assemble U = (2P-I)(2Q-I) on the classes of bipartition(g); all
+    invariants verified at construction."""
+    b = bipartition(g)
     pi0, pi1 = build_partitions(g, b)
     m = g.num_edges
     # P from the c1-keyed cells, Q from the c0-keyed cells: the assignment
@@ -223,17 +224,16 @@ def _reflect(
     return out
 
 
-def cell_operator(
-    g: Graph, b: Optional[Bipartition] = None
-) -> tuple[list[list[int]], int, tuple[int, ...]]:
+def cell_operator(g: Graph) -> tuple[list[list[int]], int, tuple[int, ...]]:
     """The bipartite walk on the (n0 + n1)-dimensional cell space: T's
     integer numerator rows over one denominator, and z = (1, ..., 1, -1,
     ..., -1), which spans ker X for the connected g.
 
-    X is the edge-by-vertex incidence, one column per vertex, the edges of
-    its cell.  U X = X T, and U is I on X^perp, where both reflections are
-    -I; so U^k = I exactly when every column of T^k - I is a multiple of z,
-    and, as T z = z, tr(U^k) = tr(T^k) + |E| - n0 - n1.  T's basis is the
+    U is the walk on bipartition(g), and X the edge-by-vertex incidence,
+    one column per vertex, the edges of its cell.  U X = X T, and U is I on
+    X^perp, where both reflections are -I; so U^k = I exactly when every
+    column of T^k - I is a multiple of z, and, as T z = z, tr(U^k) =
+    tr(T^k) + |E| - n0 - n1.  T's basis is the
     smaller colour class, which holds the squared block, then the other.
     When that is c0, T is the quotient of U^T = (2Q - I)(2P - I), which has
     U's order and traces.
@@ -243,7 +243,7 @@ def cell_operator(
     forming row e of X T as the sum of the rows of T at e's two vertices.
     A failure raises ConstructionError, a graph with no edges GraphError.
     """
-    b = checked_bipartition(g, b)
+    b = bipartition(g)
     if not g.num_edges:
         raise GraphError("graph has no edges")
     pi0, pi1 = build_partitions(g, b)
@@ -262,20 +262,18 @@ def cell_operator(
             held[e].append(c)
     if any(sum(z[c] for c in cs) for cs in held):
         raise ConstructionError("z is not in the kernel of X")
-    # den d_first d_last U X, less the common factor k, is X's rows reflected
-    # by both classes' cells; row e of X T sums T's rows at e's columns
+    # a cell's size is its vertex's degree, so den = d_first d_last, and den
+    # U X is X's rows reflected by both classes' cells; row e of X T sums
+    # T's rows at e's columns
     d_first = lcm(1, *map(len, first.cells.values()))
     d_last = lcm(1, *map(len, last.cells.values()))
-    k = gcd(den, d_first * d_last)
-    ux = _reflect([[(c, den // k) for c in cs] for cs in held], first.cells.values(), d_first, n)
+    ux = _reflect([[(c, 1) for c in cs] for cs in held], first.cells.values(), d_first, n)
     ux = [[(c, x) for c, x in enumerate(row) if x] for row in ux]
     ux = _reflect(ux, last.cells.values(), d_last, n)
-    f = d_first * d_last // k
-    xt = rows if f == 1 else [[f * x for x in row] for row in rows]
     for w, cs in zip(ux, held):
         acc = [0] * n
         for c in cs:
-            acc = list(map(add, acc, xt[c]))
+            acc = list(map(add, acc, rows[c]))
         if w != acc:
             raise ConstructionError("T does not satisfy U X = X T")
     return rows, den, z
@@ -334,14 +332,17 @@ def build_grover_walk(g: Graph) -> ArcWalkOperator:
 
 
 def grover_equals_bipartite_on_subdivision(g: Graph) -> tuple[bool, list[int]]:
-    """Check U_BW(S(g)) == U_GW(g) under the arc/subdivision-edge map.
+    """Check U_GW(g) == U_BW(S(g))^T under the arc/subdivision-edge map.
 
-    Arc (u, v) with underlying canonical edge j corresponds to the
-    subdivision edge {u, n+j} (the head side).  Returns the equality flag
-    and the witness permutation sigma with sigma[arc] = subdivision edge.
+    U_BW is built on bipartition(S(g)), whose c0 holds the original
+    vertices; its transpose takes the two reflections in the other order,
+    the original vertices' cells last.  Arc (u, v) with underlying canonical edge j
+    corresponds to the subdivision edge {u, n+j} (the head side).  Returns
+    the equality flag and the witness permutation sigma with sigma[arc] =
+    subdivision edge.
     """
-    sg, sb = subdivision(g)
-    w = build_bipartite_walk(sg, sb)
+    sg, _ = subdivision(g)
+    w = build_bipartite_walk(sg)
     gw = build_grover_walk(g)
     n = g.n
     sigma = []
@@ -349,19 +350,19 @@ def grover_equals_bipartite_on_subdivision(g: Graph) -> tuple[bool, list[int]]:
         j = g.edge_index(o, t)
         sigma.append(sg.edge_index(o, n + j))
     # both sides are in normal form, so a permutation of entries is equal
-    # exactly when denominators and permuted numerators are
+    # exactly when denominators and permuted numerators are: row a of U_GW
+    # against column sigma[a] of U_BW
     bw, arc = w.U.num, gw.U.num
     ok = w.U.den == gw.U.den and all(
-        tuple(bw[s][t] for t in sigma) == row for s, row in zip(sigma, arc)
+        tuple(bw[t][s] for t in sigma) == row for s, row in zip(sigma, arc)
     )
     return ok, sigma
 
 
-def block_identity_checks(
-    g: Graph, k_max: int, b: Optional[Bipartition] = None
-) -> list[bool]:
+def block_identity_checks(g: Graph, k_max: int) -> list[bool]:
     """Verify that even powers of the arc walk split into bipartite-walk
-    powers, for k = 1..k_max: entry k - 1 of the result is the check at k.
+    powers, for k = 1..k_max: entry k - 1 of the result is the check at k,
+    with the bipartite walk on bipartition(g).
 
     Arcs are reordered so the first |E| indices are the arcs pointing into
     c1 (one per canonical edge), the rest point into c0.  In that basis
@@ -371,7 +372,7 @@ def block_identity_checks(
     """
     if k_max < 1:
         raise ValueError("k must be positive")
-    w = build_bipartite_walk(g, b)
+    w = build_bipartite_walk(g)
     b, u_bw = w.bipart, w.U
     arcs_into_c1 = [((u, v) if v in b.c1 else (v, u)) for u, v in g.edges]
     m = g.num_edges
@@ -395,9 +396,9 @@ def block_identity_checks(
     return results
 
 
-def block_identity_check(g: Graph, k: int, b: Optional[Bipartition] = None) -> bool:
+def block_identity_check(g: Graph, k: int) -> bool:
     """The block identity of block_identity_checks at k alone."""
-    return block_identity_checks(g, k, b)[-1]
+    return block_identity_checks(g, k)[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -149,9 +149,9 @@ def test_criterion_4_block_identity_and_doubling(capsys):
 
 def test_criterion_5_cayley_graph_period_20(capsys):
     start = time.perf_counter()
-    g, b = subdivision(circulant(10, [1, 4, -1, -4]))
-    tau_oracle = exact_period_oracle(build_bipartite_walk(g, b).U)
-    tau_phases = period_from_phases(g, b)
+    g, _ = subdivision(circulant(10, [1, 4, -1, -4]))
+    tau_oracle = exact_period_oracle(build_bipartite_walk(g).U)
+    tau_phases = period_from_phases(g)
     ok = tau_oracle == 20 and tau_phases == 20
     elapsed = time.perf_counter() - start
     with capsys.disabled():
@@ -160,12 +160,12 @@ def test_criterion_5_cayley_graph_period_20(capsys):
 
 def test_criterion_6_double_cover_report(capsys):
     start = time.perf_counter()
-    g, b = bipartite_double_cover(figure7_graph())
-    verdict = spectral_test_biregular(g, b)
+    g, _ = bipartite_double_cover(figure7_graph())
+    verdict = spectral_test_biregular(g)
     values = {str(c.value) for c in verdict.classifications}
     expected_roots = {"16", "4", "0", "6-2*sqrt(5)", "6+2*sqrt(5)"}
-    tau_oracle = exact_period_oracle(build_bipartite_walk(g, b).U)
-    tau_phases = period_from_phases(g, b)
+    tau_oracle = exact_period_oracle(build_bipartite_walk(g).U)
+    tau_phases = period_from_phases(g)
     ok = (
         verdict.status == "periodic"
         and values == expected_roots
@@ -190,11 +190,11 @@ def test_criterion_7_characterization_equivalence(capsys):
     start = time.perf_counter()
     ok = True
     checked = 0
-    for g, b, v in scan_periodicity(9):
+    for g, _, v in scan_periodicity(9):
         if v.spectral is None or v.spectral.status == "inconclusive":
             continue
         checked += 1
-        oracle_periodic = exact_period_oracle(build_bipartite_walk(g, b).U) is not None
+        oracle_periodic = exact_period_oracle(build_bipartite_walk(g).U) is not None
         ok = ok and (v.spectral.status == "periodic") == oracle_periodic == v.periodic
     elapsed = time.perf_counter() - start
     with capsys.disabled():

@@ -84,10 +84,10 @@ def _traces(m: RationalMatrix, k_max: int) -> list:
     return out
 
 
-def _cell_certificate(g: Graph, b):
+def _cell_certificate(g: Graph):
     """T and its identity test, on either side of the size rule, where
     _certificate would take U."""
-    num, den, z = cell_operator(g, b)
+    num, den, z = cell_operator(g)
     return RationalMatrix.from_numerators(num, den), _fixes_cell_space(z)
 
 
@@ -125,22 +125,20 @@ class TestAgainstU:
     def test_periodic_fixtures(self, name):
         g = PERIODIC_DENSE[name]
         assert _on_t(g)
-        b = bipartition(g)
-        _assert_matches_u(_cell_certificate(g, b), build_bipartite_walk(g, b).U, g.num_edges, g.n)
+        _assert_matches_u(_cell_certificate(g), build_bipartite_walk(g).U, g.num_edges, g.n)
 
     @given(st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_seeded_bipartite(self, seed, dense):
         g = seeded_bipartite(seed, dense)
-        b = bipartition(g)
-        _assert_matches_u(_cell_certificate(g, b), build_bipartite_walk(g, b).U, g.num_edges, g.n)
+        _assert_matches_u(_cell_certificate(g), build_bipartite_walk(g).U, g.num_edges, g.n)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_seeded_grover(self, seed):
         g = random_connected_graph(random.Random(seed), max_n=8)
-        sg, sb = subdivision(g)
-        _assert_matches_u(_cell_certificate(sg, sb), build_grover_walk(g).U, sg.num_edges, sg.n)
+        sg, _ = subdivision(g)
+        _assert_matches_u(_cell_certificate(sg), build_grover_walk(g).U, sg.num_edges, sg.n)
 
     @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(["bipartite", "grover"]))
     @settings(max_examples=40, deadline=None)
@@ -238,7 +236,7 @@ class TestCellOperatorChecks:
 
     def test_rejects_disconnected_and_non_bipartite(self):
         with pytest.raises(GraphError, match="^graph is disconnected$"):
-            cell_operator(Graph.from_edges(4, [(0, 1), (2, 3)]), bipartition(complete_bipartite(2, 2)))
+            cell_operator(Graph.from_edges(4, [(0, 1), (2, 3)]))
         with pytest.raises(GraphError):
             cell_operator(petersen_graph())
 
@@ -301,7 +299,7 @@ class TestSizeRule:
 
     @pytest.mark.parametrize("g", [complete_bipartite(4, 4), cycle(24), path(5)], ids=["k44", "c24", "p5"])
     def test_certificate_is_t_above_average_degree_two(self, g):
-        m, is_identity = _certificate(g, bipartition(g))
+        m, is_identity = _certificate(g)
         if _on_t(g):
             assert m.rows == g.n and is_identity is not RationalMatrix.is_identity
         else:

@@ -8,13 +8,13 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-import qwalk.graphs
 import qwalk.periodicity
 import qwalk.walks
 from qwalk.cli import EXIT_DISAGREEMENT, FIXTURES, build_parser, main
 from qwalk.exact import quadratic_from_string
 from qwalk.graphs import (
     Graph,
+    bipartite_double_cover,
     circulant,
     complete_bipartite,
     cycle,
@@ -162,8 +162,8 @@ class TestPeriod:
     ):
         """Each of the two graphs a command makes builds its adjacency and
         runs its connectivity search at most once, however often the layers
-        ask, and counts its degrees at most once."""
-        calls = {"_adjacency": [], "_connected": [], "_degrees": []}
+        ask, and counts its degrees and 2-colours itself at most once."""
+        calls = {"_adjacency": [], "_connected": [], "_degrees": [], "_colouring": []}
         for name, record in calls.items():
             prop = Graph.__dict__[name]
             monkeypatch.setattr(prop, "func", lambda g, f=prop.func, r=record: r.append(g) or f(g))
@@ -171,19 +171,22 @@ class TestPeriod:
         assert code == (3 if g is CIRCULANT7 else 0)
         for name, count in (("_adjacency", adjacencies), ("_connected", searches)):
             assert len(calls[name]) == len({id(g) for g in calls[name]}) == count, name
-        degrees = calls["_degrees"]
+        degrees, colourings = calls["_degrees"], calls["_colouring"]
         assert 0 < len(degrees) == len({id(g) for g in degrees}) <= 2
+        assert len(colourings) == len({id(g) for g in colourings}) <= 2
 
     def test_double_cover_is_not_bipartitioned_again(self, capsys, monkeypatch):
-        """`period --transform d` 2-colours only its input, to reject a
-        bipartite one: the decider takes the cover's classes from the CLI."""
+        """`period --transform d` 2-colours its input once, to reject a
+        bipartite one, and the cover once: a periodic verdict's certificate
+        reads the colouring the decider left cached on the cover."""
         seen = []
-        original = qwalk.graphs.bipartition
-        monkeypatch.setattr(qwalk.graphs, "bipartition", lambda g: seen.append(g) or original(g))
-        for name, code in (("petersen", 3), ("k33", 1)):
+        prop = Graph.__dict__["_colouring"]
+        monkeypatch.setattr(prop, "func", lambda g, f=prop.func: seen.append(g) or f(g))
+        for name, code in (("petersen", 3), ("figure7", 0), ("k33", 1)):
             seen.clear()
             assert run(capsys, "period", name, "--transform", "d")[0] == code
-            assert seen == [FIXTURES[name]()], name
+            g = FIXTURES[name]()
+            assert seen == ([g] if code == 1 else [g, bipartite_double_cover(g)[0]]), name
 
     def test_subdivided_circulant(self, capsys, monkeypatch):
         text = format_graph(circulant(10, [1, 4, -1, -4]))
@@ -340,6 +343,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", name)
         assert code == 0
         assert json.loads(out)["all_pass"] is True
+
+    def test_a_bipartite_input_is_2_coloured_once(self, capsys, monkeypatch):
+        """The check that g is bipartite and its block identities share one
+        colouring of g; the subdivision check colours S(g), once."""
+        seen = []
+        prop = Graph.__dict__["_colouring"]
+        monkeypatch.setattr(prop, "func", lambda g, f=prop.func: seen.append(g) or f(g))
+        assert run(capsys, "verify", "k33")[0] == 0
+        g = complete_bipartite(3, 3)
+        assert seen == [subdivision(g)[0], g]
 
     def test_non_bipartite_skips_block_identity(self, capsys):
         code, out, _ = run(capsys, "verify", "petersen")

@@ -1,7 +1,6 @@
 import pytest
 
 from qwalk.graphs import (
-    Bipartition,
     Graph,
     GraphError,
     NotBipartiteError,
@@ -9,7 +8,6 @@ from qwalk.graphs import (
     biadjacency,
     bipartite_double_cover,
     bipartition,
-    checked_bipartition,
     circulant,
     complete_bipartite,
     cycle,
@@ -18,6 +16,7 @@ from qwalk.graphs import (
     figure7_graph,
     format_graph,
     heawood_graph,
+    is_bipartite,
     line_graph,
     parse_graph,
     path,
@@ -109,18 +108,25 @@ class TestBipartition:
         with pytest.raises(GraphError):
             bipartition(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
-    def test_checked_bipartition(self):
-        """b is returned as given, either way round; without one it is
-        bipartition's; a disconnected graph is refused either way."""
-        g = complete_bipartite(2, 3)
+    def test_one_bfs_per_graph(self, monkeypatch):
+        """A second bipartition(g) returns the first one's object with no new
+        BFS.  An odd cycle raises NotBipartiteError on every call, from one
+        BFS; a disconnected graph raises GraphError on every call, from
+        none."""
+        runs = []
+        prop = Graph.__dict__["_colouring"]
+        monkeypatch.setattr(prop, "func", lambda g, f=prop.func: runs.append(g) or f(g))
+        g, odd = complete_bipartite(2, 3), cycle(5)
         b = bipartition(g)
-        turned = Bipartition(b.c1, b.c0)
-        assert checked_bipartition(g, turned) is turned
-        assert checked_bipartition(g) == b
+        assert bipartition(g) is b and b == (frozenset({0, 1}), frozenset({2, 3, 4}))
         disconnected = Graph.from_edges(4, [(0, 1), (2, 3)])
-        for given in (None, Bipartition(frozenset({0, 2}), frozenset({1, 3}))):
+        for _ in range(2):
+            with pytest.raises(NotBipartiteError, match="^graph contains an odd cycle$"):
+                bipartition(odd)
             with pytest.raises(GraphError, match="^graph is disconnected$"):
-                checked_bipartition(disconnected, given)
+                bipartition(disconnected)
+        assert not is_bipartite(odd)
+        assert [id(h) for h in runs] == [id(g), id(odd)]
 
     def test_degree_profile(self):
         g = complete_bipartite(2, 3)

@@ -19,6 +19,8 @@ from qwalk.graphs import (
     Bipartition,
     Graph,
     GraphError,
+    NotBipartiteError,
+    NotBiregularError,
     adjacency_matrix,
     biadjacency,
     bipartite_double_cover,
@@ -53,7 +55,12 @@ from qwalk.periodicity import (
     trace_test,
 )
 from qwalk.scan import enumerate_biregular, scan_periodicity
-from qwalk.spectral import GROUP_TOL, eigenvalue_support, pm1_eigenspace_dims
+from qwalk.spectral import (
+    GROUP_TOL,
+    eigenvalue_support,
+    pm1_eigenspace_dims,
+    walk_phases_from_graph,
+)
 from qwalk.walks import (
     _gram,
     block_identity_check,
@@ -173,8 +180,8 @@ class TestSpectralTest:
         assert v.status == "periodic"
 
     def test_double_cover_of_figure7(self):
-        g, b = bipartite_double_cover(figure7_graph())
-        v = spectral_test_biregular(g, b)
+        g, _ = bipartite_double_cover(figure7_graph())
+        v = spectral_test_biregular(g)
         assert v.status == "periodic"
         values = {str(c.value) for c in v.classifications}
         assert values == {"16", "4", "0", "6-2*sqrt(5)", "6+2*sqrt(5)"}
@@ -182,7 +189,7 @@ class TestSpectralTest:
     def test_given_bipartition_of_disconnected_graph_raises(self):
         g = Graph.from_edges(3, [(0, 1)])
         with pytest.raises(GraphError, match="graph is disconnected"):
-            spectral_test_biregular(g, Bipartition(frozenset({0}), frozenset({1})))
+            spectral_test_biregular(g)
 
     def test_edgeless_graph_raises(self):
         with pytest.raises(GraphError, match="^graph has no edges$"):
@@ -203,8 +210,8 @@ class TestPeriodFromPhases:
             period_from_phases(heawood_graph())
 
     def test_subdivided_cayley_graph(self):
-        g, b = subdivision(circulant(10, [1, 4, -1, -4]))
-        assert period_from_phases(g, b) == 20
+        g, _ = subdivision(circulant(10, [1, 4, -1, -4]))
+        assert period_from_phases(g) == 20
 
     def test_edgeless_graph_raises(self):
         with pytest.raises(GraphError, match="^graph has no edges$"):
@@ -241,6 +248,20 @@ class TestGroverRegular:
     def test_edgeless_graph_raises(self):
         with pytest.raises(GraphError, match="^graph has no edges$"):
             grover_regular_test(Graph.from_edges(1, []))
+
+
+def test_the_degree_check_comes_before_any_char_poly(monkeypatch):
+    """A graph the table does not cover is refused on its degrees, before
+    any char-poly is built."""
+
+    def refuse(*args):
+        raise AssertionError("a char-poly was built before the degree check")
+
+    monkeypatch.setattr("qwalk.periodicity.char_poly", refuse)
+    with pytest.raises(NotBiregularError, match="^spectral test requires a biregular graph$"):
+        spectral_test_biregular(path(4))
+    with pytest.raises(GraphError, match="^grover test requires a regular graph$"):
+        grover_regular_test(star(3))
 
 
 class TestPeriodDoubling:
@@ -289,7 +310,7 @@ NAMED_WALKS = {
     "heawood": build_bipartite_walk(heawood_graph()),
     "figure1": build_bipartite_walk(figure1_graph()),
     "figure4a": build_bipartite_walk(figure4a_graph()),
-    "s-circulant10-14": build_bipartite_walk(*subdivision(circulant(10, [1, 4, -1, -4]))),
+    "s-circulant10-14": build_bipartite_walk(subdivision(circulant(10, [1, 4, -1, -4]))[0]),
     "grover-petersen": build_grover_walk(petersen_graph()),
     "grover-k4": build_grover_walk(_complete_graph(4)),
 }
@@ -333,9 +354,9 @@ class TestStatePeriodicity:
         """A walk is periodic exactly when every basis state is: U^tau is the
         identity when it fixes every basis vector."""
         classes = 0
-        for g, b, v in scan_periodicity(9):
+        for g, _, v in scan_periodicity(9):
             classes += 1
-            w = build_bipartite_walk(g, b)
+            w = build_bipartite_walk(g)
             every_state = all(state_periodicity(w, e) for e in range(w.dim))
             assert every_state == v.periodic, g
         assert classes == 15
@@ -396,12 +417,12 @@ class TestScanAgreement:
     def test_spectral_matches_oracle_up_to_nine_edges(self):
         """Exhaustive cross-validation of the characterization at desk scale."""
         count = 0
-        for g, b, v in scan_periodicity(9):
+        for g, _, v in scan_periodicity(9):
             count += 1
             if v.spectral is None or v.spectral.status == "inconclusive":
                 continue
             spectral_periodic = v.spectral.status == "periodic"
-            oracle_periodic = exact_period_oracle(build_bipartite_walk(g, b).U) is not None
+            oracle_periodic = exact_period_oracle(build_bipartite_walk(g).U) is not None
             assert oracle_periodic == v.periodic, g
             assert spectral_periodic == oracle_periodic, g
         assert count == 15
@@ -463,8 +484,8 @@ class TestGroverThroughSubdivision:
         g = REGULAR_GRAPHS[name]
         d = g.degrees()[0]
         v = grover_regular_test(g)
-        sg, sb = subdivision(g)
-        s = spectral_test_biregular(sg, sb)
+        sg, _ = subdivision(g)
+        s = spectral_test_biregular(sg)
         assert v.status == s.status
         if v.status == "inconclusive":
             return
@@ -484,9 +505,9 @@ class TestGroverThroughSubdivision:
         assert shifted == listed if d > 1 else shifted >= listed
         decided = decide_periodicity(g, "grover")
         if v.status == "periodic":
-            tau = period_from_phases(sg, sb)
+            tau = period_from_phases(sg)
             assert decided.period == tau == exact_period_oracle(build_grover_walk(g).U)
-            assert tau == _rank_phase_period(s, build_bipartite_walk(sg, sb))
+            assert tau == _rank_phase_period(s, build_bipartite_walk(sg))
         else:
             assert decided.period is None and decided.periodic is False
 
@@ -496,10 +517,10 @@ class TestGroverThroughSubdivision:
 
     def test_bipartite_phase_period_matches_rank_formula_on_scan(self):
         periodic = 0
-        for g, b, v in scan_periodicity(10):
+        for g, _, v in scan_periodicity(10):
             if v.period is not None:
                 periodic += 1
-                assert v.period == _rank_phase_period(v.spectral, build_bipartite_walk(g, b))
+                assert v.period == _rank_phase_period(v.spectral, build_bipartite_walk(g))
         assert periodic > 0
 
 
@@ -544,10 +565,10 @@ class TestOneCharPoly:
 
     def test_scan_classes(self, monkeypatch):
         classes = list(enumerate_biregular(10))
-        expected = [spectral_test_biregular(g, b) for g, b in classes]
+        expected = [spectral_test_biregular(g) for g, _ in classes]
         assert len(expected) == 18 and all(s.status == "periodic" for s in expected)
         _refuse_second_char_poly(monkeypatch)
-        assert [decide_periodicity(g, b=b).spectral for g, b in classes] == expected
+        assert [decide_periodicity(g).spectral for g, _ in classes] == expected
         assert [v.spectral for _, _, v in scan_periodicity(10)] == expected
 
     @pytest.mark.parametrize("name", sorted(BIREGULAR_GRAPHS))
@@ -591,39 +612,41 @@ class TestCharPolyAgainstDenseBuilders:
         assert _chi(g, "bipartite")[2] == char_poly(c_ct)
 
 
-# cycle(6) with a b that is not a bipartition of it, and the error it gives
-NOT_A_BIPARTITION = {
-    "edge-inside-a-class": (
-        Bipartition(frozenset({0, 1, 2}), frozenset({3, 4, 5})),
-        r"^edge \(0,1\) lies inside one class$",
+# graphs with no bipartition to take the classes from, and the error each gives
+NO_BIPARTITION = {
+    "odd-cycle": (cycle(5), NotBipartiteError, "^graph contains an odd cycle$"),
+    "odd-cycle-with-a-tail": (
+        Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
+        NotBipartiteError,
+        "^graph contains an odd cycle$",
     ),
-    "vertex-in-neither-class": (
-        Bipartition(frozenset({0, 2}), frozenset({1, 3, 5})),
-        "^the classes do not split the vertices$",
-    ),
-    "vertex-in-both-classes": (
-        Bipartition(frozenset({0, 1, 2, 4}), frozenset({1, 3, 5})),
-        "^the classes do not split the vertices$",
+    "disconnected": (
+        Graph.from_edges(4, [(0, 1), (2, 3)]),
+        GraphError,
+        "^graph is disconnected$",
     ),
 }
 
-TAKES_A_BIPARTITION = {
-    "decide_periodicity": lambda g, b: decide_periodicity(g, b=b),
+TAKE_THE_CLASSES_FROM_G = {
+    "decide_periodicity": decide_periodicity,
     "period_from_phases": period_from_phases,
     "spectral_test_biregular": spectral_test_biregular,
     "build_bipartite_walk": build_bipartite_walk,
     "cell_operator": cell_operator,
-    "block_identity_check": lambda g, b: block_identity_check(g, 2, b),
-    "block_identity_checks": lambda g, b: block_identity_checks(g, 2, b),
+    "block_identity_check": lambda g: block_identity_check(g, 2),
+    "block_identity_checks": lambda g: block_identity_checks(g, 2),
+    "walk_phases_from_graph": walk_phases_from_graph,
 }
 
 
-@pytest.mark.parametrize("defect", sorted(NOT_A_BIPARTITION))
-@pytest.mark.parametrize("function", sorted(TAKES_A_BIPARTITION))
-def test_a_given_b_that_is_no_bipartition_is_an_input_error(function, defect):
-    b, message = NOT_A_BIPARTITION[defect]
-    with pytest.raises(GraphError, match=message):
-        TAKES_A_BIPARTITION[function](cycle(6), b)
+@pytest.mark.parametrize("defect", sorted(NO_BIPARTITION))
+@pytest.mark.parametrize("function", sorted(TAKE_THE_CLASSES_FROM_G))
+def test_a_graph_with_no_bipartition_is_an_input_error(function, defect):
+    """Each function that takes its classes from bipartition(g) refuses a
+    graph that has none with the colouring's own error."""
+    g, error, message = NO_BIPARTITION[defect]
+    with pytest.raises(error, match=message):
+        TAKE_THE_CLASSES_FROM_G[function](g)
 
 
 def _count_products(monkeypatch, *modules) -> list:
@@ -694,7 +717,7 @@ class TestOnePowerPass:
         assert _certified_order(build_bipartite_walk(cycle(8)).U, c) == tau
 
     def test_period_beyond_window(self):
-        u = build_bipartite_walk(*subdivision(circulant(10, [1, 4, -1, -4]))).U
+        u = build_bipartite_walk(subdivision(circulant(10, [1, 4, -1, -4]))[0]).U
         assert exact_period_oracle(u) == 20
         assert not mat_pow(u, 10).is_identity() and not mat_pow(u, 4).is_identity()
 

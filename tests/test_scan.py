@@ -5,9 +5,8 @@ import networkx as nx
 import pytest
 from networkx.algorithms import bipartite
 
-import qwalk.graphs
 import qwalk.periodicity
-from qwalk.graphs import bipartition, degree_profile
+from qwalk.graphs import Graph, bipartition, degree_profile
 from qwalk.scan import _biadjacency_fills, _profiles, _to_graph, enumerate_biregular, scan_periodicity
 
 # per-edge-count class counts: one star per edge count plus the classes
@@ -149,9 +148,12 @@ class TestScanPeriodicity:
             assert v.periodic in (True, False)
 
     def test_classes_are_not_bipartitioned_again(self, monkeypatch):
-        """Each class is decided on the bipartition it was built with."""
+        """Each class is 2-coloured once, by the decider: the certificate of
+        a periodic one reads the colouring cached on its graph."""
         calls = []
-        original = qwalk.graphs.bipartition
-        monkeypatch.setattr(qwalk.graphs, "bipartition", lambda g: calls.append(g) or original(g))
+        prop = Graph.__dict__["_colouring"]
+        monkeypatch.setattr(prop, "func", lambda g, f=prop.func: calls.append(g) or f(g))
         decided = list(scan_periodicity(8))
-        assert len(decided) == sum(COUNTS_10[e] for e in range(1, 9)) and calls == []
+        assert len(decided) == sum(COUNTS_10[e] for e in range(1, 9))
+        assert any(v.periodic for _, _, v in decided)
+        assert [id(g) for g in calls] == [id(g) for g, _, _ in decided]

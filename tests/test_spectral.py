@@ -184,8 +184,8 @@ class TestEigenvalueSupport:
 
 class TestSubdivisionPhaseConsistency:
     def test_subdivided_petersen_phases_cover_walk(self):
-        g, b = subdivision(petersen_graph())
+        g, _ = subdivision(petersen_graph())
         assert bipartition(g)
-        ph = walk_phases_from_graph(g, b)
-        w = build_bipartite_walk(g, b)
+        ph = walk_phases_from_graph(g)
+        w = build_bipartite_walk(g)
         assert ph.total_dimension() == w.dim

@@ -284,9 +284,9 @@ class TestStructuralIdentities:
         builds, products = [], []
         build = qwalk.walks.build_bipartite_walk
 
-        def counting_build(h, b=None):
+        def counting_build(h):
             builds.append(h)
-            return build(h, b)
+            return build(h)
 
         def counting_mul(a, b):
             products.append((a.rows, b.cols))
