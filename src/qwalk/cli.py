@@ -31,6 +31,7 @@ from .graphs import (
     Graph,
     GraphError,
     bipartite_double_cover,
+    bipartition,
     circulant,
     complete_bipartite,
     cycle,
@@ -114,11 +115,11 @@ def _resolve_input(spec: str) -> Graph:
 
 def _apply_transform(g: Graph, transform: str) -> tuple[Graph, str]:
     if transform in ("s", "subdivide"):
-        return subdivision(g)[0], "subdivide"
+        return subdivision(g), "subdivide"
     if transform in ("d", "doublecover"):
         if is_bipartite(g):
             raise GraphError("doublecover of a bipartite graph is disconnected")
-        return bipartite_double_cover(g)[0], "doublecover"
+        return bipartite_double_cover(g), "doublecover"
     if transform == "none":
         return g, "none"
     raise GraphError(f"unknown transform {transform!r}")
@@ -281,7 +282,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if not (1 <= args.max_edges <= MAX_SCAN_EDGES):
         raise GraphError(f"--max-edges must be between 1 and {MAX_SCAN_EDGES}")
     try:
-        for g, b, verdict in scan_periodicity(args.max_edges):
+        for g, verdict in scan_periodicity(args.max_edges):
+            b = bipartition(g)
             n0, n1 = len(b.c0), len(b.c1)
             desc = f"biregular n0={n0} n1={n1} edges={g.num_edges}"
             doc = analysis_report(desc, g, "bipartite", "none", verdict, 0.0)

@@ -152,7 +152,8 @@ class Graph:
 
 
 class Bipartition(NamedTuple):
-    """Two color classes with vertex 0 anchored in c0."""
+    """Two color classes with vertex 0 anchored in c0.  Only
+    Graph._colouring builds one: take it from bipartition(g)."""
 
     c0: frozenset[int]
     c1: frozenset[int]
@@ -220,8 +221,10 @@ def is_bipartite(g: Graph) -> bool:
         return False
 
 
-def degree_profile(g: Graph, b: Bipartition) -> DegreeProfile:
-    deg = g.degrees()
+def degree_profile(g: Graph) -> DegreeProfile:
+    """The common degree of each class of bipartition(g), None where they
+    differ."""
+    b, deg = bipartition(g), g.degrees()
     d0s = {deg[v] for v in b.c0}
     d1s = {deg[v] for v in b.c1}
     return DegreeProfile(
@@ -230,13 +233,13 @@ def degree_profile(g: Graph, b: Bipartition) -> DegreeProfile:
     )
 
 
-def subdivision(g: Graph) -> tuple[Graph, Bipartition]:
+def subdivision(g: Graph) -> Graph:
     """Insert one vertex in the middle of every edge.
 
-    Original vertices keep indices 0..n-1; the new vertex for canonical
-    edge j is n+j. The returned bipartition has c0 = subdivision vertices.
-    A graph with more than |E| + 1 vertices is disconnected and rejected
-    before any per-vertex allocation.
+    Original vertices keep indices 0..n-1, so bipartition(S(g)) has them in
+    c0; the new vertex for canonical edge j is n+j.  A graph with more than
+    |E| + 1 vertices is disconnected and rejected before any per-vertex
+    allocation.
     """
     n, m = g.n, g.num_edges
     if n > m + 1:
@@ -246,12 +249,12 @@ def subdivision(g: Graph) -> tuple[Graph, Bipartition]:
         mid = n + j
         edges.append((u, mid))
         edges.append((v, mid))
-    sg = Graph.from_edges(n + m, edges)
-    return sg, Bipartition(frozenset(range(n, n + m)), frozenset(range(n)))
+    return Graph.from_edges(n + m, edges)
 
 
-def bipartite_double_cover(g: Graph) -> tuple[Graph, Bipartition]:
-    """Kronecker product with a single edge: (v,0) -> v, (v,1) -> n+v."""
+def bipartite_double_cover(g: Graph) -> Graph:
+    """Kronecker product with a single edge: (v,0) -> v, (v,1) -> n+v, so
+    bipartition() of the cover has 0..n-1 in c0."""
     n = g.n
     edges = []
     for u, v in g.edges:
@@ -260,7 +263,7 @@ def bipartite_double_cover(g: Graph) -> tuple[Graph, Bipartition]:
     dg = Graph.from_edges(2 * n, edges)
     if not dg.is_connected():
         raise GraphError("double cover is disconnected (input was bipartite)")
-    return dg, Bipartition(frozenset(range(n)), frozenset(range(n, 2 * n)))
+    return dg
 
 
 def line_graph(g: Graph) -> Graph:
@@ -278,26 +281,18 @@ def line_graph(g: Graph) -> Graph:
     return Graph.from_edges(m, edges)
 
 
-def adjacency_matrix(g: Graph, b: Optional[Bipartition] = None) -> list[list[int]]:
-    """0/1 adjacency matrix; with a bipartition, rows/cols are c0 then c1.
-
-    Under the bipartition ordering the matrix has the block form
-    [[0, C], [C^T, 0]] with C the |c0| x |c1| biadjacency block.
-    """
-    if b is None:
-        order = list(range(g.n))
-    else:
-        order = sorted(b.c0) + sorted(b.c1)
-    pos = {v: i for i, v in enumerate(order)}
+def adjacency_matrix(g: Graph) -> list[list[int]]:
+    """0/1 adjacency matrix, rows and columns in vertex order."""
     a = [[0] * g.n for _ in range(g.n)]
     for u, v in g.edges:
-        a[pos[u]][pos[v]] = 1
-        a[pos[v]][pos[u]] = 1
+        a[u][v] = a[v][u] = 1
     return a
 
 
-def biadjacency(g: Graph, b: Bipartition) -> list[list[int]]:
-    """The |c0| x |c1| block C of the bipartition-ordered adjacency matrix."""
+def biadjacency(g: Graph) -> list[list[int]]:
+    """The |c0| x |c1| block C of the adjacency matrix between the classes
+    of bipartition(g), each in vertex order."""
+    b = bipartition(g)
     r0 = sorted(b.c0)
     r1 = sorted(b.c1)
     pos1 = {v: i for i, v in enumerate(r1)}

@@ -126,22 +126,18 @@ def _chi(g: Graph, kind: str) -> tuple[Graph, Bipartition, IntPolynomial, int, i
     bipartite walk on h with classes b, and chi = charpoly(den M - shift I)
     from _gram's integer rows of den M, on the class q is taken on.
 
-    kind "bipartite": h = g, b = bipartition(g), M on the smaller class (c0
-    on a tie), shift 0.  kind "grover": h = S(g) with c0 its edge vertices,
-    M on the original vertices, where den M = (den/2)(I + D^-1 A): less
-    shift = den/2 on the diagonal, that is A on a d-regular g.  An unknown kind raises
-    ValueError, a disconnected g or one with no edges GraphError.
+    kind "bipartite": h = g, M on the smaller class of b = bipartition(g)
+    (c0 on a tie), shift 0.  kind "grover": h = S(g), and b = bipartition(h)
+    has the original vertices in c0, with vertex 0; M is on them, where
+    den M = (den/2)(I + D^-1 A): less shift = den/2 on the diagonal, that
+    is A on a d-regular g.  An unknown kind raises ValueError, a
+    disconnected g or one with no edges GraphError.
     """
-    if kind == "grover":
-        if not g.is_connected():
-            raise GraphError("graph is disconnected")
-        h, b = subdivision(g)
-        rows, other = b.c1, b.c0
-    elif kind == "bipartite":
-        h, b = g, bipartition(g)
-        rows, other = sorted((b.c0, b.c1), key=len)
-    else:
+    if kind not in ("bipartite", "grover"):
         raise ValueError(f"unknown walk kind: {kind}")
+    h = subdivision(g) if kind == "grover" else g
+    b = bipartition(h)
+    rows, other = (b.c0, b.c1) if kind == "grover" else sorted((b.c0, b.c1), key=len)
     if not g.num_edges:
         raise GraphError("graph has no edges")
     gram, den = _gram(h, rows, other)
@@ -351,7 +347,7 @@ def spectral_test_biregular(g: Graph) -> SpectralVerdict:
     _chi's char-poly, C C^T's, as decide_periodicity does, with d0 and d1
     those of bipartition(g)'s c0 and c1.
     """
-    prof = degree_profile(g, bipartition(g))
+    prof = degree_profile(g)
     if g.num_edges and not prof.is_biregular:  # no edges: _chi's error
         raise NotBiregularError("spectral test requires a biregular graph")
     return _classify(_chi(g, "bipartite")[2], prof.d0, prof.d1)
@@ -359,11 +355,12 @@ def spectral_test_biregular(g: Graph) -> SpectralVerdict:
 
 def grover_regular_test(g: Graph) -> SpectralVerdict:
     """Periodicity of the Grover walk on a connected d-regular graph,
-    through the bipartite walk on its (2, d)-biregular subdivision S(g).
+    through the bipartite walk on its (d, 2)-biregular subdivision S(g),
+    whose c0 holds the original vertices, as decide_periodicity reports it.
 
     The Gram block of S(g) on the original vertices is A + dI, so each
     adjacency eigenvalue lambda is classified, with its order, by looking
-    up lambda + d in allowed_value_table(2, d).  The allowed lambda are
+    up lambda + d in allowed_value_table(d, 2).  The allowed lambda are
     0, +-d, +-d/2, +-sqrt2/2 d, +-sqrt3/2 d and (+-1 +- sqrt5)/4 d.  A
     graph with no edges or whose degrees differ raises GraphError, the
     latter before any char-poly.  It classifies the roots of _chi's
@@ -372,7 +369,7 @@ def grover_regular_test(g: Graph) -> SpectralVerdict:
     if g.is_connected() and len(set(g.degrees())) > 1:  # disconnected: _chi's error
         raise GraphError("grover test requires a regular graph")
     _, _, chi, _, shift = _chi(g, "grover")
-    return _classify(chi, 2, g.degrees()[0], shift)
+    return _classify(chi, g.degrees()[0], 2, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +440,12 @@ def decide_periodicity(g: Graph, kind: str = "bipartite") -> PeriodicityVerdict:
     walk) the table classifies that char-poly's roots, and its orders must
     be those of q.  U^tau = I is checked on T, U's quotient on the cell
     space, when n0 + n1 < |E| (average degree above 2), else on U
-    (_certificate), both on bipartition(h), the colouring _chi left cached
-    on a bipartite g.  A graph with no edges raises GraphError,
-    contradictory answers MethodDisagreement.
+    (_certificate), both on bipartition(h), the colouring _chi left
+    cached.  A graph with no edges raises GraphError, contradictory answers
+    MethodDisagreement.
     """
     h, b, chi, den, shift = _chi(g, kind)
-    prof, notes = degree_profile(h, b), []
+    prof, notes = degree_profile(h), []
     if prof.is_biregular:  # for a Grover walk: g is regular
         s = _classify(chi, prof.d0, prof.d1, shift)
     else:

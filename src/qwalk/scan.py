@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Iterator
 
-from .graphs import Bipartition, Graph
+from .graphs import Graph
 from .periodicity import PeriodicityVerdict, decide_periodicity
 
 MAX_SCAN_EDGES = 12
@@ -76,14 +76,13 @@ def _canonical_form(rows: tuple[tuple[int, ...], ...]) -> tuple:
     return best
 
 
-def _to_graph(rows: tuple[tuple[int, ...], ...]) -> tuple[Graph, Bipartition]:
+def _to_graph(rows: tuple[tuple[int, ...], ...]) -> Graph:
     n0, n1 = len(rows), len(rows[0])
     edges = [(i, n0 + j) for i in range(n0) for j in range(n1) if rows[i][j]]
-    g = Graph.from_edges(n0 + n1, edges)
-    return g, Bipartition(frozenset(range(n0)), frozenset(range(n0, n0 + n1)))
+    return Graph.from_edges(n0 + n1, edges)
 
 
-def enumerate_biregular(max_edges: int) -> Iterator[tuple[Graph, Bipartition]]:
+def enumerate_biregular(max_edges: int) -> Iterator[Graph]:
     """Connected biregular bipartite graphs with up to max_edges edges,
     one per isomorphism class, in increasing edge count."""
     if not (1 <= max_edges <= MAX_SCAN_EDGES):
@@ -98,18 +97,18 @@ def enumerate_biregular(max_edges: int) -> Iterator[tuple[Graph, Bipartition]]:
                 continue
             seen: set[tuple] = set()
             for rows in _biadjacency_fills(n0, d0, n1, d1):
-                g, b = _to_graph(rows)
+                g = _to_graph(rows)
                 if not g.is_connected():
                     continue
                 key = _canonical_form(rows)
                 if key in seen:
                     continue
                 seen.add(key)
-                yield g, b
+                yield g
 
 
-def scan_periodicity(max_edges: int) -> Iterator[tuple[Graph, Bipartition, PeriodicityVerdict]]:
-    """Decide the bipartite walk of every enumerated graph, whose classes
-    are those bipartition(g) finds."""
-    for g, b in enumerate_biregular(max_edges):
-        yield g, b, decide_periodicity(g)
+def scan_periodicity(max_edges: int) -> Iterator[tuple[Graph, PeriodicityVerdict]]:
+    """Decide the bipartite walk of every enumerated graph; the verdict
+    leaves bipartition(g) cached on g."""
+    for g in enumerate_biregular(max_edges):
+        yield g, decide_periodicity(g)

@@ -97,9 +97,9 @@ def pm1_eigenspace_dims(w: WalkOperator) -> tuple[int, int]:
     connected graph); dim(-1) = |C0| + |C1| - 2 rank(C) with the rank of
     the biadjacency block taken over the rationals.
     """
-    m = w.dim
-    c0, c1 = len(w.bipart.c0), len(w.bipart.c1)
-    rank = rational_rank(RationalMatrix(biadjacency(w.graph, w.bipart)))
+    m, c = w.dim, biadjacency(w.graph)
+    c0, c1 = len(c), len(c[0])
+    rank = rational_rank(RationalMatrix(c))
     return m - c0 - c1 + 2, c0 + c1 - 2 * rank
 
 
@@ -114,7 +114,7 @@ def walk_phases_from_graph(g: Graph) -> EigenphaseSet:
     """
     from .walks import build_bipartite_walk
 
-    prof = degree_profile(g, bipartition(g))
+    prof = degree_profile(g)
     if not prof.is_biregular:
         raise NotBiregularError("graph is not biregular")
     d0, d1 = prof
@@ -166,7 +166,7 @@ def complex_eigenprojection(
 
 def _normalized_char_matrices(w: WalkOperator) -> tuple[np.ndarray, np.ndarray]:
     """Columns = cells keyed by c0 (resp. c1) vertices, scaled to unit length."""
-    g, b = w.graph, w.bipart
+    g, b = w.graph, bipartition(w.graph)
     deg = g.degrees()
     r0, r1 = sorted(b.c0), sorted(b.c1)
     pos0 = {v: i for i, v in enumerate(r0)}
@@ -284,5 +284,4 @@ def line_graph_spectrum_direct(g: Graph) -> list[tuple[float, int]]:
 
 def subdivision_spectrum_direct(g: Graph) -> list[tuple[float, int]]:
     """Direct diagonalization of the constructed subdivision graph."""
-    sg, _ = subdivision(g)
-    return sym_eig(adjacency_matrix(sg)).eigenvalues  # type: ignore[return-value]
+    return sym_eig(adjacency_matrix(subdivision(g))).eigenvalues  # type: ignore[return-value]

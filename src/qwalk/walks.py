@@ -14,22 +14,13 @@ of the coin matrix D itself so every entry stays rational.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .exact import RationalMatrix, _int_product, _nonzeros, mat_mul
-from .graphs import (
-    Bipartition,
-    DegreeProfile,
-    Graph,
-    GraphError,
-    bipartition,
-    degree_profile,
-    subdivision,
-)
+from .graphs import Graph, GraphError, bipartition, degree_profile, subdivision
 
 
 class ConstructionError(RuntimeError):
@@ -48,8 +39,10 @@ class EdgePartition:
         self.cells = cells
 
 
-def build_partitions(g: Graph, b: Bipartition) -> tuple[EdgePartition, EdgePartition]:
-    """Group edge indices by their c0 endpoint (pi0) and c1 endpoint (pi1)."""
+def build_partitions(g: Graph) -> tuple[EdgePartition, EdgePartition]:
+    """Group edge indices by their c0 endpoint (pi0) and c1 endpoint (pi1),
+    the classes of bipartition(g)."""
+    b = bipartition(g)
     cells0: dict[int, list[int]] = {v: [] for v in sorted(b.c0)}
     cells1: dict[int, list[int]] = {v: [] for v in sorted(b.c1)}
     for j, (u, v) in enumerate(g.edges):
@@ -116,11 +109,10 @@ def _assert_orthogonal(u: RationalMatrix, name: str) -> None:
 
 
 class WalkOperator(NamedTuple):
-    """Bipartite walk operator with its exact ingredients and index maps."""
+    """Bipartite walk operator with its exact ingredients; its classes are
+    those of bipartition(graph)."""
 
     graph: Graph
-    bipart: Bipartition
-    profile: DegreeProfile
     P: RationalMatrix
     Q: RationalMatrix
     U: RationalMatrix
@@ -133,8 +125,7 @@ class WalkOperator(NamedTuple):
 def build_bipartite_walk(g: Graph) -> WalkOperator:
     """Assemble U = (2P-I)(2Q-I) on the classes of bipartition(g); all
     invariants verified at construction."""
-    b = bipartition(g)
-    pi0, pi1 = build_partitions(g, b)
+    pi0, pi1 = build_partitions(g)
     m = g.num_edges
     # P from the c1-keyed cells, Q from the c0-keyed cells: the assignment
     # that reproduces the reference example matrices frozen in the tests
@@ -142,7 +133,7 @@ def build_bipartite_walk(g: Graph) -> WalkOperator:
     q, rq, dq = _projection(m, pi0.cells.values(), "Q")
     u = RationalMatrix.from_numerators(_int_product(_nonzeros(rp), _nonzeros(rq), m), dp * dq)
     _assert_orthogonal(u, "U")
-    return WalkOperator(g, b, degree_profile(g, b), p, q, u)
+    return WalkOperator(g, p, q, u)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +237,7 @@ def cell_operator(g: Graph) -> tuple[list[list[int]], int, tuple[int, ...]]:
     b = bipartition(g)
     if not g.num_edges:
         raise GraphError("graph has no edges")
-    pi0, pi1 = build_partitions(g, b)
+    pi0, pi1 = build_partitions(g)
     # U = (2P - I)(2Q - I) applies the c0 cells (Q) first
     if len(b.c0) < len(b.c1):
         (first, c_first), (last, c_last) = (pi1, b.c1), (pi0, b.c0)
@@ -341,7 +332,7 @@ def grover_equals_bipartite_on_subdivision(g: Graph) -> tuple[bool, list[int]]:
     the equality flag and the witness permutation sigma with sigma[arc] =
     subdivision edge.
     """
-    sg, _ = subdivision(g)
+    sg = subdivision(g)
     w = build_bipartite_walk(sg)
     gw = build_grover_walk(g)
     n = g.n
@@ -365,20 +356,21 @@ def block_identity_checks(g: Graph, k_max: int) -> list[bool]:
     with the bipartite walk on bipartition(g).
 
     Arcs are reordered so the first |E| indices are the arcs pointing into
-    c1 (one per canonical edge), the rest point into c0.  In that basis
-    U_GW^(2k) must equal the block diagonal of (U_BW^k)^T and U_BW^k
-    exactly.  Both operators are built once, and both powers step up by
-    one product per k, by U_GW^2 and by U_BW.
+    c1, edge j's at j, and the rest their reversals, which point into c0:
+    arc j = (u, v) of build_grover_walk points into v, so edge j takes arc
+    j when v is in c1, else arc j + |E|.  In that basis U_GW^(2k) must
+    equal the block diagonal of (U_BW^k)^T and U_BW^k exactly.  Both
+    operators come from their checked builders, once, and both powers step
+    up by one product per k, by U_GW^2 and by U_BW.
     """
     if k_max < 1:
         raise ValueError("k must be positive")
-    w = build_bipartite_walk(g)
-    b, u_bw = w.bipart, w.U
-    arcs_into_c1 = [((u, v) if v in b.c1 else (v, u)) for u, v in g.edges]
-    m = g.num_edges
-    rev, cells = _arc_maps(arcs_into_c1 + [(t, o) for o, t in arcs_into_c1])
-    _, refl, den = _cell_rows(2 * m, cells)
-    u_gw = RationalMatrix.from_numerators([refl[j] for j in rev], den)
+    u_bw, gw = build_bipartite_walk(g).U, build_grover_walk(g)
+    c1, m = bipartition(g).c1, g.num_edges
+    into_c1 = [j if v in c1 else j + m for j, (_, v) in enumerate(g.edges)]
+    order = into_c1 + [(a + m) % (2 * m) for a in into_c1]
+    rows = [[gw.U.num[a][c] for c in order] for a in order]
+    u_gw = RationalMatrix.from_numerators(rows, gw.U.den)
     step = mat_mul(u_gw, u_gw)
     even, ubk = step, u_bw
     results = []
@@ -417,10 +409,6 @@ def _entries_to_strings(m: RationalMatrix) -> list[list[str]]:
     return [list(map(text.__getitem__, row)) for row in m.num]
 
 
-def _entries_from_strings(rows: list[list[str]]) -> RationalMatrix:
-    return RationalMatrix([[Fraction(s) for s in row] for row in rows])
-
-
 def _to_json(
     kind: str, w: WalkOperator | ArcWalkOperator, fields: dict, matrices: Sequence[str]
 ) -> str:
@@ -436,29 +424,32 @@ def _to_json(
     return json.dumps(doc)
 
 
-def _from_json(
-    text: str, kind: str, matrices: Sequence[str]
-) -> tuple[dict, Graph, list[RationalMatrix]]:
+W = TypeVar("W", WalkOperator, ArcWalkOperator)
+
+
+def _from_json(text: str, build: Callable[[Graph], W], to_json: Callable[[W], str]) -> W:
+    """The walk that build makes from the document's graph.  Every other
+    field is derived from that graph, so the document is accepted only when
+    to_json of the rebuilt walk gives it back (compared as parsed JSON);
+    anything else raises ValueError."""
     doc = json.loads(text)
-    if doc["kind"] != kind:
-        raise ValueError(f"not a {kind} walk document: {doc['kind']}")
-    g = Graph.from_edges(doc["n"], [tuple(e) for e in doc["edges"]])
-    return doc, g, [_entries_from_strings(doc[name]) for name in matrices]
+    try:
+        w = build(Graph.from_edges(doc["n"], [tuple(e) for e in doc["edges"]]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed walk document: {exc!r}") from None
+    if json.loads(to_json(w)) != doc:
+        raise ValueError("the document is not the walk of its graph")
+    return w
 
 
 def walk_to_json(w: WalkOperator) -> str:
-    fields = {
-        "c0": sorted(w.bipart.c0),
-        "c1": sorted(w.bipart.c1),
-        "degree_profile": [w.profile.d0, w.profile.d1],
-    }
+    b, prof = bipartition(w.graph), degree_profile(w.graph)
+    fields = {"c0": sorted(b.c0), "c1": sorted(b.c1), "degree_profile": [prof.d0, prof.d1]}
     return _to_json("bipartite", w, fields, ("P", "Q", "U"))
 
 
 def walk_from_json(text: str) -> WalkOperator:
-    doc, g, (p, q, u) = _from_json(text, "bipartite", ("P", "Q", "U"))
-    b = Bipartition(frozenset(doc["c0"]), frozenset(doc["c1"]))
-    return WalkOperator(g, b, DegreeProfile(*doc["degree_profile"]), p, q, u)
+    return _from_json(text, build_bipartite_walk, walk_to_json)
 
 
 def grover_to_json(w: ArcWalkOperator) -> str:
@@ -466,5 +457,4 @@ def grover_to_json(w: ArcWalkOperator) -> str:
 
 
 def grover_from_json(text: str) -> ArcWalkOperator:
-    doc, g, (r, k, u) = _from_json(text, "grover", ("R", "K", "U"))
-    return ArcWalkOperator(g, tuple(tuple(a) for a in doc["arcs"]), r, k, u)
+    return _from_json(text, build_grover_walk, grover_to_json)

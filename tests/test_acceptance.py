@@ -149,7 +149,7 @@ def test_criterion_4_block_identity_and_doubling(capsys):
 
 def test_criterion_5_cayley_graph_period_20(capsys):
     start = time.perf_counter()
-    g, _ = subdivision(circulant(10, [1, 4, -1, -4]))
+    g = subdivision(circulant(10, [1, 4, -1, -4]))
     tau_oracle = exact_period_oracle(build_bipartite_walk(g).U)
     tau_phases = period_from_phases(g)
     ok = tau_oracle == 20 and tau_phases == 20
@@ -160,7 +160,7 @@ def test_criterion_5_cayley_graph_period_20(capsys):
 
 def test_criterion_6_double_cover_report(capsys):
     start = time.perf_counter()
-    g, _ = bipartite_double_cover(figure7_graph())
+    g = bipartite_double_cover(figure7_graph())
     verdict = spectral_test_biregular(g)
     values = {str(c.value) for c in verdict.classifications}
     expected_roots = {"16", "4", "0", "6-2*sqrt(5)", "6+2*sqrt(5)"}
@@ -190,7 +190,7 @@ def test_criterion_7_characterization_equivalence(capsys):
     start = time.perf_counter()
     ok = True
     checked = 0
-    for g, _, v in scan_periodicity(9):
+    for g, v in scan_periodicity(9):
         if v.spectral is None or v.spectral.status == "inconclusive":
             continue
         checked += 1

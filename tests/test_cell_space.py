@@ -114,9 +114,9 @@ PERIODIC_DENSE = {
     "k23": complete_bipartite(2, 3),
     "k33": complete_bipartite(3, 3),
     "k45": complete_bipartite(4, 5),
-    "octahedron-s": subdivision(OCTAHEDRON)[0],
-    "octahedron-d": bipartite_double_cover(OCTAHEDRON)[0],
-    "figure7-d": bipartite_double_cover(figure7_graph())[0],
+    "octahedron-s": subdivision(OCTAHEDRON),
+    "octahedron-d": bipartite_double_cover(OCTAHEDRON),
+    "figure7-d": bipartite_double_cover(figure7_graph()),
 }
 
 
@@ -137,7 +137,7 @@ class TestAgainstU:
     @settings(max_examples=30, deadline=None)
     def test_seeded_grover(self, seed):
         g = random_connected_graph(random.Random(seed), max_n=8)
-        sg, _ = subdivision(g)
+        sg = subdivision(g)
         _assert_matches_u(_cell_certificate(sg), build_grover_walk(g).U, sg.num_edges, sg.n)
 
     @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(["bipartite", "grover"]))
@@ -212,8 +212,8 @@ class TestCellOperatorChecks:
     def test_one_edge_in_the_wrong_cell(self, monkeypatch, side):
         original = qwalk.walks.build_partitions
 
-        def moved(g, b):
-            parts = list(original(g, b))
+        def moved(g):
+            parts = list(original(g))
             cells = dict(parts[side].cells)
             u, v = sorted(cells)[:2]
             cells[u], cells[v] = cells[u][:-1], cells[v] + cells[u][-1:]
@@ -346,7 +346,7 @@ class TestPeriodDoublingOnCells:
         assert grover_period_doubling(g) == expected == (2, 4)
 
     def test_subdivided_octahedron(self):
-        assert grover_period_doubling(subdivision(OCTAHEDRON)[0]) == (12, 24)
+        assert grover_period_doubling(subdivision(OCTAHEDRON)) == (12, 24)
 
     @pytest.mark.parametrize("g", [heawood_graph(), figure1_graph()], ids=["heawood", "figure1"])
     def test_non_periodic_raises(self, g):

@@ -114,7 +114,7 @@ class TestWalk:
         from a file: the same c0 (vertex 0's class), P and Q."""
         g_file, sg_file = tmp_path / "g.txt", tmp_path / "sg.txt"
         g_file.write_text(format_graph(g))
-        sg_file.write_text(format_graph(subdivision(g)[0]))
+        sg_file.write_text(format_graph(subdivision(g)))
         transformed = run(capsys, "walk", str(g_file), "--transform", "s", *pretty)
         assert transformed == run(capsys, "walk", str(sg_file), *pretty)
         assert transformed[0] == 0
@@ -146,14 +146,13 @@ class TestPeriod:
         "argv,g,adjacencies,searches",
         [
             (("--transform", "d"), CIRCULANT7, 2, 2),  # the input and its double cover
-            # non-periodic: the input, and S(g) for its Gram rows, the one
-            # char-poly; only the input is searched
-            (("--kind", "g"), CIRCULANT7, 2, 1),
-            # S(g), and the Gram rows of the non-regular S(g) on S(S(g)); only
-            # S(g) is searched
-            (("--transform", "s", "--kind", "g"), CIRCULANT7, 2, 1),
-            (("--kind", "g"), complete_bipartite(3, 3), 2, 2),  # periodic: T on S(g)
-            (("--transform", "s", "--kind", "g"), complete_bipartite(3, 3), 2, 2),
+            # a Grover walk builds and searches only the graph it walks on,
+            # S(g) (S(S(g)) after --transform s): 2-colouring it checks that
+            # g is connected, and its Gram rows give the one char-poly
+            (("--kind", "g"), CIRCULANT7, 1, 1),
+            (("--transform", "s", "--kind", "g"), CIRCULANT7, 1, 1),
+            (("--kind", "g"), complete_bipartite(3, 3), 1, 1),  # periodic: T on S(g)
+            (("--transform", "s", "--kind", "g"), complete_bipartite(3, 3), 1, 1),
         ],
         ids=["d", "g", "s-g", "g-periodic", "s-g-periodic"],
     )
@@ -186,7 +185,7 @@ class TestPeriod:
             seen.clear()
             assert run(capsys, "period", name, "--transform", "d")[0] == code
             g = FIXTURES[name]()
-            assert seen == ([g] if code == 1 else [g, bipartite_double_cover(g)[0]]), name
+            assert seen == ([g] if code == 1 else [g, bipartite_double_cover(g)]), name
 
     def test_subdivided_circulant(self, capsys, monkeypatch):
         text = format_graph(circulant(10, [1, 4, -1, -4]))
@@ -352,7 +351,7 @@ class TestVerify:
         monkeypatch.setattr(prop, "func", lambda g, f=prop.func: seen.append(g) or f(g))
         assert run(capsys, "verify", "k33")[0] == 0
         g = complete_bipartite(3, 3)
-        assert seen == [subdivision(g)[0], g]
+        assert seen == [subdivision(g), g]
 
     def test_non_bipartite_skips_block_identity(self, capsys):
         code, out, _ = run(capsys, "verify", "petersen")

@@ -41,7 +41,6 @@ from qwalk.exact import (
     square_free_part,
 )
 from qwalk.graphs import (
-    Bipartition,
     Graph,
     bipartite_double_cover,
     bipartition,
@@ -499,8 +498,9 @@ def test_char_poly_of_non_symmetric_gram_rows_of_subdivisions():
     graphs = [figure1_graph(), figure4a_graph(), star(4), path(6), petersen_graph()]
     graphs.append(Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)]))
     for g in graphs:
-        sg, sb = subdivision(g)
-        gram, _ = _gram(sg, sb.c1, sb.c0)
+        sg = subdivision(g)
+        sb = bipartition(sg)
+        gram, _ = _gram(sg, sb.c0, sb.c1)
         if len(set(g.degrees())) > 1:
             assert gram != [list(col) for col in zip(*gram)]
         expected = sympy.Matrix(gram).charpoly(sympy.Symbol("x")).all_coeffs()
@@ -734,18 +734,19 @@ def test_filtered_search_agrees_with_exhaustive_search(block):
     assert widest > 0.3
 
 
-def _table_chi(g: Graph, b: Optional[Bipartition] = None) -> IntPolynomial:
+def _table_chi(g: Graph) -> IntPolynomial:
     """The char-poly the spectral table factors on a biregular bipartite g:
     that of C C^T on the smaller class, the integer Gram rows."""
-    b = bipartition(g) if b is None else b
+    b = bipartition(g)
     return char_poly(_gram(g, *sorted((b.c0, b.c1), key=len))[0])
 
 
 def _grover_chi(g: Graph) -> IntPolynomial:
     """The char-poly the table factors for the Grover walk on a d-regular
     g, chi(A): the Gram rows of S(g) on the original vertices are A + dI."""
-    sg, sb = subdivision(g)
-    gram, den = _gram(sg, sb.c1, sb.c0)
+    sg = subdivision(g)
+    sb = bipartition(sg)
+    gram, den = _gram(sg, sb.c0, sb.c1)
     return char_poly([[x - (den // 2) * (i == j) for j, x in enumerate(row)] for i, row in enumerate(gram)])
 
 
@@ -754,7 +755,7 @@ def _cover_char_polys() -> list[IntPolynomial]:
     the 17 non-bipartite cubic graphs on 10 vertices, on Heawood, and on
     Petersen's Grover walk."""
     data = json.loads((Path(__file__).parent.parent / "perfbench" / "cubic10.json").read_text())
-    chis = [_table_chi(*bipartite_double_cover(Graph.from_edges(10, e))) for e in data]
+    chis = [_table_chi(bipartite_double_cover(Graph.from_edges(10, e))) for e in data]
     return chis + [_table_chi(heawood_graph()), _grover_chi(petersen_graph())]
 
 
@@ -764,7 +765,7 @@ def _cover90_char_poly() -> IntPolynomial:
     past its integer roots."""
     nx = pytest.importorskip("networkx")
     h = nx.random_regular_graph(3, 30, seed=0)
-    return _table_chi(*bipartite_double_cover(Graph.from_edges(30, h.edges())))
+    return _table_chi(bipartite_double_cover(Graph.from_edges(30, h.edges())))
 
 
 def test_filtered_search_agrees_on_cover_char_polys():
@@ -825,7 +826,7 @@ def _proven_bound_cases() -> list[tuple[str, IntPolynomial, int]]:
             g = Graph.from_edges(n, h.edges())
             if g.is_connected():
                 cases.append((f"regular-{d}-{n}-{seed}", _grover_chi(g), d))
-                cases.append((f"cover-{d}-{n}-{seed}", _table_chi(*bipartite_double_cover(g)), d * d))
+                cases.append((f"cover-{d}-{n}-{seed}", _table_chi(bipartite_double_cover(g)), d * d))
     return cases
 
 

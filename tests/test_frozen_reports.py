@@ -6,14 +6,21 @@ fixture, C3..C24 and the paw graph, each with --kind b|g and
 
 The digests are fixed: any change to a verdict, period, certificate field,
 note or error message shows here, whichever route computes it.
-frozen_reports_v2.json holds the digests of today's reports.
-frozen_reports.json holds those of the reports from before they dropped
-`oracle` and `phase_period`, two copies of `period`; it is never
-recomputed, and today's reports, mapped back by to_old, must still match
-it.  Every report is also validated against report_schema.json.  To
-recompute frozen_reports_v2.json on purpose:
+frozen_reports_v3.json holds the digests of today's reports.  The two
+older files are never recomputed, and their sha256 is pinned here:
 
-    PYTHONPATH=src python tests/test_frozen_reports.py tests/frozen_reports_v2.json
+- frozen_reports_v2.json holds those of the reports from before a Grover
+  report took its spectral d0 and d1 from bipartition(S(g)), which puts
+  g's vertices in c0: they were (2, d) and are (d, 2).  Today's reports,
+  mapped back by to_v2, must match it.
+- frozen_reports.json holds those from before the reports dropped `oracle`
+  and `phase_period`, two copies of `period`.  Today's reports, mapped
+  back by to_v2 and then to_old, must match it.
+
+Every report is also validated against report_schema.json.  To recompute
+frozen_reports_v3.json, and only it, on purpose:
+
+    PYTHONPATH=src python tests/test_frozen_reports.py
 """
 
 import contextlib
@@ -32,8 +39,22 @@ from qwalk.cli import EXIT_USAGE, FIXTURES, main
 from qwalk.graphs import Graph, cycle, format_graph
 
 HERE = Path(__file__).resolve().parent
-FROZEN_OLD = HERE / "frozen_reports.json"
-FROZEN = HERE / "frozen_reports_v2.json"
+FROZEN_V1 = HERE / "frozen_reports.json"
+FROZEN_V2 = HERE / "frozen_reports_v2.json"
+FROZEN = HERE / "frozen_reports_v3.json"
+PINNED = {
+    FROZEN_V1: "1976781c82a616d49f4752c3e79e751064dc37f6e474e9610c47b6403765180b",
+    FROZEN_V2: "361449a33681ffb33d63b9d4b4dcc507d1403378b6697965e76bdde62cf27130",
+}
+# the commands whose reports changed from v2 to v3: the Grover walks on a
+# regular input, the ones whose report has a spectral table
+CHANGED_IN_V3 = {
+    f"{name} --kind g --transform {transform}"
+    for name, transform in (
+        ("figure7", "none"), ("figure7", "d"), ("heawood", "none"), ("k11", "none"),
+        ("k33", "none"), ("petersen", "none"), ("petersen", "d"),
+    )
+}
 
 EDGE_LISTS = {f"C{n}": format_graph(cycle(n)) for n in range(3, 25)}
 EDGE_LISTS["paw"] = format_graph(Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)]))
@@ -51,6 +72,23 @@ def _run(argv: list[str], stdin_text=None) -> tuple[int, str, str]:
     finally:
         sys.stdin = stdin
     return code, out.getvalue(), err.getvalue()
+
+
+def to_v2(doc: dict) -> dict:
+    """The report as it was before a Grover report took the orientation of
+    bipartition(S(g)): the values of `d0` and `d1` in its spectral table
+    swap back, in place, so (d, 2) reads (2, d) again.  Any other document
+    is returned as it is."""
+    s = doc.get("verdict", {}).get("spectral")
+    if doc.get("kind") != "grover" or s is None:
+        return doc
+    s = {**s, "d0": s["d1"], "d1": s["d0"]}
+    return {**doc, "verdict": {**doc["verdict"], "spectral": s}}
+
+
+def to_v1(doc: dict) -> dict:
+    """The report in frozen_reports.json's form: to_v2, then to_old."""
+    return to_old(to_v2(doc))
 
 
 def to_old(doc: dict) -> dict:
@@ -128,11 +166,19 @@ def test_period_reports_are_frozen(name):
 
 
 @pytest.mark.parametrize("name", INPUTS)
-def test_period_reports_map_back_to_the_old_digests(name):
-    frozen = _frozen(FROZEN_OLD)["period"]
+def test_period_reports_map_back_to_the_v2_digests(name):
+    frozen = _frozen(FROZEN_V2)["period"]
     expected = {k: v for k, v in frozen.items() if k.split(" ")[0] == name}
     assert len(expected) == 6
-    assert period_digests(name, to_old) == expected
+    assert period_digests(name, to_v2) == expected
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_period_reports_map_back_to_the_old_digests(name):
+    frozen = _frozen(FROZEN_V1)["period"]
+    expected = {k: v for k, v in frozen.items() if k.split(" ")[0] == name}
+    assert len(expected) == 6
+    assert period_digests(name, to_v1) == expected
 
 
 @pytest.mark.parametrize("name", INPUTS)
@@ -149,7 +195,19 @@ def test_period_reports_validate(name, schema):
 
 def test_every_frozen_period_command_is_run():
     assert len(_frozen()["period"]) == 6 * len(INPUTS) == 204
-    assert _frozen()["period"].keys() == _frozen(FROZEN_OLD)["period"].keys()
+    assert _frozen()["period"].keys() == _frozen(FROZEN_V2)["period"].keys()
+    assert _frozen()["period"].keys() == _frozen(FROZEN_V1)["period"].keys()
+
+
+@pytest.mark.parametrize("path", sorted(PINNED), ids=lambda p: p.name)
+def test_old_digest_files_are_pinned(path):
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED[path]
+
+
+def test_only_the_grover_tables_changed_in_v3():
+    new, old = _frozen(), _frozen(FROZEN_V2)
+    assert {k for k, v in new["period"].items() if old["period"][k] != v} == CHANGED_IN_V3
+    assert new["scan --max-edges 12"] == old["scan --max-edges 12"]
 
 
 def test_scan_stream_is_frozen():
@@ -157,7 +215,8 @@ def test_scan_stream_is_frozen():
 
 
 def test_scan_stream_maps_back_to_the_old_digest():
-    assert scan_digest(to_old) == _frozen(FROZEN_OLD)["scan --max-edges 12"]
+    assert scan_digest(to_v2) == _frozen(FROZEN_V2)["scan --max-edges 12"]
+    assert scan_digest(to_v1) == _frozen(FROZEN_V1)["scan --max-edges 12"]
 
 
 def test_scan_stream_validates(schema):
@@ -183,4 +242,4 @@ if __name__ == "__main__":
     for name in INPUTS:
         period.update(period_digests(name))
     doc = {"period": period, "scan --max-edges 12": scan_digest()}
-    Path(sys.argv[1]).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    FROZEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

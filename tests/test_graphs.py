@@ -129,44 +129,41 @@ class TestBipartition:
         assert [id(h) for h in runs] == [id(g), id(odd)]
 
     def test_degree_profile(self):
-        g = complete_bipartite(2, 3)
-        b = bipartition(g)
-        prof = degree_profile(g, b)
+        prof = degree_profile(complete_bipartite(2, 3))
         assert prof.is_biregular
-        assert {prof.d0, prof.d1} == {2, 3}
+        assert (prof.d0, prof.d1) == (3, 2)  # c0 = {0, 1}, each joined to the 3 others
         # star subdivided in the middle of a path: degrees differ on one side
-        p = path(4)
-        assert not degree_profile(p, bipartition(p)).is_biregular
+        assert not degree_profile(path(4)).is_biregular
 
     def test_biadjacency_block_shape(self):
-        g = complete_bipartite(2, 3)
-        b = bipartition(g)
-        c = biadjacency(g, b)
-        assert (len(c), len(c[0])) in {(2, 3), (3, 2)}
+        c = biadjacency(complete_bipartite(2, 3))
+        assert (len(c), len(c[0])) == (2, 3)
         assert all(x == 1 for row in c for x in row)
+        assert biadjacency(path(3)) == [[1], [1]]  # c0 = {0, 2}, c1 = {1}
 
     def test_adjacency_block_structure(self):
         g = cycle(6)
         b = bipartition(g)
-        a = adjacency_matrix(g, b)
-        k = len(b.c0)
-        assert all(a[i][j] == 0 for i in range(k) for j in range(k))
-        assert all(a[k + i][k + j] == 0 for i in range(3) for j in range(3))
+        a = adjacency_matrix(g)
+        assert a == [list(col) for col in zip(*a)] and sum(map(sum, a)) == 2 * g.num_edges
+        assert all(a[u][v] == 1 for u, v in g.edges)
+        for side in b:
+            assert all(a[i][j] == 0 for i in side for j in side)
 
 
 class TestTransforms:
     def test_subdivision_structure(self):
         g = cycle(3)
-        sg, sb = subdivision(g)
+        sg = subdivision(g)
         assert sg.n == 6 and sg.num_edges == 6
-        assert sb.c1 == frozenset(range(3))
-        # subdivision of any graph is bipartite
-        assert bipartition(sg)
+        # subdivision of any graph is bipartite, the original vertices in c0
+        assert bipartition(sg).c0 == frozenset(range(3))
 
     def test_double_cover_of_odd_cycle(self):
-        dg, _ = bipartite_double_cover(cycle(5))
+        dg = bipartite_double_cover(cycle(5))
         assert dg.n == 10 and dg.num_edges == 10
         assert dg == cycle(10) or sorted(dg.degrees()) == [2] * 10
+        assert bipartition(dg).c0 == frozenset(range(5))
 
     def test_double_cover_of_bipartite_disconnects(self):
         with pytest.raises(GraphError):

@@ -16,7 +16,6 @@ from qwalk.exact import (
     mat_pow,
 )
 from qwalk.graphs import (
-    Bipartition,
     Graph,
     GraphError,
     NotBipartiteError,
@@ -180,7 +179,7 @@ class TestSpectralTest:
         assert v.status == "periodic"
 
     def test_double_cover_of_figure7(self):
-        g, _ = bipartite_double_cover(figure7_graph())
+        g = bipartite_double_cover(figure7_graph())
         v = spectral_test_biregular(g)
         assert v.status == "periodic"
         values = {str(c.value) for c in v.classifications}
@@ -210,7 +209,7 @@ class TestPeriodFromPhases:
             period_from_phases(heawood_graph())
 
     def test_subdivided_cayley_graph(self):
-        g, _ = subdivision(circulant(10, [1, 4, -1, -4]))
+        g = subdivision(circulant(10, [1, 4, -1, -4]))
         assert period_from_phases(g) == 20
 
     def test_edgeless_graph_raises(self):
@@ -310,7 +309,7 @@ NAMED_WALKS = {
     "heawood": build_bipartite_walk(heawood_graph()),
     "figure1": build_bipartite_walk(figure1_graph()),
     "figure4a": build_bipartite_walk(figure4a_graph()),
-    "s-circulant10-14": build_bipartite_walk(subdivision(circulant(10, [1, 4, -1, -4]))[0]),
+    "s-circulant10-14": build_bipartite_walk(subdivision(circulant(10, [1, 4, -1, -4]))),
     "grover-petersen": build_grover_walk(petersen_graph()),
     "grover-k4": build_grover_walk(_complete_graph(4)),
 }
@@ -354,7 +353,7 @@ class TestStatePeriodicity:
         """A walk is periodic exactly when every basis state is: U^tau is the
         identity when it fixes every basis vector."""
         classes = 0
-        for g, _, v in scan_periodicity(9):
+        for g, v in scan_periodicity(9):
             classes += 1
             w = build_bipartite_walk(g)
             every_state = all(state_periodicity(w, e) for e in range(w.dim))
@@ -417,7 +416,7 @@ class TestScanAgreement:
     def test_spectral_matches_oracle_up_to_nine_edges(self):
         """Exhaustive cross-validation of the characterization at desk scale."""
         count = 0
-        for g, _, v in scan_periodicity(9):
+        for g, v in scan_periodicity(9):
             count += 1
             if v.spectral is None or v.spectral.status == "inconclusive":
                 continue
@@ -484,7 +483,7 @@ class TestGroverThroughSubdivision:
         g = REGULAR_GRAPHS[name]
         d = g.degrees()[0]
         v = grover_regular_test(g)
-        sg, _ = subdivision(g)
+        sg = subdivision(g)
         s = spectral_test_biregular(sg)
         assert v.status == s.status
         if v.status == "inconclusive":
@@ -517,7 +516,7 @@ class TestGroverThroughSubdivision:
 
     def test_bipartite_phase_period_matches_rank_formula_on_scan(self):
         periodic = 0
-        for g, _, v in scan_periodicity(10):
+        for g, v in scan_periodicity(10):
             if v.period is not None:
                 periodic += 1
                 assert v.period == _rank_phase_period(v.spectral, build_bipartite_walk(g))
@@ -533,7 +532,7 @@ def _biregular_graphs() -> dict:
         if is_bipartite(g):
             graphs[name] = g
         else:
-            graphs[f"{name}-d"] = bipartite_double_cover(g)[0]
+            graphs[f"{name}-d"] = bipartite_double_cover(g)
     rng = random.Random(1818)
     for d0, d1, n0 in ((2, 3, 6), (3, 2, 4), (2, 4, 8), (3, 3, 7), (3, 4, 8)):
         for i in range(3):
@@ -565,11 +564,11 @@ class TestOneCharPoly:
 
     def test_scan_classes(self, monkeypatch):
         classes = list(enumerate_biregular(10))
-        expected = [spectral_test_biregular(g) for g, _ in classes]
+        expected = [spectral_test_biregular(g) for g in classes]
         assert len(expected) == 18 and all(s.status == "periodic" for s in expected)
         _refuse_second_char_poly(monkeypatch)
-        assert [decide_periodicity(g).spectral for g, _ in classes] == expected
-        assert [v.spectral for _, _, v in scan_periodicity(10)] == expected
+        assert [decide_periodicity(g).spectral for g in classes] == expected
+        assert [v.spectral for _, v in scan_periodicity(10)] == expected
 
     @pytest.mark.parametrize("name", sorted(BIREGULAR_GRAPHS))
     def test_bipartite_on_biregular_graphs(self, monkeypatch, name):
@@ -606,8 +605,9 @@ class TestCharPolyAgainstDenseBuilders:
     @pytest.mark.parametrize("name", sorted(BIREGULAR_GRAPHS))
     def test_bipartite_chi_is_that_of_c_ct(self, name):
         g = BIREGULAR_GRAPHS[name]
-        b = bipartition(g)
-        c = biadjacency(g, b if len(b.c0) <= len(b.c1) else Bipartition(b.c1, b.c0))
+        c = biadjacency(g)
+        if len(c) > len(c[0]):
+            c = [list(col) for col in zip(*c)]
         c_ct = [[sum(x * y for x, y in zip(r, s)) for s in c] for r in c]
         assert _chi(g, "bipartite")[2] == char_poly(c_ct)
 
@@ -717,7 +717,7 @@ class TestOnePowerPass:
         assert _certified_order(build_bipartite_walk(cycle(8)).U, c) == tau
 
     def test_period_beyond_window(self):
-        u = build_bipartite_walk(subdivision(circulant(10, [1, 4, -1, -4]))[0]).U
+        u = build_bipartite_walk(subdivision(circulant(10, [1, 4, -1, -4]))).U
         assert exact_period_oracle(u) == 20
         assert not mat_pow(u, 10).is_identity() and not mat_pow(u, 4).is_identity()
 
@@ -852,11 +852,12 @@ def _balanced_bipartite(rng: random.Random, max_k: int = 5) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _fraction_gram(h: Graph, b: Bipartition, rows) -> list[list[Fraction]]:
-    """M = Dr^-1 C Do^-1 C^T in Fractions, on the class `rows` of b: the
-    expression of the Fraction-built Gram operator that _gram replaced."""
-    c = biadjacency(h, b)
-    if rows is not b.c0:
+def _fraction_gram(h: Graph, rows) -> list[list[Fraction]]:
+    """M = Dr^-1 C Do^-1 C^T in Fractions, on the class `rows` of
+    bipartition(h): the expression of the Fraction-built Gram operator that
+    _gram replaced."""
+    c = biadjacency(h)
+    if rows != bipartition(h).c0:
         c = [list(col) for col in zip(*c)]
     col_deg = [sum(col) for col in zip(*c)]
     return [
@@ -865,13 +866,13 @@ def _fraction_gram(h: Graph, b: Bipartition, rows) -> list[list[Fraction]]:
     ]
 
 
-def _assert_gram_and_q(h: Graph, b: Bipartition, rows, other, shifts) -> None:
+def _assert_gram_and_q(h: Graph, rows, other, shifts) -> None:
     """_gram / L is the Fraction formula, and q = charpoly(4M - 2I) from
     charpoly(L M - sI) for every shift s; NonIntegralPolynomial exactly
     when sympy's charpoly has a non-integral coefficient."""
     sympy = pytest.importorskip("sympy")
     gram, den = _gram(h, rows, other)
-    m = _fraction_gram(h, b, rows)
+    m = _fraction_gram(h, rows)
     assert [[Fraction(x, den) for x in row] for row in gram] == m
     expected = sympy.Matrix([[4 * x for x in row] for row in m]) - 2 * sympy.eye(len(m))
     coeffs = [sympy.Rational(c) for c in reversed(expected.charpoly().all_coeffs())]
@@ -893,24 +894,26 @@ class TestGramAgainstFractions:
         rng = random.Random(seed)
         g = _balanced_bipartite(rng) if balanced else _random_bipartite(rng)
         b = bipartition(g)
-        _assert_gram_and_q(g, b, *sorted((b.c0, b.c1), key=len), shifts=(0,))
+        _assert_gram_and_q(g, *sorted((b.c0, b.c1), key=len), shifts=(0,))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_subdivision_on_the_original_vertices(self, seed):
-        h, b = subdivision(random_connected_graph(random.Random(seed), max_n=7))
-        den = _gram(h, b.c1, b.c0)[1]
-        _assert_gram_and_q(h, b, b.c1, b.c0, shifts=(0, den // 2))
+        h = subdivision(random_connected_graph(random.Random(seed), max_n=7))
+        b = bipartition(h)
+        den = _gram(h, b.c0, b.c1)[1]
+        _assert_gram_and_q(h, b.c0, b.c1, shifts=(0, den // 2))
 
     def test_biregular_gram_is_c_ct_and_subdivision_of_regular_is_a(self):
         g = figure7_graph()
-        h, b = bipartite_double_cover(g)
-        c = biadjacency(h, b)
+        h = bipartite_double_cover(g)
+        b, c = bipartition(h), biadjacency(h)
         d = h.degrees()[0]  # figure7 is d-regular, its double cover (d, d)-biregular
         c_ct = [[sum(x * y for x, y in zip(r, t)) for t in c] for r in c]
         assert _gram(h, b.c0, b.c1) == (c_ct, d * d)
-        sg, sb = subdivision(petersen_graph())
-        gram, den = _gram(sg, sb.c1, sb.c0)
+        sg = subdivision(petersen_graph())
+        sb = bipartition(sg)
+        gram, den = _gram(sg, sb.c0, sb.c1)
         assert den == 6
         assert [[x - 3 * (i == j) for j, x in enumerate(row)] for i, row in enumerate(gram)] == (
             adjacency_matrix(petersen_graph())

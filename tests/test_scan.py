@@ -15,7 +15,8 @@ COUNTS_10 = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 3, 7: 1, 8: 3, 9: 2, 10: 3}
 COUNTS_12 = {**COUNTS_10, 11: 1, 12: 8}
 
 
-def biadjacency_rows(g, b):
+def biadjacency_rows(g):
+    b = bipartition(g)
     r0, r1 = sorted(b.c0), sorted(b.c1)
     pos1 = {v: j for j, v in enumerate(r1)}
     rows = []
@@ -39,7 +40,7 @@ def to_networkx(g):
 
 @pytest.fixture(scope="module")
 def classes_12():
-    return [to_networkx(g) for g, _ in enumerate_biregular(12)]
+    return [to_networkx(g) for g in enumerate_biregular(12)]
 
 
 def bipartite_isomorphic(rows_a, rows_b):
@@ -58,23 +59,24 @@ class TestEnumeration:
         graphs = list(enumerate_biregular(9))
         assert len(graphs) == 15
         by_edges = {}
-        for g, _ in graphs:
+        for g in graphs:
             by_edges[g.num_edges] = by_edges.get(g.num_edges, 0) + 1
         # one star per edge count, plus K22, C6, K23, C8, K24, K33
         assert by_edges == {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 3, 7: 1, 8: 3, 9: 2}
 
     def test_all_connected_and_biregular(self):
-        for g, b in enumerate_biregular(8):
+        for g in enumerate_biregular(8):
             assert g.is_connected()
-            assert bipartition(g).c0 == b.c0
-            assert degree_profile(g, b).is_biregular
+            b = bipartition(g)  # the c0 side is numbered first
+            assert max(b.c0) < min(b.c1, default=g.n)
+            assert degree_profile(g).is_biregular
 
     def test_pairwise_non_isomorphic_within_profile(self):
         buckets = {}
-        for g, b in enumerate_biregular(10):
-            prof = degree_profile(g, b)
+        for g in enumerate_biregular(10):
+            b, prof = bipartition(g), degree_profile(g)
             key = (len(b.c0), prof.d0, len(b.c1), prof.d1)
-            buckets.setdefault(key, []).append(biadjacency_rows(g, b))
+            buckets.setdefault(key, []).append(biadjacency_rows(g))
         for key, rows_list in buckets.items():
             for i in range(len(rows_list)):
                 for j in range(i + 1, len(rows_list)):
@@ -83,7 +85,7 @@ class TestEnumeration:
     def test_counts_up_to_ten_edges(self):
         graphs = list(enumerate_biregular(10))
         assert len(graphs) == 18
-        assert Counter(g.num_edges for g, _ in graphs) == COUNTS_10
+        assert Counter(g.num_edges for g in graphs) == COUNTS_10
 
     def test_counts_up_to_twelve_edges(self, classes_12):
         assert len(classes_12) == 27
@@ -117,7 +119,7 @@ class TestEnumeration:
             if min(d0, d1) != 1:
                 continue
             connected = [rows for rows in _biadjacency_fills(n0, d0, n1, d1)
-                         if _to_graph(rows)[0].is_connected()]
+                         if _to_graph(rows).is_connected()]
             if min(n0, n1) > 1:
                 assert connected == [], (n0, d0, n1, d1)
             else:
@@ -132,8 +134,8 @@ class TestEnumeration:
 class TestScanPeriodicity:
     def test_stream_contains_known_fixtures(self):
         results = {
-            (len(b.c0), len(b.c1), g.num_edges): v
-            for g, b, v in scan_periodicity(6)
+            (len(bipartition(g).c0), len(bipartition(g).c1), g.num_edges): v
+            for g, v in scan_periodicity(6)
         }
         # K22 at 4 edges, C6 and K23 at 6 edges
         k22 = results[(2, 2, 4)]
@@ -144,7 +146,7 @@ class TestScanPeriodicity:
         assert k23.periodic is True and k23.period == 2
 
     def test_verdicts_are_definite_at_small_scale(self):
-        for g, b, v in scan_periodicity(8):
+        for g, v in scan_periodicity(8):
             assert v.periodic in (True, False)
 
     def test_classes_are_not_bipartitioned_again(self, monkeypatch):
@@ -155,5 +157,5 @@ class TestScanPeriodicity:
         monkeypatch.setattr(prop, "func", lambda g, f=prop.func: calls.append(g) or f(g))
         decided = list(scan_periodicity(8))
         assert len(decided) == sum(COUNTS_10[e] for e in range(1, 9))
-        assert any(v.periodic for _, _, v in decided)
-        assert [id(g) for g in calls] == [id(g) for g, _, _ in decided]
+        assert any(v.periodic for _, v in decided)
+        assert [id(g) for g in calls] == [id(g) for g, _ in decided]

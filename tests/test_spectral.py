@@ -184,7 +184,7 @@ class TestEigenvalueSupport:
 
 class TestSubdivisionPhaseConsistency:
     def test_subdivided_petersen_phases_cover_walk(self):
-        g, _ = subdivision(petersen_graph())
+        g = subdivision(petersen_graph())
         assert bipartition(g)
         ph = walk_phases_from_graph(g)
         w = build_bipartite_walk(g)

@@ -38,8 +38,9 @@ def _chi(g: Graph, kind: str):
     rows (the table's char-poly is the same matrix), the sizes n_l and n_f
     of the class q is taken on and of the other, and the graph walked on."""
     if kind == "grover":
-        h, b = subdivision(g)
-        rows, other = b.c1, b.c0
+        h = subdivision(g)
+        b = bipartition(h)
+        rows, other = b.c0, b.c1
     else:
         h, b = g, bipartition(g)
         rows, other = sorted((b.c0, b.c1), key=len)
@@ -55,7 +56,7 @@ def _double_cover(seed: int) -> Graph:
     while True:
         g = random_connected_graph(rng, max_n=7)
         if not is_bipartite(g):
-            return bipartite_double_cover(g)[0]
+            return bipartite_double_cover(g)
 
 
 def _tree(seed: int) -> Graph:
@@ -142,7 +143,7 @@ def test_non_periodic_verdicts_build_no_walk(monkeypatch):
     Petersen's Grover walk still get their verdicts, with the witness that
     trace_test finds on the built U; a periodic verdict still needs T."""
     cases = [
-        (bipartite_double_cover(Graph.from_edges(10, e))[0], "bipartite")
+        (bipartite_double_cover(Graph.from_edges(10, e)), "bipartite")
         for e in json.loads(CUBIC10.read_text())
     ]
     cases += [(heawood_graph(), "bipartite"), (petersen_graph(), "grover")]

@@ -25,8 +25,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 C4 = cycle(4)
 VECTORS, VALUES = np.eye(2), np.array([-1.0, 1.0])
-B = Bipartition(frozenset({0, 2}), frozenset({1, 3}))
-P = DegreeProfile(2, 2)
 W = build_bipartite_walk(C4)
 A = build_grover_walk(C4)
 ROOT = QuadraticValue.of(Fraction(1, 2), Fraction(1, 2), 5)
@@ -51,9 +49,9 @@ CASES = [
     ("QuadraticValue", lambda: QuadraticValue.of(Fraction(1, 2), Fraction(1, 2), 5), lambda: QuadraticValue.of(2), ROOT_TEXT, {}),
     (
         "WalkOperator",
-        lambda: WalkOperator(C4, B, P, W.P, W.Q, W.U),
-        lambda: WalkOperator(C4, B, P, W.P, W.Q, W.P),
-        f"WalkOperator(graph={C4_TEXT}, bipart={B_TEXT}, profile=DegreeProfile(d0=2, d1=2), "
+        lambda: WalkOperator(C4, W.P, W.Q, W.U),
+        lambda: WalkOperator(C4, W.P, W.Q, W.P),
+        f"WalkOperator(graph={C4_TEXT}, "
         "P=RationalMatrix(4x4), Q=RationalMatrix(4x4), U=RationalMatrix(4x4))",
         {},
     ),

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import json
 import random
 from fractions import Fraction
 
@@ -120,9 +121,10 @@ def _reflection(p: RationalMatrix) -> RationalMatrix:
     return p.scale(2).add(RationalMatrix.identity(p.rows).scale(-1))
 
 
-def _definitional_bipartite(g: Graph, b) -> tuple[RationalMatrix, RationalMatrix, RationalMatrix]:
+def _definitional_bipartite(g: Graph) -> tuple[RationalMatrix, RationalMatrix, RationalMatrix]:
     """(P, Q, U): P averages over edges sharing their c1 endpoint, Q over
     edges sharing their c0 endpoint, U = (2P - I)(2Q - I)."""
+    b = bipartition(g)
     c1_end = [u if u in b.c1 else v for u, v in g.edges]
     c0_end = [u if u in b.c0 else v for u, v in g.edges]
     p, q = _averaging(c1_end), _averaging(c0_end)
@@ -143,7 +145,7 @@ def _definitional_block_identity(g: Graph, j: int) -> bool:
     b = bipartition(g)
     into_c1 = [((u, v) if v in b.c1 else (v, u)) for u, v in g.edges]
     _, _, u_gw = _definitional_grover(into_c1 + [(t, o) for o, t in into_c1])
-    ubk = mat_pow(_definitional_bipartite(g, b)[2], j).data
+    ubk = mat_pow(_definitional_bipartite(g)[2], j).data
     m = g.num_edges
     zero = [F(0)] * m
     block = [list(col) + zero for col in zip(*ubk)] + [zero + list(row) for row in ubk]
@@ -191,9 +193,9 @@ class TestBipartiteWalk:
     def test_projection_ranks_via_trace(self):
         """tr P = |C1| and tr Q = |C0| (one unit per cell)."""
         g = complete_bipartite(2, 3)
-        w = build_bipartite_walk(g)
-        assert w.P.trace() == len(w.bipart.c1)
-        assert w.Q.trace() == len(w.bipart.c0)
+        w, b = build_bipartite_walk(g), bipartition(g)
+        assert w.P.trace() == len(b.c1)
+        assert w.Q.trace() == len(b.c0)
 
     def test_rejects_non_bipartite(self):
         with pytest.raises(GraphError):
@@ -205,9 +207,7 @@ class TestBipartiteWalk:
 
     def test_json_round_trip_is_bit_exact(self):
         w = build_bipartite_walk(figure1_graph())
-        w2 = walk_from_json(walk_to_json(w))
-        assert w2.U == w.U and w2.P == w.P and w2.Q == w.Q
-        assert w2.graph == w.graph and w2.bipart == w.bipart
+        assert walk_from_json(walk_to_json(w)) == w
 
 
 class TestGroverWalk:
@@ -229,8 +229,7 @@ class TestGroverWalk:
 
     def test_json_round_trip(self):
         w = build_grover_walk(figure4a_graph())
-        w2 = grover_from_json(grover_to_json(w))
-        assert w2.U == w.U and w2.arcs == w.arcs
+        assert grover_from_json(grover_to_json(w)) == w
 
 
 class TestStructuralIdentities:
@@ -381,7 +380,7 @@ class TestAgainstDefinitions:
     def test_bipartite_walk(self, seed):
         g = random_connected_bipartite(random.Random(seed))
         w = build_bipartite_walk(g)
-        assert (w.P, w.Q, w.U) == _definitional_bipartite(g, w.bipart)
+        assert (w.P, w.Q, w.U) == _definitional_bipartite(g)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -438,3 +437,87 @@ class TestSerialization:
                 code = main(["verify", name])
             digest.update(f"{code}\n{out.getvalue()}".encode())
         assert digest.hexdigest() == "d8a7fea0071d20b5a5f4909fabe2c9df94955feac1d37a24a149ea186e3387e2"
+
+
+def _bump_u(doc: dict) -> None:
+    doc["U"][0][0] = str(Fraction(doc["U"][0][0]) + 1)
+
+
+def _swap_classes(doc: dict) -> None:
+    doc["c0"], doc["c1"] = doc["c1"], doc["c0"]
+
+
+def _wrong_classes(doc: dict) -> None:
+    doc["c0"], doc["c1"] = [0], [1]
+
+
+def _wrong_profile(doc: dict) -> None:
+    doc["degree_profile"] = [7, 9]
+
+
+def _bogus_arc(doc: dict) -> None:
+    doc["arcs"][0] = [9, 9]
+
+
+def _reverse_edges(doc: dict) -> None:
+    doc["edges"].reverse()
+
+
+# (loader, the walk document of C4 it reads, the tamperings that apply to it)
+LOADERS = {
+    "bipartite": (
+        walk_from_json,
+        walk_to_json(build_bipartite_walk(cycle(4))),
+        (_bump_u, _swap_classes, _wrong_classes, _wrong_profile, _reverse_edges),
+    ),
+    "grover": (
+        grover_from_json,
+        grover_to_json(build_grover_walk(cycle(4))),
+        (_bump_u, _bogus_arc, _reverse_edges),
+    ),
+}
+
+
+class TestLoaders:
+    """A loader rebuilds the walk from the document's graph and accepts the
+    document only when the rebuilt walk serialises back to it."""
+
+    @pytest.mark.parametrize(
+        "kind,tamper",
+        [(kind, t) for kind, (_, _, ts) in LOADERS.items() for t in ts],
+        ids=lambda x: x if isinstance(x, str) else x.__name__.lstrip("_"),
+    )
+    def test_a_tampered_document_is_rejected(self, kind, tamper):
+        load, text, _ = LOADERS[kind]
+        doc = json.loads(text)
+        tamper(doc)
+        with pytest.raises(ValueError):
+            load(json.dumps(doc))
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_a_document_of_the_other_kind_is_rejected(self, kind):
+        (other,) = set(LOADERS) - {kind}
+        with pytest.raises(ValueError):
+            LOADERS[kind][0](LOADERS[other][1])
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_a_malformed_document_is_rejected(self, kind):
+        load, text, _ = LOADERS[kind]
+        for doc in ({**json.loads(text), "n": "4"}, {"kind": kind, "edges": [[0, 1]]}):
+            with pytest.raises(ValueError):
+                load(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_every_walk_output_round_trips_byte_for_byte(self, name):
+        loaders = {"b": (walk_from_json, walk_to_json), "g": (grover_from_json, grover_to_json)}
+        written = 0
+        for kind, (load, dump) in loaders.items():
+            for transform in ("none", "s", "d"):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(["walk", name, "--kind", kind, "--transform", transform])
+                if code == 0:
+                    text = out.getvalue().rstrip("\n")
+                    assert dump(load(text)) == text, (kind, transform)
+                    written += 1
+        assert written >= 2
