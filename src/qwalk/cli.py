@@ -301,11 +301,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _resolve_input(args.input)
+    gw = build_grover_walk(g)  # one U_GW(g) serves every check
     checks: dict[str, bool] = {}
-    ok, _ = grover_equals_bipartite_on_subdivision(g)
+    ok, _ = grover_equals_bipartite_on_subdivision(gw)
     checks["grover_equals_bipartite_on_subdivision"] = ok
     if is_bipartite(g):
-        for k, ok in enumerate(block_identity_checks(g, 4), 1):
+        for k, ok in enumerate(block_identity_checks(gw, 4), 1):
             checks[f"block_identity_k{k}"] = ok
     all_ok = all(checks.values())
     if args.pretty:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, compress, count
 from math import gcd, isqrt, lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -72,6 +72,32 @@ class RationalMatrix:
         m = cls._normal(tuple(map(tuple, num)), den)
         if any(len(row) != m.cols for row in m.num):
             raise DimensionError("ragged rows")
+        return m
+
+    @classmethod
+    def from_nonzeros(
+        cls, rows: Sequence[Sequence[tuple[int, int]]], cols: int, den: int
+    ) -> "RationalMatrix":
+        """The matrix with cols columns whose row i has the numerators of
+        the (column, numerator) pairs rows[i] over den, reduced to normal
+        form.  The pairs are kept as nonzeros(), so columns must ascend
+        within range and numerators be nonzero; else ValueError."""
+        if den < 1:
+            raise ValueError("denominator must be positive")
+        g = gcd(den, *map(itemgetter(1), chain.from_iterable(rows)))
+        if g != 1:
+            den //= g
+            rows = [[(j, x // g) for j, x in row] for row in rows]
+        num = []
+        for row in rows:
+            dense, last = [0] * cols, -1
+            for j, x in row:
+                if not last < j < cols or not x:
+                    raise ValueError(f"not the nonzeros of a row of {cols} columns: {row}")
+                dense[j], last = x, j
+            num.append(tuple(dense))
+        m = cls._normal(tuple(num), den)
+        m._nonzeros = tuple(map(tuple, rows))
         return m
 
     @staticmethod
@@ -162,7 +188,7 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 def _nonzeros(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The (column, value) pairs of the nonzeros of each row."""
-    return tuple(tuple([(j, x) for j, x in enumerate(row) if x]) for row in rows)
+    return tuple(tuple(zip(compress(count(), row), filter(None, row))) for row in rows)
 
 
 def _int_product(

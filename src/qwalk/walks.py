@@ -7,7 +7,7 @@ reflections reproduces the worked 7x7 operator for the 8-vertex reference
 graph entry for entry.
 
 Grover (arc) walk: U_GW = R(2K - I) on arc space, with R the arc-reversal
-permutation and K the tail-averaging projection.  K = D*D is kept instead
+permutation and K the head-averaging projection.  K = D*D is kept instead
 of the coin matrix D itself so every entry stays rational.
 """
 
@@ -19,7 +19,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
-from .exact import RationalMatrix, _int_product, _nonzeros, mat_mul
+from .exact import RationalMatrix, _int_product, mat_mul
 from .graphs import Graph, GraphError, bipartition, degree_profile, subdivision
 
 
@@ -55,24 +55,25 @@ def build_partitions(g: Graph) -> tuple[EdgePartition, EdgePartition]:
     )
 
 
-def _cell_rows(
-    m: int, cells: Iterable[Sequence[int]]
-) -> tuple[list[list[int]], list[list[int]], int]:
-    """Numerator rows of the projection onto functions constant on the
-    cells (a block of 1/|cell| per cell) and of its reflection 2P - I, over
-    one denominator, the lcm of the cell sizes."""
-    cells = list(cells)
-    den = lcm(1, *(len(cell) for cell in cells))
-    p = [[0] * m for _ in range(m)]
-    r = [[0] * m for _ in range(m)]
+Row = tuple[tuple[int, int], ...]
+
+
+def _cell_rows(m: int, cells: Iterable[Sequence[int]]) -> tuple[list[Row], list[Row], int]:
+    """The nonzeros, as (column, numerator) pairs over one denominator, the
+    lcm of the cell sizes, of the m rows of the projection P onto functions
+    constant on the cells (a block of 1/|cell| per cell) and of its
+    reflection 2P - I.  A cell of two edges leaves 2P - I a zero diagonal,
+    which is dropped; an edge in no cell has P's row empty."""
+    cells = [sorted(cell) for cell in cells]
+    den = lcm(1, *map(len, cells))
+    p: list[Row] = [()] * m
+    r: list[Row] = [((e, -den),) for e in range(m)]
     for cell in cells:
         w = den // len(cell)
+        row = tuple([(f, w) for f in cell])
         for e in cell:
-            prow, rrow = p[e], r[e]
-            for f in cell:
-                prow[f], rrow[f] = w, 2 * w
-    for i, row in enumerate(r):
-        row[i] -= den
+            p[e] = row
+            r[e] = tuple([(f, x) for f in cell if (x := 2 * w - (den if f == e else 0))])
     return p, r, den
 
 
@@ -82,11 +83,12 @@ def _is_scaled_identity(rows: Sequence[Sequence[int]], c: int) -> bool:
 
 def _projection(
     m: int, cells: Iterable[Sequence[int]], name: str
-) -> tuple[RationalMatrix, list[list[int]], int]:
+) -> tuple[RationalMatrix, list[Row], int]:
     """The cell projection P, checked symmetric and idempotent (num num =
-    den num), with the numerator rows of 2P - I and their denominator."""
+    den num), with the nonzeros of the rows of 2P - I and their
+    denominator."""
     rows, refl, den = _cell_rows(m, cells)
-    p = RationalMatrix.from_numerators(rows, den)
+    p = RationalMatrix.from_nonzeros(rows, m, den)
     if p.num != tuple(zip(*p.num)):
         raise ConstructionError(f"{name} is not symmetric")
     nz = p.nonzeros()
@@ -131,7 +133,7 @@ def build_bipartite_walk(g: Graph) -> WalkOperator:
     # that reproduces the reference example matrices frozen in the tests
     p, rp, dp = _projection(m, pi1.cells.values(), "P")
     q, rq, dq = _projection(m, pi0.cells.values(), "Q")
-    u = RationalMatrix.from_numerators(_int_product(_nonzeros(rp), _nonzeros(rq), m), dp * dq)
+    u = RationalMatrix.from_numerators(_int_product(rp, rq, m), dp * dq)
     _assert_orthogonal(u, "U")
     return WalkOperator(g, p, q, u)
 
@@ -278,8 +280,9 @@ def cell_operator(g: Graph) -> tuple[list[list[int]], int, tuple[int, ...]]:
 class ArcWalkOperator(NamedTuple):
     """Arc walk operator U_GW = R(2K - I) with its arc index map.
 
-    arcs[j] = (head, tail); arc j and arc j + |E| are mutual reversals in
-    the canonical ordering.
+    arcs[j] = (tail, head): the arc leaves its tail and points into its
+    head.  Arc j and arc j + |E| are mutual reversals in the canonical
+    ordering.
     """
 
     graph: Graph
@@ -294,15 +297,15 @@ class ArcWalkOperator(NamedTuple):
 
 
 def _arc_maps(arcs: Sequence[tuple[int, int]]) -> tuple[list[int], list[list[int]]]:
-    """The index of each arc's reversal, and the arcs grouped by tail:
-    deg(t) arcs share tail t, so K's block of 1/deg(t) is a cell
+    """The index of each arc's reversal, and the arcs grouped by head:
+    deg(h) arcs share head h, so K's block of 1/deg(h) is a cell
     projection.  R maps arc i to its reversal, so row i of U_GW = R(2K - I)
     is the reversal's row of 2K - I."""
     index = {a: i for i, a in enumerate(arcs)}
-    by_tail: dict[int, list[int]] = {}
-    for i, (_, t) in enumerate(arcs):
-        by_tail.setdefault(t, []).append(i)
-    return [index[(t, o)] for o, t in arcs], list(by_tail.values())
+    by_head: dict[int, list[int]] = {}
+    for i, (_, h) in enumerate(arcs):
+        by_head.setdefault(h, []).append(i)
+    return [index[(h, t)] for t, h in arcs], list(by_head.values())
 
 
 def build_grover_walk(g: Graph) -> ArcWalkOperator:
@@ -313,44 +316,43 @@ def build_grover_walk(g: Graph) -> ArcWalkOperator:
     arcs = [(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges]
     n_arcs = len(arcs)
     rev, cells = _arc_maps(arcs)
-    r = RationalMatrix.from_numerators([[0] * i + [1] + [0] * (n_arcs - 1 - i) for i in rev], 1)
+    r = RationalMatrix.from_nonzeros([((i, 1),) for i in rev], n_arcs, 1)
     if not _is_scaled_identity(_int_product(r.nonzeros(), r.nonzeros(), n_arcs), r.den**2):
         raise ConstructionError("R is not an involution")
     k, refl, den = _projection(n_arcs, cells, "K")
-    u = RationalMatrix.from_numerators([refl[j] for j in rev], den)
+    u = RationalMatrix.from_nonzeros([refl[j] for j in rev], n_arcs, den)
     _assert_orthogonal(u, "U_GW")
     return ArcWalkOperator(g, tuple(arcs), r, k, u)
 
 
-def grover_equals_bipartite_on_subdivision(g: Graph) -> tuple[bool, list[int]]:
-    """Check U_GW(g) == U_BW(S(g))^T under the arc/subdivision-edge map.
+def grover_equals_bipartite_on_subdivision(gw: ArcWalkOperator) -> tuple[bool, list[int]]:
+    """Check U_GW(g) == U_BW(S(g))^T under the arc/subdivision-edge map,
+    for the built arc walk gw of g.
 
     U_BW is built on bipartition(S(g)), whose c0 holds the original
     vertices; its transpose takes the two reflections in the other order,
     the original vertices' cells last.  Arc (u, v) with underlying canonical edge j
-    corresponds to the subdivision edge {u, n+j} (the head side).  Returns
+    corresponds to the subdivision edge {u, n+j} (the tail side).  Returns
     the equality flag and the witness permutation sigma with sigma[arc] =
     subdivision edge.
     """
+    g = gw.graph
     sg = subdivision(g)
     w = build_bipartite_walk(sg)
-    gw = build_grover_walk(g)
     n = g.n
     sigma = []
-    for o, t in gw.arcs:
-        j = g.edge_index(o, t)
-        sigma.append(sg.edge_index(o, n + j))
+    for tail, head in gw.arcs:
+        j = g.edge_index(tail, head)
+        sigma.append(sg.edge_index(tail, n + j))
     # both sides are in normal form, so a permutation of entries is equal
-    # exactly when denominators and permuted numerators are: row a of U_GW
-    # against column sigma[a] of U_BW
-    bw, arc = w.U.num, gw.U.num
-    ok = w.U.den == gw.U.den and all(
-        tuple(bw[t][s] for t in sigma) == row for s, row in zip(sigma, arc)
-    )
-    return ok, sigma
+    # exactly when denominators and permuted numerators are: U_GW[a][c] is
+    # U_BW[sigma[c]][sigma[a]], and (row, column, numerator) names a nonzero
+    bw = {(t, s, x) for t, row in enumerate(w.U.nonzeros()) for s, x in row}
+    arc = {(sigma[c], sigma[a], x) for a, row in enumerate(gw.U.nonzeros()) for c, x in row}
+    return w.U.den == gw.U.den and bw == arc, sigma
 
 
-def block_identity_checks(g: Graph, k_max: int) -> list[bool]:
+def block_identity_checks(gw: ArcWalkOperator, k_max: int) -> list[bool]:
     """Verify that even powers of the arc walk split into bipartite-walk
     powers, for k = 1..k_max: entry k - 1 of the result is the check at k,
     with the bipartite walk on bipartition(g).
@@ -359,18 +361,23 @@ def block_identity_checks(g: Graph, k_max: int) -> list[bool]:
     c1, edge j's at j, and the rest their reversals, which point into c0:
     arc j = (u, v) of build_grover_walk points into v, so edge j takes arc
     j when v is in c1, else arc j + |E|.  In that basis U_GW^(2k) must
-    equal the block diagonal of (U_BW^k)^T and U_BW^k exactly.  Both
-    operators come from their checked builders, once, and both powers step
-    up by one product per k, by U_GW^2 and by U_BW.
+    equal the block diagonal of (U_BW^k)^T and U_BW^k exactly.  U_BW comes
+    from its checked builder, once, and both powers step up by one product
+    per k, by U_GW^2 and by U_BW.
     """
     if k_max < 1:
         raise ValueError("k must be positive")
-    u_bw, gw = build_bipartite_walk(g).U, build_grover_walk(g)
+    g = gw.graph
+    u_bw = build_bipartite_walk(g).U
     c1, m = bipartition(g).c1, g.num_edges
     into_c1 = [j if v in c1 else j + m for j, (_, v) in enumerate(g.edges)]
+    # the order swaps arcs j and j + m where edge j's v is in c0, so it is
+    # its own inverse: arc a moves to index order[a]
     order = into_c1 + [(a + m) % (2 * m) for a in into_c1]
-    rows = [[gw.U.num[a][c] for c in order] for a in order]
-    u_gw = RationalMatrix.from_numerators(rows, gw.U.den)
+    nz = gw.U.nonzeros()
+    u_gw = RationalMatrix.from_nonzeros(
+        [sorted((order[c], x) for c, x in nz[a]) for a in order], 2 * m, gw.U.den
+    )
     step = mat_mul(u_gw, u_gw)
     even, ubk = step, u_bw
     results = []
@@ -388,9 +395,9 @@ def block_identity_checks(g: Graph, k_max: int) -> list[bool]:
     return results
 
 
-def block_identity_check(g: Graph, k: int) -> bool:
+def block_identity_check(gw: ArcWalkOperator, k: int) -> bool:
     """The block identity of block_identity_checks at k alone."""
-    return block_identity_checks(g, k)[-1]
+    return block_identity_checks(gw, k)[-1]
 
 
 # ---------------------------------------------------------------------------

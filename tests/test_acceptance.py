@@ -120,7 +120,7 @@ def test_criterion_3_grover_equality(capsys):
     ]
     rng = random.Random(42)
     fixtures += [random_connected_graph(rng) for _ in range(10)]
-    ok = all(grover_equals_bipartite_on_subdivision(g)[0] for g in fixtures)
+    ok = all(grover_equals_bipartite_on_subdivision(build_grover_walk(g))[0] for g in fixtures)
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         report(3, "U_BW(S(G)) = U_GW(G) on 15 graphs", ok and elapsed < 5.0, f"{elapsed:.2f}s")
@@ -131,7 +131,8 @@ def test_criterion_4_block_identity_and_doubling(capsys):
     ok = True
     details = []
     for name, g in BIPARTITE_CATALOG.items():
-        ok = ok and all(block_identity_check(g, k) for k in range(1, 5))
+        gw = build_grover_walk(g)
+        ok = ok and all(block_identity_check(gw, k) for k in range(1, 5))
         tau_bw = exact_period_oracle(build_bipartite_walk(g).U)
         if tau_bw is not None:
             tau_bw2, tau_gw = grover_period_doubling(g)

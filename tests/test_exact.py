@@ -21,6 +21,7 @@ from qwalk.exact import (
     QuadraticValue,
     RationalMatrix,
     _fujiwara_bound,
+    _nonzeros,
     _orders_of_totient_at_most,
     _root_bound,
     _signed_divisors,
@@ -161,6 +162,55 @@ class TestRationalMatrix:
         assert square == RationalMatrix(ref_mul(m.data, m.data))
         assert mat_mul(square, m) == mat_mul(m, square)
         assert len(calls) == 2  # those of m and of its square
+
+    @given(
+        st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+            lambda s: st.lists(
+                st.lists(st.sampled_from([0, 0, 0, 1, -2, 3, 4, -6, 12]), min_size=s[1], max_size=s[1]),
+                min_size=s[0],
+                max_size=s[0],
+            )
+        ),
+        st.integers(1, 24),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_from_nonzeros_matches_from_numerators(self, num, den):
+        # numerators and denominators sharing factors exercise the gcd,
+        # zero rows the empty ones, an all-zero draw the zero matrix
+        m = RationalMatrix.from_nonzeros(_nonzeros(num), len(num[0]), den)
+        dense = RationalMatrix.from_numerators(num, den)
+        assert (m.num, m.den, m.rows, m.cols) == (dense.num, dense.den, dense.rows, dense.cols)
+        assert m.nonzeros() == dense.nonzeros()
+
+    def test_from_nonzeros_reduces_and_keeps_the_pairs(self, monkeypatch):
+        calls = []
+        find = qwalk.exact._nonzeros
+        monkeypatch.setattr(qwalk.exact, "_nonzeros", lambda rows: calls.append(1) or find(rows))
+        m = RationalMatrix.from_nonzeros([((0, 2), (2, -4)), (), ((1, 6),)], 3, 6)
+        assert (m.num, m.den) == (((1, 0, -2), (0, 0, 0), (0, 3, 0)), 3)
+        assert m.nonzeros() == (((0, 1), (2, -2)), (), ((1, 3),))
+        zero = RationalMatrix.from_nonzeros([(), ()], 2, 5)
+        assert zero == RationalMatrix.zeros(2, 2) and zero.den == 1
+        assert zero.nonzeros() == ((), ())
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "rows,cols,den",
+        [
+            ([((0, 1),)], 1, 0),  # denominator below 1
+            ([((0, 1),)], 1, -2),
+            ([((2, 1),)], 2, 1),  # column out of range
+            ([((-1, 1),)], 2, 1),
+            ([((1, 1), (0, 1))], 2, 1),  # columns out of order
+            ([((0, 1), (0, 2))], 2, 1),  # a column twice
+            ([((0, 0),)], 1, 1),  # a zero numerator
+        ],
+        ids=["den-0", "den-negative", "column-past-end", "column-negative", "descending",
+             "repeated", "zero-numerator"],
+    )
+    def test_from_nonzeros_rejects(self, rows, cols, den):
+        with pytest.raises(ValueError):
+            RationalMatrix.from_nonzeros(rows, cols, den)
 
     def test_rank(self):
         assert rational_rank(RationalMatrix.identity(4)) == 4

@@ -633,8 +633,8 @@ TAKE_THE_CLASSES_FROM_G = {
     "spectral_test_biregular": spectral_test_biregular,
     "build_bipartite_walk": build_bipartite_walk,
     "cell_operator": cell_operator,
-    "block_identity_check": lambda g: block_identity_check(g, 2),
-    "block_identity_checks": lambda g: block_identity_checks(g, 2),
+    "block_identity_check": lambda g: block_identity_check(build_grover_walk(g), 2),
+    "block_identity_checks": lambda g: block_identity_checks(build_grover_walk(g), 2),
     "walk_phases_from_graph": walk_phases_from_graph,
 }
 

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qwalk.exact
 import qwalk.walks
 from qwalk.cli import FIXTURES, main
-from qwalk.exact import RationalMatrix, mat_mul, mat_pow
+from qwalk.exact import RationalMatrix, _nonzeros, mat_mul, mat_pow
 from qwalk.graphs import (
     Graph,
     GraphError,
@@ -25,6 +26,7 @@ from qwalk.graphs import (
     heawood_graph,
     is_bipartite,
     petersen_graph,
+    subdivision,
 )
 from qwalk.walks import (
     ConstructionError,
@@ -105,6 +107,28 @@ def random_connected_bipartite(rng: random.Random, max_n: int = 14) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def random_tree(rng: random.Random, max_n: int = 14) -> Graph:
+    """Random spanning tree: its leaves are cells of one edge."""
+    n = rng.randint(2, max_n)
+    return Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+# Seeded graph families: cells of one edge (trees), of two edges (cycles,
+# where 2P - I has a zero diagonal), complete and random bipartite graphs,
+# and, for the Grover walk, graphs with odd cycles.
+BIPARTITE_FAMILIES = {
+    "tree": random_tree,
+    "even-cycle": lambda rng: cycle(2 * rng.randint(2, 8)),
+    "complete-bipartite": lambda rng: complete_bipartite(rng.randint(1, 4), rng.randint(1, 4)),
+    "random-bipartite": random_connected_bipartite,
+}
+GRAPH_FAMILIES = {
+    **BIPARTITE_FAMILIES,
+    "odd-cycle": lambda rng: cycle(2 * rng.randint(1, 7) + 1),
+    "random": lambda rng: random_connected_graph(rng, max_n=14),
+}
+
+
 # Definitional operators, built entry by entry with the RationalMatrix
 # operations, independently of the integer-row assembly in qwalk.walks.
 
@@ -132,10 +156,10 @@ def _definitional_bipartite(g: Graph) -> tuple[RationalMatrix, RationalMatrix, R
 
 
 def _definitional_grover(arcs: list) -> tuple[RationalMatrix, RationalMatrix, RationalMatrix]:
-    """(R, K, U) on arcs (head, tail): R reverses arcs, K averages over
-    arcs sharing their tail, U = R(2K - I)."""
-    r = RationalMatrix([[int(a == (t, o)) for a in arcs] for o, t in arcs])
-    k = _averaging([t for _, t in arcs])
+    """(R, K, U) on arcs (tail, head): R reverses arcs, K averages over
+    arcs sharing their head, U = R(2K - I)."""
+    r = RationalMatrix([[int(a == (h, t)) for a in arcs] for t, h in arcs])
+    k = _averaging([h for _, h in arcs])
     return r, k, mat_mul(r, _reflection(k))
 
 
@@ -153,20 +177,36 @@ def _definitional_block_identity(g: Graph, j: int) -> bool:
 
 
 def _corrupt_built_matrix(monkeypatch, pick, i: int, j: int) -> None:
-    """Make RationalMatrix.from_numerators add 1 to entry (i, j) of the
-    first matrix for which pick(call index, numerator rows) holds."""
-    original = RationalMatrix.from_numerators.__func__
+    """Make the builders' constructors, RationalMatrix.from_nonzeros (P, Q,
+    R, K, U_GW) and from_numerators (U), add 1 to entry (i, j) of the first
+    matrix for which pick(call index, dense numerator rows) holds."""
+    from_numerators = RationalMatrix.from_numerators.__func__
+    from_nonzeros = RationalMatrix.from_nonzeros.__func__
     calls = []
 
-    def corrupted(cls, num, den):
+    def corrupt(num, den):
         hit = not any(calls) and pick(len(calls), num)
         calls.append(hit)
         if hit:
             num = [list(row) for row in num]
             num[i][j] += den
-        return original(cls, num, den)
+        return hit, num
 
-    monkeypatch.setattr(RationalMatrix, "from_numerators", classmethod(corrupted))
+    def numerators(cls, num, den):
+        return from_numerators(cls, corrupt(num, den)[1], den)
+
+    def nonzeros(cls, rows, cols, den):
+        dense = [[0] * cols for _ in rows]
+        for out, row in zip(dense, rows):
+            for c, x in row:
+                out[c] = x
+        hit, num = corrupt(dense, den)
+        if hit:
+            rows = [[(c, x) for c, x in enumerate(row) if x] for row in num]
+        return from_nonzeros(cls, rows, cols, den)
+
+    monkeypatch.setattr(RationalMatrix, "from_numerators", classmethod(numerators))
+    monkeypatch.setattr(RationalMatrix, "from_nonzeros", classmethod(nonzeros))
 
 
 def _call(index: int):
@@ -220,8 +260,8 @@ class TestGroverWalk:
         w = build_grover_walk(g)
         m = g.num_edges
         for j in range(m):
-            h, t = w.arcs[j]
-            assert w.arcs[m + j] == (t, h)
+            t, h = w.arcs[j]
+            assert w.arcs[m + j] == (h, t)
 
     def test_unitarity(self):
         w = build_grover_walk(petersen_graph())
@@ -245,7 +285,7 @@ class TestStructuralIdentities:
         ids=["figure4a", "k11", "c4", "k4", "petersen"],
     )
     def test_subdivision_equality_on_fixtures(self, g):
-        ok, sigma = grover_equals_bipartite_on_subdivision(g)
+        ok, sigma = grover_equals_bipartite_on_subdivision(build_grover_walk(g))
         assert ok
         assert sorted(sigma) == list(range(2 * g.num_edges))
 
@@ -253,13 +293,13 @@ class TestStructuralIdentities:
         rng = random.Random(42)
         for _ in range(10):
             g = random_connected_graph(rng)
-            ok, _ = grover_equals_bipartite_on_subdivision(g)
+            ok, _ = grover_equals_bipartite_on_subdivision(build_grover_walk(g))
             assert ok, g
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_block_identity(self, k):
         for g in (cycle(6), complete_bipartite(2, 2), figure1_graph()):
-            assert block_identity_check(g, k)
+            assert block_identity_check(build_grover_walk(g), k)
 
     def test_block_identity_on_seeded_random_bipartite(self):
         rng = random.Random(42)
@@ -269,36 +309,47 @@ class TestStructuralIdentities:
             if not is_bipartite(g):
                 continue
             found += 1
-            assert block_identity_check(g, 2)
+            assert block_identity_check(build_grover_walk(g), 2)
 
     def test_block_identity_checks_rejects_k_below_one(self):
         for check in (block_identity_checks, block_identity_check):
             with pytest.raises(ValueError, match="k must be positive"):
-                check(cycle(4), 0)
+                check(build_grover_walk(cycle(4)), 0)
 
     def test_verify_builds_once_and_steps_one_product_per_power(self, monkeypatch, tmp_path):
-        # the walk of g is built once; U_GW^2 is one product, then each of
-        # k = 2..4 takes one product for U_GW^(2k) and one for U_BW^k
+        # each walk of g is built once, U_GW(g) for both checks; U_GW^2 is
+        # one product, then each of k = 2..4 takes one product for
+        # U_GW^(2k) and one for U_BW^k
         g = complete_bipartite(4, 4)
         builds, products = [], []
-        build = qwalk.walks.build_bipartite_walk
 
-        def counting_build(h):
-            builds.append(h)
-            return build(h)
+        def counting(build):
+            def counting_build(h):
+                builds.append((build.__name__, h))
+                return build(h)
+
+            return counting_build
 
         def counting_mul(a, b):
             products.append((a.rows, b.cols))
             return mat_mul(a, b)
 
-        monkeypatch.setattr("qwalk.walks.build_bipartite_walk", counting_build)
+        for name in ("build_bipartite_walk", "build_grover_walk"):
+            counted = counting(getattr(qwalk.walks, name))
+            for module in ("qwalk.walks", "qwalk.cli"):
+                monkeypatch.setattr(f"{module}.{name}", counted)
         for module in ("qwalk.walks", "qwalk.exact"):
             monkeypatch.setattr(f"{module}.mat_mul", counting_mul)
         path = tmp_path / "k44.txt"
         path.write_text(format_graph(g))
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["verify", str(path)]) == 0
-        assert builds.count(g) == 1 and len(builds) == 2  # g and S(g)
+        expected = [
+            ("build_bipartite_walk", g),
+            ("build_bipartite_walk", subdivision(g)),
+            ("build_grover_walk", g),
+        ]
+        assert len(builds) == len(expected) and all(b in builds for b in expected)
         assert len(products) == 7
 
     def test_even_power_consistency(self):
@@ -313,10 +364,9 @@ class TestStructuralIdentities:
 
 class TestConstructionChecks:
     """Every construction check fires, with its message, on a corrupted
-    input: overlapping cells, or one entry of a matrix shifted as
-    RationalMatrix.from_numerators builds it (P, Q, R and K are the first
-    matrices their walk builds; a reflection or walk operator is the first
-    with a negative entry)."""
+    input: overlapping cells, or one entry of a matrix shifted as its
+    constructor builds it (P, Q, R and K are the first matrices their walk
+    builds; a walk operator is the first with a negative entry)."""
 
     def test_overlapping_cells(self):
         with pytest.raises(ConstructionError) as exc:
@@ -365,37 +415,69 @@ class TestConstructionChecks:
             build_grover_walk(g)
         assert str(exc.value) == "R is not an involution"
 
+    @pytest.mark.parametrize(
+        "g", [cycle(6), complete_bipartite(3, 3), petersen_graph()], ids=["c6", "k33", "petersen"]
+    )
+    def test_assembled_nonzeros_are_never_searched_for(self, monkeypatch, g):
+        # P, Q, R, K and U_GW are assembled from their nonzeros, which
+        # from_nonzeros keeps: no build, and no later nonzeros(), scans their
+        # dense rows with exact._nonzeros; only U = (2P - I)(2Q - I), an
+        # integer product's dense rows, is scanned
+        scanned = []
+        find = qwalk.exact._nonzeros
+        monkeypatch.setattr(qwalk.exact, "_nonzeros", lambda rows: scanned.append(rows) or find(rows))
+        gw = build_grover_walk(g)
+        assembled = [gw.R, gw.K, gw.U]
+        if is_bipartite(g):
+            w = build_bipartite_walk(g)
+            assembled += [w.P, w.Q]
+            assert [rows is w.U.num for rows in scanned] == [True]
+        else:
+            assert scanned == []
+        for m in assembled:
+            assert m.nonzeros() == find(m.num)
+        assert len(scanned) == is_bipartite(g)
+
     def test_uncorrupted_builds_pass(self, monkeypatch):
         _corrupt_built_matrix(monkeypatch, lambda n, num: False, 0, 0)
         build_bipartite_walk(complete_bipartite(3, 3))
         build_grover_walk(petersen_graph())
 
 
+def _assert_as_defined(built, defined) -> None:
+    """Each built matrix has the definitional one's numerators and
+    denominator, and nonzeros() are those of its numerator rows."""
+    for m, d in zip(built, defined, strict=True):
+        assert (m.num, m.den) == (d.num, d.den)
+        assert m.nonzeros() == _nonzeros(m.num)
+
+
 class TestAgainstDefinitions:
-    """The integer-row assembly against the operators built from their
+    """The nonzero assembly against the operators built from their
     definitions with scale, add and mat_mul."""
 
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_bipartite_walk(self, seed):
-        g = random_connected_bipartite(random.Random(seed))
+    @given(st.sampled_from(sorted(BIPARTITE_FAMILIES)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bipartite_walk(self, family, seed):
+        g = BIPARTITE_FAMILIES[family](random.Random(seed))
         w = build_bipartite_walk(g)
-        assert (w.P, w.Q, w.U) == _definitional_bipartite(g)
+        _assert_as_defined((w.P, w.Q, w.U), _definitional_bipartite(g))
 
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_grover_walk(self, seed):
-        w = build_grover_walk(random_connected_graph(random.Random(seed), max_n=14))
-        assert (w.R, w.K, w.U) == _definitional_grover(list(w.arcs))
+    @given(st.sampled_from(sorted(GRAPH_FAMILIES)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_grover_walk(self, family, seed):
+        w = build_grover_walk(GRAPH_FAMILIES[family](random.Random(seed)))
+        _assert_as_defined((w.R, w.K, w.U), _definitional_grover(list(w.arcs)))
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
     @settings(max_examples=20, deadline=None)
     def test_block_identity_chain(self, seed, k):
         g = random_connected_bipartite(random.Random(seed), max_n=10)
-        checks = block_identity_checks(g, k)
+        gw = build_grover_walk(g)
+        checks = block_identity_checks(gw, k)
         assert len(checks) == k
         assert checks == [_definitional_block_identity(g, j) for j in range(1, k + 1)]
-        assert checks[-1] == block_identity_check(g, k)
+        assert checks[-1] == block_identity_check(gw, k)
 
 
 class TestSerialization:
