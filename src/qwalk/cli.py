@@ -11,7 +11,8 @@ the first non-integral tr(U^k), k <= 12, if any, from q's char-poly with
 no walk built.  The spectral table classifies the roots of that char-poly,
 and its orders must agree with q.  A report states the period once, as
 verdict.period.  Every connected input with an edge gets a definite
-verdict; a graph with no edges is an input error.
+verdict.  A graph with no edges is an input error for every command that
+reads a graph: walk, period and verify.
 
 Exit codes: 0 periodic / success, 3 non-periodic, 5 internal method
 disagreement, 1 usage or input error.

@@ -167,9 +167,7 @@ class RationalMatrix:
 
     def is_identity(self) -> bool:
         """In normal form the identity has den 1 and unit numerator rows."""
-        return self.den == 1 and self.is_square and all(
-            row[i] == 1 and row.count(0) == self.cols - 1 for i, row in enumerate(self.num)
-        )
+        return self.den == 1 and self.is_square and _is_scaled_identity(self.num, 1)
 
     def to_floats(self) -> list[list[float]]:
         den = self.den
@@ -205,6 +203,11 @@ def _int_product(
                 acc[j] += x * y
         out.append(acc)
     return out
+
+
+def _is_scaled_identity(rows: Sequence[Sequence[int]], c: int) -> bool:
+    """Whether the square integer rows are c times the identity."""
+    return all(row[i] == c and row.count(0) == len(row) - 1 for i, row in enumerate(rows))
 
 
 def _chain_power(known: dict[int, RationalMatrix], t: int) -> RationalMatrix:
@@ -430,20 +433,29 @@ def rescaled_integral(p: IntPolynomial, a: RationalLike, b: RationalLike = 0) ->
     return IntPolynomial(tuple(c))
 
 
-def _prime_factors(k: int) -> list[int]:
-    primes, p = [], 2
+def _factor(k: int) -> dict[int, int]:
+    """{p: e} with k = prod p^e for k >= 1, primes ascending, by trial
+    division by 2 and the odd numbers."""
+    out, p = {}, 2
     while p * p <= k:
         if k % p == 0:
-            primes.append(p)
+            e = 0
             while k % p == 0:
                 k //= p
-        p += 1
-    return primes + [k] if k > 1 else primes
+                e += 1
+            out[p] = e
+        p += 1 if p == 2 else 2
+    if k > 1:
+        out[k] = 1
+    return out
+
+
+def _prime_factors(k: int) -> list[int]:
+    return list(_factor(k))
 
 
 def _totient(k: int) -> int:
-    primes = _prime_factors(k)
-    return k // prod(primes) * prod(p - 1 for p in primes)
+    return prod((p - 1) * p ** (e - 1) for p, e in _factor(k).items())
 
 
 @lru_cache(maxsize=None)
@@ -542,19 +554,10 @@ def square_free_part(n: int) -> tuple[int, int]:
     """Split n = s * f^2 with s square-free, by trial division."""
     if n < 1:
         raise ValueError("n must be positive")
-    s, f = 1, 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            count = 0
-            while n % d == 0:
-                n //= d
-                count += 1
-            f *= d ** (count // 2)
-            if count % 2:
-                s *= d
-        d += 1 if d == 2 else 2
-    s *= n
+    s = f = 1
+    for p, e in _factor(n).items():
+        s *= p ** (e % 2)
+        f *= p ** (e // 2)
     return s, f
 
 

@@ -8,6 +8,7 @@ are reproducible bit for bit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
@@ -76,16 +77,10 @@ class Graph:
 
     def edge_index(self, u: int, v: int) -> int:
         e = (min(u, v), max(u, v))
-        lo, hi = 0, len(self.edges)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.edges[mid] < e:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(self.edges) or self.edges[lo] != e:
+        i = bisect_left(self.edges, e)
+        if i == len(self.edges) or self.edges[i] != e:
             raise GraphError(f"no edge {e}")
-        return lo
+        return i
 
     def degrees(self) -> list[int]:
         """Each vertex's degree, counted once per graph, as a fresh list."""

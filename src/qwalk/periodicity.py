@@ -22,12 +22,13 @@ That decides, and each verdict carries one certificate:
 - non-periodic: the first non-integral tr(U^k), k <= TRACE_DEPTH, if any,
   from the char-poly q came from, with no walk built (_scaled_traces).
 
-The order is checked on U, or on its quotient T on the (n0 + n1)-
-dimensional cell space (walks.cell_operator) when n0 + n1 < |E|, that is
-when the average degree is above 2: U^k = I exactly when every column of
-T^k - I is a multiple of z.  On a tree or a cycle U is a sparse
-near-permutation and T's powers fill in, so U is kept there.  For a Grover
-walk that is the U or T of S(g): T when n < |E|.
+The order is checked on one matrix by RationalMatrix.is_identity
+(_certificate): on U, or, when n0 + n1 < |E| (average degree above 2),
+on T', the map U's quotient T on the cell space (walks.cell_operator)
+induces on R^n / <z>, which has U's order; no power of T is I, as T z = z
+with a Jordan block at y = 2.  On a tree or a cycle U is a sparse
+near-permutation and T's powers fill in.  For a Grover walk that is the U
+or T' of S(g): T' when n < |E|.
 
 The spectral table is the paper's characterization for biregular graphs:
 every squared adjacency eigenvalue lies in the allowed-value table, the
@@ -45,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .exact import (
     HigherDegreeFactor,
@@ -205,25 +206,21 @@ def period_from_phases(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _certified_order(
-    m: RationalMatrix,
-    c: int,
-    is_identity: Callable[[RationalMatrix], bool] = RationalMatrix.is_identity,
-) -> Optional[int]:
-    """Least tau with is_identity(M^tau) if is_identity(M^c), else None.
+def _certified_order(m: RationalMatrix, c: int) -> Optional[int]:
+    """The order tau of M if M^c = I, else None.
 
-    The order divides c, so it is c unless is_identity(M^(c/p)) for a prime
-    p | c, and then it divides c/p.  M^c and every M^(c/p) come from one
-    addition chain (_chain_power), shared with the descent.
+    The order divides c, so it is c unless M^(c/p) = I for a prime p | c,
+    and then it divides c/p.  M^c and every M^(c/p) come from one addition
+    chain (_chain_power), shared with the descent.
     """
     known = {1: m}
     while True:
         primes = _prime_factors(c)
         for t in sorted({c, *(c // p for p in primes)}):
             _chain_power(known, t)
-        if not is_identity(known[c]):
+        if not known[c].is_identity():
             return None
-        smaller = next((c // p for p in primes if is_identity(known[c // p])), None)
+        smaller = next((c // p for p in primes if known[c // p].is_identity()), None)
         if smaller is None:
             return c
         c = smaller
@@ -259,34 +256,22 @@ def trace_test(u: RationalMatrix, k_max: int = TRACE_DEPTH) -> Optional[tuple[in
     return None
 
 
-def _fixes_cell_space(z: tuple[int, ...]) -> Callable[[RationalMatrix], bool]:
-    """Whether T^k stands for U^k = I: every column of T^k - I is a multiple
-    of z, i.e. row i of T^k - I is z_i z_0 times row 0."""
-
-    def test(m: RationalMatrix) -> bool:
-        den, z0 = m.den, z[0]
-        top = list(m.num[0])
-        top[0] -= den
-        for i, (row, zi) in enumerate(zip(m.num, z)):
-            row = list(row)
-            row[i] -= den
-            if row != (top if zi == z0 else [-x for x in top]):
-                return False
-        return True
-
-    return test
-
-
-def _certificate(g: Graph) -> tuple[RationalMatrix, Callable[[RationalMatrix], bool]]:
-    """The matrix a periodic verdict on the bipartite walk of g is certified
-    on, with the test that its k-th power stands for U^k = I: T on the cell
-    space when n0 + n1 < |E| (average degree above 2), else U itself, both
-    on bipartition(g).  On a cycle or a tree U is a sparse
-    near-permutation, and T's powers fill in."""
+def _certificate(g: Graph) -> RationalMatrix:
+    """The matrix with the order of the bipartite walk U of g: U when
+    n0 + n1 >= |E|, as on a cycle or a tree; else T', the map that T
+    (walks.cell_operator) induces on R^n / <z>, in the basis of the images
+    of e_1..e_(n-1).  As e_n = -z_n sum_(i<n) z_i e_i mod z, row i of T' is
+    row i of T less z_i z_n times row n, both cut before their last entry.
+    T z = z, so T'^k = I exactly when every column of T^k - I is a multiple
+    of z, that is when U^k = I."""
     if g.n < g.num_edges:
         num, den, z = cell_operator(g)
-        return RationalMatrix.from_numerators(num, den), _fixes_cell_space(z)
-    return build_bipartite_walk(g).U, RationalMatrix.is_identity
+        *rows, last = num
+        return RationalMatrix.from_numerators(
+            [[x - zi * z[-1] * y for x, y in zip(row[:-1], last)] for row, zi in zip(rows, z)],
+            den,
+        )
+    return build_bipartite_walk(g).U
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +423,10 @@ def decide_periodicity(g: Graph, kind: str = "bipartite") -> PeriodicityVerdict:
     on a biregular graph, and A on the original vertices of S(g) for a
     d-regular g.  When the graph is biregular (g regular, for a Grover
     walk) the table classifies that char-poly's roots, and its orders must
-    be those of q.  U^tau = I is checked on T, U's quotient on the cell
-    space, when n0 + n1 < |E| (average degree above 2), else on U
-    (_certificate), both on bipartition(h), the colouring _chi left
-    cached.  A graph with no edges raises GraphError, contradictory answers
-    MethodDisagreement.
+    be those of q.  U^tau = I is checked on the one matrix of _certificate,
+    on bipartition(h), the colouring _chi left cached: T', U's quotient on
+    the cell space taken mod z, when n0 + n1 < |E|, else U.  A graph with
+    no edges raises GraphError, contradictory answers MethodDisagreement.
     """
     h, b, chi, den, shift = _chi(g, kind)
     prof, notes = degree_profile(h), []
@@ -466,8 +450,7 @@ def decide_periodicity(g: Graph, kind: str = "bipartite") -> PeriodicityVerdict:
         traces = enumerate(_scaled_traces(chi, den, shift, h.n - chi.degree, h.num_edges), 1)
         witness = next(((k, str(Fraction(t, den**k))) for k, t in traces if t % den**k), None)
         return PeriodicityVerdict(False, spectral=s, trace_witness=witness, notes=tuple(notes))
-    m, is_identity = _certificate(h)
-    order = _certified_order(m, tau, is_identity)
+    order = _certified_order(_certificate(h), tau)
     if order != tau:
         raise MethodDisagreement(
             f"q gives period {tau}, but the order of U certified from U^{tau} is {order}"

@@ -19,7 +19,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
-from .exact import RationalMatrix, _int_product, mat_mul
+from .exact import RationalMatrix, _int_product, _is_scaled_identity, mat_mul
 from .graphs import Graph, GraphError, bipartition, degree_profile, subdivision
 
 
@@ -41,8 +41,11 @@ class EdgePartition:
 
 def build_partitions(g: Graph) -> tuple[EdgePartition, EdgePartition]:
     """Group edge indices by their c0 endpoint (pi0) and c1 endpoint (pi1),
-    the classes of bipartition(g)."""
+    the classes of bipartition(g).  A graph with no edges raises GraphError,
+    after bipartition(g)'s own errors."""
     b = bipartition(g)
+    if not g.num_edges:
+        raise GraphError("graph has no edges")
     cells0: dict[int, list[int]] = {v: [] for v in sorted(b.c0)}
     cells1: dict[int, list[int]] = {v: [] for v in sorted(b.c1)}
     for j, (u, v) in enumerate(g.edges):
@@ -75,10 +78,6 @@ def _cell_rows(m: int, cells: Iterable[Sequence[int]]) -> tuple[list[Row], list[
             p[e] = row
             r[e] = tuple([(f, x) for f in cell if (x := 2 * w - (den if f == e else 0))])
     return p, r, den
-
-
-def _is_scaled_identity(rows: Sequence[Sequence[int]], c: int) -> bool:
-    return all(row[i] == c and row.count(0) == len(row) - 1 for i, row in enumerate(rows))
 
 
 def _projection(
@@ -222,53 +221,41 @@ def cell_operator(g: Graph) -> tuple[list[list[int]], int, tuple[int, ...]]:
     integer numerator rows over one denominator, and z = (1, ..., 1, -1,
     ..., -1), which spans ker X for the connected g.
 
-    U is the walk on bipartition(g), and X the edge-by-vertex incidence,
-    one column per vertex, the edges of its cell.  U X = X T, and U is I on
-    X^perp, where both reflections are -I; so U^k = I exactly when every
-    column of T^k - I is a multiple of z, and, as T z = z, tr(U^k) =
-    tr(T^k) + |E| - n0 - n1.  T's basis is the
-    smaller colour class, which holds the squared block, then the other.
-    When that is c0, T is the quotient of U^T = (2Q - I)(2P - I), which has
-    U's order and traces.
+    U is the walk on bipartition(g), and X the edge-by-vertex incidence:
+    row e has a 1 at each end of edge e.  U X = X T, and U is I on X^perp,
+    where both reflections are -I; so U^k = I exactly when every column of
+    T^k - I is a multiple of z, and, as T z = z, tr(U^k) = tr(T^k) + |E| -
+    n0 - n1.  T's basis is the class periodicity._chi takes M on, the
+    smaller one (c0 on a tie), which holds the squared block, then the
+    other.  When that is c0, T is the quotient of U^T = (2Q - I)
+    (2P - I), which has U's order and traces.
 
     Checked exactly, without forming U: X z = 0, and U X = X T for every
-    column of X, applying the two reflections cell by cell to X's rows and
-    forming row e of X T as the sum of the rows of T at e's two vertices.
-    A failure raises ConstructionError, a graph with no edges GraphError.
+    column of X, applying the reflections built from build_partitions'
+    cells to X's rows and forming row e of X T as the sum of the rows of T
+    at e's two ends.  A failure raises ConstructionError, a graph with no
+    edges GraphError.
     """
-    b = bipartition(g)
-    if not g.num_edges:
-        raise GraphError("graph has no edges")
     pi0, pi1 = build_partitions(g)
-    # U = (2P - I)(2Q - I) applies the c0 cells (Q) first
-    if len(b.c0) < len(b.c1):
-        (first, c_first), (last, c_last) = (pi1, b.c1), (pi0, b.c0)
-    else:
-        (first, c_first), (last, c_last) = (pi0, b.c0), (pi1, b.c1)
-    c_first, c_last = sorted(c_first), sorted(c_last)
+    b = bipartition(g)
+    # U = (2P - I)(2Q - I) applies the c0 cells (Q) first; _chi's class,
+    # sorted first, leads T's basis, and its cells act last
+    (last, c_last), (first, c_first) = sorted(zip((pi0, pi1), b), key=lambda pc: len(pc[1]))
+    c_last, c_first = sorted(c_last), sorted(c_first)
     rows, den, z = _quotient(g, c_last, c_first)
-    columns = [last.cells[v] for v in c_last] + [first.cells[x] for x in c_first]
-    n = len(columns)
-    held: list[list[int]] = [[] for _ in range(g.num_edges)]  # row e of X: 1 in these columns
-    for c, cell in enumerate(columns):
-        for e in cell:
-            held[e].append(c)
-    if any(sum(z[c] for c in cs) for cs in held):
+    pos = {v: i for i, v in enumerate([*c_last, *c_first])}
+    ends = [(pos[u], pos[v]) for u, v in g.edges]  # row e of X: 1 at these columns
+    if any(z[i] + z[j] for i, j in ends):
         raise ConstructionError("z is not in the kernel of X")
     # a cell's size is its vertex's degree, so den = d_first d_last, and den
-    # U X is X's rows reflected by both classes' cells; row e of X T sums
-    # T's rows at e's columns
+    # U X is X's rows reflected by both classes' cells
     d_first = lcm(1, *map(len, first.cells.values()))
     d_last = lcm(1, *map(len, last.cells.values()))
-    ux = _reflect([[(c, 1) for c in cs] for cs in held], first.cells.values(), d_first, n)
+    ux = _reflect([((i, 1), (j, 1)) for i, j in ends], first.cells.values(), d_first, g.n)
     ux = [[(c, x) for c, x in enumerate(row) if x] for row in ux]
-    ux = _reflect(ux, last.cells.values(), d_last, n)
-    for w, cs in zip(ux, held):
-        acc = [0] * n
-        for c in cs:
-            acc = list(map(add, acc, rows[c]))
-        if w != acc:
-            raise ConstructionError("T does not satisfy U X = X T")
+    ux = _reflect(ux, last.cells.values(), d_last, g.n)
+    if any(w != list(map(add, rows[i], rows[j])) for w, (i, j) in zip(ux, ends)):
+        raise ConstructionError("T does not satisfy U X = X T")
     return rows, den, z
 
 
@@ -313,6 +300,8 @@ def build_grover_walk(g: Graph) -> ArcWalkOperator:
     edge list first, then all reversals."""
     if not g.is_connected():
         raise GraphError("graph is disconnected")
+    if not g.num_edges:
+        raise GraphError("graph has no edges")
     arcs = [(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges]
     n_arcs = len(arcs)
     rev, cells = _arc_maps(arcs)

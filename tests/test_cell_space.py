@@ -1,6 +1,7 @@
 """The certificate on the cell space: T of size n0 + n1 against U of size
 |E|, the U X = X T construction check, and the rule that picks the side."""
 
+import inspect
 import json
 import random
 import sys
@@ -13,7 +14,7 @@ import qwalk.exact
 import qwalk.periodicity
 import qwalk.walks
 from qwalk.cli import main
-from qwalk.exact import RationalMatrix, mat_mul
+from qwalk.exact import RationalMatrix, mat_mul, mat_pow
 from qwalk.graphs import (
     Graph,
     GraphError,
@@ -34,7 +35,6 @@ from qwalk.periodicity import (
     TRACE_DEPTH,
     _certificate,
     _certified_order,
-    _fixes_cell_space,
     decide_periodicity,
     exact_period_oracle,
     grover_period_doubling,
@@ -84,26 +84,30 @@ def _traces(m: RationalMatrix, k_max: int) -> list:
     return out
 
 
-def _cell_certificate(g: Graph):
-    """T and its identity test, on either side of the size rule, where
-    _certificate would take U."""
+def _cell_certificate(g: Graph) -> RationalMatrix:
+    """T', the map T induces on R^n / <z>, on either side of the size rule,
+    where _certificate would take U: row i is row i of T less z_i z_n times
+    row n, both without their last entry."""
     num, den, z = cell_operator(g)
-    return RationalMatrix.from_numerators(num, den), _fixes_cell_space(z)
+    t = RationalMatrix.from_numerators(num, den).data
+    n = len(z)
+    return RationalMatrix(
+        [[t[i][j] - z[i] * z[-1] * t[-1][j] for j in range(n - 1)] for i in range(n - 1)]
+    )
 
 
-def _assert_matches_u(t_cert, u: RationalMatrix, n_edges: int, n_vertices: int) -> None:
-    """T's certificate gives U's order, identity tests and traces."""
-    t, is_identity = t_cert
+def _assert_matches_u(t: RationalMatrix, u: RationalMatrix, n_edges: int, n_vertices: int) -> None:
+    """T' gives U's order, identity tests and traces: tr(T'^k) = tr(T^k) - 1."""
     tau = exact_period_oracle(u)
     cands = (1, 2, 3, 4, 6) if tau is None else (tau, 2 * tau, 6 * tau)
     for c in cands:
         expected = None if tau is None or c % tau else tau
-        assert _certified_order(t, c, is_identity) == expected, c
+        assert _certified_order(t, c) == expected, c
     t_k, u_k = t, u
     for k in range(1, 2 * (tau or 3) + 1):
-        assert is_identity(t_k) == u_k.is_identity(), k
+        assert t_k.is_identity() == u_k.is_identity(), k
         t_k, u_k = mat_mul(t_k, t), mat_mul(u_k, u)
-    shift = n_edges - n_vertices
+    shift = n_edges - n_vertices + 1
     on_t = [x + shift for x in _traces(t, TRACE_DEPTH)]
     assert on_t == _traces(u, TRACE_DEPTH)
     witness = next(((k, t) for k, t in enumerate(on_t, 1) if t.denominator != 1), None)
@@ -299,11 +303,11 @@ class TestSizeRule:
 
     @pytest.mark.parametrize("g", [complete_bipartite(4, 4), cycle(24), path(5)], ids=["k44", "c24", "p5"])
     def test_certificate_is_t_above_average_degree_two(self, g):
-        m, is_identity = _certificate(g)
+        m = _certificate(g)
         if _on_t(g):
-            assert m.rows == g.n and is_identity is not RationalMatrix.is_identity
+            assert m.rows == g.n - 1 and m == _cell_certificate(g)
         else:
-            assert m == build_bipartite_walk(g).U and is_identity is RationalMatrix.is_identity
+            assert m == build_bipartite_walk(g).U
 
     def test_c24_is_certified_on_u(self, monkeypatch, capsys, tmp_path):
         calls = []
@@ -368,11 +372,37 @@ class TestOneAdditionChain:
             return mat_mul(a, b)
 
         monkeypatch.setattr("qwalk.exact.mat_mul", counting)
-        # never the identity: every power of {c} and the c/p is made once
-        assert _certified_order(RationalMatrix.identity(3), c, lambda m: False) is None
+        # [[2]] has no power I: every power of {c} and the c/p is made once
+        assert _certified_order(RationalMatrix([[2]]), c) is None
         assert len(calls) == products
 
     @pytest.mark.parametrize("c", range(1, 65))
     def test_descent_matches_the_powers(self, c):
         u = build_bipartite_walk(cycle(8)).U  # order 4
         assert _certified_order(u, c) == (4 if c % 4 == 0 else None)
+
+    def test_takes_the_matrix_and_the_bound_alone(self):
+        assert list(inspect.signature(_certified_order).parameters) == ["m", "c"]
+
+
+class TestFoldingZOut:
+    @pytest.mark.parametrize(
+        "g,tau",
+        [
+            (complete_bipartite(2, 5), 2),
+            (complete_bipartite(4, 4), 2),
+            (subdivision(OCTAHEDRON), 12),
+        ],
+        ids=["k25", "k44", "octahedron-s"],
+    )
+    def test_t_has_no_identity_power_and_t_prime_has_u_order(self, g, tau):
+        """T fixes z with a Jordan block at y = 2, so no power of T is I even
+        though U^tau = I; T', T on R^n / <z>, has order tau."""
+        num, den, _ = cell_operator(g)
+        t = RationalMatrix.from_numerators(num, den)
+        for k in (1, 2, 4, 12):
+            assert not mat_pow(t, k).is_identity(), k
+        t_prime = _certificate(g)
+        assert mat_pow(t_prime, tau).is_identity()
+        assert _certified_order(t_prime, tau) == tau
+        assert decide_periodicity(g).period == tau

@@ -244,12 +244,11 @@ class TestPeriod:
     @pytest.mark.parametrize("kind", ["b", "g"])
     @pytest.mark.parametrize("transform", ["none", "s"])
     def test_edgeless_single_vertex(self, capsys, monkeypatch, kind, transform):
-        code, out, err = run(
-            capsys, "period", "-", "--kind", kind, "--transform", transform,
-            stdin="1\n", monkeypatch=monkeypatch,
-        )
-        assert code == 1 and out == ""
-        assert err == "qwalk: error: graph has no edges\n"
+        options = ["--kind", kind, "--transform", transform]
+        for argv in (["period", "-", *options], ["walk", "-", *options], ["verify", "-"]):
+            code, out, err = run(capsys, *argv, stdin="1\n", monkeypatch=monkeypatch)
+            assert code == 1 and out == "", argv
+            assert err == "qwalk: error: graph has no edges\n", argv
 
     def test_unknown_input(self, capsys):
         code, _, err = run(capsys, "period", "no_such_file.edges")

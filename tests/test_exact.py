@@ -25,6 +25,7 @@ from qwalk.exact import (
     _orders_of_totient_at_most,
     _root_bound,
     _signed_divisors,
+    _factor,
     _totient,
     char_poly,
     cyclotomic,
@@ -372,6 +373,21 @@ class TestSquareFree:
         assert square_free_part(1) == (1, 1)
         assert square_free_part(12) == (3, 2)
         assert square_free_part(49) == (1, 7)
+
+    def test_factor_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for n in range(1, 2001):
+            expected = {int(p): e for p, e in sympy.factorint(n).items()}
+            assert _factor(n) == expected and list(_factor(n)) == sorted(expected), n
+            assert square_free_part(n) == (
+                prod(p for p, e in expected.items() if e % 2),
+                prod(p ** (e // 2) for p, e in expected.items()),
+            ), n
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_rejects_non_positive(self, n):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            square_free_part(n)
 
 
 class TestQuadraticValue:

@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from qwalk.cli import FIXTURES
 from qwalk.graphs import (
     Graph,
     GraphError,
@@ -40,6 +43,17 @@ class TestGraphConstruction:
     def test_missing_edge_raises(self):
         with pytest.raises(GraphError):
             cycle(4).edge_index(0, 2)
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_edge_index_on_every_fixture_edge(self, name):
+        g = FIXTURES[name]()
+        for j, (u, v) in enumerate(g.edges):
+            assert g.edge_index(u, v) == g.edge_index(v, u) == j
+        # a vertex pair that is no edge, or (0, n) on a complete graph
+        pairs = ((u, v) for u in range(g.n) for v in range(u + 1, g.n))
+        missing = next((e for e in pairs if e not in g.edges), (0, g.n))
+        with pytest.raises(GraphError, match=re.escape(f"no edge {missing}")):
+            g.edge_index(*missing[::-1])
 
     @pytest.mark.parametrize(
         "n,edges",

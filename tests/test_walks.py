@@ -245,6 +245,14 @@ class TestBipartiteWalk:
         with pytest.raises(GraphError):
             build_bipartite_walk(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
+    @pytest.mark.parametrize("build", [build_bipartite_walk, build_grover_walk])
+    def test_rejects_a_graph_with_no_edges(self, build):
+        with pytest.raises(GraphError, match="^graph has no edges$"):
+            build(Graph.from_edges(1, []))
+        # the connectivity error comes first
+        with pytest.raises(GraphError, match="^graph is disconnected$"):
+            build(Graph.from_edges(2, []))
+
     def test_json_round_trip_is_bit_exact(self):
         w = build_bipartite_walk(figure1_graph())
         assert walk_from_json(walk_to_json(w)) == w
