@@ -215,21 +215,20 @@ def _print_report(doc: dict, pretty: bool) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    fam, params = args.family, args.params
+    fam, p = args.family, args.params
+    families = {
+        "cycle": lambda: cycle(int(p[0])),
+        "complete_bipartite": lambda: complete_bipartite(int(p[0]), int(p[1])),
+        "star": lambda: star(int(p[0])),
+        "circulant": lambda: circulant(
+            int(p[0]), [s * int(c) for c in p[1].split(",") for s in (1, -1)]
+        ),
+        **FIXTURES,
+    }
+    if fam not in families:
+        raise GraphError(f"unknown family {fam!r}")
     try:
-        if fam == "cycle":
-            g = cycle(int(params[0]))
-        elif fam == "complete_bipartite":
-            g = complete_bipartite(int(params[0]), int(params[1]))
-        elif fam == "star":
-            g = star(int(params[0]))
-        elif fam == "circulant":
-            conn = [int(x) for x in params[1].split(",")]
-            g = circulant(int(params[0]), conn + [-c for c in conn])
-        elif fam in FIXTURES:
-            g = FIXTURES[fam]()
-        else:
-            raise GraphError(f"unknown family {fam!r}")
+        g = families[fam]()
     except (IndexError, ValueError) as exc:
         raise GraphError(f"bad parameters for family {fam!r}: {exc}") from None
     sys.stdout.write(format_graph(g))

@@ -10,6 +10,7 @@ reduced).
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, compress, count
@@ -714,6 +715,44 @@ def _root_bound(p: IntPolynomial, cap: Optional[int] = None) -> int:
     return b if cap is None else min(b, cap)
 
 
+def _strip_quadratics(rem: IntPolynomial, bound: Optional[int], roots: Counter) -> IntPolynomial:
+    """roots_degree_le2's last stage, on a residual of degree >= 2: count the
+    roots of its irreducible monic quadratic factors in roots, and return
+    the residual, of degree < 2, or raise HigherDegreeFactor."""
+    # the candidates are x^2 + beta*x + gamma; every root has |z| <= B, so a
+    # factor's coefficients have |beta| <= 2B, |gamma| <= B^2
+    big_b = _root_bound(rem, bound)
+    # Kronecker's evaluation test: f | rem in Z[x] makes f(t) divide
+    # rem(t) for every integer t, and rem(t) != 0 as no integer root is
+    # left, so f(t) != 0 too; four remainders reject almost every
+    # candidate f before the division that decides it
+    r1, r_1, r2, r_2 = rem(1), rem(-1), rem(2), rem(-2)
+    for gamma in _signed_divisors(rem.coeffs[0], big_b * big_b):
+        g1, g2 = 1 + gamma, 4 + gamma  # f(+-1) = g1 +- beta, f(+-2) = g2 +- 2 beta
+        for beta in range(-2 * big_b, 2 * big_b + 1):
+            f1, f_1, f2, f_2 = g1 + beta, g1 - beta, g2 + 2 * beta, g2 - 2 * beta
+            while f1 and f_1 and f2 and f_2 and not (r1 % f1 or r_1 % f_1 or r2 % f2 or r_2 % f_2):
+                quo, r = poly_divmod_monic(rem, IntPolynomial.from_coeffs([gamma, beta, 1]))
+                if not r.is_zero:
+                    break
+                disc = beta * beta - 4 * gamma
+                if disc <= 0:
+                    # disc == 0 impossible here (double rational root was
+                    # stripped); disc < 0 means complex roots
+                    raise HigherDegreeFactor(f"non-real quadratic factor x^2+{beta}x+{gamma}")
+                s, f = square_free_part(disc)
+                if s == 1:
+                    # reducible; its rational roots were already stripped
+                    break
+                roots[QuadraticValue.of(Fraction(-beta, 2), Fraction(f, 2), s)] += 1
+                roots[QuadraticValue.of(Fraction(-beta, 2), -Fraction(f, 2), s)] += 1
+                rem = quo
+                if rem.degree < 2:
+                    return rem
+                r1, r_1, r2, r_2 = rem(1), rem(-1), rem(2), rem(-2)
+    raise HigherDegreeFactor(f"no degree<=2 factor of residual {rem.coeffs}")
+
+
 def roots_degree_le2(
     p: IntPolynomial, bound: Optional[int] = None
 ) -> list[tuple[QuadraticValue, int]]:
@@ -729,75 +768,32 @@ def roots_degree_le2(
     """
     if not p.is_monic:
         raise ValueError("polynomial must be monic")
-    rem = p
-    roots: dict[QuadraticValue, int] = {}
+    roots: Counter[QuadraticValue] = Counter()
+    # strip x^k: slice off the k low zero coefficients
+    k = next(i for i, c in enumerate(p.coeffs) if c)
+    rem = IntPolynomial(p.coeffs[k:])
+    if k:
+        roots[QuadraticValue.rational(0)] = k
 
-    def record(v: QuadraticValue, mult: int = 1) -> None:
-        roots[v] = roots.get(v, 0) + mult
+    # Each stage makes one ordered pass over its candidates, taken from what
+    # the stage before left, and strips each as often as it divides: a later
+    # residual divides that one, so its factors are all among them.
 
-    # strip x^k
-    while rem.degree > 0 and rem.coeffs[0] == 0:
-        rem = poly_divmod_monic(rem, IntPolynomial.from_coeffs([0, 1]))[0]
-        record(QuadraticValue.rational(0))
-
-    # strip integer roots exhaustively
-    progress = True
-    while rem.degree > 0 and progress:
-        progress = False
-        # rational roots of a monic integer polynomial divide its constant
-        # term, which stays nonzero once the powers of x are stripped, and
-        # lie within the root bound
+    # strip integer roots: rational roots of a monic integer polynomial
+    # divide its constant term, which is nonzero once the powers of x are
+    # stripped, and lie within the root bound
+    if rem.degree > 0:
         for r in _signed_divisors(rem.coeffs[0], _root_bound(rem, bound)):
             while rem.degree > 0 and rem(r) == 0:
                 rem = poly_divmod_monic(rem, IntPolynomial.from_coeffs([-r, 1]))[0]
-                record(QuadraticValue.rational(r))
-                progress = True
+                roots[QuadraticValue.rational(r)] += 1
 
-    # peel irreducible monic integer quadratics x^2 + beta*x + gamma
-    while rem.degree >= 2:
-        found = False
-        # every root has |z| <= B, so a factor's coefficients have
-        # |beta| <= 2B, |gamma| <= B^2
-        big_b = _root_bound(rem, bound)
-        gammas = _signed_divisors(rem.coeffs[0], big_b * big_b)
-        # Kronecker's evaluation test: f | rem in Z[x] makes f(t) divide
-        # rem(t) for every integer t, and rem(t) != 0 as no integer root is
-        # left, so f(t) != 0 too; four remainders reject almost every
-        # candidate f before the division that decides it
-        r1, r_1, r2, r_2 = rem(1), rem(-1), rem(2), rem(-2)
-        for gamma in gammas:
-            g1, g2 = 1 + gamma, 4 + gamma  # f(+-1) = g1 +- beta, f(+-2) = g2 +- 2 beta
-            for beta in range(-2 * big_b, 2 * big_b + 1):
-                f1, f_1, f2, f_2 = g1 + beta, g1 - beta, g2 + 2 * beta, g2 - 2 * beta
-                if not (f1 and f_1 and f2 and f_2) or r1 % f1 or r_1 % f_1 or r2 % f2 or r_2 % f_2:
-                    continue
-                q = IntPolynomial.from_coeffs([gamma, beta, 1])
-                quo, r = poly_divmod_monic(rem, q)
-                if r.is_zero:
-                    disc = beta * beta - 4 * gamma
-                    if disc <= 0:
-                        # disc == 0 impossible here (double rational root was
-                        # stripped); disc < 0 means complex roots
-                        raise HigherDegreeFactor(
-                            f"non-real quadratic factor x^2+{beta}x+{gamma}"
-                        )
-                    s, f = square_free_part(disc)
-                    if s == 1:
-                        # reducible; its rational roots were already stripped
-                        continue
-                    record(QuadraticValue.of(Fraction(-beta, 2), Fraction(f, 2), s))
-                    record(QuadraticValue.of(Fraction(-beta, 2), -Fraction(f, 2), s))
-                    rem = quo
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            raise HigherDegreeFactor(f"no degree<=2 factor of residual {rem.coeffs}")
+    if rem.degree >= 2:
+        rem = _strip_quadratics(rem, bound, roots)
 
     if rem.degree == 1:
         # monic linear remainder: root is an integer, but it escaped the
         # search only if logic above is wrong
-        record(QuadraticValue.rational(-rem.coeffs[0]))
+        roots[QuadraticValue.rational(-rem.coeffs[0])] += 1
 
     return sorted(roots.items(), key=lambda kv: (kv[0].m, kv[0].a, kv[0].b))

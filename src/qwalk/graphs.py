@@ -250,6 +250,8 @@ def subdivision(g: Graph) -> Graph:
 def bipartite_double_cover(g: Graph) -> Graph:
     """Kronecker product with a single edge: (v,0) -> v, (v,1) -> n+v, so
     bipartition() of the cover has 0..n-1 in c0."""
+    if not g.is_connected():
+        raise GraphError("graph is disconnected")
     n = g.n
     edges = []
     for u, v in g.edges:
@@ -336,6 +338,8 @@ def circulant(n: int, connection: Iterable[int]) -> Graph:
 
     The set is taken modulo n, must exclude 0 and be closed under negation.
     """
+    if n < 1:
+        raise GraphError("vertex count must be positive")
     conn = {c % n for c in connection}
     if 0 in conn or not conn:
         raise GraphError("connection set must be nonempty and exclude 0")

@@ -64,8 +64,14 @@ class TestGen:
         assert parse_graph(out) == circulant(10, [1, 4, -1, -4])
 
     def test_unknown_family(self, capsys):
-        code, _, err = run(capsys, "gen", "moebius")
-        assert code == 1 and "unknown family" in err
+        code, out, err = run(capsys, "gen", "moebius")
+        assert (code, out, err) == (1, "", "qwalk: error: unknown family 'moebius'\n")
+
+    def test_circulant_without_vertices_is_an_error_line(self, capsys):
+        code, out, err = run(capsys, "gen", "circulant", "0", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("qwalk: error: ") and err.count("\n") == 1
+        assert "vertex count must be positive" in err
 
     def test_bad_params(self, capsys):
         code, _, err = run(capsys, "gen", "cycle", "two")

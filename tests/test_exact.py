@@ -46,8 +46,11 @@ from qwalk.graphs import (
     Graph,
     bipartite_double_cover,
     bipartition,
+    circulant,
+    cycle,
     figure1_graph,
     figure4a_graph,
+    figure7_graph,
     heawood_graph,
     path,
     petersen_graph,
@@ -857,6 +860,29 @@ def test_filtered_search_divides_rarely(monkeypatch):
     with pytest.raises(HigherDegreeFactor, match="^no degree<=2 factor of residual"):
         roots_degree_le2(chi)
     assert 0 < calls <= 50
+
+
+def test_root_search_takes_one_divisor_list_per_stage(monkeypatch):
+    """One list of divisors for the integer roots and one for the constant
+    terms of the quadratic factors, however many factors are stripped."""
+    calls = 0
+    divisors = qwalk.exact._signed_divisors
+
+    def counted(n, cap):
+        nonlocal calls
+        calls += 1
+        return divisors(n, cap)
+
+    monkeypatch.setattr(qwalk.exact, "_signed_divisors", counted)
+    for g in (
+        bipartite_double_cover(figure7_graph()),
+        cycle(20),
+        subdivision(circulant(10, [1, 4, -1, -4])),
+    ):
+        chi = _table_chi(g)
+        calls = 0
+        roots_degree_le2(chi)
+        assert calls <= 2, g
 
 
 def _random_biregular(rng: random.Random, d0: int, d1: int, n0: int) -> Optional[Graph]:

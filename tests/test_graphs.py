@@ -180,8 +180,15 @@ class TestTransforms:
         assert bipartition(dg).c0 == frozenset(range(5))
 
     def test_double_cover_of_bipartite_disconnects(self):
-        with pytest.raises(GraphError):
+        msg = r"^double cover is disconnected \(input was bipartite\)$"
+        with pytest.raises(GraphError, match=msg):
             bipartite_double_cover(cycle(4))
+
+    def test_double_cover_of_a_disconnected_graph_says_so(self):
+        # two disjoint triangles: disconnected, and not bipartite
+        two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        with pytest.raises(GraphError, match="^graph is disconnected$"):
+            bipartite_double_cover(two_triangles)
 
     @pytest.mark.parametrize("transform", [subdivision, bipartite_double_cover])
     def test_too_few_edges_rejected_before_per_vertex_work(self, monkeypatch, transform):
@@ -227,6 +234,11 @@ class TestFixtures:
 
     def test_circulant_matches_cycle(self):
         assert circulant(6, [1, -1]) == cycle(6)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_circulant_needs_a_vertex(self, n):
+        with pytest.raises(GraphError, match="^vertex count must be positive$"):
+            circulant(n, [1, -1])
 
     def test_star_is_complete_bipartite(self):
         assert star(3).degrees() == [3, 1, 1, 1]
