@@ -216,20 +216,25 @@ def _print_report(doc: dict, pretty: bool) -> None:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     fam, p = args.family, args.params
+    # each family's parameter count, and its graph from that many parameters
     families = {
-        "cycle": lambda: cycle(int(p[0])),
-        "complete_bipartite": lambda: complete_bipartite(int(p[0]), int(p[1])),
-        "star": lambda: star(int(p[0])),
-        "circulant": lambda: circulant(
-            int(p[0]), [s * int(c) for c in p[1].split(",") for s in (1, -1)]
+        "cycle": (1, lambda k: cycle(int(k))),
+        "complete_bipartite": (2, lambda a, b: complete_bipartite(int(a), int(b))),
+        "star": (1, lambda k: star(int(k))),
+        "circulant": (
+            2,
+            lambda n, c: circulant(int(n), [s * int(x) for x in c.split(",") for s in (1, -1)]),
         ),
-        **FIXTURES,
+        **{name: (0, fixture) for name, fixture in FIXTURES.items()},
     }
     if fam not in families:
         raise GraphError(f"unknown family {fam!r}")
+    count, build = families[fam]
     try:
-        g = families[fam]()
-    except (IndexError, ValueError) as exc:
+        if len(p) != count:
+            raise ValueError(f"expected {count} parameter{'s' * (count != 1)}, got {len(p)}")
+        g = build(*p)
+    except ValueError as exc:
         raise GraphError(f"bad parameters for family {fam!r}: {exc}") from None
     sys.stdout.write(format_graph(g))
     return 0

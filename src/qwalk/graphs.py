@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -30,8 +31,10 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1 with a canonical edge list.
 
     An immutable value, equal and hashed by (n, edges).  A plain class, not
-    a NamedTuple, so that its derived data (adjacency, degrees,
-    connectivity, 2-colouring) can be cached on the instance.
+    a NamedTuple, so that its derived data (adjacency, degrees, incidence,
+    connectivity, 2-colouring) can be cached on the instance.  The
+    incidence, each vertex's edge indices, is the one grouping of edges by
+    vertex: the walks' cells and the line graph read it.
     """
 
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
@@ -90,16 +93,17 @@ class Graph:
         """Each vertex's neighbours, built once per graph, as shared tuples."""
         return self._adjacency
 
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's edge indices, ascending, built once per graph, as
+        shared tuples: the cell of the edges at that vertex."""
+        return self._incidence
+
     def is_connected(self) -> bool:
         return self._connected
 
     @cached_property
     def _degrees(self) -> tuple[int, ...]:
-        d = [0] * self.n
-        for u, v in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return tuple(d)
+        return tuple(map(len, self._adjacency))
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -108,6 +112,14 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         return tuple(map(tuple, adj))
+
+    @cached_property
+    def _incidence(self) -> tuple[tuple[int, ...], ...]:
+        inc: list[list[int]] = [[] for _ in range(self.n)]
+        for j, (u, v) in enumerate(self.edges):
+            inc[u].append(j)
+            inc[v].append(j)
+        return tuple(map(tuple, inc))
 
     @cached_property
     def _connected(self) -> bool:
@@ -265,17 +277,7 @@ def bipartite_double_cover(g: Graph) -> Graph:
 
 def line_graph(g: Graph) -> Graph:
     """Vertices are canonical edge indices of g; adjacency = shared endpoint."""
-    m = g.num_edges
-    at_vertex: list[list[int]] = [[] for _ in range(g.n)]
-    for j, (u, v) in enumerate(g.edges):
-        at_vertex[u].append(j)
-        at_vertex[v].append(j)
-    edges = set()
-    for cell in at_vertex:
-        for i in range(len(cell)):
-            for k in range(i + 1, len(cell)):
-                edges.add((cell[i], cell[k]))
-    return Graph.from_edges(m, edges)
+    return Graph.from_edges(g.num_edges, [e for c in g.incidence() for e in combinations(c, 2)])
 
 
 def adjacency_matrix(g: Graph) -> list[list[int]]:

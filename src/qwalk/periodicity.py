@@ -245,7 +245,10 @@ def exact_period_oracle(u: RationalMatrix) -> Optional[int]:
 def trace_test(u: RationalMatrix, k_max: int = TRACE_DEPTH) -> Optional[tuple[int, Fraction]]:
     """Integrality of tr(U^k) for k = 1..k_max: a necessary condition for
     periodicity.  Returns None on pass, else the first (k, trace) witness.
+    k_max < 1 would pass on no evidence, so it raises ValueError.
     """
+    if k_max < 1:
+        raise ValueError("k must be positive")
     power = u
     for k in range(1, k_max + 1):
         t = power.trace()

@@ -22,12 +22,11 @@ from .graphs import (
     NotBiregularError,
     adjacency_matrix,
     biadjacency,
-    bipartition,
     degree_profile,
     line_graph,
     subdivision,
 )
-from .walks import WalkOperator
+from .walks import WalkOperator, build_partitions
 
 GROUP_TOL = 1e-8
 SUPPORT_TOL = 1e-8
@@ -141,7 +140,7 @@ def complex_eigenprojection(
     """
     if not (GROUP_TOL < mu < 1 - GROUP_TOL):
         raise ValueError("mu must lie strictly between 0 and 1")
-    n0, _ = _normalized_char_matrices(w)
+    n0 = _normalized_c0_cells(w)
     gram = n0.T @ np.asarray(w.P.to_floats()) @ n0
     dec = sym_eig(gram)
     if not any(abs(v - mu) <= GROUP_TOL for v, _ in dec.eigenvalues):
@@ -164,20 +163,14 @@ def complex_eigenprojection(
     return idempotent(+1), idempotent(-1)
 
 
-def _normalized_char_matrices(w: WalkOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Columns = cells keyed by c0 (resp. c1) vertices, scaled to unit length."""
-    g, b = w.graph, bipartition(w.graph)
-    deg = g.degrees()
-    r0, r1 = sorted(b.c0), sorted(b.c1)
-    pos0 = {v: i for i, v in enumerate(r0)}
-    pos1 = {v: i for i, v in enumerate(r1)}
-    n0 = np.zeros((g.num_edges, len(r0)))
-    n1 = np.zeros((g.num_edges, len(r1)))
-    for j, (u, v) in enumerate(g.edges):
-        x0, x1 = (u, v) if u in pos0 else (v, u)
-        n0[j, pos0[x0]] = 1 / math.sqrt(deg[x0])
-        n1[j, pos1[x1]] = 1 / math.sqrt(deg[x1])
-    return n0, n1
+def _normalized_c0_cells(w: WalkOperator) -> np.ndarray:
+    """Columns = the cells of c0 from build_partitions, each scaled to unit
+    length."""
+    cells, _ = build_partitions(w.graph)
+    n0 = np.zeros((w.graph.num_edges, len(cells)))
+    for i, cell in enumerate(cells):
+        n0[list(cell), i] = 1 / math.sqrt(len(cell))
+    return n0
 
 
 def unitary_idempotents(u) -> list[tuple[float, np.ndarray]]:

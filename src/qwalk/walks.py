@@ -27,47 +27,31 @@ class ConstructionError(RuntimeError):
     """A structural invariant failed at operator construction time."""
 
 
-class EdgePartition:
-    """Edge-index cells keyed by the vertices of one color class."""
-
-    __slots__ = ("cells",)
-
-    def __init__(self, cells: dict[int, tuple[int, ...]]):
-        all_edges = [e for cell in cells.values() for e in cell]
-        if len(all_edges) != len(set(all_edges)):
-            raise ConstructionError("edge partition cells overlap")
-        self.cells = cells
+Cells = tuple[tuple[int, ...], ...]
 
 
-def build_partitions(g: Graph) -> tuple[EdgePartition, EdgePartition]:
-    """Group edge indices by their c0 endpoint (pi0) and c1 endpoint (pi1),
-    the classes of bipartition(g).  A graph with no edges raises GraphError,
-    after bipartition(g)'s own errors."""
+def build_partitions(g: Graph) -> tuple[Cells, Cells]:
+    """The cells of c0 and of c1, the classes of bipartition(g): for each
+    vertex of the class, in vertex order, its edge indices, ascending, from
+    g.incidence().  A graph with no edges raises GraphError, after
+    bipartition(g)'s own errors."""
     b = bipartition(g)
     if not g.num_edges:
         raise GraphError("graph has no edges")
-    cells0: dict[int, list[int]] = {v: [] for v in sorted(b.c0)}
-    cells1: dict[int, list[int]] = {v: [] for v in sorted(b.c1)}
-    for j, (u, v) in enumerate(g.edges):
-        x0, x1 = (u, v) if u in b.c0 else (v, u)
-        cells0[x0].append(j)
-        cells1[x1].append(j)
-    return (
-        EdgePartition({v: tuple(c) for v, c in cells0.items() if c}),
-        EdgePartition({v: tuple(c) for v, c in cells1.items() if c}),
-    )
+    inc = g.incidence()
+    return tuple(inc[v] for v in sorted(b.c0)), tuple(inc[v] for v in sorted(b.c1))
 
 
 Row = tuple[tuple[int, int], ...]
 
 
-def _cell_rows(m: int, cells: Iterable[Sequence[int]]) -> tuple[list[Row], list[Row], int]:
+def _cell_rows(m: int, cells: Sequence[Sequence[int]]) -> tuple[list[Row], list[Row], int]:
     """The nonzeros, as (column, numerator) pairs over one denominator, the
     lcm of the cell sizes, of the m rows of the projection P onto functions
     constant on the cells (a block of 1/|cell| per cell) and of its
-    reflection 2P - I.  A cell of two edges leaves 2P - I a zero diagonal,
-    which is dropped; an edge in no cell has P's row empty."""
-    cells = [sorted(cell) for cell in cells]
+    reflection 2P - I.  Each cell ascends, as from_nonzeros needs.  A cell
+    of two edges leaves 2P - I a zero diagonal, which is dropped; an edge
+    in no cell has P's row empty."""
     den = lcm(1, *map(len, cells))
     p: list[Row] = [()] * m
     r: list[Row] = [((e, -den),) for e in range(m)]
@@ -81,7 +65,7 @@ def _cell_rows(m: int, cells: Iterable[Sequence[int]]) -> tuple[list[Row], list[
 
 
 def _projection(
-    m: int, cells: Iterable[Sequence[int]], name: str
+    m: int, cells: Sequence[Sequence[int]], name: str
 ) -> tuple[RationalMatrix, list[Row], int]:
     """The cell projection P, checked symmetric and idempotent (num num =
     den num), with the nonzeros of the rows of 2P - I and their
@@ -130,8 +114,8 @@ def build_bipartite_walk(g: Graph) -> WalkOperator:
     m = g.num_edges
     # P from the c1-keyed cells, Q from the c0-keyed cells: the assignment
     # that reproduces the reference example matrices frozen in the tests
-    p, rp, dp = _projection(m, pi1.cells.values(), "P")
-    q, rq, dq = _projection(m, pi0.cells.values(), "Q")
+    p, rp, dp = _projection(m, pi1, "P")
+    q, rq, dq = _projection(m, pi0, "Q")
     u = RationalMatrix.from_numerators(_int_product(rp, rq, m), dp * dq)
     _assert_orthogonal(u, "U")
     return WalkOperator(g, p, q, u)
@@ -249,11 +233,10 @@ def cell_operator(g: Graph) -> tuple[list[list[int]], int, tuple[int, ...]]:
         raise ConstructionError("z is not in the kernel of X")
     # a cell's size is its vertex's degree, so den = d_first d_last, and den
     # U X is X's rows reflected by both classes' cells
-    d_first = lcm(1, *map(len, first.cells.values()))
-    d_last = lcm(1, *map(len, last.cells.values()))
-    ux = _reflect([((i, 1), (j, 1)) for i, j in ends], first.cells.values(), d_first, g.n)
+    d_first, d_last = lcm(*map(len, first)), lcm(*map(len, last))
+    ux = _reflect([((i, 1), (j, 1)) for i, j in ends], first, d_first, g.n)
     ux = [[(c, x) for c, x in enumerate(row) if x] for row in ux]
-    ux = _reflect(ux, last.cells.values(), d_last, g.n)
+    ux = _reflect(ux, last, d_last, g.n)
     if any(w != list(map(add, rows[i], rows[j])) for w, (i, j) in zip(ux, ends)):
         raise ConstructionError("T does not satisfy U X = X T")
     return rows, den, z
@@ -283,28 +266,26 @@ class ArcWalkOperator(NamedTuple):
         return self.U.rows
 
 
-def _arc_maps(arcs: Sequence[tuple[int, int]]) -> tuple[list[int], list[list[int]]]:
-    """The index of each arc's reversal, and the arcs grouped by head:
-    deg(h) arcs share head h, so K's block of 1/deg(h) is a cell
-    projection.  R maps arc i to its reversal, so row i of U_GW = R(2K - I)
-    is the reversal's row of 2K - I."""
-    index = {a: i for i, a in enumerate(arcs)}
-    by_head: dict[int, list[int]] = {}
-    for i, (_, h) in enumerate(arcs):
-        by_head.setdefault(h, []).append(i)
-    return [index[(h, t)] for t, h in arcs], list(by_head.values())
-
-
 def build_grover_walk(g: Graph) -> ArcWalkOperator:
     """Arc walk with canonical arc order: forward copies of the canonical
-    edge list first, then all reversals."""
+    edge list first, then all reversals.
+
+    R maps arc i to its reversal, found through the arc list, so row i of
+    U_GW = R(2K - I) is the reversal's row of 2K - I.  K's cell at head h
+    holds the deg(h) arcs into h: edge j's arc j when j = (u, h), else its
+    arc j + |E|.  The cell ascends, as the edges (u, h), u < h, precede
+    every (h, w)."""
     if not g.is_connected():
         raise GraphError("graph is disconnected")
-    if not g.num_edges:
+    m = g.num_edges
+    if not m:
         raise GraphError("graph has no edges")
-    arcs = [(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges]
+    edges = g.edges
+    arcs = [*edges, *((v, u) for u, v in edges)]
     n_arcs = len(arcs)
-    rev, cells = _arc_maps(arcs)
+    index = {a: i for i, a in enumerate(arcs)}
+    rev = [index[(h, t)] for t, h in arcs]
+    cells = [[j if edges[j][1] == h else j + m for j in inc] for h, inc in enumerate(g.incidence())]
     r = RationalMatrix.from_nonzeros([((i, 1),) for i in rev], n_arcs, 1)
     if not _is_scaled_identity(_int_product(r.nonzeros(), r.nonzeros(), n_arcs), r.den**2):
         raise ConstructionError("R is not an involution")
@@ -328,11 +309,8 @@ def grover_equals_bipartite_on_subdivision(gw: ArcWalkOperator) -> tuple[bool, l
     g = gw.graph
     sg = subdivision(g)
     w = build_bipartite_walk(sg)
-    n = g.n
-    sigma = []
-    for tail, head in gw.arcs:
-        j = g.edge_index(tail, head)
-        sigma.append(sg.edge_index(tail, n + j))
+    n, m = g.n, g.num_edges
+    sigma = [sg.edge_index(tail, n + a % m) for a, (tail, _) in enumerate(gw.arcs)]
     # both sides are in normal form, so a permutation of entries is equal
     # exactly when denominators and permuted numerators are: U_GW[a][c] is
     # U_BW[sigma[c]][sigma[a]], and (row, column, numerator) names a nonzero
@@ -427,10 +405,14 @@ def _from_json(text: str, build: Callable[[Graph], W], to_json: Callable[[W], st
     """The walk that build makes from the document's graph.  Every other
     field is derived from that graph, so the document is accepted only when
     to_json of the rebuilt walk gives it back (compared as parsed JSON);
-    anything else raises ValueError."""
+    anything else raises ValueError.  n and the edge ends must be JSON
+    integers: false and true would equal 0 and 1 in that comparison."""
     doc = json.loads(text)
     try:
-        w = build(Graph.from_edges(doc["n"], [tuple(e) for e in doc["edges"]]))
+        n, edges = doc["n"], [tuple(e) for e in doc["edges"]]
+        if any(type(x) is not int for x in chain((n,), *edges)):
+            raise ValueError("malformed walk document: n and the edge ends must be integers")
+        w = build(Graph.from_edges(n, edges))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed walk document: {exc!r}") from None
     if json.loads(to_json(w)) != doc:

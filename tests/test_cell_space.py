@@ -42,7 +42,6 @@ from qwalk.periodicity import (
 )
 from qwalk.walks import (
     ConstructionError,
-    EdgePartition,
     build_bipartite_walk,
     build_grover_walk,
     cell_operator,
@@ -218,10 +217,8 @@ class TestCellOperatorChecks:
 
         def moved(g):
             parts = list(original(g))
-            cells = dict(parts[side].cells)
-            u, v = sorted(cells)[:2]
-            cells[u], cells[v] = cells[u][:-1], cells[v] + cells[u][-1:]
-            parts[side] = EdgePartition(cells)
+            (u, v, *rest) = parts[side]
+            parts[side] = (u[:-1], v + u[-1:], *rest)
             return tuple(parts)
 
         monkeypatch.setattr(qwalk.walks, "build_partitions", moved)

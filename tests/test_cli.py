@@ -77,6 +77,19 @@ class TestGen:
         code, _, err = run(capsys, "gen", "cycle", "two")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (("cycle", "6", "7"), "'cycle': expected 1 parameter, got 2"),
+            (("cycle",), "'cycle': expected 1 parameter, got 0"),
+            (("petersen", "5"), "'petersen': expected 0 parameters, got 1"),
+            (("complete_bipartite", "2", "3", "9"), "'complete_bipartite': expected 2 parameters, got 3"),
+        ],
+    )
+    def test_wrong_parameter_count(self, capsys, argv, expected):
+        code, out, err = run(capsys, "gen", *argv)
+        assert (code, out, err) == (1, "", f"qwalk: error: bad parameters for family {expected}\n")
+
 
 class TestWalk:
     def test_figure1_operator_round_trips(self, capsys):
@@ -363,6 +376,16 @@ class TestVerify:
         assert code == 0
         checks = json.loads(out)["checks"]
         assert "block_identity_k1" not in checks
+
+    def test_verify_groups_edges_once_per_graph(self, capsys, monkeypatch):
+        """`qwalk verify k33` builds g's incidence once, for U_GW and the
+        block identities' U_BW, and that of S(g) once, for U_BW(S(g))."""
+        seen = []
+        prop = Graph.__dict__["_incidence"]
+        monkeypatch.setattr(prop, "func", lambda g, f=prop.func: seen.append(g) or f(g))
+        assert run(capsys, "verify", "k33")[0] == 0
+        g = complete_bipartite(3, 3)
+        assert seen == [g, subdivision(g)]
 
 
 class TestUsageErrors:

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -27,6 +28,12 @@ from qwalk.graphs import (
     star,
     subdivision,
 )
+from test_walks import random_connected_graph
+
+# the fixtures and seeded random connected graphs
+INCIDENCE_GRAPHS = {name: FIXTURES[name]() for name in sorted(FIXTURES)} | {
+    f"random{seed}": random_connected_graph(random.Random(seed)) for seed in range(20)
+}
 
 
 class TestGraphConstruction:
@@ -210,6 +217,28 @@ class TestTransforms:
         g = petersen_graph()
         expected = sum(d * (d - 1) // 2 for d in g.degrees())
         assert line_graph(g).num_edges == expected
+
+
+class TestIncidence:
+    @pytest.mark.parametrize("g", INCIDENCE_GRAPHS.values(), ids=INCIDENCE_GRAPHS)
+    def test_each_edge_is_listed_at_its_two_ends_in_ascending_order(self, g):
+        inc = g.incidence()
+        assert inc is g.incidence() and len(inc) == g.n
+        assert all(list(cell) == sorted(set(cell)) for cell in inc)
+        ends: dict[int, list[int]] = {}
+        for v, cell in enumerate(inc):
+            for j in cell:
+                ends.setdefault(j, []).append(v)
+        assert ends == {j: list(e) for j, e in enumerate(g.edges)}
+
+    @pytest.mark.parametrize("g", INCIDENCE_GRAPHS.values(), ids=INCIDENCE_GRAPHS)
+    def test_line_graph_matches_networkx(self, g):
+        nx = pytest.importorskip("networkx")
+        h = nx.Graph(g.edges)
+        h.add_nodes_from(range(g.n))
+        index = {e: j for j, e in enumerate(g.edges)}
+        edges = [(index[tuple(sorted(a))], index[tuple(sorted(b))]) for a, b in nx.line_graph(h).edges]
+        assert line_graph(g) == Graph.from_edges(g.num_edges, edges)
 
 
 class TestFixtures:

@@ -160,6 +160,11 @@ class TestTraceTest:
     def test_heawood_fails(self):
         assert trace_test(build_bipartite_walk(heawood_graph()).U) is not None
 
+    @pytest.mark.parametrize("k_max", [0, -3])
+    def test_no_power_is_no_pass(self, k_max):
+        with pytest.raises(ValueError, match="^k must be positive$"):
+            trace_test(build_bipartite_walk(figure1_graph()).U, k_max)
+
 
 class TestSpectralTest:
     def test_c6_periodic(self):
@@ -733,7 +738,8 @@ class TestOnePowerPass:
                 power = mat_mul(power, u)
             return None
 
-        for k_max in (0, 1, 2, 5, TRACE_DEPTH, 20):
+        # k_max = 0 raises: TestTraceTest.test_no_power_is_no_pass
+        for k_max in (1, 2, 5, TRACE_DEPTH, 20):
             assert trace_test(u, k_max) == reference(k_max), k_max
 
 

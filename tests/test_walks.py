@@ -30,8 +30,8 @@ from qwalk.graphs import (
 )
 from qwalk.walks import (
     ConstructionError,
-    EdgePartition,
     _entries_to_strings,
+    _projection,
     block_identity_check,
     block_identity_checks,
     build_bipartite_walk,
@@ -377,9 +377,17 @@ class TestConstructionChecks:
     builds; a walk operator is the first with a negative entry)."""
 
     def test_overlapping_cells(self):
+        """Edge 1 in two cells takes the second cell's row of P, which the
+        first cell's column 1 does not mirror."""
         with pytest.raises(ConstructionError) as exc:
-            EdgePartition({0: (0, 1), 1: (1, 2)})
-        assert str(exc.value) == "edge partition cells overlap"
+            _projection(3, [(0, 1), (1, 2)], "P")
+        assert str(exc.value) == "P is not symmetric"
+
+    def test_a_cell_out_of_order(self):
+        """Cells are placed as they come, so one that does not ascend is
+        refused, not sorted."""
+        with pytest.raises(ValueError, match="^not the nonzeros of a row of 3 columns"):
+            _projection(3, [(1, 0), (2,)], "P")
 
     @pytest.mark.parametrize(
         "name,pick,entry,message",
@@ -553,17 +561,24 @@ def _reverse_edges(doc: dict) -> None:
     doc["edges"].reverse()
 
 
+def _boolean_ends(doc: dict) -> None:
+    """Vertices 0 and 1 as JSON false and true, which equal them in Python."""
+    for name in ("edges", "arcs"):
+        if name in doc:
+            doc[name] = [[bool(x) if x < 2 else x for x in e] for e in doc[name]]
+
+
 # (loader, the walk document of C4 it reads, the tamperings that apply to it)
 LOADERS = {
     "bipartite": (
         walk_from_json,
         walk_to_json(build_bipartite_walk(cycle(4))),
-        (_bump_u, _swap_classes, _wrong_classes, _wrong_profile, _reverse_edges),
+        (_bump_u, _swap_classes, _wrong_classes, _wrong_profile, _reverse_edges, _boolean_ends),
     ),
     "grover": (
         grover_from_json,
         grover_to_json(build_grover_walk(cycle(4))),
-        (_bump_u, _bogus_arc, _reverse_edges),
+        (_bump_u, _bogus_arc, _reverse_edges, _boolean_ends),
     ),
 }
 
