@@ -246,12 +246,10 @@ def cmd_walk(args: argparse.Namespace) -> int:
     kind = _kind_name(args.kind)
     if kind == "bipartite":
         w = build_bipartite_walk(g)
-        doc = walk_to_json(w)
-        matrices = [("P", w.P), ("Q", w.Q), ("U", w.U)]
+        to_json, matrices = walk_to_json, [("P", w.P), ("Q", w.Q), ("U", w.U)]
     else:
         w = build_grover_walk(g)
-        doc = grover_to_json(w)
-        matrices = [("R", w.R), ("K", w.K), ("U", w.U)]
+        to_json, matrices = grover_to_json, [("R", w.R), ("K", w.K), ("U", w.U)]
     if args.pretty:
         print(f"{kind} walk, dim {w.dim}")
         for name, m in matrices:
@@ -259,7 +257,7 @@ def cmd_walk(args: argparse.Namespace) -> int:
             for row in m.data:
                 print("  [" + "  ".join(f"{str(x):>6}" for x in row) + "]")
     else:
-        print(doc)
+        print(to_json(w))
     return 0
 
 

@@ -370,11 +370,13 @@ def state_periodicity(w: WalkOperator, edge: int) -> bool:
     the edge index?  An index out of range raises ValueError.
 
     The state is periodic iff its local minimal polynomial mu under U has
-    integer coefficients.  U is orthogonal (every build checks U U^T = I),
-    so the roots of mu are simple eigenvalues of modulus 1; if mu is monic
-    integral they are roots of unity (Kronecker), and U^tau e_a = e_a for
-    tau the lcm of their orders.  Conversely U^tau e_a = e_a makes mu a
-    monic rational divisor of x^tau - 1, hence integral (Gauss's lemma).
+    integer coefficients.  U is orthogonal: every build checks
+    (2P - I) U = 2Q - I, which holds only for U = (2P - I)(2Q - I), a
+    product of two reflections.  So the roots of mu are simple eigenvalues
+    of modulus 1; if mu is monic integral they are roots of unity
+    (Kronecker), and U^tau e_a = e_a for tau the lcm of their orders.
+    Conversely U^tau e_a = e_a makes mu a monic rational divisor of
+    x^tau - 1, hence integral (Gauss's lemma).
     So this is the test "mu is a product of distinct cyclotomic
     polynomials" (Godsil, "Periodic graphs", EJC 18, 2011).
     """

@@ -93,6 +93,24 @@ def _assert_orthogonal(u: RationalMatrix, name: str) -> None:
         raise ConstructionError(f"{name} is not orthogonal")
 
 
+def _assert_reflection_product(
+    u: RationalMatrix, cells: Cells, dp: int, rq: Sequence[Row], dq: int
+) -> None:
+    """(2P - I) U = 2Q - I, for P the projection onto functions constant on
+    the cells, over dp = lcm of their sizes, and the rows rq of 2Q - I over
+    dq.  _reflect turns U's nonzeros into the rows of dp (2P - I) num, and
+    dq times each must be dp den times its row of rq.  _projection has
+    checked P and Q symmetric and idempotent, so both reflections are
+    symmetric involutions, and this holds exactly when U = (2P - I)(2Q - I),
+    which is orthogonal.  It is at least as strict as U^T U = I, which an
+    orthogonal U that is not this product passes.  The cost is two
+    additions per nonzero of U and a dense row per edge."""
+    c = u.den * dp
+    for acc, want in zip(_reflect(u.nonzeros(), cells, dp, u.cols), rq):
+        if acc.count(0) != len(acc) - len(want) or any(dq * acc[j] != c * x for j, x in want):
+            raise ConstructionError("U is not orthogonal")
+
+
 class WalkOperator(NamedTuple):
     """Bipartite walk operator with its exact ingredients; its classes are
     those of bipartition(graph)."""
@@ -117,7 +135,7 @@ def build_bipartite_walk(g: Graph) -> WalkOperator:
     p, rp, dp = _projection(m, pi1, "P")
     q, rq, dq = _projection(m, pi0, "Q")
     u = RationalMatrix.from_numerators(_int_product(rp, rq, m), dp * dq)
-    _assert_orthogonal(u, "U")
+    _assert_reflection_product(u, pi1, dp, rq, dq)
     return WalkOperator(g, p, q, u)
 
 
@@ -329,7 +347,10 @@ def block_identity_checks(gw: ArcWalkOperator, k_max: int) -> list[bool]:
     arc j = (u, v) of build_grover_walk points into v, so edge j takes arc
     j when v is in c1, else arc j + |E|.  In that basis U_GW^(2k) must
     equal the block diagonal of (U_BW^k)^T and U_BW^k exactly.  U_BW comes
-    from its checked builder, once, and both powers step up by one product
+    from its checked builder, once.  U_GW^2 is one product; when it equals
+    the block diagonal at k = 1, U_GW^(2k) is the block diagonal of the
+    k-th powers of its blocks, so every k passes with no further product.
+    Only after a failure at k = 1 do both powers step up, by one product
     per k, by U_GW^2 and by U_BW.
     """
     if k_max < 1:
@@ -345,20 +366,24 @@ def block_identity_checks(gw: ArcWalkOperator, k_max: int) -> list[bool]:
     u_gw = RationalMatrix.from_nonzeros(
         [sorted((order[c], x) for c, x in nz[a]) for a in order], 2 * m, gw.U.den
     )
-    step = mat_mul(u_gw, u_gw)
-    even, ubk = step, u_bw
-    results = []
-    for k in range(1, k_max + 1):
-        if k > 1:
-            even, ubk = mat_mul(even, step), mat_mul(ubk, u_bw)
+
+    def splits(even: RationalMatrix, ubk: RationalMatrix) -> bool:
         # the zero blocks leave the normal form's gcd alone, so the identity
         # holds exactly when the denominators and the numerator blocks agree
         top, bottom = even.num[:m], even.num[m:]
-        results.append(
+        return (
             even.den == ubk.den
             and all(row[:m] == col and not any(row[m:]) for row, col in zip(top, zip(*ubk.num)))
             and all(not any(row[:m]) and row[m:] == u for row, u in zip(bottom, ubk.num))
         )
+
+    step = mat_mul(u_gw, u_gw)
+    if splits(step, u_bw):
+        return [True] * k_max
+    results, even, ubk = [False], step, u_bw
+    for _ in range(2, k_max + 1):
+        even, ubk = mat_mul(even, step), mat_mul(ubk, u_bw)
+        results.append(splits(even, ubk))
     return results
 
 

@@ -29,13 +29,16 @@ from qwalk.graphs import (
     subdivision,
 )
 from qwalk.walks import (
+    ArcWalkOperator,
     ConstructionError,
+    _assert_orthogonal,
     _entries_to_strings,
     _projection,
     block_identity_check,
     block_identity_checks,
     build_bipartite_walk,
     build_grover_walk,
+    build_partitions,
     grover_equals_bipartite_on_subdivision,
     grover_from_json,
     grover_to_json,
@@ -163,12 +166,18 @@ def _definitional_grover(arcs: list) -> tuple[RationalMatrix, RationalMatrix, Ra
     return r, k, mat_mul(r, _reflection(k))
 
 
-def _definitional_block_identity(g: Graph, j: int) -> bool:
+def _definitional_block_identity(g: Graph, j: int, gw: ArcWalkOperator | None = None) -> bool:
     """U_GW^(2j) == diag((U_BW^j)^T, U_BW^j) with the arcs into c1 first,
-    each power taken afresh by mat_pow."""
+    each power taken afresh by mat_pow.  U_GW is the definitional one, or
+    gw's U moved into that arc order by a permutation matrix."""
     b = bipartition(g)
     into_c1 = [((u, v) if v in b.c1 else (v, u)) for u, v in g.edges]
-    _, _, u_gw = _definitional_grover(into_c1 + [(t, o) for o, t in into_c1])
+    arcs = into_c1 + [(t, o) for o, t in into_c1]
+    if gw is None:
+        _, _, u_gw = _definitional_grover(arcs)
+    else:
+        s = RationalMatrix([[int(a == c) for c in gw.arcs] for a in arcs])
+        u_gw = mat_mul(mat_mul(s, gw.U), s.transpose())
     ubk = mat_pow(_definitional_bipartite(g)[2], j).data
     m = g.num_edges
     zero = [F(0)] * m
@@ -324,10 +333,12 @@ class TestStructuralIdentities:
             with pytest.raises(ValueError, match="k must be positive"):
                 check(build_grover_walk(cycle(4)), 0)
 
-    def test_verify_builds_once_and_steps_one_product_per_power(self, monkeypatch, tmp_path):
+    def test_verify_builds_once_and_takes_one_product_when_the_identity_holds(
+        self, monkeypatch, tmp_path
+    ):
         # each walk of g is built once, U_GW(g) for both checks; U_GW^2 is
-        # one product, then each of k = 2..4 takes one product for
-        # U_GW^(2k) and one for U_BW^k
+        # one product, and as it splits into U_BW's blocks, k = 2..4 pass
+        # without another
         g = complete_bipartite(4, 4)
         builds, products = [], []
 
@@ -358,7 +369,26 @@ class TestStructuralIdentities:
             ("build_grover_walk", g),
         ]
         assert len(builds) == len(expected) and all(b in builds for b in expected)
+        assert len(products) == 1
+
+    def test_a_failure_at_k1_steps_both_powers(self, monkeypatch):
+        # with U = R, U_GW^(2k) = I, which splits exactly when U_BW^k = I;
+        # C4's bipartite walk has order 2
+        g = cycle(4)
+        gw = build_grover_walk(g)
+        swap = gw._replace(U=gw.R)
+        products = []
+
+        def counting_mul(a, b):
+            products.append((a.rows, b.cols))
+            return mat_mul(a, b)
+
+        monkeypatch.setattr("qwalk.walks.mat_mul", counting_mul)
+        checks = block_identity_checks(swap, 4)
+        assert checks == [False, True, False, True]
+        # U_GW^2, then one product each for U_GW^(2k) and U_BW^k, k = 2..4
         assert len(products) == 7
+        assert checks == [_definitional_block_identity(g, j, swap) for j in range(1, 5)]
 
     def test_even_power_consistency(self):
         """U_GW^2 restricted blocks commute with direct bipartite powers."""
@@ -422,6 +452,79 @@ class TestConstructionChecks:
         with pytest.raises(ConstructionError) as exc:
             build_grover_walk(petersen_graph())
         assert str(exc.value) == message
+
+    def test_an_orthogonal_u_that_is_not_the_product(self, monkeypatch):
+        """U^T = (2Q - I)(2P - I) in place of U is orthogonal, so the Gram
+        check passes it, but (2P - I) U = 2Q - I does not."""
+        from_numerators = RationalMatrix.from_numerators.__func__
+        built = []
+
+        def transposed(cls, num, den):
+            built.append(from_numerators(cls, [list(col) for col in zip(*num)], den))
+            return built[-1]
+
+        g = figure1_graph()
+        assert build_bipartite_walk(g).U != build_bipartite_walk(g).U.transpose()
+        monkeypatch.setattr(RationalMatrix, "from_numerators", classmethod(transposed))
+        with pytest.raises(ConstructionError) as exc:
+            build_bipartite_walk(g)
+        assert str(exc.value) == "U is not orthogonal"
+        _assert_orthogonal(built[-1], "U")
+
+    @pytest.mark.parametrize("family", sorted(BIPARTITE_FAMILIES))
+    def test_single_entry_corruptions_of_u(self, monkeypatch, family):
+        """Each seeded change of one entry of U fails the build, as it fails
+        the Gram check U^T U = I."""
+        from_numerators = RationalMatrix.from_numerators.__func__
+        for seed in range(10):
+            rng = random.Random(seed)
+            g = BIPARTITE_FAMILIES[family](rng)
+            m = g.num_edges
+            i, j, shift = rng.randrange(m), rng.randrange(m), rng.choice([-2, -1, 1, 2])
+            built = []
+
+            def corrupted(cls, num, den):
+                num = [list(row) for row in num]
+                num[i][j] += shift
+                built.append(from_numerators(cls, num, den))
+                return built[-1]
+
+            monkeypatch.setattr(RationalMatrix, "from_numerators", classmethod(corrupted))
+            with pytest.raises(ConstructionError) as exc:
+                build_bipartite_walk(g)
+            assert str(exc.value) == "U is not orthogonal"
+            monkeypatch.undo()
+            with pytest.raises(ConstructionError):
+                _assert_orthogonal(built[-1], "U")
+
+    def test_build_cost_follows_the_nonzeros(self, monkeypatch):
+        """On K_{10,10} the build's multiply-adds stay under nnz(U) times
+        the largest cell, with P's and Q's idempotence checks (the cube of
+        each cell) and (2P - I)(2Q - I), integer products all three.  U's
+        check reflects U's nonzeros, two additions each.  The Gram check
+        alone took sum nnz(row)^2, twenty times the whole."""
+        g = complete_bipartite(10, 10)
+        product, reflect = qwalk.exact._int_product, qwalk.walks._reflect
+        counts = {"product": 0, "reflect": 0}
+
+        def counting_product(a, b, cols):
+            counts["product"] += sum(len(b[k]) for row in a for k, _ in row)
+            return product(a, b, cols)
+
+        def counting_reflect(rows, cells, den, n):
+            counts["reflect"] += 2 * sum(map(len, rows))
+            return reflect(rows, cells, den, n)
+
+        monkeypatch.setattr(qwalk.walks, "_int_product", counting_product)
+        monkeypatch.setattr(qwalk.walks, "_reflect", counting_reflect)
+        u = build_bipartite_walk(g).U
+        cells = [c for pi in build_partitions(g) for c in pi]
+        largest, nnz = max(map(len, cells)), sum(map(len, u.nonzeros()))
+        projections = sum(len(c) ** 3 for c in cells)
+        assert counts == {"product": projections + g.num_edges * largest**2, "reflect": 2 * nnz}
+        total = sum(counts.values())
+        assert total <= nnz * largest + projections + g.num_edges * largest**2
+        assert 20 * total <= sum(len(row) ** 2 for row in u.nonzeros())
 
     def test_repeated_edge_reverses_into_the_wrong_arc(self):
         # bypasses Graph.from_edges, which rejects the duplicate: both
