@@ -15,13 +15,14 @@ verdict.  A graph with no edges is an input error for every command that
 reads a graph: walk, period and verify.
 
 Exit codes: 0 periodic / success, 3 non-periodic, 5 internal method
-disagreement, 1 usage or input error.
+disagreement, 1 usage or input error, or stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from functools import lru_cache
@@ -50,6 +51,7 @@ from .graphs import (
 from .periodicity import MethodDisagreement, PeriodicityVerdict, decide_periodicity
 from .scan import MAX_SCAN_EDGES, scan_periodicity
 from .walks import (
+    _entries_to_strings,
     block_identity_checks,
     build_bipartite_walk,
     build_grover_walk,
@@ -254,8 +256,8 @@ def cmd_walk(args: argparse.Namespace) -> int:
         print(f"{kind} walk, dim {w.dim}")
         for name, m in matrices:
             print(f"{name} =")
-            for row in m.data:
-                print("  [" + "  ".join(f"{str(x):>6}" for x in row) + "]")
+            for row in _entries_to_strings(m):
+                print("  [" + "  ".join(f"{x:>6}" for x in row) + "]")
     else:
         print(to_json(w))
     return 0
@@ -379,6 +381,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except GraphError as exc:
         print(f"qwalk: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed stdout: the flush at exit writes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
 
 

@@ -168,7 +168,9 @@ class RationalMatrix:
 
     def is_identity(self) -> bool:
         """In normal form the identity has den 1 and unit numerator rows."""
-        return self.den == 1 and self.is_square and _is_scaled_identity(self.num, 1)
+        return self.den == 1 and self.is_square and all(
+            row[i] == 1 and row.count(0) == len(row) - 1 for i, row in enumerate(self.num)
+        )
 
     def to_floats(self) -> list[list[float]]:
         den = self.den
@@ -204,11 +206,6 @@ def _int_product(
                 acc[j] += x * y
         out.append(acc)
     return out
-
-
-def _is_scaled_identity(rows: Sequence[Sequence[int]], c: int) -> bool:
-    """Whether the square integer rows are c times the identity."""
-    return all(row[i] == c and row.count(0) == len(row) - 1 for i, row in enumerate(rows))
 
 
 def _chain_power(known: dict[int, RationalMatrix], t: int) -> RationalMatrix:

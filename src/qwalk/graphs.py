@@ -9,7 +9,6 @@ are reproducible bit for bit.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
@@ -33,8 +32,10 @@ class Graph:
     An immutable value, equal and hashed by (n, edges).  A plain class, not
     a NamedTuple, so that its derived data (adjacency, degrees, incidence,
     connectivity, 2-colouring) can be cached on the instance.  The
-    incidence, each vertex's edge indices, is the one grouping of edges by
-    vertex: the walks' cells and the line graph read it.
+    incidence is the one grouping of edge indices by vertex: the walks'
+    cells and the line graph read it.  The neighbour lists keep their own
+    loop, which measured faster than reading them from the incidence.
+    Connectivity and the 2-colouring come from one search.
     """
 
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
@@ -122,38 +123,35 @@ class Graph:
         return tuple(map(tuple, inc))
 
     @cached_property
-    def _connected(self) -> bool:
-        if self.n == 1:
-            return True
-        if self.n > self.num_edges + 1:  # a spanning tree needs n - 1 edges
-            return False
-        adj = self.neighbors()
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
+    def _search(self) -> tuple[list[int], bool]:
+        """The one BFS from vertex 0: each vertex's colour, the parity of
+        its distance from 0 (-1 where the search did not reach it), and
+        whether some edge joins two vertices of the same colour."""
+        adj, color, odd = self.neighbors(), [-1] * self.n, False
+        color[0] = 0
+        queue = [0]
+        for x in queue:  # the search appends to the list it walks
+            c = 1 - color[x]
             for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
+                if color[y] == -1:
+                    color[y] = c
                     queue.append(y)
-        return len(seen) == self.n
+                elif color[y] != c:
+                    odd = True
+        return color, odd
+
+    @cached_property
+    def _connected(self) -> bool:
+        # a spanning tree needs n - 1 edges: with fewer, no search runs
+        return self.n <= self.num_edges + 1 and -1 not in self._search[0]
 
     @cached_property
     def _colouring(self) -> Optional[Bipartition]:
-        """The BFS 2-colouring from vertex 0 of the connected graph, None on
-        an odd cycle."""
-        color = [-1] * self.n
-        color[0] = 0
-        adj = self.neighbors()
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if color[y] == -1:
-                    color[y] = 1 - color[x]
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    return None
+        """The search's 2-colouring of the connected graph, None on an odd
+        cycle."""
+        color, odd = self._search
+        if odd:
+            return None
         c0 = frozenset(v for v, c in enumerate(color) if c == 0)
         return Bipartition(c0, frozenset(range(self.n)) - c0)
 

@@ -9,6 +9,8 @@ graph entry for entry.
 Grover (arc) walk: U_GW = R(2K - I) on arc space, with R the arc-reversal
 permutation and K the head-averaging projection.  K = D*D is kept instead
 of the coin matrix D itself so every entry stays rational.
+Each walk, a product of two involutions, is checked by one identity on
+its nonzeros: (2P - I)U = 2Q - I, and R U_GW = 2K - I.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
-from .exact import RationalMatrix, _int_product, _is_scaled_identity, mat_mul
+from .exact import RationalMatrix, _int_product, mat_mul
 from .graphs import Graph, GraphError, bipartition, degree_profile, subdivision
 
 
@@ -64,51 +66,30 @@ def _cell_rows(m: int, cells: Sequence[Sequence[int]]) -> tuple[list[Row], list[
     return p, r, den
 
 
+def _rows_equal(dense: Iterable[Sequence[int]], dd: int, rows: Iterable[Row], dr: int) -> bool:
+    """Whether the dense integer rows over dd equal the rows given by their
+    nonzeros over dr: per row, first the count of zeros, then each nonzero,
+    the denominators cross-multiplied."""
+    return all(
+        d.count(0) == len(d) - len(r) and all(dr * d[j] == dd * x for j, x in r)
+        for d, r in zip(dense, rows)
+    )
+
+
 def _projection(
     m: int, cells: Sequence[Sequence[int]], name: str
 ) -> tuple[RationalMatrix, list[Row], int]:
     """The cell projection P, checked symmetric and idempotent (num num =
-    den num), with the nonzeros of the rows of 2P - I and their
-    denominator."""
+    den num, compared on P's nonzeros), with the nonzeros of the rows of
+    2P - I and their denominator."""
     rows, refl, den = _cell_rows(m, cells)
     p = RationalMatrix.from_nonzeros(rows, m, den)
     if p.num != tuple(zip(*p.num)):
         raise ConstructionError(f"{name} is not symmetric")
     nz = p.nonzeros()
-    if _int_product(nz, nz, m) != [[p.den * x for x in row] for row in p.num]:
+    if not _rows_equal(_int_product(nz, nz, m), p.den, nz, 1):
         raise ConstructionError(f"{name} is not idempotent")
     return p, refl, den
-
-
-def _assert_orthogonal(u: RationalMatrix, name: str) -> None:
-    """U^T U = I, so U U^T = I for the square U: num^T num = den^2 I, the
-    sum over the rows of the outer products of their nonzeros."""
-    gram = [[0] * u.cols for _ in range(u.cols)]
-    for row in u.nonzeros():
-        for j, x in row:
-            acc = gram[j]
-            for k, y in row:
-                acc[k] += x * y
-    if not _is_scaled_identity(gram, u.den**2):
-        raise ConstructionError(f"{name} is not orthogonal")
-
-
-def _assert_reflection_product(
-    u: RationalMatrix, cells: Cells, dp: int, rq: Sequence[Row], dq: int
-) -> None:
-    """(2P - I) U = 2Q - I, for P the projection onto functions constant on
-    the cells, over dp = lcm of their sizes, and the rows rq of 2Q - I over
-    dq.  _reflect turns U's nonzeros into the rows of dp (2P - I) num, and
-    dq times each must be dp den times its row of rq.  _projection has
-    checked P and Q symmetric and idempotent, so both reflections are
-    symmetric involutions, and this holds exactly when U = (2P - I)(2Q - I),
-    which is orthogonal.  It is at least as strict as U^T U = I, which an
-    orthogonal U that is not this product passes.  The cost is two
-    additions per nonzero of U and a dense row per edge."""
-    c = u.den * dp
-    for acc, want in zip(_reflect(u.nonzeros(), cells, dp, u.cols), rq):
-        if acc.count(0) != len(acc) - len(want) or any(dq * acc[j] != c * x for j, x in want):
-            raise ConstructionError("U is not orthogonal")
 
 
 class WalkOperator(NamedTuple):
@@ -127,7 +108,10 @@ class WalkOperator(NamedTuple):
 
 def build_bipartite_walk(g: Graph) -> WalkOperator:
     """Assemble U = (2P-I)(2Q-I) on the classes of bipartition(g); all
-    invariants verified at construction."""
+    invariants verified at construction.  P and Q are symmetric
+    idempotents, so (2P - I)U = 2Q - I, on _reflect's rows of U's nonzeros,
+    holds only for U = (2P - I)(2Q - I), which is orthogonal; it refuses
+    U^T, which U^T U = I passes."""
     pi0, pi1 = build_partitions(g)
     m = g.num_edges
     # P from the c1-keyed cells, Q from the c0-keyed cells: the assignment
@@ -135,7 +119,8 @@ def build_bipartite_walk(g: Graph) -> WalkOperator:
     p, rp, dp = _projection(m, pi1, "P")
     q, rq, dq = _projection(m, pi0, "Q")
     u = RationalMatrix.from_numerators(_int_product(rp, rq, m), dp * dq)
-    _assert_reflection_product(u, pi1, dp, rq, dq)
+    if not _rows_equal(_reflect(u.nonzeros(), pi1, dp, m), u.den * dp, rq, dq):
+        raise ConstructionError("U is not orthogonal")
     return WalkOperator(g, p, q, u)
 
 
@@ -266,7 +251,8 @@ def cell_operator(g: Graph) -> tuple[list[list[int]], int, tuple[int, ...]]:
 
 
 class ArcWalkOperator(NamedTuple):
-    """Arc walk operator U_GW = R(2K - I) with its arc index map.
+    """Arc walk operator U_GW = R(2K - I) with its arc index map, checked
+    by R U_GW = 2K - I on its nonzeros.
 
     arcs[j] = (tail, head): the arc leaves its tail and points into its
     head.  Arc j and arc j + |E| are mutual reversals in the canonical
@@ -292,7 +278,12 @@ def build_grover_walk(g: Graph) -> ArcWalkOperator:
     U_GW = R(2K - I) is the reversal's row of 2K - I.  K's cell at head h
     holds the deg(h) arcs into h: edge j's arc j when j = (u, h), else its
     arc j + |E|.  The cell ascends, as the edges (u, h), u < h, precede
-    every (h, w)."""
+    every (h, w).
+
+    Each row of R must be a single 1 at an arc whose row points back: R is
+    an involution.  K is a symmetric idempotent, so R U_GW = 2K - I, with
+    2K - I from the built K's nonzeros, holds only for U_GW = R(2K - I),
+    which is orthogonal; it refuses U_GW^T, which U^T U = I passes."""
     if not g.is_connected():
         raise GraphError("graph is disconnected")
     m = g.num_edges
@@ -305,11 +296,18 @@ def build_grover_walk(g: Graph) -> ArcWalkOperator:
     rev = [index[(h, t)] for t, h in arcs]
     cells = [[j if edges[j][1] == h else j + m for j in inc] for h, inc in enumerate(g.incidence())]
     r = RationalMatrix.from_nonzeros([((i, 1),) for i in rev], n_arcs, 1)
-    if not _is_scaled_identity(_int_product(r.nonzeros(), r.nonzeros(), n_arcs), r.den**2):
+    nz = r.nonzeros()
+    if r.den != 1 or any(len(row) != 1 or nz[row[0][0]] != ((i, 1),) for i, row in enumerate(nz)):
         raise ConstructionError("R is not an involution")
     k, refl, den = _projection(n_arcs, cells, "K")
     u = RationalMatrix.from_nonzeros([refl[j] for j in rev], n_arcs, den)
-    _assert_orthogonal(u, "U_GW")
+    # K[i][i] = sum_j K[i][j]^2 holds the diagonal in every nonzero row
+    want = [
+        [(j, y) for j, x in row if (y := 2 * x - k.den * (i == j))] or [(i, -k.den)]
+        for i, row in enumerate(k.nonzeros())
+    ]
+    if not _rows_equal((u.num[j] for ((j, _),) in nz), u.den, want, k.den):
+        raise ConstructionError("U_GW is not orthogonal")
     return ArcWalkOperator(g, tuple(arcs), r, k, u)
 
 

@@ -1,7 +1,10 @@
 import argparse
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -27,7 +30,7 @@ from qwalk.graphs import (
     subdivision,
 )
 from qwalk.periodicity import MethodDisagreement, decide_periodicity
-from qwalk.walks import walk_from_json
+from qwalk.walks import build_bipartite_walk, build_grover_walk, walk_from_json
 
 P5 = format_graph(path(5))
 CIRCULANT7 = circulant(7, [1, 2, -1, -2])  # 4-regular, its walks not periodic
@@ -124,6 +127,40 @@ class TestWalk:
         code, out, _ = run(capsys, "walk", "k22", "--pretty")
         assert code == 0 and "U =" in out
 
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    @pytest.mark.parametrize("kind", ["b", "g"])
+    def test_pretty_entries_are_the_fractions(self, capsys, name, kind):
+        """Each --pretty row holds str(Fraction) of its entries, right-aligned
+        in six columns, for the three matrices of the walk."""
+        code, out, _ = run(capsys, "walk", name, "--kind", kind, "--pretty")
+        if code:
+            assert (name, kind) in {("figure7", "b"), ("petersen", "b")}
+            return
+        g = FIXTURES[name]()
+        w = build_bipartite_walk(g) if kind == "b" else build_grover_walk(g)
+        matrices = (w.P, w.Q, w.U) if kind == "b" else (w.R, w.K, w.U)
+        rows = [
+            "  [" + "  ".join(f"{str(x):>6}" for x in row) + "]" for m in matrices for row in m.data
+        ]
+        assert [ln for ln in out.splitlines() if ln.startswith("  [")] == rows
+
+    def test_a_closed_stdout_exits_1_with_an_empty_stderr(self, tmp_path):
+        """A reader that closes after one byte of the walk JSON of K_{15,15},
+        about 1 MB and past any pipe buffer: exit 1, and no traceback."""
+        path = tmp_path / "k15_15.txt"
+        path.write_text(format_graph(complete_bipartite(15, 15)))
+        src = str(Path(qwalk.walks.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qwalk.cli", "walk", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (1, b"")
+
     @pytest.mark.parametrize("g", [star(3), figure4a_graph(), cycle(5)], ids=["star3", "figure4a", "c5"])
     @pytest.mark.parametrize("pretty", [(), ("--pretty",)], ids=["json", "pretty"])
     def test_subdivide_transform_matches_the_subdivision_read_from_a_file(
@@ -179,15 +216,18 @@ class TestPeriod:
         self, capsys, monkeypatch, argv, g, adjacencies, searches
     ):
         """Each of the two graphs a command makes builds its adjacency and
-        runs its connectivity search at most once, however often the layers
-        ask, and counts its degrees and 2-colours itself at most once."""
-        calls = {"_adjacency": [], "_connected": [], "_degrees": [], "_colouring": []}
+        runs its one search, which gives both its connectivity and its
+        2-colouring, at most once, however often the layers ask, and counts
+        its degrees and 2-colours itself at most once."""
+        calls = {"_adjacency": [], "_search": [], "_connected": [], "_degrees": [], "_colouring": []}
         for name, record in calls.items():
             prop = Graph.__dict__[name]
             monkeypatch.setattr(prop, "func", lambda g, f=prop.func, r=record: r.append(g) or f(g))
         code, _, _ = run(capsys, "period", "-", *argv, stdin=format_graph(g), monkeypatch=monkeypatch)
         assert code == (3 if g is CIRCULANT7 else 0)
-        for name, count in (("_adjacency", adjacencies), ("_connected", searches)):
+        for name, count in (
+            ("_adjacency", adjacencies), ("_search", searches), ("_connected", searches)
+        ):
             assert len(calls[name]) == len({id(g) for g in calls[name]}) == count, name
         degrees, colourings = calls["_degrees"], calls["_colouring"]
         assert 0 < len(degrees) == len({id(g) for g in degrees}) <= 2

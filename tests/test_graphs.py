@@ -92,13 +92,22 @@ class TestGraphConstruction:
         assert g._degrees is g._degrees
 
     def test_too_few_edges_is_disconnected_without_a_search(self, monkeypatch):
+        """n > |E| + 1 decides connectivity on the edge count: neither the
+        search nor a neighbour list is built."""
         g = Graph.from_edges(10**9, [(0, 1)])
 
         def refuse(self):
             raise AssertionError("per-vertex adjacency built")
 
+        def refuse_search(self):
+            raise AssertionError("searched")
+
         monkeypatch.setattr(Graph, "neighbors", refuse)
+        monkeypatch.setattr(Graph.__dict__["_search"], "func", refuse_search)
         assert not g.is_connected()
+        with pytest.raises(GraphError, match="^graph is disconnected$"):
+            bipartition(g)
+        assert "_search" not in vars(g) and "_adjacency" not in vars(g)
 
 
 class TestParsing:
@@ -132,11 +141,12 @@ class TestBipartition:
     def test_one_bfs_per_graph(self, monkeypatch):
         """A second bipartition(g) returns the first one's object with no new
         BFS.  An odd cycle raises NotBipartiteError on every call, from one
-        BFS; a disconnected graph raises GraphError on every call, from
-        none."""
-        runs = []
-        prop = Graph.__dict__["_colouring"]
-        monkeypatch.setattr(prop, "func", lambda g, f=prop.func: runs.append(g) or f(g))
+        BFS, the search that also found it connected; a disconnected graph
+        raises GraphError on every call, from none."""
+        runs, searches = [], []
+        for name, record in (("_colouring", runs), ("_search", searches)):
+            prop = Graph.__dict__[name]
+            monkeypatch.setattr(prop, "func", lambda g, f=prop.func, r=record: r.append(g) or f(g))
         g, odd = complete_bipartite(2, 3), cycle(5)
         b = bipartition(g)
         assert bipartition(g) is b and b == (frozenset({0, 1}), frozenset({2, 3, 4}))
@@ -148,6 +158,7 @@ class TestBipartition:
                 bipartition(disconnected)
         assert not is_bipartite(odd)
         assert [id(h) for h in runs] == [id(g), id(odd)]
+        assert [id(h) for h in searches] == [id(g), id(odd)]
 
     def test_degree_profile(self):
         prof = degree_profile(complete_bipartite(2, 3))

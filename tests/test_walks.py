@@ -31,7 +31,6 @@ from qwalk.graphs import (
 from qwalk.walks import (
     ArcWalkOperator,
     ConstructionError,
-    _assert_orthogonal,
     _entries_to_strings,
     _projection,
     block_identity_check,
@@ -185,24 +184,23 @@ def _definitional_block_identity(g: Graph, j: int, gw: ArcWalkOperator | None = 
     return mat_pow(u_gw, 2 * j) == RationalMatrix(block)
 
 
-def _corrupt_built_matrix(monkeypatch, pick, i: int, j: int) -> None:
+def _corrupt_built_matrix(monkeypatch, pick, change) -> list[RationalMatrix]:
     """Make the builders' constructors, RationalMatrix.from_nonzeros (P, Q,
-    R, K, U_GW) and from_numerators (U), add 1 to entry (i, j) of the first
-    matrix for which pick(call index, dense numerator rows) holds."""
+    R, K, U_GW) and from_numerators (U), build change(dense numerator rows,
+    den) in place of the first matrix for which pick(call index, dense
+    numerator rows) holds.  Returns the list of the matrices they build."""
     from_numerators = RationalMatrix.from_numerators.__func__
     from_nonzeros = RationalMatrix.from_nonzeros.__func__
-    calls = []
+    calls, built = [], []
 
     def corrupt(num, den):
         hit = not any(calls) and pick(len(calls), num)
         calls.append(hit)
-        if hit:
-            num = [list(row) for row in num]
-            num[i][j] += den
-        return hit, num
+        return hit, change(num, den) if hit else num
 
     def numerators(cls, num, den):
-        return from_numerators(cls, corrupt(num, den)[1], den)
+        built.append(from_numerators(cls, corrupt(num, den)[1], den))
+        return built[-1]
 
     def nonzeros(cls, rows, cols, den):
         dense = [[0] * cols for _ in rows]
@@ -212,10 +210,52 @@ def _corrupt_built_matrix(monkeypatch, pick, i: int, j: int) -> None:
         hit, num = corrupt(dense, den)
         if hit:
             rows = [[(c, x) for c, x in enumerate(row) if x] for row in num]
-        return from_nonzeros(cls, rows, cols, den)
+        built.append(from_nonzeros(cls, rows, cols, den))
+        return built[-1]
 
     monkeypatch.setattr(RationalMatrix, "from_numerators", classmethod(numerators))
     monkeypatch.setattr(RationalMatrix, "from_nonzeros", classmethod(nonzeros))
+    return built
+
+
+def _add(i: int, j: int, by: "int | None" = None):
+    """A change for _corrupt_built_matrix: add by, or 1 (den) when by is
+    None, to entry (i, j)."""
+
+    def change(num, den):
+        num = [list(row) for row in num]
+        num[i][j] += den if by is None else by
+        return num
+
+    return change
+
+
+def _transposed(num, den):
+    return [list(col) for col in zip(*num)]
+
+
+def _assert_orthogonal(u: RationalMatrix, name: str) -> None:
+    """The Gram oracle: U^T U = I, so U U^T = I for the square U:
+    num^T num = den^2 I, the sum over the rows of the outer products of
+    their nonzeros."""
+    gram = [[0] * u.cols for _ in range(u.cols)]
+    for row in u.nonzeros():
+        for j, x in row:
+            acc = gram[j]
+            for k, y in row:
+                acc[k] += x * y
+    c = u.den**2
+    if not all(row[i] == c and row.count(0) == len(row) - 1 for i, row in enumerate(gram)):
+        raise ConstructionError(f"{name} is not orthogonal")
+
+
+def _shifted(rows, i: int, j: int, shift: int) -> list[list[tuple[int, int]]]:
+    """The nonzeros of the rows with entry (i, j) shifted by shift."""
+    dense = dict(rows[i])
+    dense[j] = dense.get(j, 0) + shift
+    out = [list(row) for row in rows]
+    out[i] = sorted((c, x) for c, x in dense.items() if x)
+    return out
 
 
 def _call(index: int):
@@ -432,7 +472,7 @@ class TestConstructionChecks:
     )
     def test_bipartite_checks(self, monkeypatch, name, pick, entry, message):
         g = complete_bipartite(3, 3)
-        _corrupt_built_matrix(monkeypatch, pick, *entry)
+        _corrupt_built_matrix(monkeypatch, pick, _add(*entry))
         with pytest.raises(ConstructionError) as exc:
             build_bipartite_walk(g)
         assert str(exc.value) == message
@@ -448,7 +488,7 @@ class TestConstructionChecks:
         ids=["R-involution", "K-symmetric", "K-idempotent", "U_GW-orthogonal"],
     )
     def test_grover_checks(self, monkeypatch, pick, entry, message):
-        _corrupt_built_matrix(monkeypatch, pick, *entry)
+        _corrupt_built_matrix(monkeypatch, pick, _add(*entry))
         with pytest.raises(ConstructionError) as exc:
             build_grover_walk(petersen_graph())
         assert str(exc.value) == message
@@ -470,6 +510,22 @@ class TestConstructionChecks:
             build_bipartite_walk(g)
         assert str(exc.value) == "U is not orthogonal"
         _assert_orthogonal(built[-1], "U")
+
+    @pytest.mark.parametrize(
+        "g", [petersen_graph(), figure4a_graph(), complete_bipartite(2, 3)],
+        ids=["petersen", "figure4a", "k23"],
+    )
+    def test_the_transpose_of_u_gw_is_refused(self, monkeypatch, g):
+        """U_GW^T = (2K - I)R in place of U_GW is orthogonal, so the Gram
+        oracle passes it, but R U_GW^T = R(2K - I)R is not 2K - I."""
+        u = build_grover_walk(g).U
+        assert u != u.transpose()
+        built = _corrupt_built_matrix(monkeypatch, _has_negative, _transposed)
+        with pytest.raises(ConstructionError) as exc:
+            build_grover_walk(g)
+        assert str(exc.value) == "U_GW is not orthogonal"
+        assert built[-1] == u.transpose()
+        _assert_orthogonal(built[-1], "U_GW")
 
     @pytest.mark.parametrize("family", sorted(BIPARTITE_FAMILIES))
     def test_single_entry_corruptions_of_u(self, monkeypatch, family):
@@ -496,6 +552,67 @@ class TestConstructionChecks:
             monkeypatch.undo()
             with pytest.raises(ConstructionError):
                 _assert_orthogonal(built[-1], "U")
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_fault_in_the_reflection_rows_is_refused(self, monkeypatch, seed):
+        """U_GW is assembled from _cell_rows' rows of 2K - I but checked
+        against 2K - I from the built K's nonzeros, so one shifted entry of
+        those rows is refused, though K itself is built right."""
+        rng = random.Random(seed)
+        g = petersen_graph() if seed % 2 else random_connected_graph(rng, max_n=10)
+        n_arcs = 2 * g.num_edges
+        i, j, shift = rng.randrange(n_arcs), rng.randrange(n_arcs), rng.choice([-2, -1, 1, 2])
+        cell_rows = qwalk.walks._cell_rows
+
+        def faulty(m, cells):
+            p, r, den = cell_rows(m, cells)
+            return p, _shifted(r, i, j, shift), den
+
+        monkeypatch.setattr(qwalk.walks, "_cell_rows", faulty)
+        with pytest.raises(ConstructionError) as exc:
+            build_grover_walk(g)
+        assert str(exc.value) == "U_GW is not orthogonal"
+
+    @pytest.mark.parametrize("family", ["petersen", "random"])
+    @pytest.mark.parametrize(
+        "name,call,message",
+        [("R", 0, "R is not an involution"), ("U_GW", 2, "U_GW is not orthogonal")],  # R, K, U_GW
+        ids=["R", "U_GW"],
+    )
+    def test_single_entry_corruptions_of_r_and_u_gw(
+        self, monkeypatch, family, name, call, message
+    ):
+        """Each seeded change of one entry of R or of U_GW, as its
+        constructor builds it, fails the build, as it fails the Gram oracle.
+        No shift is -2, which would turn one of R's 1s into a -1: a signed
+        permutation, which the oracle passes."""
+        for seed in range(10):
+            rng = random.Random(seed)
+            g = petersen_graph() if family == "petersen" else random_connected_graph(rng, max_n=10)
+            n_arcs = 2 * g.num_edges
+            i, j, shift = rng.randrange(n_arcs), rng.randrange(n_arcs), rng.choice([-1, 1, 2])
+            built = _corrupt_built_matrix(monkeypatch, _call(call), _add(i, j, shift))
+            with pytest.raises(ConstructionError) as exc:
+                build_grover_walk(g)
+            assert str(exc.value) == message
+            monkeypatch.undo()
+            with pytest.raises(ConstructionError):
+                _assert_orthogonal(built[-1], name)
+
+    def test_grover_build_multiplies_only_for_ks_idempotence(self, monkeypatch):
+        """On K_{10,10} the one integer product of build_grover_walk is K's
+        idempotence check: the cube of each of K's 20 cells of 10 arcs.  R
+        and U_GW are checked on their nonzeros."""
+        product = qwalk.exact._int_product
+        counts = []
+
+        def counting_product(a, b, cols):
+            counts.append(sum(len(b[k]) for row in a for k, _ in row))
+            return product(a, b, cols)
+
+        monkeypatch.setattr(qwalk.walks, "_int_product", counting_product)
+        build_grover_walk(complete_bipartite(10, 10))
+        assert counts == [20 * 10**3]
 
     def test_build_cost_follows_the_nonzeros(self, monkeypatch):
         """On K_{10,10} the build's multiply-adds stay under nnz(U) times
@@ -558,7 +675,7 @@ class TestConstructionChecks:
         assert len(scanned) == is_bipartite(g)
 
     def test_uncorrupted_builds_pass(self, monkeypatch):
-        _corrupt_built_matrix(monkeypatch, lambda n, num: False, 0, 0)
+        _corrupt_built_matrix(monkeypatch, lambda n, num: False, _add(0, 0))
         build_bipartite_walk(complete_bipartite(3, 3))
         build_grover_walk(petersen_graph())
 
