@@ -111,12 +111,6 @@ class RationalMatrix:
     def zeros(rows: int, cols: int) -> "RationalMatrix":
         return RationalMatrix._normal(tuple((0,) * cols for _ in range(rows)), 1)
 
-    @property
-    def data(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The entries as Fraction rows, derived on demand."""
-        den = self.den
-        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
-
     def nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The (column, numerator) pairs of the nonzeros of each row."""
         if self._nonzeros is None:
@@ -323,11 +317,7 @@ class IntPolynomial(NamedTuple):
         return self.coeffs[-1] == 1
 
     def __call__(self, x: RationalLike) -> RationalLike:
-        """Horner's rule: an int at an integer, a Fraction at a Fraction."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
     def mul_linear_shift(self, root: int) -> "IntPolynomial":
         """Multiply by (x - root)."""
@@ -339,22 +329,25 @@ class IntPolynomial(NamedTuple):
         return IntPolynomial.from_coeffs(out)
 
 
+def _divmod_monic(p: Sequence[int], d: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of p by the monic d, as ascending coefficient
+    lists; the remainder keeps deg d entries when deg p >= deg d."""
+    rem, n = list(p), len(d) - 1
+    quo = [0] * (len(p) - n)
+    for i in range(len(quo) - 1, -1, -1):
+        c = quo[i] = rem[i + n]
+        if c:
+            for j in range(n):
+                rem[i + j] -= c * d[j]
+    return quo, rem[:n]
+
+
 def poly_divmod_monic(p: IntPolynomial, d: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
     """Divide p by a monic divisor d over the integers."""
     if not d.is_monic:
         raise ValueError("divisor must be monic")
-    rem = list(p.coeffs)
-    dd = d.degree
-    if p.degree < dd:
-        return IntPolynomial.from_coeffs([0]), p
-    quo = [0] * (p.degree - dd + 1)
-    for i in range(p.degree - dd, -1, -1):
-        c = rem[i + dd]
-        quo[i] = c
-        if c:
-            for j, dc in enumerate(d.coeffs):
-                rem[i + j] -= c * dc
-    return IntPolynomial.from_coeffs(quo), IntPolynomial.from_coeffs(rem[:dd] if dd else [0])
+    quo, rem = _divmod_monic(p.coeffs, d.coeffs)
+    return IntPolynomial.from_coeffs(quo or [0]), IntPolynomial.from_coeffs(rem or [0])
 
 
 def _sparse_times_dense(a: list, b: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -531,16 +524,15 @@ def cyclotomic_factors(
     real=True); they are tried in ascending order.
     """
     orders: dict[int, int] = {}
-    rest = p
+    rest = p.coeffs
     for k, phi in _orders_of_totient_at_most(p.degree * (1 + real)):
-        if rest.degree == 0:
-            break
-        if phi <= rest.degree * (1 + real):
-            quo, rem = poly_divmod_monic(rest, cyclotomic(k, real))
-            while rem.is_zero:
+        if phi <= (len(rest) - 1) * (1 + real):
+            phi_k = cyclotomic(k, real).coeffs
+            quo, rem = _divmod_monic(rest, phi_k)
+            while not any(rem):
                 rest, orders[k] = quo, orders.get(k, 0) + 1
-                quo, rem = poly_divmod_monic(rest, cyclotomic(k, real))
-    return orders, rest
+                quo, rem = _divmod_monic(rest, phi_k)
+    return orders, IntPolynomial(tuple(rest))
 
 
 # ---------------------------------------------------------------------------
@@ -668,11 +660,12 @@ class HigherDegreeFactor(Exception):
     non-real quadratic factor, which is equally outside scope)."""
 
 
-def _signed_divisors(n: int, cap: int) -> list[int]:
-    """The divisors d of n != 0 with |d| <= cap, of both signs, by absolute
-    value, d before -d.  Trial division runs to min(cap, sqrt|n|): past
-    sqrt|n| only the cofactors n/d of smaller divisors are left."""
-    n = abs(n)
+def _signed_divisors(n: int, lo: int, hi: int) -> list[int]:
+    """The divisors d of n != 0 with lo <= d <= hi, of both signs, by
+    absolute value, d before -d.  Trial division runs to min(max(-lo, hi),
+    sqrt|n|): past sqrt|n| only the cofactors n/d of smaller divisors are
+    left."""
+    n, cap = abs(n), max(-lo, hi)
     small, large = [], []
     d = 1
     while d <= cap and d * d <= n:
@@ -681,7 +674,7 @@ def _signed_divisors(n: int, cap: int) -> list[int]:
             if d * d != n and n // d <= cap:
                 large.append(n // d)
         d += 1
-    return [x for d in small + large[::-1] for x in (d, -d)]
+    return [x for d in small + large[::-1] for x in (d, -d) if lo <= x <= hi]
 
 
 def _iroot_ceil(a: int, k: int) -> int:
@@ -698,41 +691,47 @@ def _iroot_ceil(a: int, k: int) -> int:
     return r if r ** k >= a else r + 1
 
 
-def _fujiwara_bound(p: IntPolynomial) -> int:
-    """Integer bound on every complex root of a monic p of degree n:
-    |z| <= 2 max_k |a_(n-k)|^(1/k) (Fujiwara), k-th roots rounded up."""
-    n = p.degree
-    return 2 * max(_iroot_ceil(abs(p.coeffs[n - k]), k) for k in range(1, n + 1))
+def _fujiwara_bound(c: Sequence[int]) -> int:
+    """Integer bound on every complex root of the monic polynomial with
+    ascending coefficients c, of degree n: |z| <= 2 max_k |a_(n-k)|^(1/k)
+    (Fujiwara), k-th roots rounded up."""
+    n = len(c) - 1
+    return 2 * max(_iroot_ceil(abs(c[n - k]), k) for k in range(1, n + 1))
 
 
-def _root_bound(p: IntPolynomial, cap: Optional[int] = None) -> int:
-    """The smaller of the Cauchy and Fujiwara bounds on the roots of p, and
-    of cap when it is given."""
-    b = min(1 + max(abs(c) for c in p.coeffs[:-1]), _fujiwara_bound(p))
-    return b if cap is None else min(b, cap)
+def _horner(c: Sequence[int], t: RationalLike) -> RationalLike:
+    """Horner's rule: an int at an integer, a Fraction at a Fraction."""
+    acc = 0
+    for x in reversed(c):
+        acc = acc * t + x
+    return acc
 
 
-def _strip_quadratics(rem: IntPolynomial, bound: Optional[int], roots: Counter) -> IntPolynomial:
-    """roots_degree_le2's last stage, on a residual of degree >= 2: count the
-    roots of its irreducible monic quadratic factors in roots, and return
-    the residual, of degree < 2, or raise HigherDegreeFactor."""
-    # the candidates are x^2 + beta*x + gamma; every root has |z| <= B, so a
-    # factor's coefficients have |beta| <= 2B, |gamma| <= B^2
-    big_b = _root_bound(rem, bound)
-    # Kronecker's evaluation test: f | rem in Z[x] makes f(t) divide
-    # rem(t) for every integer t, and rem(t) != 0 as no integer root is
-    # left, so f(t) != 0 too; four remainders reject almost every
-    # candidate f before the division that decides it
-    r1, r_1, r2, r_2 = rem(1), rem(-1), rem(2), rem(-2)
-    for gamma in _signed_divisors(rem.coeffs[0], big_b * big_b):
+def _strip_quadratics(rem: list[int], lo: int, hi: int, real: bool, roots: Counter) -> list[int]:
+    """roots_degree_le2's last stage, on a residual of degree >= 2 with no
+    integer root and every root z real in [lo, hi], or, unless real, with
+    |z| <= hi = -lo: count the roots of its irreducible monic quadratic
+    factors in roots, and return the residual, of degree < 2, or raise
+    HigherDegreeFactor."""
+    # a factor f = (x - z1)(x - z2) = x^2 + beta x + gamma has beta in
+    # [-2 hi, -2 lo], gamma a product of two points of [lo, hi], and
+    # f(lo), f(hi) >= 0; for real roots beta^2 > 4 gamma, and these put
+    # z1, z2 in [lo, hi].  Kronecker's evaluation test: f | rem makes f(t)
+    # divide rem(t) != 0 (no integer root is left) for every integer t;
+    # four remainders reject almost every f before the division
+    r1, r_1, r2, r_2 = (_horner(rem, t) for t in (1, -1, 2, -2))
+    products = (lo * lo, lo * hi, hi * hi)
+    for gamma in _signed_divisors(rem[0], min(products), max(products)):
         g1, g2 = 1 + gamma, 4 + gamma  # f(+-1) = g1 +- beta, f(+-2) = g2 +- 2 beta
-        for beta in range(-2 * big_b, 2 * big_b + 1):
+        for beta in range(-2 * hi, 1 - 2 * lo):
+            disc = beta * beta - 4 * gamma
+            if real and disc <= 0 or lo * (lo + beta) + gamma < 0 or hi * (hi + beta) + gamma < 0:
+                continue
             f1, f_1, f2, f_2 = g1 + beta, g1 - beta, g2 + 2 * beta, g2 - 2 * beta
             while f1 and f_1 and f2 and f_2 and not (r1 % f1 or r_1 % f_1 or r2 % f2 or r_2 % f_2):
-                quo, r = poly_divmod_monic(rem, IntPolynomial.from_coeffs([gamma, beta, 1]))
-                if not r.is_zero:
+                quo, r = _divmod_monic(rem, (gamma, beta, 1))
+                if any(r):
                     break
-                disc = beta * beta - 4 * gamma
                 if disc <= 0:
                     # disc == 0 impossible here (double rational root was
                     # stripped); disc < 0 means complex roots
@@ -741,56 +740,69 @@ def _strip_quadratics(rem: IntPolynomial, bound: Optional[int], roots: Counter) 
                 if s == 1:
                     # reducible; its rational roots were already stripped
                     break
-                roots[QuadraticValue.of(Fraction(-beta, 2), Fraction(f, 2), s)] += 1
-                roots[QuadraticValue.of(Fraction(-beta, 2), -Fraction(f, 2), s)] += 1
+                roots[s, -beta, f] += 1
+                roots[s, -beta, -f] += 1
                 rem = quo
-                if rem.degree < 2:
+                if len(rem) < 3:
                     return rem
-                r1, r_1, r2, r_2 = rem(1), rem(-1), rem(2), rem(-2)
-    raise HigherDegreeFactor(f"no degree<=2 factor of residual {rem.coeffs}")
+                r1, r_1, r2, r_2 = (_horner(rem, t) for t in (1, -1, 2, -2))
+    raise HigherDegreeFactor(f"no degree<=2 factor of residual {tuple(rem)}")
 
 
 def roots_degree_le2(
-    p: IntPolynomial, bound: Optional[int] = None
+    p: IntPolynomial, interval: Optional[tuple[int, int]] = None
 ) -> list[tuple[QuadraticValue, int]]:
     """Factor a monic integer polynomial into roots of algebraic degree <= 2.
 
-    Returns (root, multiplicity) pairs. Rational roots of a monic integer
-    polynomial are integers; irreducible monic quadratic factors have
-    integer coefficients (Gauss), so an integer search is complete.
-    Raises HigherDegreeFactor when a residual admits no such factor.
-    The search runs within the Cauchy and Fujiwara bounds on the roots,
-    and within `bound` when the caller knows every root's absolute value
-    is at most it; the search stays complete only if that is proven.
+    Returns (root, multiplicity) pairs, ordered by (m, a, b). Rational roots
+    of a monic integer polynomial are integers; irreducible monic quadratic
+    factors have integer coefficients (Gauss), so an integer search is
+    complete.  Raises HigherDegreeFactor when a residual admits no such
+    factor.  The search runs on int lists in one window: `interval` =
+    (lo, hi) when the caller has proven every root real and in [lo, hi]
+    (it stays complete only if that is proven), else [-B, B], B the
+    smaller of the Cauchy and Fujiwara bounds, where a non-real quadratic
+    factor raises.  A root a + b sqrt(m) is kept as the key (m, 2a, 2b),
+    and one QuadraticValue is built per distinct root, at the end.
     """
     if not p.is_monic:
         raise ValueError("polynomial must be monic")
-    roots: Counter[QuadraticValue] = Counter()
+    roots: Counter[tuple[int, int, int]] = Counter()
     # strip x^k: slice off the k low zero coefficients
     k = next(i for i, c in enumerate(p.coeffs) if c)
-    rem = IntPolynomial(p.coeffs[k:])
+    rem, real = list(p.coeffs[k:]), interval is not None
     if k:
-        roots[QuadraticValue.rational(0)] = k
+        roots[1, 0, 0] = k
 
     # Each stage makes one ordered pass over its candidates, taken from what
     # the stage before left, and strips each as often as it divides: a later
-    # residual divides that one, so its factors are all among them.
+    # residual divides that one, so its factors are all among them.  The
+    # integer roots divide the constant term, nonzero once x^k is stripped;
+    # synthetic division by x - r leaves the quotient and, last, rem(r)
+    if len(rem) > 1:
+        if not real:
+            b = min(1 + max(map(abs, rem[:-1])), _fujiwara_bound(rem))
+            interval = (-b, b)
+        for r in _signed_divisors(rem[0], *interval):
+            while len(rem) > 1:
+                quo, acc = [], 0
+                for c in reversed(rem):
+                    acc = acc * r + c
+                    quo.append(acc)
+                if acc:
+                    break
+                rem = quo[-2::-1]
+                roots[1, 2 * r, 0] += 1
 
-    # strip integer roots: rational roots of a monic integer polynomial
-    # divide its constant term, which is nonzero once the powers of x are
-    # stripped, and lie within the root bound
-    if rem.degree > 0:
-        for r in _signed_divisors(rem.coeffs[0], _root_bound(rem, bound)):
-            while rem.degree > 0 and rem(r) == 0:
-                rem = poly_divmod_monic(rem, IntPolynomial.from_coeffs([-r, 1]))[0]
-                roots[QuadraticValue.rational(r)] += 1
+    if len(rem) > 2:
+        rem = _strip_quadratics(rem, *interval, real, roots)
 
-    if rem.degree >= 2:
-        rem = _strip_quadratics(rem, bound, roots)
-
-    if rem.degree == 1:
+    if len(rem) == 2:
         # monic linear remainder: root is an integer, but it escaped the
         # search only if logic above is wrong
-        roots[QuadraticValue.rational(-rem.coeffs[0])] += 1
+        roots[1, -2 * rem[0], 0] += 1
 
-    return sorted(roots.items(), key=lambda kv: (kv[0].m, kv[0].a, kv[0].b))
+    return [
+        (QuadraticValue(Fraction(a2, 2), Fraction(b2, 2), m), mult)
+        for (m, a2, b2), mult in sorted(roots.items())
+    ]

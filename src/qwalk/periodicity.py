@@ -111,10 +111,10 @@ def allowed_value_table(d0: int, d1: int) -> list[tuple[QuadraticValue, int]]:
     return list(_allowed_values(d0 * d1).items())
 
 
-@lru_cache(maxsize=None)  # one dict per d0*d1; distinct roots y give distinct values
-def _allowed_values(d0d1: int) -> dict[QuadraticValue, int]:
+@lru_cache(maxsize=None)  # one dict per (d0*d1, shift); distinct y give distinct values
+def _allowed_values(d0d1: int, shift: int = 0) -> dict[QuadraticValue, int]:
     s = Fraction(d0d1, 4)
-    return {QuadraticValue.of((y.a + 2) * s, y.b * s, y.m): k for y, k in _psi_roots()}
+    return {QuadraticValue.of((y.a + 2) * s - shift, y.b * s, y.m): k for y, k in _psi_roots()}
 
 
 # ---------------------------------------------------------------------------
@@ -299,26 +299,26 @@ class SpectralVerdict(NamedTuple):
 
 def _classify(chi: IntPolynomial, d0: int, d1: int, shift: int = 0) -> SpectralVerdict:
     """Verdict on a (d0, d1)-biregular graph whose squared adjacency
-    eigenvalues are value + shift for the roots of chi."""
+    eigenvalues are value + shift for the roots of chi: real, as chi is
+    the char-poly of a symmetric matrix, and in [0, d0 d1], so the roots
+    are searched in [-shift, d0 d1 - shift] and looked up, with no
+    arithmetic, in the table moved by -shift."""
     try:
-        # the squared eigenvalues, value + shift, lie in [0, d0 d1]
-        roots = roots_degree_le2(chi, max(shift, d0 * d1 - shift))
+        roots = roots_degree_le2(chi, (-shift, d0 * d1 - shift))
     except HigherDegreeFactor as exc:
         return SpectralVerdict("inconclusive", d0, d1, reason=str(exc))
-    table = _allowed_values(d0 * d1)
-    offset = QuadraticValue.rational(shift)
+    table = _allowed_values(d0 * d1, shift)
     classifications = []
     for value, mult in roots:
-        order = table.get(value + offset)
+        order = table.get(value)
         classifications.append(EigenvalueClassification(value, mult, order is not None, order))
     # conjugate roots are produced pairwise by the factorizer; verify anyway
-    by_value = {c.value: c.multiplicity for c in classifications}
-    for c in classifications:
-        if not c.value.is_rational and by_value.get(c.value.conjugate()) != c.multiplicity:
-            return SpectralVerdict(
-                "non-periodic", d0, d1, tuple(classifications),
-                reason="conjugate pair multiplicities differ",
-            )
+    by_value = dict(roots)
+    if any(by_value.get(v._replace(b=-v.b)) != mult for v, mult in roots):
+        return SpectralVerdict(
+            "non-periodic", d0, d1, tuple(classifications),
+            reason="conjugate pair multiplicities differ",
+        )
     status = "periodic" if all(c.allowed for c in classifications) else "non-periodic"
     return SpectralVerdict(status, d0, d1, tuple(classifications))
 

@@ -46,6 +46,7 @@ from qwalk.walks import (
     build_grover_walk,
     cell_operator,
 )
+from test_exact import fractions_of
 from test_walks import random_connected_graph
 
 OCTAHEDRON = circulant(6, [1, 2, -1, -2])
@@ -88,7 +89,7 @@ def _cell_certificate(g: Graph) -> RationalMatrix:
     where _certificate would take U: row i is row i of T less z_i z_n times
     row n, both without their last entry."""
     num, den, z = cell_operator(g)
-    t = RationalMatrix.from_numerators(num, den).data
+    t = fractions_of(RationalMatrix.from_numerators(num, den))
     n = len(z)
     return RationalMatrix(
         [[t[i][j] - z[i] * z[-1] * t[-1][j] for j in range(n - 1)] for i in range(n - 1)]
@@ -157,11 +158,11 @@ class TestAgainstU:
         # K_{2,5}: T is 7 x 7, the first two basis vectors the c0 vertices
         num, den, z = cell_operator(complete_bipartite(2, 5))
         assert len(num) == 7 and z == (1, 1, -1, -1, -1, -1, -1)
-        t = RationalMatrix.from_numerators(num, den)
+        t = fractions_of(RationalMatrix.from_numerators(num, den))
         # T z = z; the squared block 4 D0^-1 C D1^-1 C^T - I has 4/5 * 5/2
         # off the diagonal, and the block of the other class is -I
-        assert [sum(x * y for x, y in zip(row, z)) for row in t.data] == list(z)
-        assert t.data[0][:2] == (1, 2) and t.data[6][2:] == (0, 0, 0, 0, -1)
+        assert [sum(x * y for x, y in zip(row, z)) for row in t] == list(z)
+        assert t[0][:2] == (1, 2) and t[6][2:] == (0, 0, 0, 0, -1)
 
 
 def _wrap_quotient(monkeypatch, change):

@@ -31,6 +31,7 @@ from qwalk.graphs import (
 )
 from qwalk.periodicity import MethodDisagreement, decide_periodicity
 from qwalk.walks import build_bipartite_walk, build_grover_walk, walk_from_json
+from test_exact import fractions_of
 
 P5 = format_graph(path(5))
 CIRCULANT7 = circulant(7, [1, 2, -1, -2])  # 4-regular, its walks not periodic
@@ -140,7 +141,7 @@ class TestWalk:
         w = build_bipartite_walk(g) if kind == "b" else build_grover_walk(g)
         matrices = (w.P, w.Q, w.U) if kind == "b" else (w.R, w.K, w.U)
         rows = [
-            "  [" + "  ".join(f"{str(x):>6}" for x in row) + "]" for m in matrices for row in m.data
+            "  [" + "  ".join(f"{str(x):>6}" for x in row) + "]" for m in matrices for row in fractions_of(m)
         ]
         assert [ln for ln in out.splitlines() if ln.startswith("  [")] == rows
 

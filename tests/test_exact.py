@@ -20,10 +20,10 @@ from qwalk.exact import (
     NonIntegralPolynomial,
     QuadraticValue,
     RationalMatrix,
+    _divmod_monic,
     _fujiwara_bound,
     _nonzeros,
     _orders_of_totient_at_most,
-    _root_bound,
     _signed_divisors,
     _factor,
     _totient,
@@ -48,6 +48,7 @@ from qwalk.graphs import (
     bipartition,
     circulant,
     cycle,
+    degree_profile,
     figure1_graph,
     figure4a_graph,
     figure7_graph,
@@ -63,6 +64,11 @@ from qwalk.walks import _gram
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
 )
+
+
+def fractions_of(m: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    """The entries of m as Fraction rows."""
+    return tuple(tuple(Fraction(x, m.den) for x in row) for row in m.num)
 
 
 def square_matrices(n: int):
@@ -163,7 +169,7 @@ class TestRationalMatrix:
         assert m.nonzeros() == (((1, 1),), (), ((0, 6), (2, -2)))
         assert m.nonzeros() is m.nonzeros()
         square = mat_mul(m, m)
-        assert square == RationalMatrix(ref_mul(m.data, m.data))
+        assert square == RationalMatrix(ref_mul(fractions_of(m), fractions_of(m)))
         assert mat_mul(square, m) == mat_mul(m, square)
         assert len(calls) == 2  # those of m and of its square
 
@@ -276,7 +282,7 @@ class TestKernelAgainstFractions:
     def test_mat_mul(self, ab):
         a, b = ab
         got = mat_mul(RationalMatrix(a), RationalMatrix(b))
-        assert got.data == as_tuples(ref_mul(a, b))
+        assert fractions_of(got) == as_tuples(ref_mul(a, b))
         assert_normal(got)
 
     @given(shapes.flatmap(lambda s: st.tuples(fraction_rows(s[0], s[1]), fraction_rows(s[0], s[1]))))
@@ -284,14 +290,14 @@ class TestKernelAgainstFractions:
     def test_add(self, ab):
         a, b = ab
         got = RationalMatrix(a).add(RationalMatrix(b))
-        assert got.data == as_tuples([[x + y for x, y in zip(r, s)] for r, s in zip(a, b)])
+        assert fractions_of(got) == as_tuples([[x + y for x, y in zip(r, s)] for r, s in zip(a, b)])
         assert_normal(got)
 
     @given(shapes.flatmap(lambda s: fraction_rows(s[0], s[1])), entries)
     @settings(max_examples=100, deadline=None)
     def test_scale(self, a, c):
         got = RationalMatrix(a).scale(c)
-        assert got.data == as_tuples([[c * x for x in row] for row in a])
+        assert fractions_of(got) == as_tuples([[c * x for x in row] for row in a])
         assert_normal(got)
 
     @given(shapes.flatmap(lambda s: fraction_rows(s[0], s[1])))
@@ -299,9 +305,9 @@ class TestKernelAgainstFractions:
     def test_transpose_and_entries(self, a):
         m = RationalMatrix(a)
         assert_normal(m)
-        assert m.data == as_tuples(a)
+        assert fractions_of(m) == as_tuples(a)
         assert all(m[i, j] == a[i][j] for i in range(len(a)) for j in range(len(a[0])))
-        assert m.transpose().data == as_tuples(zip(*a))
+        assert fractions_of(m.transpose()) == as_tuples(zip(*a))
         assert m.to_floats() == [[float(x) for x in row] for row in a]
 
     @given(st.integers(1, 4).flatmap(lambda n: fraction_rows(n, n)))
@@ -358,6 +364,21 @@ class TestPolynomials:
         q, r = poly_divmod_monic(p, IntPolynomial.from_coeffs([-1, 1]))
         assert r.is_zero
         assert q.coeffs == (6, -5, 1)
+
+    def test_list_division_recomposes(self):
+        """p = quo * d + rem with deg d remainder entries, on seeded lists;
+        a divisor of higher degree leaves quo empty and rem = p."""
+        rng = random.Random(7)
+        for _ in range(200):
+            d = [rng.randint(-5, 5) for _ in range(rng.randint(0, 4))] + [1]
+            p = [rng.randint(-9, 9) for _ in range(rng.randint(1, 8))]
+            quo, rem = _divmod_monic(p, d)
+            if len(p) < len(d):
+                assert (quo, rem) == ([], p)
+                continue
+            assert len(rem) == len(d) - 1
+            product = _times(quo, tuple(d)) if quo else []
+            assert [a + b for a, b in zip(product, rem + [0] * len(p))] == p
 
 
 class TestSquareFree:
@@ -612,15 +633,18 @@ def test_char_poly_raises_on_an_inexact_division():
 def test_signed_divisors_under_a_cap(n):
     every = [x for d in range(1, n + 1) if n % d == 0 for x in (d, -d)]
     for cap in (1, 2, 3, 11, 12, 35, 36, 100, n, 10 * n):
-        assert _signed_divisors(n, cap) == [d for d in every if abs(d) <= cap], cap
-        assert _signed_divisors(-n, cap) == _signed_divisors(n, cap)
+        assert _signed_divisors(n, -cap, cap) == [d for d in every if abs(d) <= cap], cap
+        assert _signed_divisors(-n, -cap, cap) == _signed_divisors(n, -cap, cap)
+        for lo in (-cap, 0, 1, cap // 2):
+            assert _signed_divisors(n, lo, cap) == [d for d in every if lo <= d <= cap], (lo, cap)
 
 
 def test_signed_divisors_of_a_semiprime():
     n = 9967 * 9973
-    assert _signed_divisors(n, 9000) == [1, -1]
-    assert _signed_divisors(n, 9970) == [1, -1, 9967, -9967]
-    assert _signed_divisors(n, n) == [1, -1, 9967, -9967, 9973, -9973, n, -n]
+    assert _signed_divisors(n, -9000, 9000) == [1, -1]
+    assert _signed_divisors(n, -9970, 9970) == [1, -1, 9967, -9967]
+    assert _signed_divisors(n, -n, n) == [1, -1, 9967, -9967, 9973, -9973, n, -n]
+    assert _signed_divisors(n, 2, n) == [9967, 9973, n]
 
 
 def test_root_search_cost_does_not_grow_with_the_constant_term():
@@ -710,7 +734,7 @@ def _exhaustive_roots_degree_le2(p: IntPolynomial) -> list[tuple[QuadraticValue,
                 progress = True
     while rem.degree >= 2:
         found = False
-        bound = min(1 + max(abs(c) for c in rem.coeffs[:-1]), _fujiwara_bound(rem))
+        bound = min(1 + max(abs(c) for c in rem.coeffs[:-1]), _fujiwara_bound(rem.coeffs))
         for gamma in (g for g in divisors(rem.coeffs[0]) if abs(g) <= bound * bound):
             for beta in range(-2 * bound, 2 * bound + 1):
                 quo, r = poly_divmod_monic(rem, IntPolynomial.from_coeffs([gamma, beta, 1]))
@@ -798,7 +822,7 @@ def test_filtered_search_agrees_with_exhaustive_search(block):
         assert _outcome(roots_degree_le2, p) == _outcome(_exhaustive_roots_degree_le2, p), seed
         for f in _seeded_factors(seed):
             if len(f) == 3:
-                widest = max(widest, abs(f[1]) / (2 * _fujiwara_bound(p)))
+                widest = max(widest, abs(f[1]) / (2 * _fujiwara_bound(p.coeffs)))
     # every block has a factor with |beta| past 0.3 of the window 2B
     assert widest > 0.3
 
@@ -844,34 +868,144 @@ def test_filtered_search_agrees_on_cover_char_polys():
         assert _outcome(roots_degree_le2, chi) == _outcome(_exhaustive_roots_degree_le2, chi)
 
 
+# ---------------------------------------------------------------------------
+# The search on a proven root interval, against the exhaustive one
+# ---------------------------------------------------------------------------
+
+
+def _roots_within(beta: int, gamma: int, lo: int, hi: int) -> bool:
+    """Exactly: x^2 + beta x + gamma has two real roots (-beta +- sqrt D)/2,
+    D = beta^2 - 4 gamma, both in [lo, hi]."""
+    d, below, above = beta * beta - 4 * gamma, -beta - 2 * lo, 2 * hi + beta
+    return d >= 0 and below >= 0 and above >= 0 and below * below >= d and above * above >= d
+
+
+def _quadratic_within(rng: random.Random, lo: int, hi: int, near_an_end: bool) -> list[int]:
+    """An irreducible x^2 + beta x + gamma with both roots in [lo, hi]; with
+    near_an_end, one of them within 1 of lo or hi."""
+    while True:
+        beta = rng.randint(-2 * hi, -2 * lo)
+        gamma = rng.randint(min(lo * lo, lo * hi, hi * hi), max(lo * lo, hi * hi))
+        d = beta * beta - 4 * gamma
+        if d <= 0 or square_free_part(d)[0] == 1 or not _roots_within(beta, gamma, lo, hi):
+            continue
+        low, high = (-beta - d**0.5) / 2, (-beta + d**0.5) / 2
+        if not near_an_end or low < lo + 1 or high > hi - 1:
+            return [gamma, beta, 1]
+
+
+# real-rooted irreducible polynomials of degree > 2: Psi_7, Psi_9, Psi_16
+# (roots 2cos(2 pi j/k) in (-2, 2)) and x^3 - 4x - 1 (roots in (-2, 3))
+_WIDE_FACTORS = ((cyclotomic(7, True), 2, 2), (cyclotomic(9, True), 2, 2),
+                 (cyclotomic(16, True), 2, 2), (IntPolynomial((-1, -4, 0, 1)), 2, 3))
+
+
+def _interval_factors(seed: int) -> tuple[tuple[int, int], list[list[int]]]:
+    """A seeded interval [lo, hi] and monic factors with every root real and
+    in it: integer roots at lo, at hi and between, irrational quadratics
+    near either end and inside, repeated quadratics, and a shifted
+    irreducible polynomial of degree 3 or 4 from _WIDE_FACTORS."""
+    rng = random.Random(seed)
+    lo = rng.randint(-6, 2)
+    hi = lo + rng.randint(5, 10)
+    kinds = ["end", "integer", "near an end", "inside", "repeated", "wide"]
+    factors: list[list[int]] = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choices(kinds, [2, 2, 3, 2, 1, 1])[0]
+        if kind == "end":
+            factors.append([-rng.choice((lo, hi)), 1])
+        elif kind == "integer":
+            factors.append([-rng.randint(lo, hi), 1])
+        elif kind == "wide":
+            psi, below, above = rng.choice(_WIDE_FACTORS)
+            factors.append(list(rescaled_integral(psi, 1, rng.randint(lo + below, hi - above)).coeffs))
+        else:
+            f = _quadratic_within(rng, lo, hi, kind == "near an end")
+            factors += [f] * (rng.randint(2, 3) if kind == "repeated" else 1)
+    return (lo, hi), factors
+
+
+def _interval_cases() -> list[tuple[IntPolynomial, tuple[int, int]]]:
+    """The seeded real-rooted polynomials, then the table's char-polys on
+    the 19 covers (roots in [0, 9], Petersen's Grover walk [-3, 3]) and on
+    the 90-edge cover."""
+    cases = []
+    for seed in range(200):
+        interval, factors = _interval_factors(seed)
+        cases.append((_product(factors), interval))
+    covers = _cover_char_polys()
+    intervals = [(0, 9)] * (len(covers) - 1) + [(-3, 3)]
+    return cases + list(zip(covers, intervals)) + [(_cover90_char_poly(), (0, 9))]
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_interval_search_agrees_with_exhaustive_search(block):
+    """Same roots, multiplicities and residuals in the proven interval as the
+    exhaustive search without one, on 220 polynomials."""
+    cases = _interval_cases()
+    assert len(cases) == 220
+    kinds = set()
+    for p, interval in cases[block::4]:
+        got = _outcome(lambda p: roots_degree_le2(p, interval), p)
+        assert got == _outcome(_exhaustive_roots_degree_le2, p), (p, interval)
+        kinds.add(type(got))
+    assert kinds == {list, str}
+
+
+def test_interval_search_divides_only_by_factors_inside_it(monkeypatch):
+    """Every quadratic the search divides by has both roots in the interval."""
+    divided = []
+    divide = qwalk.exact._divmod_monic
+
+    def checked(p, d):
+        divided.append(d)
+        return divide(p, d)
+
+    monkeypatch.setattr(qwalk.exact, "_divmod_monic", checked)
+    total = 0
+    for p, (lo, hi) in _interval_cases():
+        divided.clear()
+        _outcome(lambda p: roots_degree_le2(p, (lo, hi)), p)
+        for gamma, beta, one in divided:
+            assert one == 1 and _roots_within(beta, gamma, lo, hi), (p, (lo, hi), (gamma, beta))
+        total += len(divided)
+    assert total > 100
+
+
 def test_filtered_search_divides_rarely(monkeypatch):
-    """The residue filter leaves few candidates to divide by: 11 divisions
-    on the 90-edge cover, against 32,451 for the exhaustive search."""
+    """The residue filter leaves few candidates to divide by on the 90-edge
+    cover, against 32,451 divisions for the exhaustive search: 10 in the
+    Cauchy/Fujiwara window, 1 in the proven interval [0, 9]."""
     chi = _cover90_char_poly()
     calls = 0
-    divide = qwalk.exact.poly_divmod_monic
+    divide = qwalk.exact._divmod_monic
 
     def counted(p, d):
         nonlocal calls
         calls += 1
         return divide(p, d)
 
-    monkeypatch.setattr(qwalk.exact, "poly_divmod_monic", counted)
+    monkeypatch.setattr(qwalk.exact, "_divmod_monic", counted)
     with pytest.raises(HigherDegreeFactor, match="^no degree<=2 factor of residual"):
         roots_degree_le2(chi)
     assert 0 < calls <= 50
+    window_calls, calls = calls, 0
+    with pytest.raises(HigherDegreeFactor, match="^no degree<=2 factor of residual"):
+        roots_degree_le2(chi, (0, 9))
+    assert 0 < calls <= window_calls
 
 
 def test_root_search_takes_one_divisor_list_per_stage(monkeypatch):
     """One list of divisors for the integer roots and one for the constant
-    terms of the quadratic factors, however many factors are stripped."""
+    terms of the quadratic factors, however many factors are stripped, with
+    an interval or without."""
     calls = 0
     divisors = qwalk.exact._signed_divisors
 
-    def counted(n, cap):
+    def counted(n, lo, hi):
         nonlocal calls
         calls += 1
-        return divisors(n, cap)
+        return divisors(n, lo, hi)
 
     monkeypatch.setattr(qwalk.exact, "_signed_divisors", counted)
     for g in (
@@ -879,10 +1013,11 @@ def test_root_search_takes_one_divisor_list_per_stage(monkeypatch):
         cycle(20),
         subdivision(circulant(10, [1, 4, -1, -4])),
     ):
-        chi = _table_chi(g)
-        calls = 0
-        roots_degree_le2(chi)
-        assert calls <= 2, g
+        chi, prof = _table_chi(g), degree_profile(g)
+        for given in (None, (0, prof.d0 * prof.d1)):
+            calls = 0
+            roots_degree_le2(chi, given)
+            assert calls <= 2, (g, given)
 
 
 def _random_biregular(rng: random.Random, d0: int, d1: int, n0: int) -> Optional[Graph]:
@@ -898,8 +1033,8 @@ def _random_biregular(rng: random.Random, d0: int, d1: int, n0: int) -> Optional
     return g if g.is_connected() else None
 
 
-def _proven_bound_cases() -> list[tuple[str, IntPolynomial, int]]:
-    """(label, chi, bound) as the spectral table factors them: chi(C C^T)
+def _proven_interval_cases() -> list[tuple[str, IntPolynomial, tuple[int, int]]]:
+    """(label, chi, interval) as the spectral table factors them: chi(C C^T)
     with every root in [0, d0 d1] on seeded biregular graphs, and chi(A)
     with every root in [-d, d] on seeded d-regular ones (Grover)."""
     nx = pytest.importorskip("networkx")
@@ -911,47 +1046,49 @@ def _proven_bound_cases() -> list[tuple[str, IntPolynomial, int]]:
             g = _random_biregular(rng, d0, d1, n0)
             if g is not None:
                 found += 1
-                cases.append((f"biregular-{d0}-{d1}-{found}", _table_chi(g), d0 * d1))
+                cases.append((f"biregular-{d0}-{d1}-{found}", _table_chi(g), (0, d0 * d1)))
     for d, n in ((3, 8), (3, 10), (3, 12), (4, 9), (5, 10)):
         for seed in range(4):
             h = nx.random_regular_graph(d, n, seed=seed)
             g = Graph.from_edges(n, h.edges())
             if g.is_connected():
-                cases.append((f"regular-{d}-{n}-{seed}", _grover_chi(g), d))
-                cases.append((f"cover-{d}-{n}-{seed}", _table_chi(bipartite_double_cover(g)), d * d))
+                cases.append((f"regular-{d}-{n}-{seed}", _grover_chi(g), (-d, d)))
+                cases.append((f"cover-{d}-{n}-{seed}", _table_chi(bipartite_double_cover(g)), (0, d * d)))
     return cases
 
 
 def test_proven_root_bound_keeps_the_search_complete():
-    """The bound the spectral table passes, d0 d1 for chi(C C^T) and d for
-    chi(A), gives the same roots, multiplicities and messages as the search
-    without it, and is below the Cauchy/Fujiwara bound on most inputs."""
-    np = pytest.importorskip("numpy")
-    cases = _proven_bound_cases()
+    """The interval the spectral table passes, [0, d0 d1] for chi(C C^T) and
+    [-d, d] for chi(A), holds every root, and gives the same roots,
+    multiplicities and messages as the search without it; its larger end
+    is below the Cauchy/Fujiwara bound on most inputs."""
+    sympy = pytest.importorskip("sympy")
+    cases = _proven_interval_cases()
     tighter = 0
     outcomes = set()
-    for label, chi, bound in cases:
-        assert max(abs(np.roots(chi.coeffs[::-1]))) <= bound * (1 + 1e-9), label
-        with_bound = _outcome(lambda p: roots_degree_le2(p, bound), chi)
-        assert with_bound == _outcome(roots_degree_le2, chi), label
-        outcomes.add(type(with_bound))
-        tighter += bound < _root_bound(chi)
+    for label, chi, (lo, hi) in cases:
+        square_free = sympy.Poly(chi.coeffs[::-1], sympy.Symbol("x")).sqf_part()
+        assert square_free.count_roots(lo, hi) == square_free.degree(), label
+        with_interval = _outcome(lambda p: roots_degree_le2(p, (lo, hi)), chi)
+        assert with_interval == _outcome(roots_degree_le2, chi), label
+        outcomes.add(type(with_interval))
+        tighter += max(-lo, hi) < min(1 + max(map(abs, chi.coeffs[:-1])), _fujiwara_bound(chi.coeffs))
     assert outcomes == {list, str}  # both factored and HigherDegreeFactor cases
     assert tighter > len(cases) // 2
 
 
 def test_the_table_passes_its_proven_root_bound(monkeypatch):
-    bounds = []
+    intervals = []
     search = qwalk.periodicity.roots_degree_le2
 
-    def recording(p, bound=None):
-        bounds.append(bound)
-        return search(p, bound)
+    def recording(p, interval=None):
+        intervals.append(interval)
+        return search(p, interval)
 
     monkeypatch.setattr(qwalk.periodicity, "roots_degree_le2", recording)
     spectral_test_biregular(star(3))  # (3, 1)-biregular: roots in [0, 3]
     grover_regular_test(petersen_graph())  # 3-regular: roots in [-3, 3]
-    assert [b for b in bounds if b is not None] == [3, 3]
+    assert [i for i in intervals if i is not None] == [(0, 3), (-3, 3)]
 
 
 def test_integer_horner():

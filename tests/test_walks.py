@@ -44,6 +44,7 @@ from qwalk.walks import (
     walk_from_json,
     walk_to_json,
 )
+from test_exact import fractions_of
 
 F = Fraction
 
@@ -177,7 +178,7 @@ def _definitional_block_identity(g: Graph, j: int, gw: ArcWalkOperator | None = 
     else:
         s = RationalMatrix([[int(a == c) for c in gw.arcs] for a in arcs])
         u_gw = mat_mul(mat_mul(s, gw.U), s.transpose())
-    ubk = mat_pow(_definitional_bipartite(g)[2], j).data
+    ubk = fractions_of(mat_pow(_definitional_bipartite(g)[2], j))
     m = g.num_edges
     zero = [F(0)] * m
     block = [list(col) + zero for col in zip(*ubk)] + [zero + list(row) for row in ubk]
