@@ -51,10 +51,10 @@ from .graphs import (
 from .periodicity import MethodDisagreement, PeriodicityVerdict, decide_periodicity
 from .scan import MAX_SCAN_EDGES, scan_periodicity
 from .walks import (
-    _entries_to_strings,
     block_identity_checks,
     build_bipartite_walk,
     build_grover_walk,
+    entry_rows,
     grover_equals_bipartite_on_subdivision,
     grover_to_json,
     walk_to_json,
@@ -256,7 +256,7 @@ def cmd_walk(args: argparse.Namespace) -> int:
         print(f"{kind} walk, dim {w.dim}")
         for name, m in matrices:
             print(f"{name} =")
-            for row in _entries_to_strings(m):
+            for row in entry_rows(m):
                 print("  [" + "  ".join(f"{x:>6}" for x in row) + "]")
     else:
         print(to_json(w))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, compress, count
+from itertools import chain, combinations, compress, count, zip_longest
 from math import gcd, isqrt, lcm, prod
 from operator import itemgetter, mul
 from typing import NamedTuple, Optional, Sequence, Union
@@ -31,11 +31,12 @@ class RationalMatrix:
 
     The pair (num, den) is kept in normal form: gcd(den, every numerator)
     is 1, so the zero matrix has den 1.  Equal matrices therefore have
-    equal (num, den), and equality and hashing compare those directly.
-    The nonzeros of each row are found on first use and kept.
+    equal (cols, den, nonzeros()), and equality and hashing compare those.
+    Each of num and nonzeros() is formed from the other on first use and
+    kept.
     """
 
-    __slots__ = ("rows", "cols", "num", "den", "_nonzeros")
+    __slots__ = ("rows", "cols", "_num", "den", "_nonzeros")
 
     def __init__(self, data: Sequence[Sequence[RationalLike]]):
         fracs = [[Fraction(x) for x in row] for row in data]
@@ -49,7 +50,7 @@ class RationalMatrix:
         )
 
     def _set(self, num: tuple[tuple[int, ...], ...], den: int) -> None:
-        self.num, self.den = num, den
+        self._num, self.den = num, den
         self.rows = len(num)
         self.cols = len(num[0]) if num else 0
         self._nonzeros = None
@@ -89,27 +90,35 @@ class RationalMatrix:
         if g != 1:
             den //= g
             rows = [[(j, x // g) for j, x in row] for row in rows]
-        num = []
         for row in rows:
-            dense, last = [0] * cols, -1
+            last = -1
             for j, x in row:
                 if not last < j < cols or not x:
                     raise ValueError(f"not the nonzeros of a row of {cols} columns: {row}")
-                dense[j], last = x, j
-            num.append(tuple(dense))
-        m = cls._normal(tuple(num), den)
+                last = j
+        m = object.__new__(cls)
+        m.rows, m.cols, m._num, m.den = len(rows), cols, None, den
         m._nonzeros = tuple(map(tuple, rows))
         return m
 
+    @property
+    def num(self) -> tuple[tuple[int, ...], ...]:
+        """The dense numerator rows."""
+        if self._num is None:
+            dense = [[0] * self.cols for _ in self._nonzeros]
+            for out, row in zip(dense, self._nonzeros):
+                for j, x in row:
+                    out[j] = x
+            self._num = tuple(map(tuple, dense))
+        return self._num
+
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix._normal(
-            tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1
-        )
+        return RationalMatrix.from_nonzeros([((i, 1),) for i in range(n)], n, 1)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RationalMatrix":
-        return RationalMatrix._normal(tuple((0,) * cols for _ in range(rows)), 1)
+        return RationalMatrix.from_nonzeros([()] * rows, cols, 1)
 
     def nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The (column, numerator) pairs of the nonzeros of each row."""
@@ -123,10 +132,10 @@ class RationalMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return (self.cols, self.den, self.num) == (other.cols, other.den, other.num)
+        return (self.cols, self.den, self.nonzeros()) == (other.cols, other.den, other.nonzeros())
 
     def __hash__(self) -> int:
-        return hash((self.cols, self.den, self.num))
+        return hash((self.cols, self.den, self.nonzeros()))
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
@@ -231,12 +240,13 @@ def mat_pow(a: RationalMatrix, k: int) -> RationalMatrix:
 def _reduce(r: list[int], basis: Sequence[tuple[int, list[int]]]) -> list[int]:
     """r with each (pivot, row) of basis, in turn, cleared from it without
     fractions: row[pivot] r - r[pivot] row, over the gcd of its entries.
-    A row is zero at the pivots of the rows before it."""
+    A row is zero at the pivots of the rows before it; one shorter than r
+    is taken as padded with zeros."""
     for p, b in basis:
         f = r[p]
         if f:
             s = b[p]
-            r = [s * x - f * y for x, y in zip(r, b)]
+            r = [s * x - f * y for x, y in zip_longest(r, b, fillvalue=0)]
             g = gcd(*r)
             if g > 1:
                 r = [x // g for x in r]
@@ -261,8 +271,8 @@ def local_minimal_polynomial(u: RationalMatrix, j: int) -> tuple[Fraction, ...]:
     mu of least degree with mu(u) e_j = 0, coefficients in ascending order.
 
     Krylov on the numerators N = den * u: v_0 = e_j, v_(i+1) = N v_i.  Each
-    v_k, extended by the unit vector of its index k, is reduced against the
-    earlier rows (_reduce, pivots among the first n entries); the tail
+    v_k, extended by the unit vector e_k of length k + 1, is reduced against
+    the earlier rows (_reduce, pivots among the first n entries); the tail
     carries the combination of v_0..v_k the row stands for.  The first v_k
     to vanish leaves sum c_i v_i = 0 with c_k != 0, the minimal polynomial
     of e_j under N; under u = N / den its coefficient i is
@@ -278,10 +288,10 @@ def local_minimal_polynomial(u: RationalMatrix, j: int) -> tuple[Fraction, ...]:
     v = [int(i == j) for i in range(n)]
     while True:
         k = len(basis)
-        r = _reduce(v + [int(i == k) for i in range(n + 1)], basis)
+        r = _reduce(v + [0] * k + [1], basis)
         pivot = next((i for i in range(n) if r[i]), None)
         if pivot is None:
-            c, den = r[n : n + k + 1], u.den
+            c, den = r[n:], u.den
             return tuple(Fraction(ci * den**i, c[k] * den**k) for i, ci in enumerate(c))
         basis.append((pivot, r))
         v = [sum(x * v[c] for c, x in row) for row in sparse]

@@ -18,8 +18,8 @@ from __future__ import annotations
 import json
 from itertools import chain
 from math import gcd, lcm
-from operator import add
-from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
+from operator import add, itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .exact import RationalMatrix, _int_product, mat_mul
 from .graphs import Graph, GraphError, bipartition, degree_profile, subdivision
@@ -76,19 +76,32 @@ def _rows_equal(dense: Iterable[Sequence[int]], dd: int, rows: Iterable[Row], dr
     )
 
 
+def _averages_over(p: RationalMatrix, cells: Sequence[Sequence[int]]) -> bool:
+    """Whether p = sum_c 1_c 1_c^T / |c| over the cells, read from p's
+    nonzeros: each row of a cell is that cell's block, the cells are
+    disjoint, and p has no other nonzero row.  Such a p is a symmetric
+    idempotent; the check costs sum |c|^2."""
+    nz, covered = p.nonzeros(), 0
+    for cell in cells:
+        w, r = divmod(p.den, len(cell))
+        block = tuple([(f, w) for f in cell])
+        if r or any(nz[e] != block for e in cell):
+            return False
+        covered += len(cell)
+    return covered == len(set(chain.from_iterable(cells))) == sum(map(bool, nz))
+
+
 def _projection(
     m: int, cells: Sequence[Sequence[int]], name: str
 ) -> tuple[RationalMatrix, list[Row], int]:
-    """The cell projection P, checked symmetric and idempotent (num num =
-    den num, compared on P's nonzeros), with the nonzeros of the rows of
-    2P - I and their denominator."""
+    """The cell projection P, checked by _averages_over, with the nonzeros
+    of the rows of 2P - I and their denominator.  A P that fails is named
+    for the first it lacks: symmetry, idempotence, or its cells."""
     rows, refl, den = _cell_rows(m, cells)
     p = RationalMatrix.from_nonzeros(rows, m, den)
-    if p.num != tuple(zip(*p.num)):
-        raise ConstructionError(f"{name} is not symmetric")
-    nz = p.nonzeros()
-    if not _rows_equal(_int_product(nz, nz, m), p.den, nz, 1):
-        raise ConstructionError(f"{name} is not idempotent")
+    if not _averages_over(p, cells):
+        lacks = "symmetric" if p != p.transpose() else "idempotent" if mat_mul(p, p) != p else ""
+        raise ConstructionError(f"{name} is not {lacks or 'the projection onto its cells'}")
     return p, refl, den
 
 
@@ -301,12 +314,14 @@ def build_grover_walk(g: Graph) -> ArcWalkOperator:
         raise ConstructionError("R is not an involution")
     k, refl, den = _projection(n_arcs, cells, "K")
     u = RationalMatrix.from_nonzeros([refl[j] for j in rev], n_arcs, den)
-    # K[i][i] = sum_j K[i][j]^2 holds the diagonal in every nonzero row
-    want = [
-        [(j, y) for j, x in row if (y := 2 * x - k.den * (i == j))] or [(i, -k.den)]
-        for i, row in enumerate(k.nonzeros())
-    ]
-    if not _rows_equal((u.num[j] for ((j, _),) in nz), u.den, want, k.den):
+    # row R(i) of U_GW over u.den against row i of 2K - I over k.den; K[i][i]
+    # = sum_j K[i][j]^2 holds the diagonal in every nonzero row of K
+    du, dk, unz = u.den, k.den, u.nonzeros()
+    if any(
+        [(j, dk * x) for j, x in unz[r]]
+        != ([(j, du * y) for j, x in row if (y := 2 * x - dk * (i == j))] or [(i, -du * dk)])
+        for i, (((r, _),), row) in enumerate(zip(nz, k.nonzeros()))
+    ):
         raise ConstructionError("U_GW is not orthogonal")
     return ArcWalkOperator(g, tuple(arcs), r, k, u)
 
@@ -395,20 +410,28 @@ def block_identity_check(gw: ArcWalkOperator, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _entries_to_strings(m: RationalMatrix) -> list[list[str]]:
-    """str(Fraction(x, den)) for each numerator x, formatted from the
-    integers with one gcd per distinct numerator."""
+def entry_rows(m: RationalMatrix, quote: str = "") -> Iterator[list[str]]:
+    """The rows of m with each entry as str(Fraction(x, m.den)), within
+    quote: one token per distinct numerator x (one gcd each), set at the
+    nonzeros of a copy of the zero row, so the work follows the nonzeros."""
     den = m.den
     text = {
-        x: str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}"
-        for x in set(chain.from_iterable(m.num))
+        x: quote + (str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}") + quote
+        for x in {0, *map(itemgetter(1), chain.from_iterable(m.nonzeros()))}
     }
-    return [list(map(text.__getitem__, row)) for row in m.num]
+    zeros = [text[0]] * m.cols
+    for row in m.nonzeros():
+        out = zeros.copy()
+        for j, x in row:
+            out[j] = text[x]
+        yield out
 
 
 def _to_json(
     kind: str, w: WalkOperator | ArcWalkOperator, fields: dict, matrices: Sequence[str]
 ) -> str:
+    """json.dumps of the document, each matrix a list of entry_rows: their
+    tokens hold only digits, "-" and "/", which it writes unescaped."""
     doc = {
         "kind": kind,
         "dim": w.dim,
@@ -416,9 +439,11 @@ def _to_json(
         "edges": [list(e) for e in w.graph.edges],
         **fields,
     }
+    parts = [json.dumps(doc)[:-1]]
     for name in matrices:
-        doc[name] = _entries_to_strings(getattr(w, name))
-    return json.dumps(doc)
+        rows = ", ".join(["[" + ", ".join(row) + "]" for row in entry_rows(getattr(w, name), '"')])
+        parts.append(f', "{name}": [{rows}]')
+    return "".join(parts) + "}"
 
 
 W = TypeVar("W", WalkOperator, ArcWalkOperator)

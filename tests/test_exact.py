@@ -171,7 +171,10 @@ class TestRationalMatrix:
         square = mat_mul(m, m)
         assert square == RationalMatrix(ref_mul(fractions_of(m), fractions_of(m)))
         assert mat_mul(square, m) == mat_mul(m, square)
-        assert len(calls) == 2  # those of m and of its square
+        assert square == mat_mul(m, m) and m.nonzeros() is m.nonzeros()
+        # those of m, of its square (multiplied and compared), of the
+        # reference and of each of the three products compared after it
+        assert len(calls) == 6
 
     @given(
         st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(

@@ -1,9 +1,12 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -31,13 +34,14 @@ from qwalk.graphs import (
 from qwalk.walks import (
     ArcWalkOperator,
     ConstructionError,
-    _entries_to_strings,
+    _averages_over,
     _projection,
     block_identity_check,
     block_identity_checks,
     build_bipartite_walk,
     build_grover_walk,
     build_partitions,
+    entry_rows,
     grover_equals_bipartite_on_subdivision,
     grover_from_json,
     grover_to_json,
@@ -248,6 +252,57 @@ def _assert_orthogonal(u: RationalMatrix, name: str) -> None:
     c = u.den**2
     if not all(row[i] == c and row.count(0) == len(row) - 1 for i, row in enumerate(gram)):
         raise ConstructionError(f"{name} is not orthogonal")
+
+
+def _assert_symmetric_idempotent(p: RationalMatrix, name: str) -> None:
+    """The projection oracle: P = P^T, then P^2 = P, num num = den num
+    compared on P's nonzeros."""
+    if p.num != tuple(zip(*p.num)):
+        raise ConstructionError(f"{name} is not symmetric")
+    nz = p.nonzeros()
+    square = qwalk.exact._int_product(nz, nz, p.cols)
+    if not all(
+        d.count(0) == len(d) - len(r) and all(d[j] == p.den * x for j, x in r)
+        for d, r in zip(square, nz)
+    ):
+        raise ConstructionError(f"{name} is not idempotent")
+
+
+def _tally_projection_work(monkeypatch) -> list[int]:
+    """Make _averages_over read P's nonzeros as rows that add their length
+    to a tally each time one is compared.  Returns the tallies, one per
+    projection checked, in order."""
+    check, tallies = qwalk.walks._averages_over, []
+
+    class Tallied(tuple):
+        def __eq__(self, other):
+            tallies[-1] += len(self)
+            return tuple.__eq__(self, other)
+
+        def __ne__(self, other):
+            return not self == other
+
+        __hash__ = tuple.__hash__
+
+    def tallied(p, cells):
+        tallies.append(0)
+        q = RationalMatrix.from_nonzeros(p.nonzeros(), p.cols, p.den)
+        q._nonzeros = tuple(map(Tallied, q.nonzeros()))
+        return check(q, cells)
+
+    monkeypatch.setattr(qwalk.walks, "_averages_over", tallied)
+    return tallies
+
+
+def _entries_to_strings(m: RationalMatrix) -> list[list[str]]:
+    """The writer's oracle: str(Fraction(x, den)) for each numerator x of
+    the dense rows, with one gcd per distinct numerator."""
+    den = m.den
+    text = {
+        x: str(x // g) if (g := math.gcd(x, den)) == den else f"{x // g}/{den // g}"
+        for x in set(itertools.chain.from_iterable(m.num))
+    }
+    return [list(map(text.__getitem__, row)) for row in m.num]
 
 
 def _shifted(rows, i: int, j: int, shift: int) -> list[list[tuple[int, int]]]:
@@ -600,27 +655,23 @@ class TestConstructionChecks:
             with pytest.raises(ConstructionError):
                 _assert_orthogonal(built[-1], name)
 
-    def test_grover_build_multiplies_only_for_ks_idempotence(self, monkeypatch):
-        """On K_{10,10} the one integer product of build_grover_walk is K's
-        idempotence check: the cube of each of K's 20 cells of 10 arcs.  R
-        and U_GW are checked on their nonzeros."""
-        product = qwalk.exact._int_product
-        counts = []
-
-        def counting_product(a, b, cols):
-            counts.append(sum(len(b[k]) for row in a for k, _ in row))
-            return product(a, b, cols)
-
-        monkeypatch.setattr(qwalk.walks, "_int_product", counting_product)
+    def test_grover_build_takes_no_product(self, monkeypatch):
+        """On K_{10,10} build_grover_walk takes no integer product: each of
+        K's 20 cells of 10 arcs has its 10 rows compared with the cell's
+        block, 20 * 10**2 pairs, and R and U_GW are checked on their
+        nonzeros."""
+        products, work = [], _tally_projection_work(monkeypatch)
+        for module in (qwalk.walks, qwalk.exact):
+            monkeypatch.setattr(module, "_int_product", lambda *args: products.append(args))
         build_grover_walk(complete_bipartite(10, 10))
-        assert counts == [20 * 10**3]
+        assert products == [] and work == [20 * 10**2]
 
     def test_build_cost_follows_the_nonzeros(self, monkeypatch):
-        """On K_{10,10} the build's multiply-adds stay under nnz(U) times
-        the largest cell, with P's and Q's idempotence checks (the cube of
-        each cell) and (2P - I)(2Q - I), integer products all three.  U's
+        """On K_{10,10} the build's one integer product is (2P - I)(2Q - I),
+        nnz(U) times the largest cell at most.  P and Q take none: each
+        cell's rows are compared with its block, sum |cell|^2 pairs.  U's
         check reflects U's nonzeros, two additions each.  The Gram check
-        alone took sum nnz(row)^2, twenty times the whole."""
+        alone took sum nnz(row)^2, thirty times the whole."""
         g = complete_bipartite(10, 10)
         product, reflect = qwalk.exact._int_product, qwalk.walks._reflect
         counts = {"product": 0, "reflect": 0}
@@ -635,14 +686,16 @@ class TestConstructionChecks:
 
         monkeypatch.setattr(qwalk.walks, "_int_product", counting_product)
         monkeypatch.setattr(qwalk.walks, "_reflect", counting_reflect)
+        work = _tally_projection_work(monkeypatch)
         u = build_bipartite_walk(g).U
-        cells = [c for pi in build_partitions(g) for c in pi]
-        largest, nnz = max(map(len, cells)), sum(map(len, u.nonzeros()))
-        projections = sum(len(c) ** 3 for c in cells)
-        assert counts == {"product": projections + g.num_edges * largest**2, "reflect": 2 * nnz}
-        total = sum(counts.values())
-        assert total <= nnz * largest + projections + g.num_edges * largest**2
-        assert 20 * total <= sum(len(row) ** 2 for row in u.nonzeros())
+        pi0, pi1 = build_partitions(g)
+        largest, nnz = max(map(len, pi0 + pi1)), sum(map(len, u.nonzeros()))
+        squares = [sum(len(c) ** 2 for c in pi) for pi in (pi1, pi0)]  # P, then Q
+        assert work == squares
+        assert counts == {"product": g.num_edges * largest**2, "reflect": 2 * nnz}
+        total = sum(counts.values()) + sum(work)
+        assert total <= nnz * largest + sum(squares)
+        assert 30 * total <= sum(len(row) ** 2 for row in u.nonzeros())
 
     def test_repeated_edge_reverses_into_the_wrong_arc(self):
         # bypasses Graph.from_edges, which rejects the duplicate: both
@@ -679,6 +732,119 @@ class TestConstructionChecks:
         _corrupt_built_matrix(monkeypatch, lambda n, num: False, _add(0, 0))
         build_bipartite_walk(complete_bipartite(3, 3))
         build_grover_walk(petersen_graph())
+
+
+def _refusals(monkeypatch, p: RationalMatrix, cells, name: str) -> tuple:
+    """(the oracle's message, _projection's message) with p as the matrix
+    built for the cells; None where the check passes."""
+
+    def message(check) -> "str | None":
+        try:
+            check()
+        except ConstructionError as exc:
+            return str(exc)
+        return None
+
+    with monkeypatch.context() as mp:
+        mp.setattr(RationalMatrix, "from_nonzeros", classmethod(lambda cls, *args: p))
+        built = message(lambda: _projection(p.rows, cells, name))
+    return message(lambda: _assert_symmetric_idempotent(p, name)), built
+
+
+def _assert_refused_as_the_oracle_refuses(monkeypatch, p, cells, name) -> None:
+    """_projection refuses p with the oracle's message, symmetry first; a
+    symmetric idempotent that the oracle passes is refused by its cells."""
+    oracle, built = _refusals(monkeypatch, p, cells, name)
+    assert built == (oracle or f"{name} is not the projection onto its cells")
+
+
+def _grover_cells(w: ArcWalkOperator) -> list[list[int]]:
+    """K's cells from the arc list: the arcs into each head, ascending."""
+    return [[a for a, (_, h) in enumerate(w.arcs) if h == v] for v in range(w.graph.n)]
+
+
+class TestProjectionCheck:
+    """_projection checks P per cell (_averages_over) and is at least as
+    strict as the oracle, P = P^T and P^2 = P, with the same messages."""
+
+    @pytest.mark.parametrize("name", ["P", "Q", "K"])
+    def test_single_entry_corruptions(self, monkeypatch, name):
+        for seed in range(40):
+            rng = random.Random(seed)
+            if name == "K":
+                w = build_grover_walk(GRAPH_FAMILIES[sorted(GRAPH_FAMILIES)[seed % 6]](rng))
+                p, cells = w.K, _grover_cells(w)
+            else:
+                g = BIPARTITE_FAMILIES[sorted(BIPARTITE_FAMILIES)[seed % 4]](rng)
+                w, (pi0, pi1) = build_bipartite_walk(g), build_partitions(g)
+                p, cells = (w.P, pi1) if name == "P" else (w.Q, pi0)
+            assert _refusals(monkeypatch, p, cells, name) == (None, None)
+            i, j = rng.randrange(p.rows), rng.randrange(p.rows)
+            # den and -den move an entry by one; -den on a cell of one edge
+            # leaves a symmetric idempotent, which the oracle passes
+            shift = rng.choice([-2, -1, 1, 2, p.den, -p.den])
+            num = [list(row) for row in p.num]
+            num[i][j] += shift
+            bad = RationalMatrix.from_numerators(num, p.den)
+            _assert_refused_as_the_oracle_refuses(monkeypatch, bad, cells, name)
+
+    def test_a_cell_of_one_edge_emptied(self, monkeypatch):
+        """P with a singleton cell's 1 removed is a symmetric idempotent,
+        which the oracle passes and the cell check refuses."""
+        cells = [(0, 1), (2,)]
+        p = RationalMatrix.from_numerators([[1, 1, 0], [1, 1, 0], [0, 0, 0]], 2)
+        refusals = _refusals(monkeypatch, p, cells, "P")
+        assert refusals == (None, "P is not the projection onto its cells")
+
+    @pytest.mark.parametrize(
+        "cells,rows,message",
+        [
+            # overlapping cells: edge 1 takes the second cell's row
+            ([(0, 1), (1, 2)], None, "P is not symmetric"),
+            # an edge in two cells, the same cell twice: the second row
+            # written is the first, and P is the projection onto one cell
+            ([(0, 1), (0, 1)], None, "P is not the projection onto its cells"),
+            # a non-empty row outside every cell, on the diagonal and off it
+            ([(0, 1)], [[1, 1, 0], [1, 1, 0], [0, 0, 2]], "P is not the projection onto its cells"),
+            ([(0, 1)], [[1, 1, 0], [1, 1, 0], [0, 1, 0]], "P is not symmetric"),
+            ([(0, 1)], [[1, 1, 1], [1, 1, 0], [1, 0, 0]], "P is not idempotent"),
+            # a cell twice, its rows right, as many nonzero rows as the two
+            # copies hold: a symmetric idempotent, refused as the cells overlap
+            ([(0, 1), (0, 1)], [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]],
+             "P is not the projection onto its cells"),
+            # equal entries that are not 1/|cell|: 2/5 = (2/2)/5
+            ([(0, 1)], [[2, 2], [2, 2]], "P is not idempotent"),
+        ],
+        ids=[
+            "overlap", "edge-in-two-cells", "row-outside", "row-outside-off-diagonal",
+            "row-outside-symmetric", "cell-twice-and-rows-outside", "not-one-over-the-size",
+        ],
+    )
+    def test_cells_that_do_not_partition(self, monkeypatch, cells, rows, message):
+        if rows is None:  # P as _projection builds it from the cells
+            with pytest.raises(ConstructionError) as exc:
+                _projection(3, cells, "P")
+            assert str(exc.value) == message
+            nonzeros, _, den = qwalk.walks._cell_rows(3, cells)
+            p = RationalMatrix.from_nonzeros(nonzeros, 3, den)
+        else:
+            p = RationalMatrix.from_numerators(rows, 2 if len(rows) > 2 else 5)
+        assert _refusals(monkeypatch, p, cells, "P")[1] == message
+        _assert_refused_as_the_oracle_refuses(monkeypatch, p, cells, "P")
+
+    @pytest.mark.parametrize(
+        "g", [cycle(6), complete_bipartite(3, 4), petersen_graph(), heawood_graph()],
+        ids=["c6", "k34", "petersen", "heawood"],
+    )
+    def test_built_projections_pass_both(self, monkeypatch, g):
+        w = build_grover_walk(g)
+        checked = [(w.K, _grover_cells(w), "K")]
+        if is_bipartite(g):
+            b, (pi0, pi1) = build_bipartite_walk(g), build_partitions(g)
+            checked += [(b.P, pi1, "P"), (b.Q, pi0, "Q")]
+        for p, cells, name in checked:
+            assert _averages_over(p, cells)
+            assert _refusals(monkeypatch, p, cells, name) == (None, None)
 
 
 def _assert_as_defined(built, defined) -> None:
@@ -756,6 +922,80 @@ class TestSerialization:
                 code = main(["verify", name])
             digest.update(f"{code}\n{out.getvalue()}".encode())
         assert digest.hexdigest() == "d8a7fea0071d20b5a5f4909fabe2c9df94955feac1d37a24a149ea186e3387e2"
+
+
+def _random_matrix(rng: random.Random) -> RationalMatrix:
+    """A seeded matrix of 0-5 rows and 0-5 columns, square or not, with
+    zero rows, negative numerators and denominators 1-12; built from its
+    numerators or from its nonzeros."""
+    rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+    entries = [0, 0, 1, -1, 2, -3, 4, 6, -12]
+    num = [
+        [rng.choice(entries) for _ in range(cols)] if rng.random() < 0.7 else [0] * cols
+        for _ in range(rows)
+    ]
+    den = rng.choice([1, 1, 2, 3, 4, 6, 12])
+    if rng.random() < 0.5:
+        return RationalMatrix.from_numerators(num, den) if rows else RationalMatrix([])
+    return RationalMatrix.from_nonzeros(_nonzeros(num), cols, den)
+
+
+class TestRepresentation:
+    """Walk operators are built, checked and written from their nonzeros;
+    their dense rows are formed only when read."""
+
+    def test_writer_matches_json_dumps_of_the_dense_oracle(self):
+        shapes = set()
+        for seed in range(300):
+            rng = random.Random(seed)
+            a, b = _random_matrix(rng), _random_matrix(rng)
+            shapes.add((a.rows, a.cols))
+            w = SimpleNamespace(dim=3, graph=SimpleNamespace(n=2, edges=((0, 1),)), A=a, B=b)
+            doc = {"kind": "k", "dim": 3, "n": 2, "edges": [[0, 1]], "f": [1, "x"]}
+            doc.update(A=_entries_to_strings(a), B=_entries_to_strings(b))
+            assert qwalk.walks._to_json("k", w, {"f": [1, "x"]}, ("A", "B")) == json.dumps(doc)
+            assert list(entry_rows(a)) == _entries_to_strings(a)
+        assert {(1, 1), (0, 0), (2, 0), (2, 3), (4, 4)} <= shapes
+
+    @pytest.mark.parametrize(
+        "g", [cycle(6), complete_bipartite(3, 4), heawood_graph()], ids=["c6", "k34", "heawood"]
+    )
+    def test_built_and_written_walks_form_no_dense_rows(self, g):
+        w, gw = build_bipartite_walk(g), build_grover_walk(g)
+        walk_to_json(w), grover_to_json(gw)
+        assert [m._num for m in (w.P, w.Q, gw.R, gw.K, gw.U)] == [None] * 5
+        assert [m.num for m in (w.P, w.Q)] == [m.num for m in _definitional_bipartite(g)[:2]]
+        assert w.P._num is not None
+
+    def test_either_constructor_compares_and_hashes_equal(self):
+        for seed in range(100):
+            rng = random.Random(seed)
+            m = _random_matrix(rng)
+            if not m.rows:  # dense rows do not tell 0 x c from 0 x 0
+                continue
+            dense = RationalMatrix.from_numerators(m.num, m.den)
+            sparse = RationalMatrix.from_nonzeros(_nonzeros(dense.num), m.cols, m.den)
+            assert sparse._num is None and dense._num is not None
+            assert sparse == dense and dense == sparse and hash(sparse) == hash(dense)
+            assert sparse._num is None
+            other = RationalMatrix.from_nonzeros(_nonzeros(dense.num), m.cols, m.den)
+            assert other == sparse and hash(other) == hash(sparse)
+            if m.cols:
+                bumped = [list(row) for row in dense.num]
+                bumped[0][0] += 1
+                assert RationalMatrix.from_nonzeros(_nonzeros(bumped), m.cols, m.den) != dense
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (RationalMatrix.zeros(2, 3), RationalMatrix.zeros(3, 2)),
+            (RationalMatrix.zeros(2, 3), RationalMatrix.zeros(3, 3)),
+            (RationalMatrix.zeros(2, 2), RationalMatrix.identity(2)),
+            (RationalMatrix.identity(2), RationalMatrix.identity(2).scale(Fraction(1, 2))),
+        ],
+    )
+    def test_shape_and_entries_tell_apart(self, a, b):
+        assert a != b and b != a and RationalMatrix.from_numerators(b.num, b.den) != a
 
 
 def _bump_u(doc: dict) -> None:
