@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import chain, combinations, compress, count, zip_longest
 from math import gcd, isqrt, lcm, prod
 from operator import itemgetter, mul
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -666,8 +666,7 @@ def eval_at_quadratic(p: IntPolynomial, v: QuadraticValue) -> QuadraticValue:
 
 
 class HigherDegreeFactor(Exception):
-    """The polynomial has an irreducible factor of degree > 2 (or a
-    non-real quadratic factor, which is equally outside scope)."""
+    """The polynomial has an irreducible factor of degree > 2."""
 
 
 def _signed_divisors(n: int, lo: int, hi: int) -> list[int]:
@@ -687,28 +686,6 @@ def _signed_divisors(n: int, lo: int, hi: int) -> list[int]:
     return [x for d in small + large[::-1] for x in (d, -d) if lo <= x <= hi]
 
 
-def _iroot_ceil(a: int, k: int) -> int:
-    """Smallest integer r >= 0 with r**k >= a, for a >= 0 (exact)."""
-    if a < 2 or k == 1:
-        return a
-    r = 1 << -(-a.bit_length() // k)  # r**k >= a
-    while True:
-        # Newton step toward floor(a^(1/k)); decreasing while above it
-        s = ((k - 1) * r + a // r ** (k - 1)) // k
-        if s >= r:
-            break
-        r = s
-    return r if r ** k >= a else r + 1
-
-
-def _fujiwara_bound(c: Sequence[int]) -> int:
-    """Integer bound on every complex root of the monic polynomial with
-    ascending coefficients c, of degree n: |z| <= 2 max_k |a_(n-k)|^(1/k)
-    (Fujiwara), k-th roots rounded up."""
-    n = len(c) - 1
-    return 2 * max(_iroot_ceil(abs(c[n - k]), k) for k in range(1, n + 1))
-
-
 def _horner(c: Sequence[int], t: RationalLike) -> RationalLike:
     """Horner's rule: an int at an integer, a Fraction at a Fraction."""
     acc = 0
@@ -717,12 +694,11 @@ def _horner(c: Sequence[int], t: RationalLike) -> RationalLike:
     return acc
 
 
-def _strip_quadratics(rem: list[int], lo: int, hi: int, real: bool, roots: Counter) -> list[int]:
+def _strip_quadratics(rem: list[int], lo: int, hi: int, roots: Counter) -> list[int]:
     """roots_degree_le2's last stage, on a residual of degree >= 2 with no
-    integer root and every root z real in [lo, hi], or, unless real, with
-    |z| <= hi = -lo: count the roots of its irreducible monic quadratic
-    factors in roots, and return the residual, of degree < 2, or raise
-    HigherDegreeFactor."""
+    integer root and every root real and in [lo, hi]: count the roots of
+    its irreducible monic quadratic factors in roots, and return the
+    residual, of degree < 2, or raise HigherDegreeFactor."""
     # a factor f = (x - z1)(x - z2) = x^2 + beta x + gamma has beta in
     # [-2 hi, -2 lo], gamma a product of two points of [lo, hi], and
     # f(lo), f(hi) >= 0; for real roots beta^2 > 4 gamma, and these put
@@ -735,17 +711,13 @@ def _strip_quadratics(rem: list[int], lo: int, hi: int, real: bool, roots: Count
         g1, g2 = 1 + gamma, 4 + gamma  # f(+-1) = g1 +- beta, f(+-2) = g2 +- 2 beta
         for beta in range(-2 * hi, 1 - 2 * lo):
             disc = beta * beta - 4 * gamma
-            if real and disc <= 0 or lo * (lo + beta) + gamma < 0 or hi * (hi + beta) + gamma < 0:
+            if disc <= 0 or lo * (lo + beta) + gamma < 0 or hi * (hi + beta) + gamma < 0:
                 continue
             f1, f_1, f2, f_2 = g1 + beta, g1 - beta, g2 + 2 * beta, g2 - 2 * beta
             while f1 and f_1 and f2 and f_2 and not (r1 % f1 or r_1 % f_1 or r2 % f2 or r_2 % f_2):
                 quo, r = _divmod_monic(rem, (gamma, beta, 1))
                 if any(r):
                     break
-                if disc <= 0:
-                    # disc == 0 impossible here (double rational root was
-                    # stripped); disc < 0 means complex roots
-                    raise HigherDegreeFactor(f"non-real quadratic factor x^2+{beta}x+{gamma}")
                 s, f = square_free_part(disc)
                 if s == 1:
                     # reducible; its rational roots were already stripped
@@ -760,19 +732,18 @@ def _strip_quadratics(rem: list[int], lo: int, hi: int, real: bool, roots: Count
 
 
 def roots_degree_le2(
-    p: IntPolynomial, interval: Optional[tuple[int, int]] = None
+    p: IntPolynomial, interval: tuple[int, int]
 ) -> list[tuple[QuadraticValue, int]]:
-    """Factor a monic integer polynomial into roots of algebraic degree <= 2.
+    """Factor a monic integer polynomial, every root of which the caller
+    has proven real and in interval = [lo, hi], into roots of algebraic
+    degree <= 2.
 
     Returns (root, multiplicity) pairs, ordered by (m, a, b). Rational roots
     of a monic integer polynomial are integers; irreducible monic quadratic
-    factors have integer coefficients (Gauss), so an integer search is
-    complete.  Raises HigherDegreeFactor when a residual admits no such
-    factor.  The search runs on int lists in one window: `interval` =
-    (lo, hi) when the caller has proven every root real and in [lo, hi]
-    (it stays complete only if that is proven), else [-B, B], B the
-    smaller of the Cauchy and Fujiwara bounds, where a non-real quadratic
-    factor raises.  A root a + b sqrt(m) is kept as the key (m, 2a, 2b),
+    factors have integer coefficients (Gauss), so an integer search on
+    [lo, hi] is complete, as long as the interval is proven.  Raises
+    HigherDegreeFactor when a residual admits no such factor.  The search
+    runs on int lists; a root a + b sqrt(m) is kept as the key (m, 2a, 2b),
     and one QuadraticValue is built per distinct root, at the end.
     """
     if not p.is_monic:
@@ -780,7 +751,7 @@ def roots_degree_le2(
     roots: Counter[tuple[int, int, int]] = Counter()
     # strip x^k: slice off the k low zero coefficients
     k = next(i for i, c in enumerate(p.coeffs) if c)
-    rem, real = list(p.coeffs[k:]), interval is not None
+    rem = list(p.coeffs[k:])
     if k:
         roots[1, 0, 0] = k
 
@@ -790,9 +761,6 @@ def roots_degree_le2(
     # integer roots divide the constant term, nonzero once x^k is stripped;
     # synthetic division by x - r leaves the quotient and, last, rem(r)
     if len(rem) > 1:
-        if not real:
-            b = min(1 + max(map(abs, rem[:-1])), _fujiwara_bound(rem))
-            interval = (-b, b)
         for r in _signed_divisors(rem[0], *interval):
             while len(rem) > 1:
                 quo, acc = [], 0
@@ -805,7 +773,7 @@ def roots_degree_le2(
                 roots[1, 2 * r, 0] += 1
 
     if len(rem) > 2:
-        rem = _strip_quadratics(rem, *interval, real, roots)
+        rem = _strip_quadratics(rem, *interval, roots)
 
     if len(rem) == 2:
         # monic linear remainder: root is an integer, but it escaped the

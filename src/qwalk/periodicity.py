@@ -91,11 +91,12 @@ class MethodDisagreement(RuntimeError):
 @lru_cache(maxsize=None)
 def _psi_roots() -> tuple[tuple[QuadraticValue, int], ...]:
     """(y, k) for every root y = 2cos(2 pi j / k) of a Psi_k of degree at
-    most two: the k with phi(k) <= 4, k ascending."""
+    most two: the k with phi(k) <= 4, k ascending.  Every root of a Psi_k
+    is real and in [-2, 2]."""
     return tuple(
         (y, k)
         for k, _ in _orders_of_totient_at_most(4)
-        for y, _ in roots_degree_le2(cyclotomic(k, real=True))
+        for y, _ in roots_degree_le2(cyclotomic(k, real=True), (-2, 2))
     )
 
 

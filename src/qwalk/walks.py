@@ -122,9 +122,11 @@ class WalkOperator(NamedTuple):
 def build_bipartite_walk(g: Graph) -> WalkOperator:
     """Assemble U = (2P-I)(2Q-I) on the classes of bipartition(g); all
     invariants verified at construction.  P and Q are symmetric
-    idempotents, so (2P - I)U = 2Q - I, on _reflect's rows of U's nonzeros,
-    holds only for U = (2P - I)(2Q - I), which is orthogonal; it refuses
-    U^T, which U^T U = I passes."""
+    idempotents, so (2P - I)U = 2Q - I holds only for U = (2P - I)(2Q - I),
+    which is orthogonal; it refuses U^T, which U^T U = I passes.  It is
+    checked as (2P - I)U + I = 2Q, on _reflect's rows of U's nonzeros and
+    the built Q's nonzeros, not on the rows of 2Q - I that U is built
+    from."""
     pi0, pi1 = build_partitions(g)
     m = g.num_edges
     # P from the c1-keyed cells, Q from the c0-keyed cells: the assignment
@@ -132,7 +134,10 @@ def build_bipartite_walk(g: Graph) -> WalkOperator:
     p, rp, dp = _projection(m, pi1, "P")
     q, rq, dq = _projection(m, pi0, "Q")
     u = RationalMatrix.from_numerators(_int_product(rp, rq, m), dp * dq)
-    if not _rows_equal(_reflect(u.nonzeros(), pi1, dp, m), u.den * dp, rq, dq):
+    lhs, dl = _reflect(u.nonzeros(), pi1, dp, m), u.den * dp
+    for i, row in enumerate(lhs):
+        row[i] += dl  # (2P - I)U + I, to compare with 2Q
+    if not _rows_equal(lhs, 2 * dl, q.nonzeros(), q.den):
         raise ConstructionError("U is not orthogonal")
     return WalkOperator(g, p, q, u)
 

@@ -15,6 +15,7 @@ import pytest
 
 from qwalk.cli import main
 from qwalk.exact import (
+    HigherDegreeFactor,
     RationalMatrix,
     char_poly,
     eval_at_quadratic,
@@ -270,11 +271,13 @@ def test_criterion_10_exact_kernel_properties(capsys):
             acc = acc.add(power.scale(c))
             power = mat_mul(power, a)
         ok = ok and acc == RationalMatrix.zeros(g.n, g.n)
-        # every root returned for the characteristic polynomial evaluates to 0
+        # every root returned for the characteristic polynomial evaluates to
+        # 0; the adjacency eigenvalues are real and in [-max degree, max degree]
+        d = max(g.degrees())
         try:
-            for v, _ in roots_degree_le2(p):
+            for v, _ in roots_degree_le2(p, (-d, d)):
                 ok = ok and eval_at_quadratic(p, v) == QuadraticValue.rational(0)
-        except Exception:
+        except HigherDegreeFactor:
             pass  # factors of degree > 2 are out of scope for the root finder
     # mat_pow additivity on 50 seeded random rational matrices
     rng = random.Random(42)

@@ -21,7 +21,6 @@ from qwalk.exact import (
     QuadraticValue,
     RationalMatrix,
     _divmod_monic,
-    _fujiwara_bound,
     _nonzeros,
     _orders_of_totient_at_most,
     _signed_divisors,
@@ -453,34 +452,78 @@ class TestQuadraticValue:
         assert not is_quadratic_algebraic_integer(QuadraticValue.rational(Fraction(1, 2)))
 
 
+# ---------------------------------------------------------------------------
+# The Cauchy/Fujiwara window, kept as the test oracle's root bound
+# ---------------------------------------------------------------------------
+
+
+def _iroot_ceil(a: int, k: int) -> int:
+    """Smallest integer r >= 0 with r**k >= a, for a >= 0 (exact)."""
+    if a < 2 or k == 1:
+        return a
+    r = 1 << -(-a.bit_length() // k)  # r**k >= a
+    while True:
+        # Newton step toward floor(a^(1/k)); decreasing while above it
+        s = ((k - 1) * r + a // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r if r ** k >= a else r + 1
+
+
+def _fujiwara_bound(p: IntPolynomial) -> int:
+    """Integer bound on every complex root of a monic p of degree n:
+    |z| <= 2 max_k |a_(n-k)|^(1/k) (Fujiwara), k-th roots rounded up."""
+    n = p.degree
+    return 2 * max(_iroot_ceil(abs(p.coeffs[n - k]), k) for k in range(1, n + 1))
+
+
+def _root_bound(p: IntPolynomial, cap: Optional[int] = None) -> int:
+    """The smaller of the Cauchy and Fujiwara bounds on the roots of p, and
+    of cap when it is given."""
+    b = min(1 + max(abs(c) for c in p.coeffs[:-1]), _fujiwara_bound(p))
+    return b if cap is None else min(b, cap)
+
+
+def _window(p: IntPolynomial) -> tuple[int, int]:
+    """[-B, B], B = _root_bound(p): the interval roots_degree_le2 searches
+    for a p whose roots no caller has bounded."""
+    b = _root_bound(p)
+    return -b, b
+
+
 class TestRootFinding:
     def test_integer_roots_with_multiplicity(self):
         # (x-2)^2 (x+1) = x^3 - 3x^2 + 4
         p = IntPolynomial.from_coeffs([4, 0, -3, 1])
-        roots = dict(roots_degree_le2(p))
+        roots = dict(roots_degree_le2(p, _window(p)))
         assert roots[QuadraticValue.rational(2)] == 2
         assert roots[QuadraticValue.rational(-1)] == 1
 
     def test_quadratic_roots(self):
         # x^2 - x - 1: golden ratio pair
-        roots = roots_degree_le2(IntPolynomial.from_coeffs([-1, -1, 1]))
+        p = IntPolynomial.from_coeffs([-1, -1, 1])
+        roots = roots_degree_le2(p, _window(p))
         values = {v for v, _ in roots}
         phi = QuadraticValue.of(Fraction(1, 2), Fraction(1, 2), 5)
         assert values == {phi, phi.conjugate()}
 
     def test_mixed_with_zero(self):
         # x^2 (x^2 - 2)
-        roots = dict(roots_degree_le2(IntPolynomial.from_coeffs([0, 0, -2, 0, 1])))
+        p = IntPolynomial.from_coeffs([0, 0, -2, 0, 1])
+        roots = dict(roots_degree_le2(p, _window(p)))
         assert roots[QuadraticValue.rational(0)] == 2
         assert roots[QuadraticValue.of(0, 1, 2)] == 1
 
     def test_higher_degree_raises(self):
+        p = IntPolynomial.from_coeffs([-2, 0, 0, 1])  # x^3 - 2
         with pytest.raises(HigherDegreeFactor):
-            roots_degree_le2(IntPolynomial.from_coeffs([-2, 0, 0, 1]))  # x^3 - 2
+            roots_degree_le2(p, _window(p))
 
     def test_complex_quadratic_raises(self):
-        with pytest.raises(HigherDegreeFactor):
-            roots_degree_le2(IntPolynomial.from_coeffs([1, 0, 1]))  # x^2 + 1
+        p = IntPolynomial.from_coeffs([1, 0, 1])  # x^2 + 1
+        with pytest.raises(HigherDegreeFactor, match="^no degree<=2 factor of residual"):
+            roots_degree_le2(p, _window(p))
 
     @given(
         st.lists(st.integers(-3, 3), min_size=1, max_size=4),
@@ -491,9 +534,10 @@ class TestRootFinding:
         p = IntPolynomial.from_coeffs([1])
         for r in int_roots:
             p = p.mul_linear_shift(r)
-        for v, mult in roots_degree_le2(p):
+        roots = roots_degree_le2(p, _window(p))
+        for v, mult in roots:
             assert eval_at_quadratic(p, v) == QuadraticValue.rational(0)
-        assert sum(m for _, m in roots_degree_le2(p)) == len(int_roots)
+        assert sum(m for _, m in roots) == len(int_roots)
 
 
 def _random_factor(rng: random.Random, kind: str) -> list[int]:
@@ -657,7 +701,7 @@ def test_root_search_cost_does_not_grow_with_the_constant_term():
     for _ in range(50):
         p = p.mul_linear_shift(2)
     start = time.process_time()
-    assert roots_degree_le2(p) == [(QuadraticValue.rational(2), 50)]
+    assert roots_degree_le2(p, _window(p)) == [(QuadraticValue.rational(2), 50)]
     assert time.process_time() - start < 1.0
 
 
@@ -694,10 +738,10 @@ def test_roots_agree_with_sympy_factorization(seed):
             in_scope = False
 
     if in_scope:
-        assert dict(roots_degree_le2(p)) == expected
+        assert dict(roots_degree_le2(p, _window(p))) == expected
     else:
         with pytest.raises(HigherDegreeFactor):
-            roots_degree_le2(p)
+            roots_degree_le2(p, _window(p))
 
 
 # ---------------------------------------------------------------------------
@@ -707,8 +751,10 @@ def test_roots_agree_with_sympy_factorization(seed):
 
 def _exhaustive_roots_degree_le2(p: IntPolynomial) -> list[tuple[QuadraticValue, int]]:
     """roots_degree_le2 before its residue filter: one polynomial division
-    for every gamma | c0 and every beta in the window, kept as an oracle
-    for the search order, the roots and the messages."""
+    for every gamma | c0 and every beta in the Cauchy/Fujiwara window,
+    kept as an oracle for the search order, the roots and the messages.
+    A factor with complex roots is passed over, as the search passes over
+    it, so it is left in the residual reported."""
     rem = p
     roots: dict[QuadraticValue, int] = {}
 
@@ -737,14 +783,12 @@ def _exhaustive_roots_degree_le2(p: IntPolynomial) -> list[tuple[QuadraticValue,
                 progress = True
     while rem.degree >= 2:
         found = False
-        bound = min(1 + max(abs(c) for c in rem.coeffs[:-1]), _fujiwara_bound(rem.coeffs))
+        bound = _root_bound(rem)
         for gamma in (g for g in divisors(rem.coeffs[0]) if abs(g) <= bound * bound):
             for beta in range(-2 * bound, 2 * bound + 1):
                 quo, r = poly_divmod_monic(rem, IntPolynomial.from_coeffs([gamma, beta, 1]))
-                if r.is_zero:
-                    disc = beta * beta - 4 * gamma
-                    if disc <= 0:
-                        raise HigherDegreeFactor(f"non-real quadratic factor x^2+{beta}x+{gamma}")
+                disc = beta * beta - 4 * gamma
+                if r.is_zero and disc > 0:
                     s, f = square_free_part(disc)
                     if s == 1:
                         continue
@@ -822,10 +866,11 @@ def test_filtered_search_agrees_with_exhaustive_search(block):
     widest = 0.0
     for seed in range(30 * block, 30 * block + 30):
         p = _product(_seeded_factors(seed))
-        assert _outcome(roots_degree_le2, p) == _outcome(_exhaustive_roots_degree_le2, p), seed
+        got = _outcome(lambda p: roots_degree_le2(p, _window(p)), p)
+        assert got == _outcome(_exhaustive_roots_degree_le2, p), seed
         for f in _seeded_factors(seed):
             if len(f) == 3:
-                widest = max(widest, abs(f[1]) / (2 * _fujiwara_bound(p.coeffs)))
+                widest = max(widest, abs(f[1]) / (2 * _fujiwara_bound(p)))
     # every block has a factor with |beta| past 0.3 of the window 2B
     assert widest > 0.3
 
@@ -868,7 +913,8 @@ def test_filtered_search_agrees_on_cover_char_polys():
     chis = _cover_char_polys()
     assert len(chis) == 19
     for chi in chis + [_cover90_char_poly()]:
-        assert _outcome(roots_degree_le2, chi) == _outcome(_exhaustive_roots_degree_le2, chi)
+        got = _outcome(lambda p: roots_degree_le2(p, _window(p)), chi)
+        assert got == _outcome(_exhaustive_roots_degree_le2, chi)
 
 
 # ---------------------------------------------------------------------------
@@ -977,7 +1023,7 @@ def test_interval_search_divides_only_by_factors_inside_it(monkeypatch):
 
 def test_filtered_search_divides_rarely(monkeypatch):
     """The residue filter leaves few candidates to divide by on the 90-edge
-    cover, against 32,451 divisions for the exhaustive search: 10 in the
+    cover, against 32,451 divisions for the exhaustive search: 9 in the
     Cauchy/Fujiwara window, 1 in the proven interval [0, 9]."""
     chi = _cover90_char_poly()
     calls = 0
@@ -990,7 +1036,7 @@ def test_filtered_search_divides_rarely(monkeypatch):
 
     monkeypatch.setattr(qwalk.exact, "_divmod_monic", counted)
     with pytest.raises(HigherDegreeFactor, match="^no degree<=2 factor of residual"):
-        roots_degree_le2(chi)
+        roots_degree_le2(chi, _window(chi))
     assert 0 < calls <= 50
     window_calls, calls = calls, 0
     with pytest.raises(HigherDegreeFactor, match="^no degree<=2 factor of residual"):
@@ -1000,8 +1046,8 @@ def test_filtered_search_divides_rarely(monkeypatch):
 
 def test_root_search_takes_one_divisor_list_per_stage(monkeypatch):
     """One list of divisors for the integer roots and one for the constant
-    terms of the quadratic factors, however many factors are stripped, with
-    an interval or without."""
+    terms of the quadratic factors, however many factors are stripped, in
+    the Cauchy/Fujiwara window or in the proven interval."""
     calls = 0
     divisors = qwalk.exact._signed_divisors
 
@@ -1017,7 +1063,7 @@ def test_root_search_takes_one_divisor_list_per_stage(monkeypatch):
         subdivision(circulant(10, [1, 4, -1, -4])),
     ):
         chi, prof = _table_chi(g), degree_profile(g)
-        for given in (None, (0, prof.d0 * prof.d1)):
+        for given in (_window(chi), (0, prof.d0 * prof.d1)):
             calls = 0
             roots_degree_le2(chi, given)
             assert calls <= 2, (g, given)
@@ -1063,8 +1109,9 @@ def _proven_interval_cases() -> list[tuple[str, IntPolynomial, tuple[int, int]]]
 def test_proven_root_bound_keeps_the_search_complete():
     """The interval the spectral table passes, [0, d0 d1] for chi(C C^T) and
     [-d, d] for chi(A), holds every root, and gives the same roots,
-    multiplicities and messages as the search without it; its larger end
-    is below the Cauchy/Fujiwara bound on most inputs."""
+    multiplicities and messages as the exhaustive search in the
+    Cauchy/Fujiwara window; its larger end is below that window's bound on
+    most inputs."""
     sympy = pytest.importorskip("sympy")
     cases = _proven_interval_cases()
     tighter = 0
@@ -1073,9 +1120,9 @@ def test_proven_root_bound_keeps_the_search_complete():
         square_free = sympy.Poly(chi.coeffs[::-1], sympy.Symbol("x")).sqf_part()
         assert square_free.count_roots(lo, hi) == square_free.degree(), label
         with_interval = _outcome(lambda p: roots_degree_le2(p, (lo, hi)), chi)
-        assert with_interval == _outcome(roots_degree_le2, chi), label
+        assert with_interval == _outcome(_exhaustive_roots_degree_le2, chi), label
         outcomes.add(type(with_interval))
-        tighter += max(-lo, hi) < min(1 + max(map(abs, chi.coeffs[:-1])), _fujiwara_bound(chi.coeffs))
+        tighter += max(-lo, hi) < _root_bound(chi)
     assert outcomes == {list, str}  # both factored and HigherDegreeFactor cases
     assert tighter > len(cases) // 2
 
@@ -1084,14 +1131,18 @@ def test_the_table_passes_its_proven_root_bound(monkeypatch):
     intervals = []
     search = qwalk.periodicity.roots_degree_le2
 
-    def recording(p, interval=None):
+    def recording(p, interval):
         intervals.append(interval)
         return search(p, interval)
 
     monkeypatch.setattr(qwalk.periodicity, "roots_degree_le2", recording)
+    qwalk.periodicity._psi_roots.cache_clear()
+    qwalk.periodicity._allowed_values.cache_clear()
     spectral_test_biregular(star(3))  # (3, 1)-biregular: roots in [0, 3]
     grover_regular_test(petersen_graph())  # 3-regular: roots in [-3, 3]
-    assert [i for i in intervals if i is not None] == [(0, 3), (-3, 3)]
+    # and, once, the Psi_k with phi(k) <= 4 for the table: roots in [-2, 2]
+    assert intervals.count((-2, 2)) == len(_orders_of_totient_at_most(4))
+    assert [i for i in intervals if i != (-2, 2)] == [(0, 3), (-3, 3)]
 
 
 def test_integer_horner():

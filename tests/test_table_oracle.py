@@ -1,15 +1,18 @@
 """The spectral table against its earlier design, kept here as the oracle.
 
-The root search and `_classify` below are the earlier code, verbatim: the
-search works on IntPolynomial objects in the symmetric window |z| <= B,
-B the smallest of the Cauchy and Fujiwara bounds and the proven `bound`,
-records QuadraticValue roots inside its loops, and `_classify` looks up
+The root search and `_classify` below are the earlier code, verbatim but
+for the window bound, which is test_exact's copy: the search works on
+IntPolynomial objects in the symmetric window |z| <= B, B the smallest of
+the Cauchy and Fujiwara bounds and the proven `bound`, records
+QuadraticValue roots inside its loops, and `_classify` looks up
 value + shift in the unshifted table.  `periodicity._classify`, which
 searches the proven interval on integer keys, must give the same
 SpectralVerdict, and the same string for every value, on every scan class
 with at most 12 edges, on the 19 covers of the benchmark, on seeded
 biregular graphs, and on the Grover walks of seeded regular graphs, whose
-table is shifted.
+table is shifted.  The table itself, from the roots of the Psi_k that
+`periodicity._psi_roots` searches in [-2, 2], must be the one the window
+search gives.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from qwalk.exact import (
     HigherDegreeFactor,
     IntPolynomial,
     QuadraticValue,
+    _orders_of_totient_at_most,
+    cyclotomic,
     poly_divmod_monic,
     square_free_part,
 )
@@ -48,7 +53,7 @@ from qwalk.periodicity import (
     _chi,
 )
 from qwalk.scan import enumerate_biregular
-from test_exact import _random_biregular
+from test_exact import _random_biregular, _root_bound
 
 # ---------------------------------------------------------------------------
 # The oracle: the earlier search and _classify, verbatim
@@ -69,34 +74,6 @@ def _signed_divisors(n: int, cap: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return [x for d in small + large[::-1] for x in (d, -d)]
-
-
-def _iroot_ceil(a: int, k: int) -> int:
-    """Smallest integer r >= 0 with r**k >= a, for a >= 0 (exact)."""
-    if a < 2 or k == 1:
-        return a
-    r = 1 << -(-a.bit_length() // k)  # r**k >= a
-    while True:
-        # Newton step toward floor(a^(1/k)); decreasing while above it
-        s = ((k - 1) * r + a // r ** (k - 1)) // k
-        if s >= r:
-            break
-        r = s
-    return r if r ** k >= a else r + 1
-
-
-def _fujiwara_bound(p: IntPolynomial) -> int:
-    """Integer bound on every complex root of a monic p of degree n:
-    |z| <= 2 max_k |a_(n-k)|^(1/k) (Fujiwara), k-th roots rounded up."""
-    n = p.degree
-    return 2 * max(_iroot_ceil(abs(p.coeffs[n - k]), k) for k in range(1, n + 1))
-
-
-def _root_bound(p: IntPolynomial, cap: Optional[int] = None) -> int:
-    """The smaller of the Cauchy and Fujiwara bounds on the roots of p, and
-    of cap when it is given."""
-    b = min(1 + max(abs(c) for c in p.coeffs[:-1]), _fujiwara_bound(p))
-    return b if cap is None else min(b, cap)
 
 
 def _strip_quadratics(rem: IntPolynomial, bound: Optional[int], roots: Counter) -> IntPolynomial:
@@ -298,3 +275,23 @@ def test_the_table_agrees_with_its_oracle_on_shifted_grover_tables():
     assert inputs and all(shift > 0 for *_, shift in inputs)
     statuses = _same_verdicts(inputs)
     assert statuses["periodic"] and statuses["non-periodic"], statuses
+
+
+def test_the_allowed_values_agree_with_the_window_search():
+    """_psi_roots searches each Psi_k in [-2, 2]; the earlier search, in
+    its Cauchy/Fujiwara window, finds the same 13 roots, and so the same
+    table x = d0 d1 (y + 2)/4 for every d0, d1 <= 12."""
+    psi = tuple(
+        (y, k)
+        for k, _ in _orders_of_totient_at_most(4)
+        for y, _ in roots_degree_le2(cyclotomic(k, real=True))
+    )
+    assert len(psi) == 13
+    assert periodicity._psi_roots() == psi
+    for d0 in range(1, 13):
+        for d1 in range(1, 13):
+            s = Fraction(d0 * d1, 4)
+            want = [((y + QuadraticValue.rational(2)).scale(s), k) for y, k in psi]
+            got = periodicity.allowed_value_table(d0, d1)
+            assert got == want, (d0, d1)
+            assert [str(v) for v, _ in got] == [str(v) for v, _ in want], (d0, d1)

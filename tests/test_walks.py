@@ -629,6 +629,36 @@ class TestConstructionChecks:
             build_grover_walk(g)
         assert str(exc.value) == "U_GW is not orthogonal"
 
+    @pytest.mark.parametrize("which", [0, 1], ids=["P", "Q"])
+    @pytest.mark.parametrize(
+        "graph",
+        [lambda: complete_bipartite(3, 4), heawood_graph, lambda: cycle(8),
+         lambda: complete_bipartite(2, 5)],
+        ids=["k34", "heawood", "c8", "k25"],
+    )
+    def test_a_fault_in_the_bipartite_reflection_rows_is_refused(self, monkeypatch, graph, which):
+        """U is assembled from _cell_rows' rows of 2P - I and 2Q - I, P's
+        first, but checked against 2Q from the built Q's nonzeros, so
+        one shifted entry of either's rows is refused, on 20 seeds, though
+        P and Q themselves are built right."""
+        g = graph()
+        m = g.num_edges
+        cell_rows = qwalk.walks._cell_rows
+        for seed in range(20):
+            rng = random.Random(seed)
+            i, j, shift = rng.randrange(m), rng.randrange(m), rng.choice([-2, -1, 1, 2])
+            calls = []
+
+            def faulty(m, cells):
+                p, r, den = cell_rows(m, cells)
+                calls.append(cells)
+                return p, (_shifted(r, i, j, shift) if len(calls) == which + 1 else r), den
+
+            monkeypatch.setattr(qwalk.walks, "_cell_rows", faulty)
+            with pytest.raises(ConstructionError) as exc:
+                build_bipartite_walk(g)
+            assert str(exc.value) == "U is not orthogonal", seed
+
     @pytest.mark.parametrize("family", ["petersen", "random"])
     @pytest.mark.parametrize(
         "name,call,message",
