@@ -2,10 +2,10 @@
 polynomials, Kronecker integrality and cyclotomic factors, square-free
 decomposition, and quadratic-field values.
 
-Everything here is exact; floats never enter. A rational matrix is a
-tuple of integer numerator rows over one common denominator; single
-rational values are fractions.Fraction (arbitrary-precision, always
-reduced).
+Everything here is exact; floats never enter. A rational matrix is the
+(column, numerator) pairs of the nonzeros of each of its rows over one
+common denominator; single rational values are fractions.Fraction
+(arbitrary-precision, always reduced).
 """
 
 from __future__ import annotations
@@ -26,55 +26,29 @@ class DimensionError(ValueError):
 
 
 class RationalMatrix:
-    """Exact rational matrix stored as integer numerator rows over one
+    """Exact rational matrix stored as its shape and, for each row, the
+    (column, numerator) pairs of its nonzeros, columns ascending, over one
     positive common denominator.
 
-    The pair (num, den) is kept in normal form: gcd(den, every numerator)
+    The pairs and den are kept in normal form: gcd(den, every numerator)
     is 1, so the zero matrix has den 1.  Equal matrices therefore have
     equal (cols, den, nonzeros()), and equality and hashing compare those.
-    Each of num and nonzeros() is formed from the other on first use and
-    kept.
+    The dense numerator rows, num, are formed anew each time they are read.
     """
 
-    __slots__ = ("rows", "cols", "_num", "den", "_nonzeros")
+    __slots__ = ("rows", "cols", "den", "_nonzeros")
 
     def __init__(self, data: Sequence[Sequence[RationalLike]]):
         fracs = [[Fraction(x) for x in row] for row in data]
         cols = len(fracs[0]) if fracs else 0
         if any(len(row) != cols for row in fracs):
             raise DimensionError("ragged rows")
+        # over the lcm of the reduced denominators no factor is common to all
         den = lcm(1, *(x.denominator for row in fracs for x in row))
-        self._set(
-            tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in fracs),
-            den,
+        self.rows, self.cols, self.den = len(fracs), cols, den
+        self._nonzeros = _nonzeros(
+            [[x.numerator * (den // x.denominator) for x in row] for row in fracs]
         )
-
-    def _set(self, num: tuple[tuple[int, ...], ...], den: int) -> None:
-        self._num, self.den = num, den
-        self.rows = len(num)
-        self.cols = len(num[0]) if num else 0
-        self._nonzeros = None
-
-    @classmethod
-    def _normal(cls, num: tuple[tuple[int, ...], ...], den: int) -> "RationalMatrix":
-        """Wrap a (num, den) pair that is already in normal form."""
-        m = object.__new__(cls)
-        m._set(num, den)
-        return m
-
-    @classmethod
-    def from_numerators(cls, num: Sequence[Sequence[int]], den: int) -> "RationalMatrix":
-        """The matrix num / den, reduced to normal form."""
-        if den < 1:
-            raise ValueError("denominator must be positive")
-        g = gcd(den, *chain.from_iterable(num))
-        if g != 1:
-            den //= g
-            num = [[x // g for x in row] for row in num]
-        m = cls._normal(tuple(map(tuple, num)), den)
-        if any(len(row) != m.cols for row in m.num):
-            raise DimensionError("ragged rows")
-        return m
 
     @classmethod
     def from_nonzeros(
@@ -86,31 +60,38 @@ class RationalMatrix:
         within range and numerators be nonzero; else ValueError."""
         if den < 1:
             raise ValueError("denominator must be positive")
-        g = gcd(den, *map(itemgetter(1), chain.from_iterable(rows)))
-        if g != 1:
-            den //= g
-            rows = [[(j, x // g) for j, x in row] for row in rows]
         for row in rows:
             last = -1
             for j, x in row:
                 if not last < j < cols or not x:
                     raise ValueError(f"not the nonzeros of a row of {cols} columns: {row}")
                 last = j
+        return cls._lowest_terms(rows, cols, den)
+
+    @classmethod
+    def _lowest_terms(
+        cls, rows: Sequence[Sequence[tuple[int, int]]], cols: int, den: int
+    ) -> "RationalMatrix":
+        """The matrix whose row i has the (column, numerator) pairs rows[i]
+        over den, reduced to normal form by one gcd over den and the
+        numerators.  Unchecked: the pairs are those that from_nonzeros has
+        checked, or that an integer product yields."""
+        g = gcd(den, *map(itemgetter(1), chain.from_iterable(rows)))
+        if g != 1:
+            den //= g
+            rows = [tuple([(j, x // g) for j, x in row]) for row in rows]
         m = object.__new__(cls)
-        m.rows, m.cols, m._num, m.den = len(rows), cols, None, den
-        m._nonzeros = tuple(map(tuple, rows))
+        m.rows, m.cols, m.den, m._nonzeros = len(rows), cols, den, tuple(map(tuple, rows))
         return m
 
     @property
     def num(self) -> tuple[tuple[int, ...], ...]:
-        """The dense numerator rows."""
-        if self._num is None:
-            dense = [[0] * self.cols for _ in self._nonzeros]
-            for out, row in zip(dense, self._nonzeros):
-                for j, x in row:
-                    out[j] = x
-            self._num = tuple(map(tuple, dense))
-        return self._num
+        """The dense numerator rows, formed from the nonzeros at each read."""
+        dense = [[0] * self.cols for _ in self._nonzeros]
+        for out, row in zip(dense, self._nonzeros):
+            for j, x in row:
+                out[j] = x
+        return tuple(map(tuple, dense))
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
@@ -122,20 +103,19 @@ class RationalMatrix:
 
     def nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The (column, numerator) pairs of the nonzeros of each row."""
-        if self._nonzeros is None:
-            self._nonzeros = _nonzeros(self.num)
         return self._nonzeros
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return Fraction(self.num[ij[0]][ij[1]], self.den)
+        i, j = ij
+        return Fraction(dict(self._nonzeros[i]).get(range(self.cols)[j], 0), self.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return (self.cols, self.den, self.nonzeros()) == (other.cols, other.den, other.nonzeros())
+        return (self.cols, self.den, self._nonzeros) == (other.cols, other.den, other._nonzeros)
 
     def __hash__(self) -> int:
-        return hash((self.cols, self.den, self.nonzeros()))
+        return hash((self.cols, self.den, self._nonzeros))
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
@@ -145,34 +125,37 @@ class RationalMatrix:
         return self.rows == self.cols
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix._normal(tuple(zip(*self.num)), self.den)
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self._nonzeros):
+            for j, x in row:
+                cols[j].append((i, x))
+        return self._lowest_terms(cols, self.rows, self.den)
 
     def trace(self) -> Fraction:
         if not self.is_square:
             raise DimensionError("trace of non-square matrix")
-        return Fraction(sum(row[i] for i, row in enumerate(self.num)), self.den)
+        return Fraction(
+            sum(x for i, row in enumerate(self._nonzeros) for j, x in row if j == i), self.den
+        )
 
     def add(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch")
         den = lcm(self.den, other.den)
         s, t = den // self.den, den // other.den
-        return RationalMatrix.from_numerators(
-            [[s * x + t * y for x, y in zip(r1, r2)] for r1, r2 in zip(self.num, other.num)],
-            den,
-        )
+        rows = [[s * x + t * y for x, y in zip(r1, r2)] for r1, r2 in zip(self.num, other.num)]
+        return self._lowest_terms(_nonzeros(rows), self.cols, den)
 
     def scale(self, c: RationalLike) -> "RationalMatrix":
         c = Fraction(c)
         p = c.numerator
-        return RationalMatrix.from_numerators(
-            [[p * x for x in row] for row in self.num], self.den * c.denominator
-        )
+        rows = [[(j, p * x) for j, x in row] if p else () for row in self._nonzeros]
+        return self._lowest_terms(rows, self.cols, self.den * c.denominator)
 
     def is_identity(self) -> bool:
-        """In normal form the identity has den 1 and unit numerator rows."""
+        """In normal form the identity has den 1 and row i the one pair (i, 1)."""
         return self.den == 1 and self.is_square and all(
-            row[i] == 1 and row.count(0) == len(row) - 1 for i, row in enumerate(self.num)
+            row == ((i, 1),) for i, row in enumerate(self._nonzeros)
         )
 
     def to_floats(self) -> list[list[float]]:
@@ -185,9 +168,8 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     over den(a)*den(b)."""
     if a.cols != b.rows:
         raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return RationalMatrix.from_numerators(
-        _int_product(a.nonzeros(), b.nonzeros(), b.cols), a.den * b.den
-    )
+    rows = _int_product(a.nonzeros(), b.nonzeros(), b.cols)
+    return RationalMatrix._lowest_terms(rows, b.cols, a.den * b.den)
 
 
 def _nonzeros(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -197,17 +179,18 @@ def _nonzeros(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, int], ...
 
 def _int_product(
     a: Sequence[Sequence[tuple[int, int]]], b: Sequence[Sequence[tuple[int, int]]], cols: int
-) -> list[list[int]]:
-    """Dense rows of the product of integer matrices given by their
-    nonzeros (_nonzeros), b with `cols` columns: each nonzero a[i][k] adds
-    its multiple of the nonzeros of row k of b."""
+) -> list[tuple[tuple[int, int], ...]]:
+    """The nonzeros of the rows of the product of integer matrices given by
+    their nonzeros, b with `cols` columns: each nonzero a[i][k] adds its
+    multiple of the nonzeros of row k of b to a dense accumulator row, which
+    is read back as _nonzeros reads a row."""
     out = []
     for row in a:
         acc = [0] * cols
         for k, x in row:
             for j, y in b[k]:
                 acc[j] += x * y
-        out.append(acc)
+        out.append(tuple(zip(compress(count(), acc), filter(None, acc))))
     return out
 
 

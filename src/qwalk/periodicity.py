@@ -55,6 +55,7 @@ from .exact import (
     QuadraticValue,
     RationalMatrix,
     _chain_power,
+    _nonzeros,
     _orders_of_totient_at_most,
     _prime_factors,
     char_poly,
@@ -271,8 +272,11 @@ def _certificate(g: Graph) -> RationalMatrix:
     if g.n < g.num_edges:
         num, den, z = cell_operator(g)
         *rows, last = num
-        return RationalMatrix.from_numerators(
-            [[x - zi * z[-1] * y for x, y in zip(row[:-1], last)] for row, zi in zip(rows, z)],
+        return RationalMatrix.from_nonzeros(
+            _nonzeros(
+                [[x - zi * z[-1] * y for x, y in zip(row[:-1], last)] for row, zi in zip(rows, z)]
+            ),
+            len(rows),
             den,
         )
     return build_bipartite_walk(g).U

@@ -133,7 +133,7 @@ def build_bipartite_walk(g: Graph) -> WalkOperator:
     # that reproduces the reference example matrices frozen in the tests
     p, rp, dp = _projection(m, pi1, "P")
     q, rq, dq = _projection(m, pi0, "Q")
-    u = RationalMatrix.from_numerators(_int_product(rp, rq, m), dp * dq)
+    u = RationalMatrix._lowest_terms(_int_product(rp, rq, m), m, dp * dq)
     lhs, dl = _reflect(u.nonzeros(), pi1, dp, m), u.den * dp
     for i, row in enumerate(lhs):
         row[i] += dl  # (2P - I)U + I, to compare with 2Q
@@ -387,12 +387,16 @@ def block_identity_checks(gw: ArcWalkOperator, k_max: int) -> list[bool]:
 
     def splits(even: RationalMatrix, ubk: RationalMatrix) -> bool:
         # the zero blocks leave the normal form's gcd alone, so the identity
-        # holds exactly when the denominators and the numerator blocks agree
-        top, bottom = even.num[:m], even.num[m:]
+        # holds exactly when the denominators and the nonzeros agree: the
+        # top rows are those of the transpose, the bottom ones U_BW^k's rows
+        # shifted by m columns
+        nz = even.nonzeros()
         return (
             even.den == ubk.den
-            and all(row[:m] == col and not any(row[m:]) for row, col in zip(top, zip(*ubk.num)))
-            and all(not any(row[:m]) and row[m:] == u for row, u in zip(bottom, ubk.num))
+            and nz[:m] == ubk.transpose().nonzeros()
+            and all(
+                row == tuple([(j + m, x) for j, x in u]) for row, u in zip(nz[m:], ubk.nonzeros())
+            )
         )
 
     step = mat_mul(u_gw, u_gw)

@@ -47,7 +47,7 @@ from qwalk.walks import (
     cell_operator,
 )
 from test_exact import fractions_of
-from test_walks import random_connected_graph
+from test_walks import _from_rows, random_connected_graph
 
 OCTAHEDRON = circulant(6, [1, 2, -1, -2])
 
@@ -89,7 +89,7 @@ def _cell_certificate(g: Graph) -> RationalMatrix:
     where _certificate would take U: row i is row i of T less z_i z_n times
     row n, both without their last entry."""
     num, den, z = cell_operator(g)
-    t = fractions_of(RationalMatrix.from_numerators(num, den))
+    t = fractions_of(_from_rows(num, den))
     n = len(z)
     return RationalMatrix(
         [[t[i][j] - z[i] * z[-1] * t[-1][j] for j in range(n - 1)] for i in range(n - 1)]
@@ -158,7 +158,7 @@ class TestAgainstU:
         # K_{2,5}: T is 7 x 7, the first two basis vectors the c0 vertices
         num, den, z = cell_operator(complete_bipartite(2, 5))
         assert len(num) == 7 and z == (1, 1, -1, -1, -1, -1, -1)
-        t = fractions_of(RationalMatrix.from_numerators(num, den))
+        t = fractions_of(_from_rows(num, den))
         # T z = z; the squared block 4 D0^-1 C D1^-1 C^T - I has 4/5 * 5/2
         # off the diagonal, and the block of the other class is -I
         assert [sum(x * y for x, y in zip(row, z)) for row in t] == list(z)
@@ -397,7 +397,7 @@ class TestFoldingZOut:
         """T fixes z with a Jordan block at y = 2, so no power of T is I even
         though U^tau = I; T', T on R^n / <z>, has order tau."""
         num, den, _ = cell_operator(g)
-        t = RationalMatrix.from_numerators(num, den)
+        t = _from_rows(num, den)
         for k in (1, 2, 4, 12):
             assert not mat_pow(t, k).is_identity(), k
         t_prime = _certificate(g)

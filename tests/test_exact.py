@@ -161,19 +161,22 @@ class TestRationalMatrix:
         assert a.transpose().transpose() == a
 
     def test_nonzeros_are_found_once_per_matrix(self, monkeypatch):
-        m = RationalMatrix([[0, Fraction(1, 2), 0], [0, 0, 0], [3, 0, -1]])
         calls = []
         find = qwalk.exact._nonzeros
         monkeypatch.setattr(qwalk.exact, "_nonzeros", lambda rows: calls.append(1) or find(rows))
+        m = RationalMatrix([[0, Fraction(1, 2), 0], [0, 0, 0], [3, 0, -1]])
         assert m.nonzeros() == (((1, 1),), (), ((0, 6), (2, -2)))
         assert m.nonzeros() is m.nonzeros()
+        reference = RationalMatrix(ref_mul(fractions_of(m), fractions_of(m)))
+        # once for each matrix given by its entries, m and the reference
+        assert len(calls) == 2
         square = mat_mul(m, m)
-        assert square == RationalMatrix(ref_mul(fractions_of(m), fractions_of(m)))
+        assert square == reference
         assert mat_mul(square, m) == mat_mul(m, square)
         assert square == mat_mul(m, m) and m.nonzeros() is m.nonzeros()
-        # those of m, of its square (multiplied and compared), of the
-        # reference and of each of the three products compared after it
-        assert len(calls) == 6
+        assert square.transpose().transpose() == square and square.trace() == reference.trace()
+        # a product yields its pairs: none of the four is searched for them
+        assert len(calls) == 2
 
     @given(
         st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
@@ -186,13 +189,14 @@ class TestRationalMatrix:
         st.integers(1, 24),
     )
     @settings(max_examples=200, deadline=None)
-    def test_from_nonzeros_matches_from_numerators(self, num, den):
+    def test_from_nonzeros_matches_the_fraction_constructor(self, num, den):
         # numerators and denominators sharing factors exercise the gcd,
         # zero rows the empty ones, an all-zero draw the zero matrix
         m = RationalMatrix.from_nonzeros(_nonzeros(num), len(num[0]), den)
-        dense = RationalMatrix.from_numerators(num, den)
+        dense = RationalMatrix([[Fraction(x, den) for x in row] for row in num])
         assert (m.num, m.den, m.rows, m.cols) == (dense.num, dense.den, dense.rows, dense.cols)
         assert m.nonzeros() == dense.nonzeros()
+        assert_normal(m)
 
     def test_from_nonzeros_reduces_and_keeps_the_pairs(self, monkeypatch):
         calls = []
@@ -331,6 +335,96 @@ class TestKernelAgainstFractions:
         assert z == RationalMatrix([[0] * n] * n) and hash(z) == hash(RationalMatrix([[0] * n] * n))
         assert z.den == 1
         assert RationalMatrix.identity(n).scale(Fraction(5, 7)).scale(0) == z
+
+    @pytest.mark.parametrize(
+        "rows,inner,cols", [(0, 2, 2), (0, 3, 2), (2, 0, 3), (2, 3, 0), (0, 0, 2), (0, 0, 0)]
+    )
+    def test_empty_shapes(self, rows, inner, cols):
+        """A matrix with no rows or no columns keeps both sizes through
+        products and transposes, and its entries are the reference's."""
+        rng = random.Random(100 * rows + 10 * inner + cols)
+        a, fa = _seeded_matrix(rng, rows, inner, 0.5)
+        b, fb = _seeded_matrix(rng, inner, cols, 0.5)
+        got = mat_mul(a, b)
+        assert (got.rows, got.cols) == (rows, cols)
+        assert fractions_of(got) == as_tuples(
+            [[sum((fa[i][k] * fb[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
+             for i in range(rows)]
+        )
+        assert_normal(got)
+        for m, f, (r, c) in ((a, fa, (rows, inner)), (b, fb, (inner, cols))):
+            t = m.transpose()
+            assert (t.rows, t.cols) == (c, r)
+            assert fractions_of(t) == as_tuples([[f[i][j] for i in range(r)] for j in range(c)])
+            assert t.transpose() == m
+
+
+def _seeded_matrix(rng: random.Random, rows: int, cols: int, fill: float):
+    """A seeded matrix of integer numerators, each entry nonzero with
+    probability fill, over a seeded denominator, built from its nonzeros;
+    and its entries as Fraction rows."""
+    den = rng.choice([1, 1, 2, 3, 4, 6, 12])
+    values = [-4, -3, -2, -1, 1, 2, 3, 6]
+    num = [[rng.choice(values) if rng.random() < fill else 0 for _ in range(cols)] for _ in range(rows)]
+    m = RationalMatrix.from_nonzeros(_nonzeros(num), cols, den)
+    return m, [[Fraction(x, den) for x in row] for row in num]
+
+
+def _diagonal(n: int, d: int) -> list[list[int]]:
+    return [[d * (i == j) for j in range(n)] for i in range(n)]
+
+
+class TestSeededIntegerMatrices:
+    """The kernel on seeded matrices up to 12 x 12, sparse (10% fill) and
+    dense, against the Fraction reference; every result in normal form."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_against_fractions(self, seed):
+        rng = random.Random(seed)
+        fill = 0.1 if seed % 2 else rng.uniform(0.5, 1.0)
+        rows, inner, cols = (rng.randint(1, 12) for _ in range(3))
+        a, fa = _seeded_matrix(rng, rows, inner, fill)
+        b, fb = _seeded_matrix(rng, inner, cols, fill)
+        product, t = mat_mul(a, b), a.transpose()
+        assert fractions_of(product) == as_tuples(ref_mul(fa, fb))
+        assert fractions_of(t) == as_tuples(zip(*fa))
+        for m in (a, b, product, t):
+            assert_normal(m)
+        n = rng.randint(1, 12)
+        square, fs = _seeded_matrix(rng, n, n, fill)
+        assert square.trace() == sum((fs[i][i] for i in range(n)), Fraction(0))
+        power = [[Fraction(x) for x in row] for row in _diagonal(n, 1)]
+        for k in range(5):
+            got = mat_pow(square, k)
+            assert fractions_of(got) == as_tuples(power), k
+            assert_normal(got)
+            power = ref_mul(power, fs)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_is_identity(self, seed):
+        """d I over d, the same with one entry moved, p I over d != p, and
+        a seeded sparse or dense square, each from its nonzeros."""
+        rng = random.Random(seed)
+        n, d = rng.randint(1, 12), rng.randint(1, 6)
+        moved = _diagonal(n, d)
+        moved[rng.randrange(n)][rng.randrange(n)] += rng.choice([-2, -1, 1, 3])
+        p = rng.choice([x for x in range(1, 7) if x != d])
+        fill = 0.1 if seed % 2 else rng.uniform(0.5, 1.0)
+        square = [[rng.choice([-1, 1, 2]) if rng.random() < fill else 0 for _ in range(n)]
+                  for _ in range(n)]
+        found = []
+        for num, den in [(_diagonal(n, d), d), (moved, d), (_diagonal(n, p), d), (square, 1)]:
+            m = RationalMatrix.from_nonzeros(_nonzeros(num), n, den)
+            found.append(m.is_identity())
+            assert found[-1] == ([[Fraction(x, den) for x in row] for row in num] == _diagonal(n, 1))
+            assert_normal(m)
+        assert found[:3] == [True, False, False]
+
+
+@pytest.mark.parametrize("k", range(2, 41))
+def test_cycle_certificate_order(k):
+    """C_2k's walk has order k, certified on its certificate from c = k."""
+    assert qwalk.periodicity._certified_order(qwalk.periodicity._certificate(cycle(2 * k)), k) == k
 
 
 class TestPolynomials:

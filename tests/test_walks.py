@@ -190,36 +190,27 @@ def _definitional_block_identity(g: Graph, j: int, gw: ArcWalkOperator | None = 
 
 
 def _corrupt_built_matrix(monkeypatch, pick, change) -> list[RationalMatrix]:
-    """Make the builders' constructors, RationalMatrix.from_nonzeros (P, Q,
-    R, K, U_GW) and from_numerators (U), build change(dense numerator rows,
-    den) in place of the first matrix for which pick(call index, dense
-    numerator rows) holds.  Returns the list of the matrices they build."""
-    from_numerators = RationalMatrix.from_numerators.__func__
-    from_nonzeros = RationalMatrix.from_nonzeros.__func__
+    """Make the one constructor every builder's matrix passes through,
+    RationalMatrix._lowest_terms (P, Q, U; R, K, U_GW, in that order),
+    build change(dense numerator rows, den) in place of the first matrix
+    for which pick(call index, dense numerator rows) holds.  Returns the
+    list of the matrices it builds."""
+    lowest_terms = RationalMatrix._lowest_terms.__func__
     calls, built = [], []
 
-    def corrupt(num, den):
-        hit = not any(calls) and pick(len(calls), num)
-        calls.append(hit)
-        return hit, change(num, den) if hit else num
-
-    def numerators(cls, num, den):
-        built.append(from_numerators(cls, corrupt(num, den)[1], den))
-        return built[-1]
-
-    def nonzeros(cls, rows, cols, den):
+    def corrupting(cls, rows, cols, den):
         dense = [[0] * cols for _ in rows]
         for out, row in zip(dense, rows):
             for c, x in row:
                 out[c] = x
-        hit, num = corrupt(dense, den)
+        hit = not any(calls) and pick(len(calls), dense)
+        calls.append(hit)
         if hit:
-            rows = [[(c, x) for c, x in enumerate(row) if x] for row in num]
-        built.append(from_nonzeros(cls, rows, cols, den))
+            rows = [[(c, x) for c, x in enumerate(row) if x] for row in change(dense, den)]
+        built.append(lowest_terms(cls, rows, cols, den))
         return built[-1]
 
-    monkeypatch.setattr(RationalMatrix, "from_numerators", classmethod(numerators))
-    monkeypatch.setattr(RationalMatrix, "from_nonzeros", classmethod(nonzeros))
+    monkeypatch.setattr(RationalMatrix, "_lowest_terms", classmethod(corrupting))
     return built
 
 
@@ -256,15 +247,12 @@ def _assert_orthogonal(u: RationalMatrix, name: str) -> None:
 
 def _assert_symmetric_idempotent(p: RationalMatrix, name: str) -> None:
     """The projection oracle: P = P^T, then P^2 = P, num num = den num
-    compared on P's nonzeros."""
+    compared on the nonzeros of the product's rows and of P's."""
     if p.num != tuple(zip(*p.num)):
         raise ConstructionError(f"{name} is not symmetric")
     nz = p.nonzeros()
     square = qwalk.exact._int_product(nz, nz, p.cols)
-    if not all(
-        d.count(0) == len(d) - len(r) and all(d[j] == p.den * x for j, x in r)
-        for d, r in zip(square, nz)
-    ):
+    if square != [tuple([(j, p.den * x) for j, x in r]) for r in nz]:
         raise ConstructionError(f"{name} is not idempotent")
 
 
@@ -552,19 +540,14 @@ class TestConstructionChecks:
     def test_an_orthogonal_u_that_is_not_the_product(self, monkeypatch):
         """U^T = (2Q - I)(2P - I) in place of U is orthogonal, so the Gram
         check passes it, but (2P - I) U = 2Q - I does not."""
-        from_numerators = RationalMatrix.from_numerators.__func__
-        built = []
-
-        def transposed(cls, num, den):
-            built.append(from_numerators(cls, [list(col) for col in zip(*num)], den))
-            return built[-1]
-
         g = figure1_graph()
-        assert build_bipartite_walk(g).U != build_bipartite_walk(g).U.transpose()
-        monkeypatch.setattr(RationalMatrix, "from_numerators", classmethod(transposed))
+        u = build_bipartite_walk(g).U
+        assert u != u.transpose()
+        built = _corrupt_built_matrix(monkeypatch, _call(2), _transposed)  # P, Q, U
         with pytest.raises(ConstructionError) as exc:
             build_bipartite_walk(g)
         assert str(exc.value) == "U is not orthogonal"
+        assert len(built) == 3 and built[-1] == u.transpose()
         _assert_orthogonal(built[-1], "U")
 
     @pytest.mark.parametrize(
@@ -587,25 +570,17 @@ class TestConstructionChecks:
     def test_single_entry_corruptions_of_u(self, monkeypatch, family):
         """Each seeded change of one entry of U fails the build, as it fails
         the Gram check U^T U = I."""
-        from_numerators = RationalMatrix.from_numerators.__func__
         for seed in range(10):
             rng = random.Random(seed)
             g = BIPARTITE_FAMILIES[family](rng)
             m = g.num_edges
             i, j, shift = rng.randrange(m), rng.randrange(m), rng.choice([-2, -1, 1, 2])
-            built = []
-
-            def corrupted(cls, num, den):
-                num = [list(row) for row in num]
-                num[i][j] += shift
-                built.append(from_numerators(cls, num, den))
-                return built[-1]
-
-            monkeypatch.setattr(RationalMatrix, "from_numerators", classmethod(corrupted))
+            built = _corrupt_built_matrix(monkeypatch, _call(2), _add(i, j, shift))  # P, Q, U
             with pytest.raises(ConstructionError) as exc:
                 build_bipartite_walk(g)
             assert str(exc.value) == "U is not orthogonal"
             monkeypatch.undo()
+            assert len(built) == 3
             with pytest.raises(ConstructionError):
                 _assert_orthogonal(built[-1], "U")
 
@@ -739,10 +714,10 @@ class TestConstructionChecks:
         "g", [cycle(6), complete_bipartite(3, 3), petersen_graph()], ids=["c6", "k33", "petersen"]
     )
     def test_assembled_nonzeros_are_never_searched_for(self, monkeypatch, g):
-        # P, Q, R, K and U_GW are assembled from their nonzeros, which
-        # from_nonzeros keeps: no build, and no later nonzeros(), scans their
-        # dense rows with exact._nonzeros; only U = (2P - I)(2Q - I), an
-        # integer product's dense rows, is scanned
+        # P, Q, R, K and U_GW are assembled from their nonzeros, and U =
+        # (2P - I)(2Q - I) from the pairs the integer product yields, and
+        # each matrix keeps its pairs: no build, and no later nonzeros(),
+        # scans dense rows with exact._nonzeros
         scanned = []
         find = qwalk.exact._nonzeros
         monkeypatch.setattr(qwalk.exact, "_nonzeros", lambda rows: scanned.append(rows) or find(rows))
@@ -750,18 +725,20 @@ class TestConstructionChecks:
         assembled = [gw.R, gw.K, gw.U]
         if is_bipartite(g):
             w = build_bipartite_walk(g)
-            assembled += [w.P, w.Q]
-            assert [rows is w.U.num for rows in scanned] == [True]
-        else:
-            assert scanned == []
+            assembled += [w.P, w.Q, w.U]
+        assert scanned == []
         for m in assembled:
             assert m.nonzeros() == find(m.num)
-        assert len(scanned) == is_bipartite(g)
 
     def test_uncorrupted_builds_pass(self, monkeypatch):
         _corrupt_built_matrix(monkeypatch, lambda n, num: False, _add(0, 0))
         build_bipartite_walk(complete_bipartite(3, 3))
         build_grover_walk(petersen_graph())
+
+
+def _from_rows(num, den: int) -> RationalMatrix:
+    """The matrix of the dense integer rows num over den, with columns."""
+    return RationalMatrix.from_nonzeros(_nonzeros(num), len(num[0]), den)
 
 
 def _refusals(monkeypatch, p: RationalMatrix, cells, name: str) -> tuple:
@@ -815,14 +792,14 @@ class TestProjectionCheck:
             shift = rng.choice([-2, -1, 1, 2, p.den, -p.den])
             num = [list(row) for row in p.num]
             num[i][j] += shift
-            bad = RationalMatrix.from_numerators(num, p.den)
+            bad = _from_rows(num, p.den)
             _assert_refused_as_the_oracle_refuses(monkeypatch, bad, cells, name)
 
     def test_a_cell_of_one_edge_emptied(self, monkeypatch):
         """P with a singleton cell's 1 removed is a symmetric idempotent,
         which the oracle passes and the cell check refuses."""
         cells = [(0, 1), (2,)]
-        p = RationalMatrix.from_numerators([[1, 1, 0], [1, 1, 0], [0, 0, 0]], 2)
+        p = _from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 0]], 2)
         refusals = _refusals(monkeypatch, p, cells, "P")
         assert refusals == (None, "P is not the projection onto its cells")
 
@@ -858,7 +835,7 @@ class TestProjectionCheck:
             nonzeros, _, den = qwalk.walks._cell_rows(3, cells)
             p = RationalMatrix.from_nonzeros(nonzeros, 3, den)
         else:
-            p = RationalMatrix.from_numerators(rows, 2 if len(rows) > 2 else 5)
+            p = _from_rows(rows, 2 if len(rows) > 2 else 5)
         assert _refusals(monkeypatch, p, cells, "P")[1] == message
         _assert_refused_as_the_oracle_refuses(monkeypatch, p, cells, "P")
 
@@ -954,10 +931,17 @@ class TestSerialization:
         assert digest.hexdigest() == "d8a7fea0071d20b5a5f4909fabe2c9df94955feac1d37a24a149ea186e3387e2"
 
 
+def _dense_reads(monkeypatch) -> list[RationalMatrix]:
+    """Record each matrix whose dense rows, RationalMatrix.num, are read."""
+    reads, num = [], RationalMatrix.num
+    monkeypatch.setattr(RationalMatrix, "num", property(lambda m: reads.append(m) or num.fget(m)))
+    return reads
+
+
 def _random_matrix(rng: random.Random) -> RationalMatrix:
     """A seeded matrix of 0-5 rows and 0-5 columns, square or not, with
     zero rows, negative numerators and denominators 1-12; built from its
-    numerators or from its nonzeros."""
+    entries or from its nonzeros."""
     rows, cols = rng.randint(0, 5), rng.randint(0, 5)
     entries = [0, 0, 1, -1, 2, -3, 4, 6, -12]
     num = [
@@ -966,7 +950,7 @@ def _random_matrix(rng: random.Random) -> RationalMatrix:
     ]
     den = rng.choice([1, 1, 2, 3, 4, 6, 12])
     if rng.random() < 0.5:
-        return RationalMatrix.from_numerators(num, den) if rows else RationalMatrix([])
+        return RationalMatrix([[Fraction(x, den) for x in row] for row in num])
     return RationalMatrix.from_nonzeros(_nonzeros(num), cols, den)
 
 
@@ -990,28 +974,31 @@ class TestRepresentation:
     @pytest.mark.parametrize(
         "g", [cycle(6), complete_bipartite(3, 4), heawood_graph()], ids=["c6", "k34", "heawood"]
     )
-    def test_built_and_written_walks_form_no_dense_rows(self, g):
+    def test_built_and_written_walks_form_no_dense_rows(self, monkeypatch, g):
+        reads = _dense_reads(monkeypatch)
         w, gw = build_bipartite_walk(g), build_grover_walk(g)
         walk_to_json(w), grover_to_json(gw)
-        assert [m._num for m in (w.P, w.Q, gw.R, gw.K, gw.U)] == [None] * 5
+        assert reads == []
         assert [m.num for m in (w.P, w.Q)] == [m.num for m in _definitional_bipartite(g)[:2]]
-        assert w.P._num is not None
+        assert reads[0] is w.P and reads[1] is w.Q
 
-    def test_either_constructor_compares_and_hashes_equal(self):
+    def test_either_constructor_compares_and_hashes_equal(self, monkeypatch):
+        reads = _dense_reads(monkeypatch)
         for seed in range(100):
             rng = random.Random(seed)
             m = _random_matrix(rng)
-            if not m.rows:  # dense rows do not tell 0 x c from 0 x 0
+            if not m.rows:  # entries do not tell 0 x c from 0 x 0
                 continue
-            dense = RationalMatrix.from_numerators(m.num, m.den)
-            sparse = RationalMatrix.from_nonzeros(_nonzeros(dense.num), m.cols, m.den)
-            assert sparse._num is None and dense._num is not None
+            num = m.num
+            dense = RationalMatrix([[Fraction(x, m.den) for x in row] for row in num])
+            sparse = RationalMatrix.from_nonzeros(_nonzeros(num), m.cols, m.den)
+            reads.clear()
             assert sparse == dense and dense == sparse and hash(sparse) == hash(dense)
-            assert sparse._num is None
-            other = RationalMatrix.from_nonzeros(_nonzeros(dense.num), m.cols, m.den)
+            other = RationalMatrix.from_nonzeros(_nonzeros(num), m.cols, m.den)
             assert other == sparse and hash(other) == hash(sparse)
+            assert reads == []
             if m.cols:
-                bumped = [list(row) for row in dense.num]
+                bumped = [list(row) for row in num]
                 bumped[0][0] += 1
                 assert RationalMatrix.from_nonzeros(_nonzeros(bumped), m.cols, m.den) != dense
 
@@ -1025,7 +1012,8 @@ class TestRepresentation:
         ],
     )
     def test_shape_and_entries_tell_apart(self, a, b):
-        assert a != b and b != a and RationalMatrix.from_numerators(b.num, b.den) != a
+        entries = RationalMatrix([[Fraction(x, b.den) for x in row] for row in b.num])
+        assert a != b and b != a and entries != a
 
 
 def _bump_u(doc: dict) -> None:
