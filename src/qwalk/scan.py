@@ -12,6 +12,7 @@ the exact-arithmetic deciders both grow quickly past that.
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from operator import itemgetter
 from typing import Iterator
 
 from .graphs import Graph
@@ -63,17 +64,16 @@ def _biadjacency_fills(n0: int, d0: int, n1: int, d1: int) -> Iterator[tuple[tup
 def _canonical_form(rows: tuple[tuple[int, ...], ...]) -> tuple:
     """Minimum of the matrix over all row and column permutations.
 
-    Only called on profiles whose degrees are both at least 2, so each
-    side has at most e/2 vertices and the brute force stays tiny.
+    Precondition: the matrix has at least two columns.  It is only called
+    on profiles whose degrees are both at least 2 (a degree-1 side is a
+    star, emitted without a search), so n1 >= d0 >= 2 and itemgetter of a
+    column permutation returns a tuple, never a bare entry.  Each side has
+    at most e/2 vertices, so the n1! column permutations number at most
+    720 at 12 edges; each permutes every row in one C-level pass, and
+    sorting the permuted rows minimises over the row permutations.
     """
-    n1 = len(rows[0])
-    best = None
-    for cperm in permutations(range(n1)):
-        permuted = sorted(tuple(r[c] for c in cperm) for r in rows)
-        key = tuple(permuted)
-        if best is None or key < best:
-            best = key
-    return best
+    return min(tuple(sorted(map(itemgetter(*p), rows)))
+               for p in permutations(range(len(rows[0]))))
 
 
 def _to_graph(rows: tuple[tuple[int, ...], ...]) -> Graph:

@@ -391,8 +391,23 @@ class TestScanCommand:
         assert code == 1
 
     def test_pretty(self, capsys):
-        code, out, _ = run(capsys, "scan", "--max-edges", "4", "--pretty")
-        assert code == 0 and "periodic=True" in out
+        """At 12 edges, line by line, --pretty shows the description,
+        verdict and period of the JSON stream's class in the same place."""
+        code, out, _ = run(capsys, "scan", "--max-edges", "12")
+        assert code == 0
+        docs = [json.loads(line) for line in out.splitlines()]
+        code, out, _ = run(capsys, "scan", "--max-edges", "12", "--pretty")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == len(docs) == 27
+        assert {doc["verdict"]["periodic"] for doc in docs} == {True, False}
+        for line, doc in zip(lines, docs):
+            m = re.fullmatch(r"(.{40}) periodic=(True|False) tau=(\d+|-)", line)
+            assert m, line
+            v = doc["verdict"]
+            assert m[1].rstrip() == doc["input"]
+            assert m[2] == str(v["periodic"])
+            assert m[3] == (str(v["period"]) if v["periodic"] else "-")
 
 
 class TestVerify:

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import permutations
 
@@ -7,12 +8,21 @@ from networkx.algorithms import bipartite
 
 import qwalk.periodicity
 from qwalk.graphs import Graph, bipartition, degree_profile
-from qwalk.scan import _biadjacency_fills, _profiles, _to_graph, enumerate_biregular, scan_periodicity
+from qwalk.scan import (
+    _biadjacency_fills,
+    _canonical_form,
+    _profiles,
+    _to_graph,
+    enumerate_biregular,
+    scan_periodicity,
+)
 
 # per-edge-count class counts: one star per edge count plus the classes
 # with both degrees at least 2
 COUNTS_10 = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 3, 7: 1, 8: 3, 9: 2, 10: 3}
 COUNTS_12 = {**COUNTS_10, 11: 1, 12: 8}
+# the profiles that the enumerator searches, both degrees at least 2
+SEARCHED_11 = [p for e in range(1, 12) for p in _profiles(e) if min(p[1], p[3]) >= 2]
 
 
 def biadjacency_rows(g):
@@ -43,15 +53,18 @@ def classes_12():
     return [to_networkx(g) for g in enumerate_biregular(12)]
 
 
+def column_permuted(rows):
+    """The rows under each column permutation in turn, sorted so that the
+    row order drops out (brute force, tiny sides only)."""
+    for cperm in permutations(range(len(rows[0]))):
+        yield sorted(tuple(r[c] for c in cperm) for r in rows)
+
+
 def bipartite_isomorphic(rows_a, rows_b):
     """Brute-force row/column permutation search (tiny sides only)."""
     if len(rows_a) != len(rows_b) or len(rows_a[0]) != len(rows_b[0]):
         return False
-    target = sorted(rows_b)
-    for cperm in permutations(range(len(rows_a[0]))):
-        if sorted(tuple(r[c] for c in cperm) for r in rows_a) == target:
-            return True
-    return False
+    return sorted(rows_b) in column_permuted(rows_a)
 
 
 class TestEnumeration:
@@ -129,6 +142,25 @@ class TestEnumeration:
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
             list(enumerate_biregular(13))
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("profile", SEARCHED_11, ids=str)
+    def test_is_the_least_permuted_matrix(self, profile):
+        """On every fill of a searched profile, and on seeded row and column
+        shuffles of it, the form is the least matrix over all column
+        permutations of the sorted rows."""
+        n0, _, n1, _ = profile
+        rng = random.Random(str(profile))
+        fills = list(_biadjacency_fills(*profile))
+        assert fills
+        for rows in fills:
+            oracle = tuple(min(column_permuted(rows)))
+            assert _canonical_form(rows) == oracle
+            for _ in range(5):
+                rperm, cperm = rng.sample(range(n0), n0), rng.sample(range(n1), n1)
+                shuffled = tuple(tuple(rows[i][j] for j in cperm) for i in rperm)
+                assert _canonical_form(shuffled) == oracle
 
 
 class TestScanPeriodicity:
