@@ -417,6 +417,19 @@ def rescaled_integral(p: IntPolynomial, a: RationalLike, b: RationalLike = 0) ->
     return IntPolynomial(tuple(c))
 
 
+def graeffe_step(p: IntPolynomial) -> IntPolynomial:
+    """charpoly(B^2) from p = charpoly(B), by Graeffe's root-squaring step:
+    with p(x) = e(x^2) + x o(x^2), p(x) p(-x) = e(x^2)^2 - x^2 o(x^2)^2 is
+    (-1)^n charpoly(B^2)(x^2), n = deg p."""
+    c = [0] * (p.degree + 1)
+    for first, sign in ((0, 1), (1, -1)):  # e^2, then - y o^2
+        half = p.coeffs[first::2]
+        for i, x in enumerate(half):
+            for j, y in enumerate(half):
+                c[i + j + first] += sign * x * y
+    return IntPolynomial(tuple((-1) ** p.degree * x for x in c))
+
+
 def _factor(k: int) -> dict[int, int]:
     """{p: e} with k = prod p^e for k >= 1, primes ascending, by trial
     division by 2 and the odd numbers."""

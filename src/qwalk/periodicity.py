@@ -5,13 +5,15 @@ S(g), to which U_GW is similar, so one path decides both kinds.  The walk
 eigenvalues other than +-1 are e^(+-i theta) with 2cos(theta) a root of
 q(y) = det(yI - (4M - 2I)), M = D0^-1 C D1^-1 C^T for the block C of the
 adjacency between the two classes, taken on one class: the smaller one,
-or the original vertices of S(g).  M comes from one integer builder
-(walks._gram) as the rows of L M over L, and one routine (_chi) takes the
-char-poly that the decider, the table and the phase period read.  q is
-monic with every root in [-2, 2], so the walk is periodic iff q has
-integer coefficients (Kronecker, 1857), and then q is a product of the
-minimal polynomials Psi_k of 2cos(2 pi / k): the period is the lcm of
-those k, with 2 when the walk has a -1 eigenvector.
+or the original vertices of S(g).  One routine (_chi) takes the char-poly
+of L M that the decider, the table and the phase period read: of the
+integer rows of walks._gram, or, when C is square and symmetric (g x K2 as
+bipartite_double_cover numbers it), by one Graeffe step from that of
+B = l D^-1 C, L M = B^2 (walks._gram_root).  q is monic with every root in
+[-2, 2], so the walk is periodic iff q has integer coefficients
+(Kronecker, 1857), and then q is a product of the minimal polynomials
+Psi_k of 2cos(2 pi / k): the period is the lcm of those k, with 2 when
+the walk has a -1 eigenvector.
 
 That decides, and each verdict carries one certificate:
 
@@ -61,6 +63,7 @@ from .exact import (
     char_poly,
     cyclotomic,
     cyclotomic_factors,
+    graeffe_step,
     local_minimal_polynomial,
     mat_mul,
     rescaled_integral,
@@ -75,7 +78,7 @@ from .graphs import (
     degree_profile,
     subdivision,
 )
-from .walks import WalkOperator, _gram, build_bipartite_walk, cell_operator
+from .walks import WalkOperator, _gram, _gram_root, build_bipartite_walk, cell_operator
 
 TRACE_DEPTH = 12  # tr(U^k) is checked for k <= TRACE_DEPTH
 
@@ -127,7 +130,10 @@ def _allowed_values(d0d1: int, shift: int = 0) -> dict[QuadraticValue, int]:
 def _chi(g: Graph, kind: str) -> tuple[Graph, Bipartition, IntPolynomial, int, int]:
     """(h, b, chi, den, shift) for the walk of the given kind on g: the
     bipartite walk on h with classes b, and chi = charpoly(den M - shift I)
-    from _gram's integer rows of den M, on the class q is taken on.
+    on the class q is taken on: of _gram's integer rows of den M or, for
+    kind "bipartite" when C, from the sorted rows to the sorted other
+    class, is square and symmetric, graeffe_step(charpoly(B)) for
+    _gram_root's B, B^2 = den M, the same polynomial.
 
     kind "bipartite": h = g, M on the smaller class of b = bipartition(g)
     (c0 on a tie), shift 0.  kind "grover": h = S(g), and b = bipartition(h)
@@ -143,6 +149,9 @@ def _chi(g: Graph, kind: str) -> tuple[Graph, Bipartition, IntPolynomial, int, i
     rows, other = (b.c0, b.c1) if kind == "grover" else sorted((b.c0, b.c1), key=len)
     if not g.num_edges:
         raise GraphError("graph has no edges")
+    root = kind == "bipartite" and _gram_root(h, rows, other)
+    if root:
+        return h, b, graeffe_step(char_poly(root[0])), root[1] ** 2, 0
     gram, den = _gram(h, rows, other)
     shift = den // 2 if kind == "grover" else 0
     for i, row in enumerate(gram):

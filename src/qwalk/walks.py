@@ -19,7 +19,7 @@ import json
 from itertools import chain
 from math import gcd, lcm
 from operator import add, itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .exact import RationalMatrix, _int_product, mat_mul
 from .graphs import Graph, GraphError, bipartition, degree_profile, subdivision
@@ -169,6 +169,27 @@ def _gram(g: Graph, rows: Iterable[int], other: Iterable[int]) -> tuple[list[lis
                 row[pos[y]] += wx
         out.append(row)
     return out, l_rows * l_other
+
+
+def _gram_root(
+    g: Graph, rows: Iterable[int], other: Iterable[int]
+) -> Optional[tuple[list[list[int]], int]]:
+    """(B, l), B = l Dr^-1 C and l = lcm(deg rows), when the block C of g's
+    adjacency from the sorted `rows` to the sorted `other` is square and
+    symmetric, else None.  Row i and column i of C then have one degree, so
+    _gram's L is l^2 and its L M is B^2, from one-hop sums, not two-hop."""
+    rows, col = sorted(rows), {v: j for j, v in enumerate(sorted(other))}
+    if len(rows) != len(col):
+        return None
+    deg, adj = g.degrees(), g.neighbors()
+    ones = {(i, col[x]) for i, v in enumerate(rows) for x in adj[v]}
+    if any((j, i) not in ones for i, j in ones):
+        return None
+    l = lcm(*(deg[v] for v in rows))
+    out = [[0] * len(rows) for _ in rows]
+    for i, j in ones:
+        out[i][j] = l // deg[rows[i]]
+    return out, l
 
 
 def _quotient(

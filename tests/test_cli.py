@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from qwalk.graphs import (
     figure1_graph,
     figure4a_graph,
     format_graph,
+    is_bipartite,
     parse_graph,
     path,
     star,
@@ -32,6 +34,7 @@ from qwalk.graphs import (
 from qwalk.periodicity import MethodDisagreement, decide_periodicity
 from qwalk.walks import build_bipartite_walk, build_grover_walk, walk_from_json
 from test_exact import fractions_of
+from test_walks import random_connected_graph
 
 P5 = format_graph(path(5))
 CIRCULANT7 = circulant(7, [1, 2, -1, -2])  # 4-regular, its walks not periodic
@@ -325,6 +328,43 @@ class TestPeriod:
         code, out, err = run(capsys, "period", str(path))
         assert code == 1 and out == ""
         assert "is not a text edge list" in err
+
+
+def _report(capsys, monkeypatch, g: Graph, *argv) -> tuple[int, dict]:
+    """Exit code and report of `period -` on g, less the fields that name
+    the transform and the wall-clock time."""
+    code, out, _ = run(capsys, "period", "-", *argv, stdin=format_graph(g), monkeypatch=monkeypatch)
+    doc = json.loads(out)
+    del doc["transform"], doc["timing_seconds"]
+    return code, doc
+
+
+class TestDoubleCoverRelations:
+    """`--transform d` takes chi from the square root of the Gram block of
+    g x K2, numbered as bipartite_double_cover numbers it; the same cover
+    relabelled, or an isomorphic graph, takes it from the Gram block
+    itself.  The two paths give one report."""
+
+    def test_a_relabelled_cover_gives_the_same_report(self, capsys, monkeypatch):
+        rng, codes = random.Random(3302), []
+        while len(codes) < 100:
+            g = random_connected_graph(rng, max_n=8)
+            if is_bipartite(g):
+                continue
+            cover = bipartite_double_cover(g)
+            perm = list(range(cover.n))
+            rng.shuffle(perm)
+            relabelled = Graph.from_edges(cover.n, [(perm[u], perm[v]) for u, v in cover.edges])
+            expected = _report(capsys, monkeypatch, g, "--transform", "d")
+            assert _report(capsys, monkeypatch, relabelled) == expected, g
+            codes.append(expected[0])
+        assert codes.count(0) >= 5 and codes.count(3) >= 5  # periodic and not
+
+    @pytest.mark.parametrize("k", range(1, 41))
+    def test_the_cover_of_an_odd_cycle_is_the_even_cycle(self, capsys, monkeypatch, k):
+        code, doc = _report(capsys, monkeypatch, cycle(2 * k + 1), "--transform", "d")
+        assert (code, doc) == _report(capsys, monkeypatch, cycle(4 * k + 2))
+        assert code == 0 and doc["verdict"]["period"] == 2 * k + 1
 
 
 class TestDeclaredVertexCount:

@@ -30,6 +30,7 @@ from qwalk.exact import (
     cyclotomic,
     cyclotomic_factors,
     eval_at_quadratic,
+    graeffe_step,
     is_quadratic_algebraic_integer,
     local_minimal_polynomial,
     mat_mul,
@@ -760,6 +761,20 @@ def test_char_poly_makes_half_the_products(monkeypatch, n):
     monkeypatch.undo()
     assert coeffs == _faddeev_leverrier(m)
     assert products == [n] * max(0, -(-n // 2) - 1)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_graeffe_step_is_the_char_poly_of_the_square(n):
+    """charpoly(B^2) from charpoly(B) on seeded integer matrices, non-symmetric
+    and with negative entries, against char_poly of the product formed."""
+    rng = random.Random(8200 + n)
+    for density, bound in ((1.0, 9), (0.3, 10**6), (0.5, 1)):
+        b = [[rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(n)]
+             for _ in range(n)]
+        if n > 1 and density == 1.0:
+            assert b != [list(col) for col in zip(*b)]
+        square = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in b]
+        assert graeffe_step(char_poly(b)) == char_poly(square)
 
 
 def test_char_poly_raises_on_an_inexact_division():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qwalk.periodicity
 from qwalk.exact import (
     NonIntegralPolynomial,
     QuadraticValue,
@@ -924,3 +925,99 @@ class TestGramAgainstFractions:
         assert [[x - 3 * (i == j) for j, x in enumerate(row)] for i, row in enumerate(gram)] == (
             adjacency_matrix(petersen_graph())
         )
+
+
+def _non_bipartite(rng: random.Random, max_n: int) -> Graph:
+    while True:
+        g = random_connected_graph(rng, max_n=max_n)
+        if not is_bipartite(g):
+            return g
+
+
+def _relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+# connected non-bipartite graphs on at most 7 vertices, so covers of at most 14
+REGULAR_ODD = {
+    "c3": cycle(3), "c5": cycle(5), "c7": cycle(7),
+    "k4": _complete_graph(4), "k5": _complete_graph(5),
+    "prism": Graph.from_edges(
+        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    ),
+    "circulant7": circulant(7, [1, 2, -1, -2]),
+}
+
+
+def _root_inputs() -> dict[str, Graph]:
+    """Double covers of regular and of seeded non-regular non-bipartite
+    graphs, and K_{a,a}: graphs whose block C is square and symmetric."""
+    graphs = {f"{name}-d": bipartite_double_cover(g) for name, g in REGULAR_ODD.items()}
+    rng = random.Random(3300)
+    for i in range(30):
+        graphs[f"random-{i}-d"] = bipartite_double_cover(_non_bipartite(rng, 7))
+    graphs.update({f"k{a}{a}": complete_bipartite(a, a) for a in range(1, 7)})
+    return graphs
+
+
+ROOT_INPUTS = _root_inputs()
+
+
+class TestChiFromTheRootOfTheGram:
+    """_chi takes chi from charpoly(B) by one Graeffe step when the block C
+    from the sorted smaller class to the other is square and symmetric, and
+    from _gram's rows otherwise: both give the char-poly of _gram's rows."""
+
+    @pytest.mark.parametrize("name", sorted(ROOT_INPUTS))
+    def test_chi_and_den_are_those_of_the_gram_rows(self, name):
+        h = ROOT_INPUTS[name]
+        b = bipartition(h)
+        gram, den = _gram(h, b.c0, b.c1)
+        assert _chi(h, "bipartite")[2:] == (char_poly(gram), den, 0)
+
+    @staticmethod
+    def _spy(monkeypatch) -> list[str]:
+        paths = []
+        for name, label in (("_gram", "gram"), ("graeffe_step", "root")):
+            original = getattr(qwalk.periodicity, name)
+            monkeypatch.setattr(
+                qwalk.periodicity, name,
+                lambda *a, f=original, s=label: paths.append(s) or f(*a),
+            )
+        return paths
+
+    @staticmethod
+    def _square_and_symmetric(h: Graph) -> bool:
+        c = biadjacency(h)
+        return len(c) == len(c[0]) and c == [list(col) for col in zip(*c)]
+
+    def test_the_root_runs_exactly_when_c_is_square_and_symmetric(self, monkeypatch):
+        rng = random.Random(3301)
+        gram_only = {f"c{2 * k}": cycle(2 * k) for k in range(3, 9)}
+        gram_only["heawood"] = heawood_graph()
+        for name, h in ROOT_INPUTS.items():
+            if name.startswith("random") and h.n >= 12:
+                gram_only[f"{name}-relabelled"] = _relabelled(h, rng)
+        others = {
+            "figure7-d": bipartite_double_cover(figure7_graph()), "k23": complete_bipartite(2, 3),
+            "c4": cycle(4), "p6": path(6), "star4": star(4), "figure1": figure1_graph(),
+        }
+        paths = self._spy(monkeypatch)
+        for name, h in {**ROOT_INPUTS, **gram_only, **others}.items():
+            paths.clear()
+            _chi(h, "bipartite")
+            assert paths == ["root" if self._square_and_symmetric(h) else "gram"], name
+        assert all(self._square_and_symmetric(h) for h in ROOT_INPUTS.values())
+        assert not any(self._square_and_symmetric(h) for h in gram_only.values())
+
+    @pytest.mark.parametrize("name", ["c3", "c5", "k4", "prism"])
+    def test_a_grover_walk_takes_the_gram_rows(self, monkeypatch, name):
+        # S(C3)'s block C is square and symmetric: only the kind keeps it
+        # from the root path, which has no shift
+        paths = self._spy(monkeypatch)
+        for g in (REGULAR_ODD[name], bipartite_double_cover(REGULAR_ODD[name]), cycle(6)):
+            paths.clear()
+            _chi(g, "grover")
+            assert paths == ["gram"]
