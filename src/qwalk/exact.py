@@ -13,9 +13,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, compress, count, zip_longest
+from itertools import chain, combinations, compress, count, repeat, zip_longest
 from math import gcd, isqrt, lcm, prod
-from operator import itemgetter, mul
+from operator import add, getitem, itemgetter, mul
 from typing import NamedTuple, Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -251,33 +251,34 @@ def rational_rank(a: RationalMatrix) -> int:
 
 def local_minimal_polynomial(u: RationalMatrix, j: int) -> tuple[Fraction, ...]:
     """Monic minimal polynomial of the basis vector e_j under u: the monic
-    mu of least degree with mu(u) e_j = 0, coefficients in ascending order.
-
-    Krylov on the numerators N = den * u: v_0 = e_j, v_(i+1) = N v_i.  Each
-    v_k, extended by the unit vector e_k of length k + 1, is reduced against
-    the earlier rows (_reduce, pivots among the first n entries); the tail
-    carries the combination of v_0..v_k the row stands for.  The first v_k
-    to vanish leaves sum c_i v_i = 0 with c_k != 0, the minimal polynomial
-    of e_j under N; under u = N / den its coefficient i is
-    (c_i / c_k) den^(i - k).
-    """
+    mu of least degree with mu(u) e_j = 0, coefficients ascending, by
+    Krylov over the rows of u.transpose() (_row_minimal_polynomial)."""
     if not u.is_square:
         raise DimensionError("local minimal polynomial of non-square matrix")
-    n = u.rows
+    return _row_minimal_polynomial(u.transpose(), j)
+
+
+def _row_minimal_polynomial(a: RationalMatrix, j: int) -> tuple[Fraction, ...]:
+    """Monic minimal polynomial of e_j under a^T, over a's own rows (a is
+    square; an index out of range raises ValueError first).  Krylov on
+    N = den * a: v_0 = e_j, v_(i+1)^T = v_i^T N, one row of _int_product.
+    Each v_k, e_k of length k + 1 appended, is reduced against the earlier
+    rows (_reduce, pivots among the first n entries); the tail of the first
+    to vanish holds c with sum c_i v_i = 0, and mu_i = (c_i / c_k) den^(i - k)."""
+    n = a.rows
     if not 0 <= j < n:
         raise ValueError(f"basis index {j} out of range")
-    sparse = u.nonzeros()
     basis: list[tuple[int, list[int]]] = []  # (pivot, row)
-    v = [int(i == j) for i in range(n)]
+    v: Sequence[tuple[int, int]] = ((j, 1),)
     while True:
         k = len(basis)
-        r = _reduce(v + [0] * k + [1], basis)
+        r = _reduce([*map(dict(v).get, range(n), repeat(0)), *[0] * k, 1], basis)
         pivot = next((i for i in range(n) if r[i]), None)
         if pivot is None:
-            c, den = r[n:], u.den
+            c, den = r[n:], a.den
             return tuple(Fraction(ci * den**i, c[k] * den**k) for i, ci in enumerate(c))
         basis.append((pivot, r))
-        v = [sum(x * v[c] for c, x in row) for row in sparse]
+        (v,) = _int_product((v,), a.nonzeros(), n)
 
 
 # ---------------------------------------------------------------------------
@@ -345,18 +346,33 @@ def poly_divmod_monic(p: IntPolynomial, d: IntPolynomial) -> tuple[IntPolynomial
 
 def _sparse_times_dense(a: list, b: Sequence[Sequence[int]]) -> list[list[int]]:
     """Rows of A B from the nonzeros (k, a_ik) of A's rows and B's dense
-    rows: row i is the sum of the a_ik B_k, column by column."""
+    rows, whole rows at C speed: lazy chains of map(add) sum the B_k of
+    weight 1 and, apart, those of each other weight x, scaled by x once;
+    A's empty rows give zero rows."""
     zero = [0] * len(b[0])
-    return [list(map(sum, zip(zero, *(b[k] if x == 1 else [x * y for y in b[k]] for k, x in row))))
-            for row in a]
+    out = []
+    for row in a:
+        acc, sums = None, {}
+        for k, x in row:
+            if x == 1:
+                acc = b[k] if acc is None else map(add, acc, b[k])
+            else:
+                sums[x] = map(add, sums[x], b[k]) if x in sums else b[k]
+        for x, s in sums.items():
+            s = map(mul, repeat(x), s)
+            acc = s if acc is None else map(add, acc, s)
+        out.append(list(zero if acc is None else acc))
+    return out
 
 
 def char_poly(m: Sequence[Sequence[int]]) -> IntPolynomial:
     """Monic characteristic polynomial det(xI - M) of an integer matrix.
 
     From the power sums p_k = tr(M^k), k <= n, forming only M^1..M^h,
-    h = ceil(n/2), in h - 1 products: p_k = tr(M^h M^(k-h)) for k > h is a
-    sum of dot products of rows (after Preparata and Sarwate, IPL 7, 1978).
+    h = ceil(n/2), in h - 1 products (_sparse_times_dense): p_k, k <= h, is
+    M^k's diagonal summed by map(getitem); p_k = tr(M^(k-h) M^h), k > h, is
+    the sum of the dot products sum(map(mul)) of M^(k-h)'s rows with M^h's
+    columns, all in C (after Preparata and Sarwate, IPL 7, 1978).
     Newton's identities k c_k = -sum_(i<=k) c_(k-i) p_i give the coefficient
     c_k of x^(n-k); a remainder, impossible for an integer M, raises ValueError.
     """
@@ -367,9 +383,9 @@ def char_poly(m: Sequence[Sequence[int]]) -> IntPolynomial:
     powers = [m]  # powers[k - 1] = M^k
     for _ in range((n + 1) // 2 - 1):
         powers.append(_sparse_times_dense(sparse, powers[-1]))
-    p = [0] + [sum(row[i] for i, row in enumerate(mk)) for mk in powers]
-    top = list(zip(*powers[-1]))
-    p += [sum(sum(map(mul, r, t)) for r, t in zip(mk, top)) for mk in powers[: n // 2]]
+    p = [0] + [sum(map(getitem, mk, range(n))) for mk in powers]
+    top = list(zip(*powers[-1]))  # the columns of M^h
+    p += [sum(map(sum, map(map, repeat(mul), mk, top))) for mk in powers[: n // 2]]
     c = [1]
     for k in range(1, n + 1):
         ck, r = divmod(-sum(map(mul, c[::-1], p[1 : k + 1])), k)
@@ -447,10 +463,6 @@ def _factor(k: int) -> dict[int, int]:
     return out
 
 
-def _prime_factors(k: int) -> list[int]:
-    return list(_factor(k))
-
-
 def _totient(k: int) -> int:
     return prod((p - 1) * p ** (e - 1) for p, e in _factor(k).items())
 
@@ -471,7 +483,7 @@ def cyclotomic(k: int, real: bool = False) -> IntPolynomial:
         raise ValueError("order must be positive")
     if k <= 2:  # x - 1 and x + 1; y - 2 and y + 2
         return IntPolynomial(((-1) ** k * (1 + real), 1))
-    n, primes = _totient(k), _prime_factors(k)
+    n, primes = _totient(k), list(_factor(k))
     s = [1] + [0] * n
     for r in range(len(primes) + 1):  # mu(k/d) = (-1)^r: k/d is r primes
         for d in (k // prod(c) for c in combinations(primes, r)):

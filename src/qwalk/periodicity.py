@@ -57,14 +57,14 @@ from .exact import (
     QuadraticValue,
     RationalMatrix,
     _chain_power,
+    _factor,
     _nonzeros,
     _orders_of_totient_at_most,
-    _prime_factors,
+    _row_minimal_polynomial,
     char_poly,
     cyclotomic,
     cyclotomic_factors,
     graeffe_step,
-    local_minimal_polynomial,
     mat_mul,
     rescaled_integral,
     roots_degree_le2,
@@ -78,7 +78,9 @@ from .graphs import (
     degree_profile,
     subdivision,
 )
-from .walks import WalkOperator, _gram, _gram_root, build_bipartite_walk, cell_operator
+from .walks import (
+    ArcWalkOperator, WalkOperator, _gram, _gram_root, build_bipartite_walk, cell_operator
+)
 
 TRACE_DEPTH = 12  # tr(U^k) is checked for k <= TRACE_DEPTH
 
@@ -226,7 +228,7 @@ def _certified_order(m: RationalMatrix, c: int) -> Optional[int]:
     """
     known = {1: m}
     while True:
-        primes = _prime_factors(c)
+        primes = list(_factor(c))
         for t in sorted({c, *(c // p for p in primes)}):
             _chain_power(known, t)
         if not known[c].is_identity():
@@ -379,22 +381,20 @@ def grover_regular_test(g: Graph) -> SpectralVerdict:
 # ---------------------------------------------------------------------------
 
 
-def state_periodicity(w: WalkOperator, edge: int) -> bool:
+def state_periodicity(w: WalkOperator | ArcWalkOperator, edge: int) -> bool:
     """Exact per-state test: is U^tau e_a = e_a for some tau >= 1, with a
-    the edge index?  An index out of range raises ValueError.
-
-    The state is periodic iff its local minimal polynomial mu under U has
-    integer coefficients.  U is orthogonal: every build checks
-    (2P - I) U = 2Q - I, which holds only for U = (2P - I)(2Q - I), a
-    product of two reflections.  So the roots of mu are simple eigenvalues
-    of modulus 1; if mu is monic integral they are roots of unity
-    (Kronecker), and U^tau e_a = e_a for tau the lcm of their orders.
-    Conversely U^tau e_a = e_a makes mu a monic rational divisor of
-    x^tau - 1, hence integral (Gauss's lemma).
-    So this is the test "mu is a product of distinct cyclotomic
-    polynomials" (Godsil, "Periodic graphs", EJC 18, 2011).
+    an edge (bipartite walk) or arc (Grover walk) index?  One out of range
+    raises ValueError before U is read.  Each build checks U orthogonal,
+    (2P - I) U = 2Q - I or R U_GW = 2K - I holding only for a product of
+    two reflections, so U^-1 = U^T, and e_a is periodic under U iff under
+    U^T.  Its minimal polynomial mu under U^T runs over U's own rows
+    (exact._row_minimal_polynomial).  The roots of mu are simple, of
+    modulus 1: if mu is monic integral they are roots of unity (Kronecker);
+    U^tau e_a = e_a makes mu a monic rational divisor of x^tau - 1, hence
+    integral (Gauss's lemma).  So this is the test "mu is a product of
+    distinct cyclotomic polynomials" (Godsil, "Periodic graphs", EJC 18, 2011).
     """
-    return all(c.denominator == 1 for c in local_minimal_polynomial(w.U, edge))
+    return all(c.denominator == 1 for c in _row_minimal_polynomial(w.U, edge))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ from qwalk.exact import (
     NonIntegralPolynomial,
     QuadraticValue,
     RationalMatrix,
+    _row_minimal_polynomial,
     char_poly,
+    local_minimal_polynomial,
     mat_mul,
     mat_pow,
 )
@@ -62,6 +64,7 @@ from qwalk.spectral import (
     walk_phases_from_graph,
 )
 from qwalk.walks import (
+    ArcWalkOperator,
     _gram,
     block_identity_check,
     block_identity_checks,
@@ -371,6 +374,72 @@ class TestStatePeriodicity:
         w = build_bipartite_walk(cycle(6))
         with pytest.raises(ValueError):
             state_periodicity(w, edge)
+
+
+def _seeded_walks(seed: int, count: int):
+    """The walks of count distinct seeded connected graphs g with at most
+    7 vertices: the Grover walk of each, and its bipartite walk when g is
+    bipartite."""
+    rng = random.Random(seed)
+    seen = set()
+    while len(seen) < count:
+        g = random_connected_graph(rng, max_n=7)
+        if g.edges in seen:
+            continue
+        seen.add(g.edges)
+        yield build_grover_walk(g)
+        if is_bipartite(g):
+            yield build_bipartite_walk(g)
+
+
+def _reversal(mu):
+    """x^d mu(1/x) / mu(0): the monic polynomial whose roots are the
+    inverses of mu's, for mu(0) != 0."""
+    return tuple(c / mu[0] for c in reversed(mu))
+
+
+def _annihilates(mu, m: RationalMatrix, a: int) -> bool:
+    """mu(M) e_a = 0, summed over the column vectors M^i e_a."""
+    v = RationalMatrix([[int(i == a)] for i in range(m.rows)])
+    acc = RationalMatrix.zeros(m.rows, 1)
+    for c in mu:
+        acc, v = acc.add(v.scale(c)), mat_mul(m, v)
+    return acc == RationalMatrix.zeros(m.rows, 1)
+
+
+class TestTransposeRoute:
+    """state_periodicity runs the Krylov sequence of e_a under U^T = U^-1,
+    over U's own rows: mu under U^T is the reversal of mu under U, and the
+    verdict is the integrality of mu under U."""
+
+    @staticmethod
+    def _check(w, a: int) -> bool:
+        mu = local_minimal_polynomial(w.U, a)
+        mu_t = _row_minimal_polynomial(w.U, a)
+        assert mu_t == _reversal(mu), a
+        assert _annihilates(mu_t, w.U.transpose(), a), a
+        periodic = all(c.denominator == 1 for c in mu)
+        assert state_periodicity(w, a) == periodic, a
+        return periodic
+
+    @pytest.mark.parametrize("name", sorted(NAMED_WALKS))
+    def test_every_state_of_named_walks(self, name):
+        w = NAMED_WALKS[name]
+        for a in range(w.dim):
+            self._check(w, a)
+
+    def test_every_state_of_seeded_graphs(self):
+        verdicts = {"bipartite": set(), "grover": set()}
+        for w in _seeded_walks(34, 80):
+            kind = "grover" if isinstance(w, ArcWalkOperator) else "bipartite"
+            verdicts[kind].update(self._check(w, a) for a in range(w.dim))
+        assert verdicts == {"bipartite": {True, False}, "grover": {True, False}}
+
+    @pytest.mark.parametrize("arc", [12, 99, -1])
+    def test_out_of_range_arc(self, arc):
+        w = build_grover_walk(cycle(6))
+        with pytest.raises(ValueError):
+            state_periodicity(w, arc)
 
 
 class TestDecidePeriodicity:
