@@ -387,9 +387,9 @@ def state_periodicity(w: WalkOperator | ArcWalkOperator, edge: int) -> bool:
     raises ValueError before U is read.  Each build checks U orthogonal,
     (2P - I) U = 2Q - I or R U_GW = 2K - I holding only for a product of
     two reflections, so U^-1 = U^T, and e_a is periodic under U iff under
-    U^T.  Its minimal polynomial mu under U^T runs over U's own rows
-    (exact._row_minimal_polynomial).  The roots of mu are simple, of
-    modulus 1: if mu is monic integral they are roots of unity (Kronecker);
+    U^T.  Its minimal polynomial mu under U^T comes from a Krylov sequence
+    over U's own rows (exact._row_minimal_polynomial).  mu's roots are
+    simple, of modulus 1: if mu is monic integral, roots of unity (Kronecker);
     U^tau e_a = e_a makes mu a monic rational divisor of x^tau - 1, hence
     integral (Gauss's lemma).  So this is the test "mu is a product of
     distinct cyclotomic polynomials" (Godsil, "Periodic graphs", EJC 18, 2011).
