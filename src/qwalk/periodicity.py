@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import comb, lcm
 from typing import Iterator, NamedTuple, Optional
 
@@ -328,13 +329,17 @@ def _classify(chi: IntPolynomial, d0: int, d1: int, shift: int = 0) -> SpectralV
     for value, mult in roots:
         order = table.get(value)
         classifications.append(EigenvalueClassification(value, mult, order is not None, order))
-    # conjugate roots are produced pairwise by the factorizer; verify anyway
-    by_value = dict(roots)
-    if any(by_value.get(v._replace(b=-v.b)) != mult for v, mult in roots):
-        return SpectralVerdict(
-            "non-periodic", d0, d1, tuple(classifications),
-            reason="conjugate pair multiplicities differ",
-        )
+    # conjugate roots are produced pairwise by the factorizer; verify anyway.
+    # The roots come ordered by (m, a, b), so the conjugates a +- b sqrt(m)
+    # sit in one run of equal (m, a), whose (b, multiplicity) list must read
+    # the same reversed with b negated: Fractions compared, none hashed
+    for _, run in groupby(roots, lambda root: (root[0].m, root[0].a)):
+        pairs = [(v.b, mult) for v, mult in run]
+        if pairs != [(-b, mult) for b, mult in reversed(pairs)]:
+            return SpectralVerdict(
+                "non-periodic", d0, d1, tuple(classifications),
+                reason="conjugate pair multiplicities differ",
+            )
     status = "periodic" if all(c.allowed for c in classifications) else "non-periodic"
     return SpectralVerdict(status, d0, d1, tuple(classifications))
 

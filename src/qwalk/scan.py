@@ -34,31 +34,43 @@ def _profiles(e: int) -> Iterator[tuple[int, int, int, int]]:
 def _biadjacency_fills(n0: int, d0: int, n1: int, d1: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """0/1 matrices with constant row sums d0 and column sums d1,
     rows in nonincreasing lexicographic order (one representative of every
-    row permutation class)."""
+    row permutation class).
+
+    The d0-subsets of the columns are listed once, in `combinations`
+    order, each with its 0/1 row.  A subset earlier in that order puts its
+    first differing one further left, so its row is lexicographically
+    larger: the rows nonincreasing are exactly the subset indices
+    nondecreasing, and row i's loop starts at row i - 1's index instead
+    of building the earlier rows only to refuse them.  A branch ends as
+    soon as some column needs more ones than rows are left, a prefix no
+    fill completes; at the last row this is the check that every column
+    sum is met.  Both cuts drop only rows that were refused and prefixes
+    that yielded nothing, so the fills come out as before, in the same
+    order.
+    """
+    subsets = [(s, tuple(int(j in s) for j in range(n1))) for s in combinations(range(n1), d0)]
     rows: list[tuple[int, ...]] = []
     col_left = [d1] * n1
 
-    def rec(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if i == n0:
-            if all(c == 0 for c in col_left):
-                yield tuple(rows)
+    def rec(i: int, start: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if max(col_left) > n0 - i:
             return
-        for support in combinations(range(n1), d0):
+        if i == n0:
+            yield tuple(rows)
+            return
+        for k in range(start, len(subsets)):
+            support, row = subsets[k]
             if any(col_left[j] == 0 for j in support):
-                continue
-            chosen = set(support)
-            row = tuple(1 if j in chosen else 0 for j in range(n1))
-            if rows and row > rows[-1]:
                 continue
             for j in support:
                 col_left[j] -= 1
             rows.append(row)
-            yield from rec(i + 1)
+            yield from rec(i + 1, k)
             rows.pop()
             for j in support:
                 col_left[j] += 1
 
-    yield from rec(0)
+    yield from rec(0, 0)
 
 
 def _canonical_form(rows: tuple[tuple[int, ...], ...]) -> tuple:

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
@@ -23,6 +23,35 @@ COUNTS_10 = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 3, 7: 1, 8: 3, 9: 2, 10: 3}
 COUNTS_12 = {**COUNTS_10, 11: 1, 12: 8}
 # the profiles that the enumerator searches, both degrees at least 2
 SEARCHED_11 = [p for e in range(1, 12) for p in _profiles(e) if min(p[1], p[3]) >= 2]
+
+
+def fills_by_refusal(n0, d0, n1, d1):
+    """The earlier fill search, the oracle: every row of a d0-subset is
+    built, and one greater than the row before it is refused."""
+    rows = []
+    col_left = [d1] * n1
+
+    def rec(i):
+        if i == n0:
+            if all(c == 0 for c in col_left):
+                yield tuple(rows)
+            return
+        for support in combinations(range(n1), d0):
+            if any(col_left[j] == 0 for j in support):
+                continue
+            chosen = set(support)
+            row = tuple(1 if j in chosen else 0 for j in range(n1))
+            if rows and row > rows[-1]:
+                continue
+            for j in support:
+                col_left[j] -= 1
+            rows.append(row)
+            yield from rec(i + 1)
+            rows.pop()
+            for j in support:
+                col_left[j] += 1
+
+    yield from rec(0)
 
 
 def biadjacency_rows(g):
@@ -142,6 +171,27 @@ class TestEnumeration:
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
             list(enumerate_biregular(13))
+
+
+class TestFillSearch:
+    """The pruned search gives the oracle's fills, in the oracle's order."""
+
+    @pytest.mark.parametrize("e", range(1, 11))
+    def test_every_profile_up_to_ten_edges(self, e):
+        # degree-1 profiles included, which the enumerator never searches
+        for profile in _profiles(e):
+            assert list(_biadjacency_fills(*profile)) == list(fills_by_refusal(*profile)), profile
+
+    # 11 and 13 are prime: only star profiles, none searched
+    @pytest.mark.parametrize("e, count", [(10, 23), (11, 0), (12, 233), (13, 0), (14, 823)])
+    def test_every_searched_profile_up_to_fourteen_edges(self, e, count):
+        searched = [p for p in _profiles(e) if min(p[1], p[3]) >= 2]
+        total = 0
+        for profile in searched:
+            fills = list(_biadjacency_fills(*profile))
+            assert fills == list(fills_by_refusal(*profile)), profile
+            total += len(fills)
+        assert total == count
 
 
 class TestCanonicalForm:

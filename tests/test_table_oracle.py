@@ -9,10 +9,16 @@ value + shift in the unshifted table.  `periodicity._classify`, which
 searches the proven interval on integer keys, must give the same
 SpectralVerdict, and the same string for every value, on every scan class
 with at most 12 edges, on the 19 covers of the benchmark, on seeded
-biregular graphs, and on the Grover walks of seeded regular graphs, whose
-table is shifted.  The table itself, from the roots of the Psi_k that
-`periodicity._psi_roots` searches in [-2, 2], must be the one the window
-search gives.
+biregular graphs and double covers of seeded regular graphs, and on the
+Grover walks of seeded regular graphs, whose table is shifted.  The table
+itself, from the roots of the Psi_k that `periodicity._psi_roots` searches
+in [-2, 2], must be the one the window search gives.
+
+`_classify_by_hash` is the later `periodicity._classify` that checked
+conjugate multiplicities through a dict of the roots; the current one
+checks them on the sorted root list, run by run of equal (m, a), and must
+give the same SpectralVerdict on all of these, and on roots that share
+(m, a) or break a conjugate pair.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import Optional
 
 import pytest
 
-from qwalk import periodicity
+from qwalk import exact, periodicity
 from qwalk.exact import (
     HigherDegreeFactor,
     IntPolynomial,
@@ -44,6 +50,7 @@ from qwalk.graphs import (
     cycle,
     degree_profile,
     heawood_graph,
+    is_bipartite,
     petersen_graph,
 )
 from qwalk.periodicity import (
@@ -53,7 +60,7 @@ from qwalk.periodicity import (
     _chi,
 )
 from qwalk.scan import enumerate_biregular
-from test_exact import _random_biregular, _root_bound
+from test_exact import _product, _random_biregular, _root_bound
 
 # ---------------------------------------------------------------------------
 # The oracle: the earlier search and _classify, verbatim
@@ -186,6 +193,29 @@ def _classify(chi: IntPolynomial, d0: int, d1: int, shift: int = 0) -> SpectralV
     return SpectralVerdict(status, d0, d1, tuple(classifications))
 
 
+def _classify_by_hash(chi: IntPolynomial, d0: int, d1: int, shift: int = 0) -> SpectralVerdict:
+    """The earlier periodicity._classify, verbatim but for reading the root
+    search off the periodicity module, so that a patched search reaches it."""
+    try:
+        roots = periodicity.roots_degree_le2(chi, (-shift, d0 * d1 - shift))
+    except HigherDegreeFactor as exc:
+        return SpectralVerdict("inconclusive", d0, d1, reason=str(exc))
+    table = _allowed_values(d0 * d1, shift)
+    classifications = []
+    for value, mult in roots:
+        order = table.get(value)
+        classifications.append(EigenvalueClassification(value, mult, order is not None, order))
+    # conjugate roots are produced pairwise by the factorizer; verify anyway
+    by_value = dict(roots)
+    if any(by_value.get(v._replace(b=-v.b)) != mult for v, mult in roots):
+        return SpectralVerdict(
+            "non-periodic", d0, d1, tuple(classifications),
+            reason="conjugate pair multiplicities differ",
+        )
+    status = "periodic" if all(c.allowed for c in classifications) else "non-periodic"
+    return SpectralVerdict(status, d0, d1, tuple(classifications))
+
+
 # ---------------------------------------------------------------------------
 # The inputs: (label, chi, d0, d1, shift) as decide_periodicity classifies them
 # ---------------------------------------------------------------------------
@@ -238,12 +268,26 @@ def _grover_inputs() -> list[tuple]:
     return inputs
 
 
+def _seeded_cover_inputs() -> list[tuple]:
+    """Double covers of seeded random regular graphs; a bipartite draw, whose
+    cover is disconnected, is skipped."""
+    nx = pytest.importorskip("networkx")
+    inputs = []
+    for d, n in ((2, 7), (3, 8), (3, 10), (3, 12), (4, 7), (4, 9), (5, 8)):
+        for seed in range(5):
+            g = Graph.from_edges(n, nx.random_regular_graph(d, n, seed=seed).edges())
+            if g.is_connected() and not is_bipartite(g):
+                inputs.append(_table_input(f"cover-{d}-{n}-{seed}", bipartite_double_cover(g), "bipartite"))
+    return inputs
+
+
 def _same_verdicts(inputs: list[tuple]) -> Counter:
     statuses: Counter = Counter()
     for label, chi, d0, d1, shift in inputs:
         want = _classify(chi, d0, d1, shift)
         got = periodicity._classify(chi, d0, d1, shift)
         assert got == want, label
+        assert got == _classify_by_hash(chi, d0, d1, shift), label
         assert [str(c.value) for c in got.classifications] == [
             str(c.value) for c in want.classifications
         ], label
@@ -267,6 +311,13 @@ def test_the_table_agrees_with_its_oracle_on_the_covers():
 
 def test_the_table_agrees_with_its_oracle_on_seeded_biregular_graphs():
     statuses = _same_verdicts(_biregular_inputs())
+    assert statuses["inconclusive"] and statuses["non-periodic"], statuses
+
+
+def test_the_table_agrees_with_its_oracle_on_seeded_double_covers():
+    inputs = _seeded_cover_inputs()
+    assert len(inputs) >= 20
+    statuses = _same_verdicts(inputs)
     assert statuses["inconclusive"] and statuses["non-periodic"], statuses
 
 
@@ -295,3 +346,49 @@ def test_the_allowed_values_agree_with_the_window_search():
             got = periodicity.allowed_value_table(d0, d1)
             assert got == want, (d0, d1)
             assert [str(v) for v, _ in got] == [str(v) for v, _ in want], (d0, d1)
+
+
+# ---------------------------------------------------------------------------
+# The conjugate check on roots that share (m, a) or break a pair
+# ---------------------------------------------------------------------------
+
+
+def _quadratic(m: int, a: int, b: int) -> QuadraticValue:
+    return QuadraticValue(Fraction(a), Fraction(b), m)
+
+
+# (x^2 - 6x + 7)^2 (x^2 - 6x + 1) (x - 2): the conjugate pairs 3 +- sqrt(2),
+# twice, and 3 +- 2 sqrt(2) share (m, a) = (2, 3)
+SHARED_RUN = _product([[7, -6, 1], [7, -6, 1], [1, -6, 1], [-2, 1]])
+
+
+def test_two_conjugate_pairs_in_one_run():
+    got = periodicity._classify(SHARED_RUN, 2, 3)
+    assert got == _classify_by_hash(SHARED_RUN, 2, 3) == _classify(SHARED_RUN, 2, 3)
+    assert got.reason is None and got.status == "non-periodic"
+    assert [(c.value, c.multiplicity) for c in got.classifications] == [
+        (_quadratic(1, 2, 0), 1),
+        (_quadratic(2, 3, -2), 1),
+        (_quadratic(2, 3, -1), 2),
+        (_quadratic(2, 3, 1), 2),
+        (_quadratic(2, 3, 2), 1),
+    ]
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        pytest.param(lambda roots: roots[:-1], id="root-dropped"),
+        pytest.param(lambda roots: [(v, 1 + (v.b < 0)) for v, _ in roots], id="multiplicities-crossed"),
+        pytest.param(lambda roots: roots + [(_quadratic(3, 1, 1), 1)], id="lone-root-appended"),
+    ],
+)
+def test_an_unpaired_root_still_breaks_the_pair(monkeypatch, patch):
+    """A root search patched to break a conjugate pair, the roots still
+    ordered by (m, a, b)."""
+    search = exact.roots_degree_le2
+    monkeypatch.setattr(periodicity, "roots_degree_le2", lambda *args: patch(search(*args)))
+    got = periodicity._classify(SHARED_RUN, 2, 3)
+    assert got.reason == "conjugate pair multiplicities differ"
+    assert got.status == "non-periodic"
+    assert got == _classify_by_hash(SHARED_RUN, 2, 3)
