@@ -7,9 +7,10 @@ q(y) = det(yI - (4M - 2I)), M = D0^-1 C D1^-1 C^T for the block C of the
 adjacency between the two classes, taken on one class: the smaller one,
 or the original vertices of S(g).  One routine (_chi) takes the char-poly
 of L M that the decider, the table and the phase period read: of the
-integer rows of walks._gram, or, when C is square and symmetric (g x K2 as
-bipartite_double_cover numbers it), by one Graeffe step from that of
-B = l D^-1 C, L M = B^2 (walks._gram_root).  q is monic with every root in
+product F F' of the factors F = l Dr^-1 C and F' = l' Do^-1 C^T that
+walks._factors builds, or, for a bipartite walk with F = F' (C square and
+symmetric, as for g x K2 numbered by bipartite_double_cover), by one
+Graeffe step from that of F', L M = F'^2.  q is monic with every root in
 [-2, 2], so the walk is periodic iff q has integer coefficients
 (Kronecker, 1857), and then q is a product of the minimal polynomials
 Psi_k of 2cos(2 pi / k): the period is the lcm of those k, with 2 when
@@ -62,6 +63,7 @@ from .exact import (
     _nonzeros,
     _orders_of_totient_at_most,
     _row_minimal_polynomial,
+    _sparse_times_dense,
     char_poly,
     cyclotomic,
     cyclotomic_factors,
@@ -79,9 +81,7 @@ from .graphs import (
     degree_profile,
     subdivision,
 )
-from .walks import (
-    ArcWalkOperator, WalkOperator, _gram, _gram_root, build_bipartite_walk, cell_operator
-)
+from .walks import ArcWalkOperator, WalkOperator, _factors, build_bipartite_walk, cell_operator
 
 TRACE_DEPTH = 12  # tr(U^k) is checked for k <= TRACE_DEPTH
 
@@ -133,10 +133,11 @@ def _allowed_values(d0d1: int, shift: int = 0) -> dict[QuadraticValue, int]:
 def _chi(g: Graph, kind: str) -> tuple[Graph, Bipartition, IntPolynomial, int, int]:
     """(h, b, chi, den, shift) for the walk of the given kind on g: the
     bipartite walk on h with classes b, and chi = charpoly(den M - shift I)
-    on the class q is taken on: of _gram's integer rows of den M or, for
-    kind "bipartite" when C, from the sorted rows to the sorted other
-    class, is square and symmetric, graeffe_step(charpoly(B)) for
-    _gram_root's B, B^2 = den M, the same polynomial.
+    on the class q is taken on, from walks._factors' F and F', den = l l':
+    of den M = F F', formed by exact._sparse_times_dense, or, for kind
+    "bipartite" when F = F' (C, from the sorted rows to the sorted other
+    class, square and symmetric), graeffe_step(charpoly(F')), F'^2 = den M,
+    the same polynomial.
 
     kind "bipartite": h = g, M on the smaller class of b = bipartition(g)
     (c0 on a tie), shift 0.  kind "grover": h = S(g), and b = bipartition(h)
@@ -152,10 +153,15 @@ def _chi(g: Graph, kind: str) -> tuple[Graph, Bipartition, IntPolynomial, int, i
     rows, other = (b.c0, b.c1) if kind == "grover" else sorted((b.c0, b.c1), key=len)
     if not g.num_edges:
         raise GraphError("graph has no edges")
-    root = kind == "bipartite" and _gram_root(h, rows, other)
-    if root:
-        return h, b, graeffe_step(char_poly(root[0])), root[1] ** 2, 0
-    gram, den = _gram(h, rows, other)
+    f, f_t, l, l_other = _factors(h, rows, other)
+    den = l * l_other
+    # F' holds each nonzero of F at its place, and both have |E| nonzeros:
+    # F = F', C is square and symmetric, and L M = F'^2
+    if kind == "bipartite" and len(f) == len(f_t) and all(
+        f_t[i][j] == x for i, r in enumerate(f) for j, x in r
+    ):
+        return h, b, graeffe_step(char_poly(f_t)), den, 0
+    gram = _sparse_times_dense(f, f_t)
     shift = den // 2 if kind == "grover" else 0
     for i, row in enumerate(gram):
         row[i] -= shift

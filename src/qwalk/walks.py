@@ -19,9 +19,9 @@ import json
 from itertools import chain
 from math import gcd, lcm
 from operator import add, itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
-from .exact import RationalMatrix, _int_product, mat_mul
+from .exact import RationalMatrix, _int_product, _sparse_times_dense, mat_mul
 from .graphs import Graph, GraphError, bipartition, degree_profile, subdivision
 
 
@@ -147,49 +147,33 @@ def build_bipartite_walk(g: Graph) -> WalkOperator:
 # ---------------------------------------------------------------------------
 
 
-def _gram(g: Graph, rows: Iterable[int], other: Iterable[int]) -> tuple[list[list[int]], int]:
-    """The integer rows of L M, and L, for M = Dr^-1 C Do^-1 C^T with C the
-    block of g's adjacency from the vertices `rows` to `other` and
-    L = lcm(deg rows) lcm(deg other): two-hop sums over g's neighbours.
+def _factors(
+    g: Graph, rows: Iterable[int], other: Iterable[int]
+) -> tuple[list[list[tuple[int, int]]], list[list[int]], int, int]:
+    """(F, F', l, l') for the block C of g's adjacency from the sorted
+    `rows` to the sorted `other`: F = l Dr^-1 C as the (column, value)
+    pairs of its rows, F' = l' Do^-1 C^T as dense rows, l = lcm(deg rows)
+    and l' = lcm(deg other), from one pass over the neighbours of `rows`.
 
-    On a (d0, d1)-biregular graph L M is C C^T.  On the subdivision S(g),
-    with rows the original vertices, it is (L/2)(I + D^-1 A).  The
-    decider's char-poly (periodicity._chi) and T's squared block read it.
+    exact._sparse_times_dense(F, F') is L M, L = l l', for M = Dr^-1 C
+    Do^-1 C^T: C C^T on a (d0, d1)-biregular graph, and (L/2)(I + D^-1 A)
+    on the subdivision S(g) with rows the original vertices.  When C is
+    square and symmetric, F = F' and L M = F'^2.  The decider's char-poly
+    (periodicity._chi) and T (_quotient) read them.
     """
     deg, adj = g.degrees(), g.neighbors()
-    rows = sorted(rows)
-    pos = {v: i for i, v in enumerate(rows)}
-    l_rows, l_other = lcm(*(deg[v] for v in rows)), lcm(*(deg[x] for x in other))
-    out = []
-    for v in rows:
-        row, w = [0] * len(rows), l_rows // deg[v]
+    rows, other = sorted(rows), sorted(other)
+    col = {x: j for j, x in enumerate(other)}
+    l, l_other = lcm(*(deg[v] for v in rows)), lcm(*(deg[x] for x in other))
+    f, f_t = [], [[0] * len(rows) for _ in other]
+    for i, v in enumerate(rows):
+        w, row = l // deg[v], []
         for x in adj[v]:
-            wx = w * (l_other // deg[x])
-            for y in adj[x]:
-                row[pos[y]] += wx
-        out.append(row)
-    return out, l_rows * l_other
-
-
-def _gram_root(
-    g: Graph, rows: Iterable[int], other: Iterable[int]
-) -> Optional[tuple[list[list[int]], int]]:
-    """(B, l), B = l Dr^-1 C and l = lcm(deg rows), when the block C of g's
-    adjacency from the sorted `rows` to the sorted `other` is square and
-    symmetric, else None.  Row i and column i of C then have one degree, so
-    _gram's L is l^2 and its L M is B^2, from one-hop sums, not two-hop."""
-    rows, col = sorted(rows), {v: j for j, v in enumerate(sorted(other))}
-    if len(rows) != len(col):
-        return None
-    deg, adj = g.degrees(), g.neighbors()
-    ones = {(i, col[x]) for i, v in enumerate(rows) for x in adj[v]}
-    if any((j, i) not in ones for i, j in ones):
-        return None
-    l = lcm(*(deg[v] for v in rows))
-    out = [[0] * len(rows) for _ in rows]
-    for i, j in ones:
-        out[i][j] = l // deg[rows[i]]
-    return out, l
+            j = col[x]
+            row.append((j, w))
+            f_t[j][i] = l_other // deg[x]
+        f.append(row)
+    return f, f_t, l, l_other
 
 
 def _quotient(
@@ -202,21 +186,25 @@ def _quotient(
     For U' = (2P_l - I)(2P_f - I), P_l and P_f the cell projections of the
     two classes, and D, C the degrees and the biadjacency blocks,
     T = [[4 Dl^-1 Clf Df^-1 Cfl - I, 2 Dl^-1 Clf], [-2 Df^-1 Cfl, -I]]:
-    over den = L, the squared block is 4 (_gram's rows of L M) - den I, and
-    each other entry is +-2 den / deg of its row's vertex.
+    over den = L = l l', with _factors' F, F', l and l',
+    T = [[4 F F' - den I, 2 l' F], [-2 l F', -den I]], its squared block
+    the product of 4F's pairs and F'.
     """
-    gram, den = _gram(g, last, first)
-    deg, adj = g.degrees(), g.neighbors()
-    pos = {v: i for i, v in enumerate([*last, *first])}
-    z = (1,) * len(last) + (-1,) * len(first)
-    rows = [[4 * x for x in square] + [0] * len(first) for square in gram]
-    rows += ([0] * len(pos) for _ in first)
-    for v, i in pos.items():
-        row, w = rows[i], 2 * z[i] * (den // deg[v])
-        for x in adj[v]:
-            row[pos[x]] = w
+    f, f_t, l, l_first = _factors(g, last, first)
+    den, n_l, n_f = l * l_first, len(f), len(f_t)
+    rows = _sparse_times_dense([[(j, 4 * x) for j, x in r] for r in f], f_t)
+    top, bottom = 2 * l_first, -2 * l
+    for i, (row, r) in enumerate(zip(rows, f)):
         row[i] -= den
-    return rows, den, z
+        row += [0] * n_f
+        for j, x in r:
+            row[n_l + j] = top * x
+    for j, r in enumerate(f_t):
+        row = [bottom * x for x in r]
+        row += [0] * n_f
+        row[n_l + j] = -den
+        rows.append(row)
+    return rows, den, (1,) * n_l + (-1,) * n_f
 
 
 def _reflect(
@@ -256,11 +244,13 @@ def cell_operator(g: Graph) -> tuple[list[list[int]], int, tuple[int, ...]]:
     other.  When that is c0, T is the quotient of U^T = (2Q - I)
     (2P - I), which has U's order and traces.
 
-    Checked exactly, without forming U: X z = 0, and U X = X T for every
-    column of X, applying the reflections built from build_partitions'
-    cells to X's rows and forming row e of X T as the sum of the rows of T
-    at e's two ends.  A failure raises ConstructionError, a graph with no
-    edges GraphError.
+    _quotient builds T from _factors' F and F' and their product F F',
+    the Gram block that periodicity._chi reads.  T is checked exactly,
+    without forming U: X z = 0, and U X = X T for every column of X,
+    applying the reflections built from build_partitions' cells to X's
+    rows and forming row e of X T as the sum of the rows of T at e's two
+    ends.  A failure raises ConstructionError, a graph with no edges
+    GraphError.
     """
     pi0, pi1 = build_partitions(g)
     b = bipartition(g)

@@ -24,6 +24,7 @@ from qwalk.exact import (
     _nonzeros,
     _orders_of_totient_at_most,
     _signed_divisors,
+    _sparse_times_dense,
     _factor,
     _totient,
     char_poly,
@@ -59,11 +60,19 @@ from qwalk.graphs import (
     subdivision,
 )
 from qwalk.periodicity import grover_regular_test, spectral_test_biregular
-from qwalk.walks import _gram
+from qwalk.walks import _factors
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
 )
+
+
+def gram_rows(g: Graph, rows, other) -> tuple[list[list[int]], int]:
+    """The integer rows of L M and L, for M on the class `rows` of g: the
+    product F F' of walks._factors' factors, by the kernel char_poly uses,
+    and L = l l'."""
+    f, f_t, l, l_other = _factors(g, rows, other)
+    return _sparse_times_dense(f, f_t), l * l_other
 
 
 def fractions_of(m: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:
@@ -732,7 +741,7 @@ def test_char_poly_of_non_symmetric_gram_rows_of_subdivisions():
     for g in graphs:
         sg = subdivision(g)
         sb = bipartition(sg)
-        gram, _ = _gram(sg, sb.c0, sb.c1)
+        gram, _ = gram_rows(sg, sb.c0, sb.c1)
         if len(set(g.degrees())) > 1:
             assert gram != [list(col) for col in zip(*gram)]
         expected = sympy.Matrix(gram).charpoly(sympy.Symbol("x")).all_coeffs()
@@ -988,7 +997,7 @@ def _table_chi(g: Graph) -> IntPolynomial:
     """The char-poly the spectral table factors on a biregular bipartite g:
     that of C C^T on the smaller class, the integer Gram rows."""
     b = bipartition(g)
-    return char_poly(_gram(g, *sorted((b.c0, b.c1), key=len))[0])
+    return char_poly(gram_rows(g, *sorted((b.c0, b.c1), key=len))[0])
 
 
 def _grover_chi(g: Graph) -> IntPolynomial:
@@ -996,7 +1005,7 @@ def _grover_chi(g: Graph) -> IntPolynomial:
     g, chi(A): the Gram rows of S(g) on the original vertices are A + dI."""
     sg = subdivision(g)
     sb = bipartition(sg)
-    gram, den = _gram(sg, sb.c0, sb.c1)
+    gram, den = gram_rows(sg, sb.c0, sb.c1)
     return char_poly([[x - (den // 2) * (i == j) for j, x in enumerate(row)] for i, row in enumerate(gram)])
 
 

@@ -6,8 +6,11 @@ module of qwalk defines or imports a check of a given one.  Graph._colouring
 is the only code that builds a Bipartition, no function under src/ has a
 parameter annotated with one, and a WalkOperator stores no classes.
 periodicity.py names no `adjacency_matrix`: its decider, table functions
-and phase period read one char-poly, that of _chi, built on walks._gram's
-rows."""
+and phase period read one char-poly, that of _chi, taken from the factors
+F and F' of walks._factors, or from their product F F' by
+exact._sparse_times_dense.  walks._factors is the one adjacency walker
+besides the colouring's search: no other code under src/ reads
+Graph.neighbors."""
 
 import ast
 import inspect
@@ -90,6 +93,23 @@ def _bipartition_uses(tree: ast.AST) -> tuple[set[str], set[str]]:
     return calls, params
 
 
+def _readers(tree: ast.AST, attr: str) -> set[str]:
+    """The qualified names of the scopes that read the attribute attr of
+    anything, to call it or not."""
+    found = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        if isinstance(node, ast.Attribute) and node.attr == attr:
+            found.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
 def _src_uses() -> tuple[set[str], set[str]]:
     calls, params = set(), set()
     for path in sorted(SRC.glob("*.py")):
@@ -126,6 +146,26 @@ def test_the_ast_check_sees_calls_and_annotations():
         "k = lambda: Bipartition(x, y)\n"
     )
     assert _bipartition_uses(tree) == ({"A.f", ""}, {"A.f", "h"})
+
+
+def test_one_builder_walks_the_adjacency():
+    readers = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _readers(ast.parse(path.read_text()), "neighbors")
+    }
+    assert readers == {"walks._factors", "graphs.Graph._search"}
+
+
+def test_the_reader_check_sees_calls_and_bound_methods():
+    tree = ast.parse(
+        "def f(g): return g.neighbors()\n"
+        "class A:\n"
+        "    def h(self): adj = self.g.neighbors; return adj\n"
+        "k = lambda g: g.neighbors()[0]\n"
+        "def neighbors(g): return g.degrees()\n"
+    )
+    assert _readers(tree, "neighbors") == {"f", "A.h", ""}
 
 
 def test_a_walk_operator_stores_no_classes():

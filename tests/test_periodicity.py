@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from math import lcm
 
 import networkx as nx
 import pytest
@@ -12,6 +13,7 @@ from qwalk.exact import (
     NonIntegralPolynomial,
     QuadraticValue,
     RationalMatrix,
+    _nonzeros,
     _row_minimal_polynomial,
     char_poly,
     local_minimal_polynomial,
@@ -56,6 +58,7 @@ from qwalk.periodicity import (
     state_periodicity,
     trace_test,
 )
+from qwalk.cli import verdict_to_dict
 from qwalk.scan import enumerate_biregular, scan_periodicity
 from qwalk.spectral import (
     GROUP_TOL,
@@ -65,15 +68,15 @@ from qwalk.spectral import (
 )
 from qwalk.walks import (
     ArcWalkOperator,
-    _gram,
+    _factors,
     block_identity_check,
     block_identity_checks,
     build_bipartite_walk,
     build_grover_walk,
     cell_operator,
 )
-from test_exact import _random_biregular, sympy_cyclotomic_order
-from test_walks import random_connected_graph
+from test_exact import _random_biregular, gram_rows, sympy_cyclotomic_order
+from test_walks import random_connected_bipartite, random_connected_graph
 
 F = Fraction
 
@@ -669,8 +672,9 @@ class TestOneCharPoly:
 class TestCharPolyAgainstDenseBuilders:
     """_chi's char-poly, which the decider, the table functions and the
     phase period share, against char-polys of matrices built without
-    _gram: A from adjacency_matrix for a Grover walk on a regular graph,
-    and C C^T from biadjacency, on the smaller class, for a biregular one."""
+    walks._factors: A from adjacency_matrix for a Grover walk on a regular
+    graph, and C C^T from biadjacency, on the smaller class, for a
+    biregular one."""
 
     @pytest.mark.parametrize("name", sorted(REGULAR_GRAPHS))
     def test_grover_chi_is_that_of_a(self, name):
@@ -928,27 +932,47 @@ def _balanced_bipartite(rng: random.Random, max_k: int = 5) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _fraction_gram(h: Graph, rows) -> list[list[Fraction]]:
-    """M = Dr^-1 C Do^-1 C^T in Fractions, on the class `rows` of
-    bipartition(h): the expression of the Fraction-built Gram operator that
-    _gram replaced."""
+def _block(h: Graph, rows) -> list[list[int]]:
+    """The block C of h's adjacency from the class `rows` of bipartition(h)
+    to the other, both sorted, from biadjacency."""
     c = biadjacency(h)
-    if rows != bipartition(h).c0:
-        c = [list(col) for col in zip(*c)]
-    col_deg = [sum(col) for col in zip(*c)]
-    return [
-        [sum(Fraction(x * y, d) for x, y, d in zip(r, t, col_deg)) / sum(r) for t in c]
-        for r in c
-    ]
+    return c if rows == bipartition(h).c0 else [list(col) for col in zip(*c)]
+
+
+def _dense(pairs, cols: int) -> list[list[int]]:
+    """The dense rows of the (column, value) pairs, which must name each
+    column at most once, with no zero value."""
+    out = []
+    for r in pairs:
+        assert len({j for j, _ in r}) == len(r) and all(x for _, x in r)
+        row = [0] * cols
+        for j, x in r:
+            row[j] = x
+        out.append(row)
+    return out
 
 
 def _assert_gram_and_q(h: Graph, rows, other, shifts) -> None:
-    """_gram / L is the Fraction formula, and q = charpoly(4M - 2I) from
-    charpoly(L M - sI) for every shift s; NonIntegralPolynomial exactly
+    """walks._factors' F / l and F' / l' are Dr^-1 C and Do^-1 C^T in
+    Fractions, l and l' the lcms of the degrees; F F' / L, L = l l', is M =
+    Dr^-1 C Do^-1 C^T, the expression of the Fraction-built Gram operator
+    the integer builder replaced; and q = charpoly(4M - 2I) from
+    charpoly(L M - sI) for every shift s: NonIntegralPolynomial exactly
     when sympy's charpoly has a non-integral coefficient."""
     sympy = pytest.importorskip("sympy")
-    gram, den = _gram(h, rows, other)
-    m = _fraction_gram(h, rows)
+    c = _block(h, rows)
+    c_t = [list(col) for col in zip(*c)]
+    f, f_t, l, l_other = _factors(h, rows, other)
+    assert (l, l_other) == (lcm(*map(sum, c)), lcm(*map(sum, c_t)))
+    assert [[Fraction(x, l) for x in row] for row in _dense(f, len(c_t))] == [
+        [Fraction(x, sum(r)) for x in r] for r in c
+    ]
+    assert [[Fraction(x, l_other) for x in row] for row in f_t] == [
+        [Fraction(x, sum(r)) for x in r] for r in c_t
+    ]
+    gram, den = gram_rows(h, rows, other)
+    m = [[sum(Fraction(x * y, sum(t)) for x, y, t in zip(r, s, c_t)) / sum(r) for s in c] for r in c]
+    assert den == l * l_other
     assert [[Fraction(x, den) for x in row] for row in gram] == m
     expected = sympy.Matrix([[4 * x for x in row] for row in m]) - 2 * sympy.eye(len(m))
     coeffs = [sympy.Rational(c) for c in reversed(expected.charpoly().all_coeffs())]
@@ -977,7 +1001,7 @@ class TestGramAgainstFractions:
     def test_subdivision_on_the_original_vertices(self, seed):
         h = subdivision(random_connected_graph(random.Random(seed), max_n=7))
         b = bipartition(h)
-        den = _gram(h, b.c0, b.c1)[1]
+        den = gram_rows(h, b.c0, b.c1)[1]
         _assert_gram_and_q(h, b.c0, b.c1, shifts=(0, den // 2))
 
     def test_biregular_gram_is_c_ct_and_subdivision_of_regular_is_a(self):
@@ -986,10 +1010,13 @@ class TestGramAgainstFractions:
         b, c = bipartition(h), biadjacency(h)
         d = h.degrees()[0]  # figure7 is d-regular, its double cover (d, d)-biregular
         c_ct = [[sum(x * y for x, y in zip(r, t)) for t in c] for r in c]
-        assert _gram(h, b.c0, b.c1) == (c_ct, d * d)
+        assert gram_rows(h, b.c0, b.c1) == (c_ct, d * d)
+        # C is square and symmetric, so F = F' = C for l = d
+        f, f_t, l, l_other = _factors(h, b.c0, b.c1)
+        assert (_dense(f, h.n // 2), f_t, l, l_other) == (c, c, d, d)
         sg = subdivision(petersen_graph())
         sb = bipartition(sg)
-        gram, den = _gram(sg, sb.c0, sb.c1)
+        gram, den = gram_rows(sg, sb.c0, sb.c1)
         assert den == 6
         assert [[x - 3 * (i == j) for j, x in enumerate(row)] for i, row in enumerate(gram)] == (
             adjacency_matrix(petersen_graph())
@@ -1035,21 +1062,22 @@ ROOT_INPUTS = _root_inputs()
 
 
 class TestChiFromTheRootOfTheGram:
-    """_chi takes chi from charpoly(B) by one Graeffe step when the block C
-    from the sorted smaller class to the other is square and symmetric, and
-    from _gram's rows otherwise: both give the char-poly of _gram's rows."""
+    """_chi takes chi from charpoly(F') by one Graeffe step when F = F',
+    that is when the block C from the sorted smaller class to the other is
+    square and symmetric, and from the product F F' otherwise: both give
+    the char-poly of the Gram rows F F'."""
 
     @pytest.mark.parametrize("name", sorted(ROOT_INPUTS))
     def test_chi_and_den_are_those_of_the_gram_rows(self, name):
         h = ROOT_INPUTS[name]
         b = bipartition(h)
-        gram, den = _gram(h, b.c0, b.c1)
+        gram, den = gram_rows(h, b.c0, b.c1)
         assert _chi(h, "bipartite")[2:] == (char_poly(gram), den, 0)
 
     @staticmethod
     def _spy(monkeypatch) -> list[str]:
         paths = []
-        for name, label in (("_gram", "gram"), ("graeffe_step", "root")):
+        for name, label in (("_sparse_times_dense", "gram"), ("graeffe_step", "root")):
             original = getattr(qwalk.periodicity, name)
             monkeypatch.setattr(
                 qwalk.periodicity, name,
@@ -1062,7 +1090,8 @@ class TestChiFromTheRootOfTheGram:
         c = biadjacency(h)
         return len(c) == len(c[0]) and c == [list(col) for col in zip(*c)]
 
-    def test_the_root_runs_exactly_when_c_is_square_and_symmetric(self, monkeypatch):
+    @staticmethod
+    def _gram_only() -> dict[str, Graph]:
         rng = random.Random(3301)
         gram_only = {f"c{2 * k}": cycle(2 * k) for k in range(3, 9)}
         gram_only["heawood"] = heawood_graph()
@@ -1073,13 +1102,24 @@ class TestChiFromTheRootOfTheGram:
             "figure7-d": bipartite_double_cover(figure7_graph()), "k23": complete_bipartite(2, 3),
             "c4": cycle(4), "p6": path(6), "star4": star(4), "figure1": figure1_graph(),
         }
+        assert not any(TestChiFromTheRootOfTheGram._square_and_symmetric(h) for h in gram_only.values())
+        return {**gram_only, **others}
+
+    def test_the_root_runs_exactly_when_c_is_square_and_symmetric(self, monkeypatch):
         paths = self._spy(monkeypatch)
-        for name, h in {**ROOT_INPUTS, **gram_only, **others}.items():
+        for name, h in {**ROOT_INPUTS, **self._gram_only()}.items():
             paths.clear()
             _chi(h, "bipartite")
             assert paths == ["root" if self._square_and_symmetric(h) else "gram"], name
         assert all(self._square_and_symmetric(h) for h in ROOT_INPUTS.values())
-        assert not any(self._square_and_symmetric(h) for h in gram_only.values())
+
+    def test_f_equals_f_prime_exactly_when_c_is_square_and_symmetric(self):
+        for name, h in {**ROOT_INPUTS, **self._gram_only()}.items():
+            b = bipartition(h)
+            f, f_t, l, l_other = _factors(h, *sorted((b.c0, b.c1), key=len))
+            equal = len(f) == len(f_t) and _nonzeros(_dense(f, len(f_t))) == _nonzeros(f_t)
+            assert equal == self._square_and_symmetric(h), name
+            assert not equal or l == l_other
 
     @pytest.mark.parametrize("name", ["c3", "c5", "k4", "prism"])
     def test_a_grover_walk_takes_the_gram_rows(self, monkeypatch, name):
@@ -1090,3 +1130,73 @@ class TestChiFromTheRootOfTheGram:
             paths.clear()
             _chi(g, "grover")
             assert paths == ["gram"]
+
+
+# ---------------------------------------------------------------------------
+# Relabelling: every verdict field is a property of the graph
+# ---------------------------------------------------------------------------
+
+
+def _relabel(g: Graph, rng: random.Random) -> tuple[Graph, bool]:
+    """g with its vertices permuted and its edges given in a shuffled order,
+    each with its ends in a random order, and whether the new vertex 0, the
+    first of bipartition's c0, comes from c1 of a bipartite g."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u]) for u, v in g.edges]
+    rng.shuffle(edges)
+    return Graph.from_edges(g.n, edges), is_bipartite(g) and perm.index(0) in bipartition(g).c1
+
+
+def _relabel_inputs() -> dict[str, list[Graph]]:
+    """Seeded graphs for each way _chi takes chi: double covers, whose C is
+    square and symmetric as bipartite_double_cover numbers them (the root,
+    for a bipartite walk); other bipartite graphs (the product F F'); and
+    non-bipartite graphs, of which only the Grover walk is defined (the
+    product less the shift)."""
+    rng = random.Random(3600)
+    return {
+        "double-cover": [bipartite_double_cover(_non_bipartite(rng, 7)) for _ in range(40)],
+        "bipartite": [random_connected_bipartite(rng, max_n=12) for _ in range(40)],
+        "non-bipartite": [_non_bipartite(rng, 8) for _ in range(40)],
+    }
+
+
+RELABEL_INPUTS = _relabel_inputs()
+
+
+class TestRelabelling:
+    """Relabelling the vertices and reordering the edges leaves every field
+    of verdict_to_dict(decide_periodicity(g, kind)) unchanged, but for d0
+    and d1, which swap when the new vertex 0 comes from the other class."""
+
+    @staticmethod
+    def _swapped(report: dict) -> dict:
+        s = report["spectral"]
+        return report if s is None else {**report, "spectral": {**s, "d0": s["d1"], "d1": s["d0"]}}
+
+    @pytest.mark.parametrize("family", sorted(RELABEL_INPUTS))
+    def test_the_verdict_is_a_property_of_the_graph(self, monkeypatch, family):
+        rng = random.Random(f"relabel-{family}")
+        kinds = ("grover",) if family == "non-bipartite" else ("bipartite", "grover")
+        paths = TestChiFromTheRootOfTheGram._spy(monkeypatch)
+        taken, swaps = set(), 0
+        for g in RELABEL_INPUTS[family]:
+            h, swap = _relabel(g, rng)
+            for kind in kinds:
+                paths.clear()
+                expected = verdict_to_dict(decide_periodicity(g, kind))
+                taken.add((kind, paths[0]))
+                got = verdict_to_dict(decide_periodicity(h, kind))
+                taken.add((kind, paths[-1]))
+                if swap and kind == "bipartite":
+                    swaps += got != expected
+                    expected = self._swapped(expected)
+                assert got == expected, (family, kind, g.edges)
+        want = {"double-cover": {("bipartite", "root"), ("grover", "gram")},
+                "bipartite": {("bipartite", "gram"), ("grover", "gram")},
+                "non-bipartite": {("grover", "gram")}}
+        assert want[family] <= taken
+        # the swap of d0 and d1 is seen, not only allowed: a double cover's
+        # classes have one degree multiset
+        assert swaps or family != "bipartite"

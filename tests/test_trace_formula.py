@@ -25,9 +25,10 @@ from qwalk.graphs import (
     star,
     subdivision,
 )
-from qwalk.periodicity import TRACE_DEPTH, _gram, _scaled_traces, decide_periodicity, trace_test
+from qwalk.periodicity import TRACE_DEPTH, _scaled_traces, decide_periodicity, trace_test
 from qwalk.walks import build_bipartite_walk, build_grover_walk, cell_operator
 from test_cell_space import seeded_bipartite
+from test_exact import gram_rows
 from test_walks import random_connected_graph
 
 CUBIC10 = Path(__file__).resolve().parent.parent / "perfbench" / "cubic10.json"
@@ -44,7 +45,7 @@ def _chi(g: Graph, kind: str):
     else:
         h, b = g, bipartition(g)
         rows, other = sorted((b.c0, b.c1), key=len)
-    gram, den = _gram(h, rows, other)
+    gram, den = gram_rows(h, rows, other)
     shift = den // 2 if kind == "grover" else 0
     for i, row in enumerate(gram):
         row[i] -= shift
